@@ -1,6 +1,8 @@
 """Benchmark the compiled kernel against the pure-Python fallback.
 
-Times the class enumeration end to end per backend and reports the speedup.
+Per backend, times the class walk alone (``count_classes``) and the walk
+plus member materialization (``generate``), and reports the speedup of the
+compiled kernel on each.
 
     python benchmarks/bench_kernels.py --max-k 5
 """
@@ -9,13 +11,13 @@ import argparse
 import time
 
 from mcbound import kernel
-from mcbound.topology import generate
+from mcbound.topology import count_classes, generate
 
 
-def time_generate(k, backend):
+def timed(fn, k, backend):
     start = time.perf_counter()
-    count = generate(k, backend=backend, workers=1).count
-    return count, time.perf_counter() - start
+    result = fn(k, backend=backend, workers=1)
+    return result, time.perf_counter() - start
 
 
 def main():
@@ -27,17 +29,21 @@ def main():
     backends = kernel.available_backends()
     if "c" not in backends:
         print("note: compiled kernel not built, timing the fallback only")
-    print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b:>12}" for b in backends)
-          + ("   speedup" if len(backends) > 1 else ""))
+    columns = [(b, phase) for b in backends for phase in ("walk", "generate")]
+    print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
+          + ("   speedup walk/generate" if len(backends) > 1 else ""))
     for k in range(1, args.max_k + 1):
         times = {}
-        count = None
         for backend in backends:
-            count, elapsed = time_generate(k, backend)
-            times[backend] = elapsed
-        row = f"{k:>2} {count:>9} " + " ".join(f"{times[b]:>11.3f}s" for b in backends)
+            count, times[backend, "walk"] = timed(count_classes, k, backend)
+            ts, times[backend, "generate"] = timed(generate, k, backend)
+            if ts.count != count:
+                raise SystemExit(f"k={k} {backend}: the walk counted {count} classes, "
+                                 f"generate built {ts.count}")
+        row = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
         if len(backends) > 1:
-            row += f"   {times['python'] / max(times['c'], 1e-9):>6.1f}x"
+            row += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
+                                 for p in ("walk", "generate"))
         print(row)
 
 

@@ -14,7 +14,7 @@ from .oracle import (FunctionSet, brute_equiv_classes, enumerate_raw_topologies,
                      exhaustive_function_set, literal_equivalent,
                      verify_completeness_small)
 from .topology import (MAX_GENERATE_K, Layering, Topology, TopologySet,
-                       canonical_form, equivalent, format_topology,
+                       canonical_form, count_classes, equivalent, format_topology,
                        format_topology_set, generate, has_minimal_member,
                        is_minimal, is_well_layered, layering, load_topology_set,
                        mask_indices, mask_of, parse_topology, parse_topology_set,

@@ -1,7 +1,9 @@
 """Pure-Python kernel for topology canonicalization and layer extension.
 
-Mirrors the compiled kernel in ``mcbound._gen_c`` operation for operation;
-both backends must produce byte-identical keys.  Gate sides are bit masks
+Mirrors the compiled kernel in ``mcbound._gen_c``: both backends must
+produce byte-identical keys.  Only this one skips a candidate gate whose
+side-swapped twin is already listed (see ``extend``); the compiled kernel
+keys both orientations, which give the same class.  Gate sides are bit masks
 (bit i-1 set means gate i is wired in) and a topology is encoded as the
 bytes ``L1 R1 L2 R2 ...`` in gate order.
 """
@@ -133,6 +135,8 @@ def extend(enc, k):
         if not left & last:
             continue
         for right in range(full + 1):
+            if right & last and right < left:
+                continue  # (right, left) is listed, and keys ignore side order
             if (left & ~right) == 0:
                 continue
             if right and (right & ~left) == 0:

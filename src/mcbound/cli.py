@@ -5,7 +5,6 @@ exactly when the command's success condition holds.
 """
 
 import argparse
-import os
 import random
 import sys
 
@@ -15,11 +14,12 @@ from .circuits import (format_truth_table, is_negation_normal, minimalize_circui
                        topology_of, truth_table)
 from .errors import CapacityError, CircuitError, ContractError, ParseError
 from .randgen import random_circuit
-from .topology import (generate, is_minimal, is_well_layered, load_topology_set,
-                       save_topology_set)
+from .topology import (count_classes, generate, is_minimal, is_well_layered,
+                       load_topology_set, save_topology_set, worker_count)
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 2, 3: 8, 4: 88, 5: 3564, 6: 555709}
 LONG_RUN_K = 6
+LONG_RUN_NOTE = "about 30 s at k=6 with the pure-Python kernel"
 
 
 def build_parser():
@@ -63,7 +63,7 @@ def _common_flags(p):
     p.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default: MCBOUND_WORKERS or 1); never changes output")
     p.add_argument("--allow-long", action="store_true",
-                   help="permit the multi-minute k=6 generation")
+                   help=f"permit k >= {LONG_RUN_K} ({LONG_RUN_NOTE})")
     p.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
 
 
@@ -72,35 +72,19 @@ def _usage_error(message):
     return 2
 
 
-def _workers(args):
-    if args.workers is not None:
-        return max(1, args.workers)
-    value = os.environ.get("MCBOUND_WORKERS")
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return 1
-
-
 def _progress(args):
     if not (args.verbose or getattr(args, "allow_long", False)):
         return None
 
     def emit(event):
-        if event["phase"] == "round":
-            print(f"[generate] round {event['round']}: {event['complete']} complete, "
-                  f"{event['partial']} partial", file=sys.stderr)
-        else:
-            print(f"[generate] round {event['round']}: extended {event['done']}/"
-                  f"{event['pending']} partials, {event['found']} candidates", file=sys.stderr)
+        print(f"[walk k={event['k']}] depth {event['round']}: {event['complete']} complete, "
+              f"{event['partial']} partial, {event['pruned']} pruned", file=sys.stderr)
     return emit
 
 
 def _guard_long(args, k):
     if k >= LONG_RUN_K and not args.allow_long:
-        print(f"error: k={k} is a long run (minutes to hours); pass --allow-long "
+        print(f"error: k={k} is a long run ({LONG_RUN_NOTE}); pass --allow-long "
               f"to confirm", file=sys.stderr)
         return False
     return True
@@ -111,7 +95,7 @@ def _cmd_generate(args):
         return _usage_error("--k must be at least 1")
     if not _guard_long(args, args.k):
         return 1
-    ts = generate(args.k, workers=_workers(args), progress=_progress(args))
+    ts = generate(args.k, workers=args.workers, progress=_progress(args))
     save_topology_set(ts, args.out)
     print(ts.count)
     return 0
@@ -124,11 +108,10 @@ def _cmd_table2(args):
         return _usage_error(f"no expected value beyond k={max(EXPECTED_CLASS_COUNTS)}")
     if not _guard_long(args, args.max_k):
         return 1
-    workers = _workers(args)
     progress = _progress(args)
     failures = []
     for k in range(1, args.max_k + 1):
-        count = generate(k, workers=workers, progress=progress).count
+        count = count_classes(k, workers=args.workers, progress=progress)
         print(f"{k} {count}")
         if count != EXPECTED_CLASS_COUNTS[k]:
             failures.append((k, count))
@@ -153,7 +136,7 @@ def _cmd_prove(args):
     else:
         if not _guard_long(args, args.k):
             return 1
-        classes = generate(args.k, workers=_workers(args), progress=_progress(args)).count
+        classes = count_classes(args.k, workers=args.workers, progress=_progress(args))
     if classes < 1:
         return _usage_error("class count must be at least 1")
     report = bounds.pigeonhole_report(args.n, args.k, classes)
@@ -173,7 +156,7 @@ def _suite_oracle_topologies(args):
             continue
         kept = [t for t in raw if is_well_layered(t) and is_minimal(t)]
         classes = oracle.brute_equiv_classes(kept)
-        reps = generate(k, workers=_workers(args))
+        reps = generate(k, workers=args.workers)
         by_encoding = {}
         for ci, cls in enumerate(classes):
             for t in cls:
@@ -287,6 +270,11 @@ _DISPATCH = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if "workers" in vars(args):
+        try:
+            args.workers = worker_count(args.workers)
+        except ValueError as exc:
+            return _usage_error(str(exc))
     try:
         return _DISPATCH[args.command](args)
     except (CapacityError, CircuitError, ContractError, ParseError) as exc:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -308,83 +307,136 @@ def has_minimal_member(t, backend=None):
     return kern.canonical_keys(t.gates, layering(t).sizes)[1] is not None
 
 
-def _default_workers():
-    value = os.environ.get("MCBOUND_WORKERS")
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return 1
+def worker_count(workers=None):
+    """Worker processes for the class walk: ``workers`` when given, else the
+    ``MCBOUND_WORKERS`` environment variable, else 1.  Raises ValueError
+    unless the chosen value is a positive integer."""
+    if workers is None:
+        value = os.environ.get("MCBOUND_WORKERS", "").strip()
+        if not value:
+            return 1
+        if not value.isdecimal() or int(value) < 1:
+            raise ValueError(f"MCBOUND_WORKERS must be a positive integer, got {value!r}")
+        return int(value)
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    return workers
 
 
-def _extend_task(args):
-    enc, k, backend = args
-    return kernel.get_backend(backend).extend(enc, k)
+def _walk(roots, depth, k, backend, collect, split=False):
+    """Depth-first class walk below the partial topologies ``roots``, which
+    all have ``depth`` layers.
+
+    Each parent is extended by one layer and every child is walked at once.
+    No state is shared between parents: removing a child's last layer gives
+    back its parent, so different parent classes never yield equivalent
+    children.  A child without a minimal relabeling is dropped, full or
+    partial, because any minimal relabeling of a descendant restricts to one
+    of its prefix.  With ``split`` the roots' partial children are returned
+    instead of walked.
+
+    Returns ``(count, kept, tally, frontier)``: the number of full
+    descendants that have a minimal relabeling; their key_min encodings in
+    walk order, with ``collect`` (else empty); per layer count d,
+    ``tally[d]`` holds the full keys, the kept partials and the pruned
+    partials among the children with d layers; and the partial children not
+    walked.
+    """
+    kern = kernel.get_backend(backend)
+    full_len = 2 * k
+    tally = [[0, 0, 0] for _ in range(k + 1)]
+    kept = []
+    count = 0
+    frontier = []
+
+    def visit(enc, depth):
+        nonlocal count
+        row = tally[depth + 1]
+        for key_any, key_min in kern.extend(enc, k):
+            if len(key_any) == full_len:
+                row[0] += 1
+                if key_min is not None:
+                    count += 1
+                    if collect:
+                        kept.append(key_min)
+            elif key_min is None:
+                row[2] += 1
+            else:
+                row[1] += 1
+                if split:
+                    frontier.append(key_any)
+                else:
+                    visit(key_any, depth + 1)
+
+    for enc in roots:
+        visit(enc, depth)
+    return count, kept, tally, frontier
+
+
+def _classes(k, workers, backend, progress, collect):
+    """``(count, kept)`` of ``_walk`` over every class on k gates, from the
+    single-layer seeds of 1..k-1 empty gates.  With several workers the seeds
+    are expanded here and the subtrees below their children are shared out."""
+    if k < 0:
+        raise ValueError("gate count must be non-negative")
+    if k > MAX_GENERATE_K:
+        raise CapacityError(f"generation is capped at k <= {MAX_GENERATE_K}")
+    workers = worker_count(workers)
+    if k == 0:
+        return 0, []
+    kern = kernel.get_backend(backend)
+    roots = [bytes(2 * length) for length in range(1, k)]
+    count, kept, tally, frontier = _walk(roots, 1, k, kern.BACKEND, collect, split=workers > 1)
+    if frontier:
+        from concurrent.futures import ProcessPoolExecutor
+        from functools import partial
+        from multiprocessing import get_context
+
+        subtree = partial(_walk, depth=2, k=k, backend=kern.BACKEND, collect=collect)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            for sub_count, sub_kept, sub_tally, _ in pool.map(subtree, ([e] for e in frontier)):
+                count += sub_count
+                kept += sub_kept
+                for row, sub_row in zip(tally, sub_tally):
+                    row[:] = [a + b for a, b in zip(row, sub_row)]
+    # The k empty gates form a full single-layer seed, its own minimal form.
+    tally[1][0] += 1
+    count += 1
+    kept.append(bytes(2 * k))
+    if progress:
+        complete = tally[1][0]
+        for depth in range(2, k + 1):
+            full, partials, pruned = tally[depth]
+            complete += full
+            progress({"phase": "round", "k": k, "round": depth, "complete": complete,
+                      "partial": partials, "pruned": pruned})
+    return count, kept
+
+
+def count_classes(k, *, workers=None, backend=None, progress=None):
+    """Number of classes of minimal well-layered topologies on exactly k
+    gates: ``generate(k).count`` without building any member."""
+    return _classes(k, workers, backend, progress, collect=False)[0]
 
 
 def generate(k, *, workers=None, backend=None, progress=None):
     """Representatives of every class of minimal well-layered topologies on
     exactly k gates.
 
-    Starts from the single-layer all-empty seeds of 1..k gates and grows one
-    layer per round: every new gate must use the current last layer and may
-    not have one side nested in the other, candidates are pruned to one
-    class via canonical keys, and finished classes are kept exactly when
-    some relabeling satisfies the minimality conditions (that least minimal
-    relabeling is the stored representative).  The member list is a
-    deterministic function of k alone, independent of worker count.
+    A depth-first walk (``_walk``) grows the single-layer seeds one layer at
+    a time: every new gate must use the current last layer and may not have
+    one side nested in the other, each parent's children are deduplicated
+    by canonical key, and a class is kept exactly when some relabeling
+    satisfies the minimality conditions.  The least minimal relabeling is
+    the stored representative, and members are sorted by encoding, so the
+    result is a function of k alone, independent of worker count and
+    backend.  ``progress`` receives one ``"round"`` event per layer count
+    when the walk ends, before the members are built.  Workers are spawned
+    processes, so a script that asks for more than one must call this under
+    ``if __name__ == "__main__":``.
     """
-    if k < 0:
-        raise ValueError("gate count must be non-negative")
-    if k == 0:
-        return TopologySet(0, ())
-    if k > MAX_GENERATE_K:
-        raise CapacityError(f"generation is capped at k <= {MAX_GENERATE_K}")
-    if workers is None:
-        workers = _default_workers()
-    kern = kernel.get_backend(backend)
-    full_len = 2 * k
-    full = {}
-    partials = []
-    for length in range(1, k + 1):
-        seed = bytes(2 * length)
-        if length == k:
-            full[seed] = seed  # the all-empty topology is its own minimal form
-        else:
-            partials.append(seed)
-    for rnd in range(2, k + 1):
-        grown = []
-        if workers > 1 and len(partials) > 1:
-            args = [(enc, k, kern.BACKEND) for enc in partials]
-            chunk = max(1, len(args) // (workers * 8))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                done = 0
-                for keys in pool.map(_extend_task, args, chunksize=chunk):
-                    grown.extend(keys)
-                    done += 1
-                    if progress and done % 512 == 0:
-                        progress({"phase": "extend", "round": rnd, "done": done,
-                                  "pending": len(partials), "found": len(grown)})
-        else:
-            for idx, enc in enumerate(partials):
-                grown.extend(kern.extend(enc, k))
-                if progress and (idx + 1) % 256 == 0:
-                    progress({"phase": "extend", "round": rnd, "done": idx + 1,
-                              "pending": len(partials), "found": len(grown)})
-        next_partials = set()
-        for key_any, key_min in grown:
-            if len(key_any) == full_len:
-                full[key_any] = key_min
-            else:
-                next_partials.add(key_any)
-        partials = sorted(next_partials)
-        if progress:
-            progress({"phase": "round", "round": rnd, "complete": len(full),
-                      "partial": len(partials)})
-    members = tuple(Topology.from_encoding(enc)
-                    for enc in sorted(m for m in full.values() if m is not None))
-    return TopologySet(k, members)
+    _, kept = _classes(k, workers, backend, progress, collect=True)
+    return TopologySet(k, tuple(Topology.from_encoding(enc) for enc in sorted(kept)))
 
 
 # --- text formats -----------------------------------------------------------

@@ -48,6 +48,34 @@ def test_generate_workers_env_default(tmp_path, capsys, monkeypatch):
     assert code == 0 and stdout.strip() == "8"
 
 
+def test_generate_verbose_prints_walk_depths(tmp_path, capsys):
+    code, _, stderr = run(capsys, "generate", "--k", "4", "--out", str(tmp_path / "t.txt"), "-v")
+    assert code == 0
+    assert stderr.splitlines() == [
+        "[walk k=4] depth 2: 15 complete, 5 partial, 0 pruned",
+        "[walk k=4] depth 3: 59 complete, 3 partial, 0 pruned",
+        "[walk k=4] depth 4: 95 complete, 0 partial, 0 pruned",
+    ]
+
+
+def test_workers_below_one_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    code, _, stderr = run(capsys, "generate", "--k", "3", "--out", str(out), "--workers", "0")
+    assert code == 2
+    assert "usage error" in stderr
+    assert not out.exists()
+
+
+def test_workers_env_not_positive_integer_is_usage_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "t.txt"
+    for value in ("two", "0", "-1", "1.5"):
+        monkeypatch.setenv("MCBOUND_WORKERS", value)
+        code, _, stderr = run(capsys, "generate", "--k", "3", "--out", str(out))
+        assert code == 2
+        assert "MCBOUND_WORKERS" in stderr
+        assert not out.exists()
+
+
 # --- table2 -----------------------------------------------------------------
 
 def test_table2_small_matches(capsys):

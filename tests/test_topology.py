@@ -1,10 +1,13 @@
+import hashlib
+import os
 import random
 
 import pytest
 
+from mcbound import kernel
 from mcbound.errors import CapacityError, CircuitError, ContractError, ParseError
 from mcbound.oracle import literal_equivalent
-from mcbound.topology import (Topology, canonical_form, equivalent,
+from mcbound.topology import (Topology, canonical_form, count_classes, equivalent,
                               format_topology, format_topology_set, generate,
                               has_minimal_member, is_minimal, is_well_layered,
                               layering, load_topology_set, mask_indices, mask_of,
@@ -230,9 +233,40 @@ def test_generate_members_are_valid():
 
 
 def test_generate_deterministic_across_runs_and_workers():
-    base = generate(4)
-    assert generate(4).members == base.members
-    assert generate(4, workers=3).members == base.members
+    base = generate(5, workers=1)
+    assert generate(5, workers=1).members == base.members
+    assert generate(5, workers=2).members == base.members
+
+
+# sha256 of the concatenated member encodings, in member order
+MEMBER_DIGESTS = {
+    4: "4a4549074a516df93598c1a5e9426513aa86fc787a1f83112743c88c1dc07382",
+    5: "acba33e1c4e9d6d1410450553e6fc50695ef34b344d544639003a887a1313ada",
+    6: "bf2de176bf4b15288877979af84b009440f00d4b63f362ed021e5539ab6d5f29",
+}
+long_tier = pytest.mark.skipif(
+    not (kernel.BACKEND == "c" or os.environ.get("MCBOUND_LONG")),
+    reason="k=6 needs the compiled kernel or MCBOUND_LONG=1")
+
+
+@pytest.mark.parametrize("k", [4, 5, pytest.param(6, marks=long_tier)])
+def test_generate_member_digests(k):
+    members = generate(k).members
+    assert hashlib.sha256(b"".join(m.encode() for m in members)).hexdigest() == MEMBER_DIGESTS[k]
+
+
+def test_count_classes_matches_generate():
+    for k in range(6):
+        assert count_classes(k) == generate(k).count
+    with pytest.raises(CapacityError):
+        count_classes(8)
+    with pytest.raises(ValueError):
+        count_classes(-1)
+
+
+def test_worker_count_rejects_non_positive():
+    with pytest.raises(ValueError):
+        generate(3, workers=0)
 
 
 def test_generate_caps():
