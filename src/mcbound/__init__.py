@@ -14,11 +14,9 @@ from .oracle import (FunctionSet, brute_equiv_classes, enumerate_raw_topologies,
                      exhaustive_function_set, literal_equivalent,
                      verify_completeness_small)
 from .topology import (MAX_GENERATE_K, Layering, Topology, TopologySet,
-                       canonical_form, count_classes, equivalent, format_topology,
-                       format_topology_set, generate, has_minimal_member,
-                       is_minimal, is_well_layered, layering, load_topology_set,
-                       mask_indices, mask_of, parse_topology, parse_topology_set,
-                       representative_form, save_topology_set,
-                       well_layer_normalize)
+                       canonical_form, count_classes, format_topology,
+                       format_topology_set, generate, is_minimal, is_well_layered,
+                       layering, load_topology_set, mask_indices, parse_topology,
+                       parse_topology_set, save_topology_set)
 
 __version__ = "0.1.0"

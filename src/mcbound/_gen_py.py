@@ -77,6 +77,7 @@ def canonical_keys(pairs, layer_sizes):
             for offset, target in enumerate(sigma):
                 pi[start + offset] = start + target
         minimal = True
+        # Mask relabel and topology.gate_fault inlined: hot loop, must match _gen_c byte for byte.
         for i in range(q):
             a = 0
             m = lefts[i]

@@ -285,18 +285,8 @@ def minimalize_circuit(c):
     changed = False
     for _ in range(3 * len(gates) + 1):
         masks = [(_gate_mask(l), _gate_mask(r)) for l, r in gates]
-        hit = None
-        for i, (lg, rg) in enumerate(masks, 1):
-            if lg and (lg & ~rg) == 0:
-                hit = (i, "left-nested")
-                break
-            if rg and (rg & ~lg) == 0:
-                hit = (i, "right-nested")
-                break
-            shared = lg & rg
-            if shared and not (shared < (lg & ~rg) and shared < (rg & ~lg)):
-                hit = (i, "shared")
-                break
+        hit = next(((i, kind) for i, (lg, rg) in enumerate(masks, 1)
+                    if (kind := _topo.gate_fault(lg, rg))), None)
         if hit is None:
             break
         changed = True
@@ -331,27 +321,20 @@ def _rename_terms(terms, pi):
 
 def normalize_circuit_layering(c):
     """Reorder gates (renaming references accordingly) until the circuit's
-    topology is well-layered; the computed function is unchanged.  Mirrors
-    well_layer_normalize on the topology."""
+    topology is well-layered; the computed function is unchanged.  Each step
+    applies ``well_layer_move`` to the gates and the output set."""
     gates = list(c.gates)
     output = c.output
-    changed = False
-    for _ in range(c.k + 2):
-        masks = [(_gate_mask(l), _gate_mask(r)) for l, r in gates]
-        action = _topo._well_layer_step(masks)
-        if action is None:
-            if not changed:
-                return c
-            return Circuit(c.n, tuple(gates), output)
-        changed = True
-        _, i, j = action
-        pi = _topo._move_permutation(len(gates), i, j)
-        swap_moved = j >= 1 and Term("g", j) in gates[i - 1][1]
+    for step in range(c.k + 2):
+        move = _topo.well_layer_move([(_gate_mask(l), _gate_mask(r)) for l, r in gates])
+        if move is None:
+            return c if step == 0 else Circuit(c.n, tuple(gates), output)
+        i, pi, swap = move
         new = [None] * len(gates)
-        for z in range(1, len(gates) + 1):
-            left = _rename_terms(gates[z - 1][0], pi)
-            right = _rename_terms(gates[z - 1][1], pi)
-            if z == i and swap_moved:
+        for z, (left, right) in enumerate(gates, 1):
+            left = _rename_terms(left, pi)
+            right = _rename_terms(right, pi)
+            if z == i and swap:
                 left, right = right, left
             new[pi[z] - 1] = (left, right)
         gates = new

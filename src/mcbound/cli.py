@@ -49,7 +49,8 @@ def build_parser():
     p = sub.add_parser("verify", help="run a brute-force cross-validation suite")
     p.add_argument("--suite", required=True,
                    choices=["oracle-topologies", "rewrites", "completeness", "m3"])
-    p.add_argument("--max-k", type=int, default=4, help="cap for oracle-topologies")
+    p.add_argument("--max-k", type=int, default=4,
+                   help=f"cap for oracle-topologies (1..{oracle.MAX_RAW_K})")
     p.add_argument("--cases", type=int, default=1000, help="random cases for rewrites")
     p.add_argument("--seed", type=int, default=42, help="seed for random cases")
     _common_flags(p)
@@ -77,8 +78,13 @@ def _progress(args):
         return None
 
     def emit(event):
-        print(f"[walk k={event['k']}] depth {event['round']}: {event['complete']} complete, "
-              f"{event['partial']} partial, {event['pruned']} pruned", file=sys.stderr)
+        if event["phase"] == "subtree":
+            print(f"[walk k={event['k']}] subtree {event['done']}/{event['total']}",
+                  file=sys.stderr)
+        else:
+            print(f"[walk k={event['k']}] depth {event['round']}: {event['complete']} "
+                  f"complete, {event['partial']} partial, {event['pruned']} pruned",
+                  file=sys.stderr)
     return emit
 
 
@@ -243,6 +249,10 @@ def _suite_m3(args):
 
 
 def _cmd_verify(args):
+    if not 1 <= args.max_k <= oracle.MAX_RAW_K:
+        return _usage_error(f"--max-k must be in 1..{oracle.MAX_RAW_K}")
+    if args.cases < 1:
+        return _usage_error("--cases must be at least 1")
     suites = {
         "oracle-topologies": _suite_oracle_topologies,
         "rewrites": _suite_rewrites,

@@ -1,10 +1,7 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-Set ``MCBOUND_PURE_PYTHON=1`` to force the fallback even when the extension
-is importable.
+Callers that need a particular kernel pass its name to ``get_backend``.
 """
-
-import os
 
 from . import _gen_py
 
@@ -13,10 +10,7 @@ try:
 except ImportError:
     _gen_c = None
 
-if os.environ.get("MCBOUND_PURE_PYTHON") or _gen_c is None:
-    _active = _gen_py
-else:
-    _active = _gen_c
+_active = _gen_py if _gen_c is None else _gen_c
 
 BACKEND = _active.BACKEND
 canonical_keys = _active.canonical_keys

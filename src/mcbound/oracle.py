@@ -89,15 +89,6 @@ class FunctionSet:
     def __contains__(self, table):
         return bool((self.mask >> int(table)) & 1)
 
-    def table_codes(self):
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
-
 
 def _members_of(topologies):
     members = getattr(topologies, "members", None)

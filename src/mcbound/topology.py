@@ -1,4 +1,4 @@
-"""Topology representation, layering, equivalence, canonical forms, and the
+"""Topology representation, layering, canonical forms, and the
 isomorph-pruned generation of all minimal well-layered gate topologies."""
 
 from __future__ import annotations
@@ -6,9 +6,10 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import partial
 
 from . import kernel
+from ._gen_py import layer_masks
 from .errors import CapacityError, CircuitError, ContractError, ParseError
 
 MAX_GENERATE_K = 7
@@ -22,14 +23,6 @@ def mask_indices(mask):
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
-
-
-def mask_of(indices):
-    """Bit mask of a collection of 1-based gate indices."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << (i - 1)
-    return mask
 
 
 @dataclass(frozen=True)
@@ -88,48 +81,23 @@ class TopologySet:
         return len(self.members)
 
 
-def _layer_masks(pairs):
-    layers = []
-    cur = 0
-    for i, (left, right) in enumerate(pairs):
-        if cur & (left | right):
-            layers.append(cur)
-            cur = 0
-        cur |= 1 << i
-    if cur:
-        layers.append(cur)
-    return layers
-
-
 def layering(t):
     """Maximal layering: scan gates in index order, a gate joins the current
     layer unless one of its sides already meets it."""
-    return Layering(tuple(_layer_masks(t.gates)))
+    return Layering(tuple(layer_masks(t.gates)))
 
 
-def is_well_layered(t):
-    """True iff every gate beyond the first layer uses (on either side) some
-    gate of the immediately preceding layer."""
+def well_layer_move(pairs):
+    """The first fix toward well-layering of a gate list, or None when every
+    gate beyond the first layer uses a gate of the layer just before it.
+
+    The fix moves the first violating gate i down to just after j, the
+    highest gate it references (to the front when it references none).
+    Returns ``(i, pi, swap)``: the 1-based i, the 1-based index permutation
+    list ``pi`` that performs the move (gate z goes to position ``pi[z]``),
+    and whether gate i's sides swap so that gate j ends up on its left."""
     prev = 0
-    for mask in _layer_masks(t.gates):
-        if prev:
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                left, right = t.gates[low.bit_length() - 1]
-                if not (left | right) & prev:
-                    return False
-        prev = mask
-    return True
-
-
-def _well_layer_step(pairs):
-    """Smallest fix toward well-layering: ("move", i, j) reinserts gate i
-    right after gate j, its highest referenced gate.  None when done."""
-    layers = _layer_masks(pairs)
-    prev = 0
-    for mask in layers:
+    for mask in layer_masks(pairs):
         if prev:
             m = mask
             while m:
@@ -139,133 +107,39 @@ def _well_layer_step(pairs):
                 left, right = pairs[i - 1]
                 if not (left | right) & prev:
                     j = (left | right).bit_length()
-                    return ("move", i, j)
+                    pi = list(range(len(pairs) + 1))
+                    pi[i] = j + 1
+                    for z in range(j + 1, i):
+                        pi[z] = z + 1
+                    return i, pi, bool(j and (right >> (j - 1)) & 1)
         prev = mask
     return None
 
 
-def _map_mask(mask, pi):
-    """Apply a 1-based index permutation to a gate-set mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (pi[low.bit_length()] - 1)
-        mask ^= low
-    return out
+def is_well_layered(t):
+    """True iff every gate beyond the first layer uses (on either side) some
+    gate of the immediately preceding layer."""
+    return well_layer_move(t.gates) is None
 
 
-def _move_permutation(k, i, j):
-    """1-based permutation list inserting gate i at position j+1."""
-    pi = list(range(k + 1))
-    pi[i] = j + 1
-    for z in range(j + 1, i):
-        pi[z] = z + 1
-    return pi
-
-
-def _apply_move(pairs, i, j):
-    k = len(pairs)
-    pi = _move_permutation(k, i, j)
-    new = [None] * k
-    swap_moved = j >= 1 and (pairs[i - 1][1] >> (j - 1)) & 1
-    for z in range(1, k + 1):
-        left = _map_mask(pairs[z - 1][0], pi)
-        right = _map_mask(pairs[z - 1][1], pi)
-        if z == i and swap_moved:
-            left, right = right, left
-        new[pi[z] - 1] = (left, right)
-    return tuple(new)
-
-
-def well_layer_normalize(t):
-    """Equivalent well-layered form of a topology, built by repeatedly moving
-    a violating gate down next to its highest referenced gate (renaming
-    references accordingly)."""
-    pairs = t.gates
-    for _ in range(t.k + 2):
-        action = _well_layer_step(pairs)
-        if action is None:
-            return t if pairs is t.gates else Topology(t.k, pairs)
-        pairs = _apply_move(pairs, action[1], action[2])
-    raise AssertionError("layering normalization did not converge")
+def gate_fault(left, right):
+    """Why one gate's side masks break the minimality conditions:
+    ``"left-nested"`` (a nonempty left side inside the right),
+    ``"right-nested"`` (the reverse), ``"shared"`` (the shared part is not
+    below both side remainders, masks compared as integers), or None."""
+    if left and (left & ~right) == 0:
+        return "left-nested"
+    if right and (right & ~left) == 0:
+        return "right-nested"
+    shared = left & right
+    if shared and not (shared < (left & ~right) and shared < (right & ~left)):
+        return "shared"
+    return None
 
 
 def is_minimal(t):
-    """True iff no gate has a nonempty side nested in the other, and any
-    shared part is order-minimal against both side remainders (masks compare
-    as integers)."""
-    for left, right in t.gates:
-        if left and (left & ~right) == 0:
-            return False
-        if right and (right & ~left) == 0:
-            return False
-        shared = left & right
-        if shared and not (shared < (left & ~right) and shared < (right & ~left)):
-            return False
-    return True
-
-
-def _gate_depths(pairs):
-    depths = []
-    for left, right in pairs:
-        refs = left | right
-        d = 0
-        m = refs
-        while m:
-            low = m & -m
-            m ^= low
-            d = max(d, depths[low.bit_length() - 1])
-        depths.append(d + 1 if refs else 0)
-    return depths
-
-
-def equivalent(t1, t2):
-    """Whether some relabeling of gate indices, with per-gate side swaps,
-    maps one topology's gate list onto the other's."""
-    if t1.k != t2.k:
-        return False
-    k = t1.k
-    if k == 0:
-        return True
-    d1 = _gate_depths(t1.gates)
-    d2 = _gate_depths(t2.gates)
-    groups1 = {}
-    groups2 = {}
-    for i in range(k):
-        groups1.setdefault(d1[i], []).append(i)
-        groups2.setdefault(d2[i], []).append(i)
-    if {d: len(v) for d, v in groups1.items()} != {d: len(v) for d, v in groups2.items()}:
-        return False
-    depths = sorted(groups1)
-    source = [groups1[d] for d in depths]
-    choices = [permutations(groups2[d]) for d in depths]
-    for assignment in product(*choices):
-        pi = [0] * k
-        for src, dst in zip(source, assignment):
-            for a, b in zip(src, dst):
-                pi[a] = b
-        ok = True
-        for i in range(k):
-            left, right = t1.gates[i]
-            lm = 0
-            m = left
-            while m:
-                low = m & -m
-                lm |= 1 << pi[low.bit_length() - 1]
-                m ^= low
-            rm = 0
-            m = right
-            while m:
-                low = m & -m
-                rm |= 1 << pi[low.bit_length() - 1]
-                m ^= low
-            target = t2.gates[pi[i]]
-            if (lm, rm) != target and (rm, lm) != target:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    """True iff no gate has a fault under ``gate_fault``."""
+    return all(gate_fault(left, right) is None for left, right in t.gates)
 
 
 def canonical_form(t, backend=None):
@@ -281,30 +155,6 @@ def canonical_form(t, backend=None):
     kern = kernel.get_backend(backend)
     key, _ = kern.canonical_keys(t.gates, layering(t).sizes)
     return Topology.from_encoding(key)
-
-
-def representative_form(t, backend=None):
-    """Like canonical_form but restricted to variants whose gates all satisfy
-    the minimality conditions, so the representative of a minimal topology is
-    itself minimal.  Falls back to canonical_form when no variant qualifies."""
-    if not is_well_layered(t):
-        raise ContractError("representative_form requires a well-layered topology")
-    if t.k == 0:
-        return t
-    kern = kernel.get_backend(backend)
-    key_any, key_min = kern.canonical_keys(t.gates, layering(t).sizes)
-    return Topology.from_encoding(key_min if key_min is not None else key_any)
-
-
-def has_minimal_member(t, backend=None):
-    """Whether some relabeling of the topology's class satisfies the
-    minimality conditions."""
-    if not is_well_layered(t):
-        raise ContractError("has_minimal_member requires a well-layered topology")
-    if t.k == 0:
-        return True
-    kern = kernel.get_backend(backend)
-    return kern.canonical_keys(t.gates, layering(t).sizes)[1] is not None
 
 
 def worker_count(workers=None):
@@ -375,8 +225,10 @@ def _walk(roots, depth, k, backend, collect, split=False):
 
 def _classes(k, workers, backend, progress, collect):
     """``(count, kept)`` of ``_walk`` over every class on k gates, from the
-    single-layer seeds of 1..k-1 empty gates.  With several workers the seeds
-    are expanded here and the subtrees below their children are shared out."""
+    single-layer seeds of 1..k-1 empty gates.  The seeds are expanded here;
+    the subtrees below their partial children are walked one by one, or
+    shared out among spawned processes with several workers, and
+    ``progress`` hears of each finished subtree."""
     if k < 0:
         raise ValueError("gate count must be non-negative")
     if k > MAX_GENERATE_K:
@@ -386,19 +238,28 @@ def _classes(k, workers, backend, progress, collect):
         return 0, []
     kern = kernel.get_backend(backend)
     roots = [bytes(2 * length) for length in range(1, k)]
-    count, kept, tally, frontier = _walk(roots, 1, k, kern.BACKEND, collect, split=workers > 1)
-    if frontier:
+    count, kept, tally, frontier = _walk(roots, 1, k, kern.BACKEND, collect, split=True)
+
+    def merge(results):
+        nonlocal count
+        for done, (sub_count, sub_kept, sub_tally, _) in enumerate(results, 1):
+            count += sub_count
+            kept.extend(sub_kept)
+            for row, sub_row in zip(tally, sub_tally):
+                row[:] = [a + b for a, b in zip(row, sub_row)]
+            if progress:
+                progress({"phase": "subtree", "k": k, "done": done, "total": len(frontier)})
+
+    subtree = partial(_walk, depth=2, k=k, backend=kern.BACKEND, collect=collect)
+    jobs = ([enc] for enc in frontier)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
         from multiprocessing import get_context
 
-        subtree = partial(_walk, depth=2, k=k, backend=kern.BACKEND, collect=collect)
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            for sub_count, sub_kept, sub_tally, _ in pool.map(subtree, ([e] for e in frontier)):
-                count += sub_count
-                kept += sub_kept
-                for row, sub_row in zip(tally, sub_tally):
-                    row[:] = [a + b for a, b in zip(row, sub_row)]
+            merge(pool.map(subtree, jobs))
+    else:
+        merge(map(subtree, jobs))
     # The k empty gates form a full single-layer seed, its own minimal form.
     tally[1][0] += 1
     count += 1
@@ -430,8 +291,9 @@ def generate(k, *, workers=None, backend=None, progress=None):
     satisfies the minimality conditions.  The least minimal relabeling is
     the stored representative, and members are sorted by encoding, so the
     result is a function of k alone, independent of worker count and
-    backend.  ``progress`` receives one ``"round"`` event per layer count
-    when the walk ends, before the members are built.  Workers are spawned
+    backend.  ``progress`` receives a ``"subtree"`` event as each subtree
+    below the seeds' partial children is walked, and one ``"round"`` event
+    per layer count when the walk ends, before the members are built.  Workers are spawned
     processes, so a script that asks for more than one must call this under
     ``if __name__ == "__main__":``.
     """

@@ -51,7 +51,7 @@ def test_generate_workers_env_default(tmp_path, capsys, monkeypatch):
 def test_generate_verbose_prints_walk_depths(tmp_path, capsys):
     code, _, stderr = run(capsys, "generate", "--k", "4", "--out", str(tmp_path / "t.txt"), "-v")
     assert code == 0
-    assert stderr.splitlines() == [
+    assert stderr.splitlines() == [f"[walk k=4] subtree {i}/5" for i in range(1, 6)] + [
         "[walk k=4] depth 2: 15 complete, 5 partial, 0 pruned",
         "[walk k=4] depth 3: 59 complete, 3 partial, 0 pruned",
         "[walk k=4] depth 4: 95 complete, 0 partial, 0 pruned",
@@ -172,6 +172,23 @@ def test_verify_oracle_topologies(capsys):
                           "--max-k", "3")
     assert code == 0
     assert "k=3: 8 classes" in stdout
+
+
+def test_verify_max_k_out_of_range_is_usage_error(capsys):
+    for value in ("0", "6"):
+        code, stdout, stderr = run(capsys, "verify", "--suite", "oracle-topologies",
+                                   "--max-k", value)
+        assert code == 2
+        assert "usage error" in stderr and "--max-k" in stderr
+        assert stdout == ""
+
+
+def test_verify_cases_below_one_is_usage_error(capsys):
+    for value in ("0", "-5"):
+        code, stdout, stderr = run(capsys, "verify", "--suite", "rewrites", "--cases", value)
+        assert code == 2
+        assert "usage error" in stderr and "--cases" in stderr
+        assert stdout == ""
 
 
 # --- eval --------------------------------------------------------------------

@@ -33,6 +33,22 @@ def test_literal_equivalent_swap_and_relabel():
     assert not literal_equivalent(t1, Topology(3, ((0, 0), (0, 0), (3, 0))))
 
 
+MAJ4_TOPOLOGY = Topology(4, ((0, 0), (0, 0), (0, 2), (1, 2)))
+
+
+@pytest.mark.parametrize("t1,t2,expected", [
+    # gates 1 and 2 swapped
+    (MAJ4_TOPOLOGY, Topology(4, ((0, 0), (0, 0), (0, 1), (2, 1))), True),
+    # the same wiring in another gate order, not well-layered
+    (MAJ4_TOPOLOGY, Topology(4, ((0, 0), (0, 1), (0, 0), (4, 1))), True),
+    (Topology(2, ((0, 0), (1, 0))), Topology(2, ((0, 0), (0, 0))), False),
+    (Topology(2, ((0, 0), (1, 0))), Topology(1, ((0, 0),)), False),
+], ids=["relabeled-majority", "reordered-majority", "different-wiring", "different-k"])
+def test_literal_equivalent_cases(t1, t2, expected):
+    assert literal_equivalent(t1, t2) == expected
+    assert literal_equivalent(t2, t1) == expected
+
+
 def test_brute_classes_k3():
     kept = [t for t in enumerate_raw_topologies(3)
             if is_well_layered(t) and is_minimal(t)]
@@ -50,7 +66,6 @@ def test_function_set_type():
     s = FunctionSet(2, 0b1010)
     assert len(s) == 2
     assert 1 in s and 3 in s and 0 not in s
-    assert s.table_codes() == [1, 3]
 
 
 def test_all_of_b2_with_one_gate():

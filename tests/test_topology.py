@@ -5,15 +5,14 @@ import random
 import pytest
 
 from mcbound import kernel
+from mcbound.circuits import Circuit, g, normalize_circuit_layering, topology_of
 from mcbound.errors import CapacityError, CircuitError, ContractError, ParseError
 from mcbound.oracle import literal_equivalent
-from mcbound.topology import (Topology, canonical_form, count_classes, equivalent,
-                              format_topology, format_topology_set, generate,
-                              has_minimal_member, is_minimal, is_well_layered,
-                              layering, load_topology_set, mask_indices, mask_of,
-                              parse_topology, parse_topology_set,
-                              representative_form, save_topology_set,
-                              well_layer_normalize)
+from mcbound.topology import (Topology, canonical_form, count_classes, format_topology,
+                              format_topology_set, gate_fault, generate, is_minimal,
+                              is_well_layered, layering, load_topology_set, mask_indices,
+                              parse_topology, parse_topology_set, save_topology_set,
+                              well_layer_move)
 
 MAJ4_TOPOLOGY = Topology(4, ((0, 0), (0, 0), (0, 2), (1, 2)))
 # the same wiring listed in a different gate order; not well-layered
@@ -23,6 +22,23 @@ REORDERED_MAJ4 = Topology(4, ((0, 0), (0, 1), (0, 0), (4, 1)))
 def all_raw(k):
     from mcbound.oracle import enumerate_raw_topologies
     return list(enumerate_raw_topologies(k))
+
+
+def gate_circuit(t):
+    """A circuit whose gate sides are exactly the topology's gate references."""
+    def side(mask):
+        return frozenset(g(i) for i in mask_indices(mask))
+    return Circuit(1, tuple((side(l), side(r)) for l, r in t.gates), frozenset())
+
+
+def well_layer_normalize(t):
+    """The topology of the layering rewrite of t's gate circuit."""
+    return topology_of(normalize_circuit_layering(gate_circuit(t)))
+
+
+def min_key(t):
+    """The kernel's least minimal relabeling of a well-layered topology."""
+    return kernel.get_backend().canonical_keys(t.gates, layering(t).sizes)[1]
 
 
 # --- type invariants ----------------------------------------------------------
@@ -43,7 +59,7 @@ def test_encoding_roundtrip():
 
 def test_mask_helpers():
     assert mask_indices(0b1011) == (1, 2, 4)
-    assert mask_of((1, 2, 4)) == 0b1011
+    assert mask_indices(0) == ()
 
 
 # --- layering -------------------------------------------------------------
@@ -78,17 +94,24 @@ def test_is_well_layered_examples():
     assert is_well_layered(MAJ4_TOPOLOGY)
     assert not is_well_layered(REORDERED_MAJ4)
     assert is_well_layered(Topology(1, ((0, 0),)))
+    # gate 3 uses no gate: it moves to the front
+    assert well_layer_move(REORDERED_MAJ4.gates) == (3, [0, 2, 3, 1, 4], False)
+    # gate 4 sits in layer 3 but uses only gate 1, on its right: it moves
+    # to just after gate 1 and its sides swap
+    t = Topology(4, ((0, 0), (0, 1), (0, 2), (0, 1)))
+    assert well_layer_move(t.gates) == (4, [0, 1, 3, 4, 2], True)
 
 
 def test_well_layer_normalize_reordered():
     norm = well_layer_normalize(REORDERED_MAJ4)
     assert is_well_layered(norm)
-    assert equivalent(norm, REORDERED_MAJ4)
-    assert equivalent(norm, MAJ4_TOPOLOGY)
+    assert literal_equivalent(norm, REORDERED_MAJ4)
+    assert literal_equivalent(norm, MAJ4_TOPOLOGY)
 
 
 def test_well_layer_normalize_no_op():
-    assert well_layer_normalize(MAJ4_TOPOLOGY) is MAJ4_TOPOLOGY
+    c = gate_circuit(MAJ4_TOPOLOGY)
+    assert normalize_circuit_layering(c) is c
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -109,6 +132,18 @@ def test_well_layer_normalize_sampled_k5():
         assert literal_equivalent(norm, t)
 
 
+def test_equivalent_relation_on_related_k5_triples():
+    # random topologies and their layering rewrites must stay in one class
+    rng = random.Random(9)
+    for _ in range(40):
+        gates = tuple((rng.randrange(1 << i), rng.randrange(1 << i)) for i in range(5))
+        a = Topology(5, gates)
+        b = well_layer_normalize(a)
+        c = well_layer_normalize(b)
+        assert literal_equivalent(a, b) and literal_equivalent(b, c) \
+            and literal_equivalent(a, c)
+
+
 # --- minimality -----------------------------------------------------------
 
 def test_is_minimal_examples():
@@ -118,52 +153,17 @@ def test_is_minimal_examples():
     assert not is_minimal(Topology(4, ((0, 0), (0, 0), (0, 0), (6, 5))))
 
 
-# --- equivalence ------------------------------------------------------------
-
-def test_equivalent_relabeled_majority():
-    relabeled = Topology(4, ((0, 0), (0, 0), (0, 1), (2, 1)))  # gates 1 and 2 swapped
-    assert equivalent(MAJ4_TOPOLOGY, relabeled)
-
-
-def test_equivalent_reordering():
-    assert equivalent(MAJ4_TOPOLOGY, REORDERED_MAJ4)
-
-
-def test_not_equivalent_different_wiring():
-    t1 = Topology(2, ((0, 0), (1, 0)))
-    t2 = Topology(2, ((0, 0), (0, 0)))
-    assert not equivalent(t1, t2)
-    assert not equivalent(t1, Topology(1, ((0, 0),)))
-
-
-def test_equivalent_is_an_equivalence_relation():
-    rng = random.Random(5)
-    tops = [t for t in all_raw(3)]
-    for _ in range(60):
-        a, b, c = rng.choice(tops), rng.choice(tops), rng.choice(tops)
-        assert equivalent(a, a)
-        assert equivalent(a, b) == equivalent(b, a)
-        if equivalent(a, b) and equivalent(b, c):
-            assert equivalent(a, c)
-
-
-def test_equivalent_relation_on_related_k5_triples():
-    # random relabelings-with-swaps of one topology must stay in one class
-    rng = random.Random(9)
-    for _ in range(40):
-        gates = tuple((rng.randrange(1 << i), rng.randrange(1 << i)) for i in range(5))
-        a = Topology(5, gates)
-        b = well_layer_normalize(a)
-        c = well_layer_normalize(b)
-        assert equivalent(a, b) and equivalent(b, c) and equivalent(a, c)
-
-
-def test_equivalent_agrees_with_literal_search():
-    rng = random.Random(17)
-    tops = all_raw(3)
-    for _ in range(150):
-        a, b = rng.choice(tops), rng.choice(tops)
-        assert equivalent(a, b) == literal_equivalent(a, b)
+@pytest.mark.parametrize("left,right,fault", [
+    (0, 0, None),
+    (1, 2, None),               # gate 4 of the majority topology
+    (5, 3, None),               # shared {1} below both {3} and {2}
+    (1, 3, "left-nested"),      # {1} inside {1,2}
+    (3, 1, "right-nested"),
+    (6, 5, "shared"),           # shared {3} above the remainder {2}
+])
+def test_gate_fault(left, right, fault):
+    assert gate_fault(left, right) == fault
+    assert is_minimal(Topology(4, ((0, 0), (0, 0), (0, 0), (left, right)))) == (fault is None)
 
 
 # --- canonical forms ---------------------------------------------------------
@@ -201,13 +201,15 @@ def test_canonical_form_matches_equivalence(k):
 
 
 def test_representative_form_is_minimal_when_possible():
+    # the kernel's inline minimality predicate agrees with gate_fault
     for t in all_raw(4):
         if not (is_well_layered(t) and is_minimal(t)):
             continue
-        rep = representative_form(t)
+        key = min_key(t)
+        assert key is not None
+        rep = Topology.from_encoding(key)
         assert is_minimal(rep)
-        assert has_minimal_member(t)
-        assert equivalent(rep, t)
+        assert literal_equivalent(rep, t)
 
 
 # --- generation ---------------------------------------------------------------
@@ -226,10 +228,10 @@ def test_generate_members_are_valid():
             assert m.k == k
             assert is_well_layered(m)
             assert is_minimal(m)
-            assert representative_form(m) == m
+            assert min_key(m) == m.encode()
         for i in range(ts.count):
             for j in range(i + 1, ts.count):
-                assert not equivalent(ts.members[i], ts.members[j])
+                assert not literal_equivalent(ts.members[i], ts.members[j])
 
 
 def test_generate_deterministic_across_runs_and_workers():
