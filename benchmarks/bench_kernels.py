@@ -1,22 +1,26 @@
-"""Benchmark the compiled kernel against the pure-Python fallback.
+"""Benchmark the compiled kernel against the pure-Python fallback, and the
+topology-set file format.
 
 Per backend, times the class walk alone (``count_classes``) and the walk
 plus member materialization (``generate``), and reports the speedup of the
-compiled kernel on each.
+compiled kernel on each.  Per k, also times ``save_topology_set`` and
+``load_topology_set`` of the generated set, which use no kernel.
 
     python benchmarks/bench_kernels.py --max-k 5
 """
 
 import argparse
+import os
+import tempfile
 import time
 
 from mcbound import kernel
-from mcbound.topology import count_classes, generate
+from mcbound.topology import count_classes, generate, load_topology_set, save_topology_set
 
 
-def timed(fn, k, backend):
+def timed(fn, *args, **kwargs):
     start = time.perf_counter()
-    result = fn(k, backend=backend, workers=1)
+    result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
 
 
@@ -31,20 +35,29 @@ def main():
         print("note: compiled kernel not built, timing the fallback only")
     columns = [(b, phase) for b in backends for phase in ("walk", "generate")]
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
+          + f" {'save':>9} {'load':>9}"
           + ("   speedup walk/generate" if len(backends) > 1 else ""))
-    for k in range(1, args.max_k + 1):
-        times = {}
-        for backend in backends:
-            count, times[backend, "walk"] = timed(count_classes, k, backend)
-            ts, times[backend, "generate"] = timed(generate, k, backend)
-            if ts.count != count:
-                raise SystemExit(f"k={k} {backend}: the walk counted {count} classes, "
-                                 f"generate built {ts.count}")
-        row = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
-        if len(backends) > 1:
-            row += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
-                                 for p in ("walk", "generate"))
-        print(row)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "set.txt")
+        for k in range(1, args.max_k + 1):
+            times = {}
+            for backend in backends:
+                count, times[backend, "walk"] = timed(count_classes, k, backend=backend,
+                                                      workers=1)
+                ts, times[backend, "generate"] = timed(generate, k, backend=backend, workers=1)
+                if ts.count != count:
+                    raise SystemExit(f"k={k} {backend}: the walk counted {count} classes, "
+                                     f"generate built {ts.count}")
+            _, save_s = timed(save_topology_set, ts, path)
+            back, load_s = timed(load_topology_set, path)
+            if back != ts:
+                raise SystemExit(f"k={k}: the loaded set differs from the saved one")
+            row = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
+            row += f" {save_s:>8.3f}s {load_s:>8.3f}s"
+            if len(backends) > 1:
+                row += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
+                                     for p in ("walk", "generate"))
+            print(row)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from . import bounds, oracle
 from .circuits import (format_truth_table, is_negation_normal, minimalize_circuit,
                        negation_normalize, normalize_circuit_layering, parse_circuit,
                        topology_of, truth_table)
-from .errors import CapacityError, CircuitError, ContractError, ParseError
+from .errors import CapacityError, CircuitError, ContractError, ParseError, read_ascii
 from .randgen import random_circuit
 from .topology import (count_classes, generate, is_minimal, is_well_layered,
                        load_topology_set, save_topology_set, worker_count)
@@ -263,8 +263,7 @@ def _cmd_verify(args):
 
 
 def _cmd_eval(args):
-    with open(args.circuit, "r", encoding="ascii") as fh:
-        circuit = parse_circuit(fh.read())
+    circuit = parse_circuit(read_ascii(args.circuit))
     print(format_truth_table(truth_table(circuit)))
     return 0
 

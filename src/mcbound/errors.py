@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader
+that reports a non-ASCII byte as a ParseError."""
 
 
 class CircuitError(ValueError):
@@ -24,3 +25,16 @@ class ParseError(ValueError):
         elif line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def read_ascii(path):
+    """The text of the file at ``path``; a byte outside ASCII raises
+    ParseError with its line and column, counted as the parsers count."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start].decode("ascii") + "?").splitlines()
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not ASCII",
+                         line=len(lines), col=len(lines[-1])) from None

@@ -10,7 +10,7 @@ from functools import partial
 
 from . import kernel
 from ._gen_py import layer_masks
-from .errors import CapacityError, CircuitError, ContractError, ParseError
+from .errors import CapacityError, CircuitError, ContractError, ParseError, read_ascii
 
 MAX_GENERATE_K = 7
 
@@ -25,6 +25,11 @@ def mask_indices(mask):
     return tuple(out)
 
 
+def _is_int_pair(gate):
+    return type(gate) is tuple and len(gate) == 2 and type(gate[0]) is int \
+        and type(gate[1]) is int
+
+
 @dataclass(frozen=True)
 class Topology:
     """AND-gate wiring only: gate i's sides are masks over gates 1..i-1."""
@@ -33,13 +38,16 @@ class Topology:
     gates: tuple
 
     def __post_init__(self):
-        gates = tuple((int(l), int(r)) for l, r in self.gates)
-        object.__setattr__(self, "gates", gates)
+        gates = self.gates
+        # Anything but a tuple of int pairs is rebuilt into one, so that the
+        # stored gates hash and compare alike however they were given.
+        if not (type(gates) is tuple and all(map(_is_int_pair, gates))):
+            gates = tuple((int(l), int(r)) for l, r in gates)
+            object.__setattr__(self, "gates", gates)
         if self.k != len(gates):
             raise CircuitError(f"topology k={self.k} but {len(gates)} gates given")
         for i, (left, right) in enumerate(gates, 1):
-            allowed = (1 << (i - 1)) - 1
-            if left < 0 or right < 0 or (left | right) & ~allowed:
+            if left < 0 or right < 0 or (left | right) >> (i - 1):
                 raise CircuitError(f"gate {i} may only reference gates 1..{i - 1}")
 
     def encode(self):
@@ -51,7 +59,7 @@ class Topology:
 
     @classmethod
     def from_encoding(cls, data):
-        pairs = tuple((data[2 * i], data[2 * i + 1]) for i in range(len(data) // 2))
+        pairs = tuple(zip(data[::2], data[1::2]))
         return cls(len(pairs), pairs)
 
 
@@ -303,13 +311,20 @@ def generate(k, *, workers=None, backend=None, progress=None):
 
 # --- text formats -----------------------------------------------------------
 
-_TOPOLOGY_HEADER = re.compile(r"^topology\s+k=(\d+)\s*$")
-_GATE_LINE = re.compile(r"^gate\s+(\d+):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*$")
-_SET_HEADER = re.compile(r"^topologyset\s+k=(\d+)\s+count=(\d+)\s*$")
+_TOPOLOGY_HEADER = re.compile(r"^topology\s+k=(\d+)\s*$", re.ASCII)
+_GATE_LINE = re.compile(r"^gate\s+(\d+):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*$", re.ASCII)
+_SET_HEADER = re.compile(r"^topologyset\s+k=(\d+)\s+count=(\d+)\s*$", re.ASCII)
+
+# Canonical text of every side mask below 256 (every side of a topology on
+# at most 9 gates), and its inverse; both are fixed at import.
+_MASK_TEXT = tuple(",".join(map(str, mask_indices(mask))) for mask in range(256))
+_TEXT_MASK = {text: mask for mask, text in enumerate(_MASK_TEXT)}
 
 
 def _fmt_mask(mask):
-    return ",".join(str(i) for i in mask_indices(mask))
+    if mask < len(_MASK_TEXT):
+        return _MASK_TEXT[mask]
+    return ",".join(map(str, mask_indices(mask)))
 
 
 def format_topology(t):
@@ -319,15 +334,20 @@ def format_topology(t):
     return "\n".join(lines)
 
 
-def _parse_index_set(text, lineno):
+def _parse_index_set(text):
+    """Mask of a side-set body such as ``"1,3"``; raises ValueError on a
+    token that is not an ASCII gate index of at least 1."""
+    mask = _TEXT_MASK.get(text)
+    if mask is not None:
+        return mask
     mask = 0
     body = text.strip()
     if not body:
         return 0
     for token in body.split(","):
         token = token.strip()
-        if not token.isdigit() or int(token) < 1:
-            raise ParseError(f"bad gate index {token!r}", line=lineno)
+        if not (token.isascii() and token.isdecimal()) or int(token) < 1:
+            raise ValueError(f"bad gate index {token!r}")
         mask |= 1 << (int(token) - 1)
     return mask
 
@@ -339,16 +359,19 @@ def _parse_topology_lines(lines, start_lineno):
     k = int(header.group(1))
     if len(lines) != k + 1:
         raise ParseError(f"expected {k} gate lines", line=start_lineno)
+    match = _GATE_LINE.match
     gates = []
-    for offset, line in enumerate(lines[1:], 1):
-        lineno = start_lineno + offset
-        m = _GATE_LINE.match(line)
+    for i in range(1, k + 1):
+        m = match(lines[i])
         if not m:
-            raise ParseError("expected 'gate <i>: L={...} R={...}'", line=lineno)
-        if int(m.group(1)) != offset:
-            raise ParseError(f"gate numbered {m.group(1)}, expected {offset}", line=lineno)
-        gates.append((_parse_index_set(m.group(2), lineno),
-                      _parse_index_set(m.group(3), lineno)))
+            raise ParseError("expected 'gate <i>: L={...} R={...}'", line=start_lineno + i)
+        number, left, right = m.groups()
+        if int(number) != i:
+            raise ParseError(f"gate numbered {number}, expected {i}", line=start_lineno + i)
+        try:
+            gates.append((_parse_index_set(left), _parse_index_set(right)))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=start_lineno + i) from None
     try:
         return Topology(k, tuple(gates))
     except CircuitError as exc:
@@ -370,6 +393,9 @@ def format_topology_set(ts):
 
 
 def parse_topology_set(text):
+    """The topology set in ``text``.  Each member is checked against the
+    header as its block ends, and a block past the header's count fails
+    before it is parsed."""
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
@@ -382,24 +408,22 @@ def parse_topology_set(text):
     k = int(header.group(1))
     count = int(header.group(2))
     members = []
-    block = []
-    block_start = None
-    for lineno, line in enumerate(lines[idx + 1:], idx + 2):
-        if line.strip():
-            if block_start is None:
-                block_start = lineno
-            block.append(line)
-        elif block:
-            members.append(_parse_topology_lines(block, block_start))
-            block = []
-            block_start = None
-    if block:
-        members.append(_parse_topology_lines(block, block_start))
+    start = None
+    lines.append("")  # closes the last block
+    for pos in range(idx + 1, len(lines)):
+        if lines[pos].strip():
+            if start is None:
+                if len(members) == count:
+                    raise ParseError(f"more than count={count} blocks", line=pos + 1)
+                start = pos
+        elif start is not None:
+            t = _parse_topology_lines(lines[start:pos], start + 1)
+            if t.k != k:
+                raise ParseError(f"member with k={t.k} in a k={k} set", line=start + 1)
+            members.append(t)
+            start = None
     if len(members) != count:
         raise ParseError(f"header says count={count} but {len(members)} blocks found", line=idx + 1)
-    for t in members:
-        if t.k != k:
-            raise ParseError(f"member with k={t.k} in a k={k} set", line=idx + 1)
     return TopologySet(k, tuple(members))
 
 
@@ -409,5 +433,4 @@ def save_topology_set(ts, path):
 
 
 def load_topology_set(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_topology_set(fh.read())
+    return parse_topology_set(read_ascii(path))

@@ -139,6 +139,14 @@ def test_prove_topology_file_k_mismatch(tmp_path, capsys):
     assert "k=2" in stderr
 
 
+def test_prove_topology_file_not_ascii(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"topologyset k=1 count=1\n\ntopology k=1\ngate 1: L={\xc2\xb2} R={}\n")
+    code, _, stderr = run(capsys, "prove", "--n", "3", "--k", "1", "--topologies", str(path))
+    assert code == 1
+    assert stderr.startswith("error: line 4, col 12: byte 0xc2 is not ASCII")
+
+
 def test_prove_falls_back_to_generate(capsys):
     code, stdout, _ = run(capsys, "prove", "--n", "2", "--k", "1")
     assert "topology_classes = 1" in stdout
@@ -215,6 +223,14 @@ def test_eval_parse_error_diagnostic(tmp_path, capsys):
     code, _, stderr = run(capsys, "eval", str(path))
     assert code == 1
     assert "line" in stderr
+
+
+def test_eval_not_ascii(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"circuit n=2 k=0\r\nout: {x1,x2} \xe2\x80\x94 xor\r\n")
+    code, _, stderr = run(capsys, "eval", str(path))
+    assert code == 1
+    assert stderr.startswith("error: line 2, col 14: byte 0xe2 is not ASCII")
 
 
 def test_eval_missing_file(capsys):

@@ -3,16 +3,18 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcbound import kernel
 from mcbound.circuits import Circuit, g, normalize_circuit_layering, topology_of
 from mcbound.errors import CapacityError, CircuitError, ContractError, ParseError
 from mcbound.oracle import literal_equivalent
-from mcbound.topology import (Topology, canonical_form, count_classes, format_topology,
-                              format_topology_set, gate_fault, generate, is_minimal,
-                              is_well_layered, layering, load_topology_set, mask_indices,
-                              parse_topology, parse_topology_set, save_topology_set,
-                              well_layer_move)
+from mcbound.topology import (Topology, TopologySet, canonical_form, count_classes,
+                              format_topology, format_topology_set, gate_fault, generate,
+                              is_minimal, is_well_layered, layering, load_topology_set,
+                              mask_indices, parse_topology, parse_topology_set,
+                              save_topology_set, well_layer_move)
 
 MAJ4_TOPOLOGY = Topology(4, ((0, 0), (0, 0), (0, 2), (1, 2)))
 # the same wiring listed in a different gate order; not well-layered
@@ -50,6 +52,18 @@ def test_topology_validation():
         Topology(2, ((0, 0), (2, 0)))  # gate 2 referencing itself
     with pytest.raises(CircuitError):
         Topology(1, ((1, 0),))
+
+
+def test_topology_normalizes_gates():
+    t = Topology(2, [[0, 0], [True, 0]])
+    assert t == Topology(2, ((0, 0), (1, 0)))
+    assert hash(t) == hash(Topology(2, ((0, 0), (1, 0))))
+    assert t.gates == ((0, 0), (1, 0))
+    assert all(type(side) is int for gate in t.gates for side in gate)
+    with pytest.raises(CircuitError):
+        Topology(2, ((0, 0), (-1, 0)))
+    with pytest.raises(CircuitError):
+        Topology(3, ((0, 0), (0, 0), (0, 4)))
 
 
 def test_encoding_roundtrip():
@@ -312,3 +326,77 @@ def test_parse_topology_set_errors():
         parse_topology_set("topologyset k=2 count=3\n\ntopology k=2\ngate 1: L={} R={}\ngate 2: L={} R={}\n")
     with pytest.raises(ParseError):
         parse_topology_set("not a header\n")
+
+
+# sha256 of format_topology_set(generate(5)): pins the file format byte for byte
+FORMAT_DIGEST_K5 = "70b8c948fae4873e26efe7b7193c5d71a8a688b54ef37326b2d521b845a67a73"
+
+
+def test_topology_set_format_digest():
+    text = format_topology_set(generate(5))
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_DIGEST_K5
+
+
+@st.composite
+def topology_sets(draw, max_k=10):
+    """Valid topology sets; past k=9 gate sides reach masks of 256 and more."""
+    k = draw(st.integers(0, max_k))
+    side = [st.integers(0, (1 << i) - 1) for i in range(k)]
+    members = draw(st.lists(st.tuples(*(st.tuples(s, s) for s in side)), max_size=4))
+    return TopologySet(k, tuple(Topology(k, gates) for gates in members))
+
+
+@given(topology_sets())
+@example(TopologySet(10, (Topology(10, ((0, 0),) * 9 + ((256, 511),)),)))
+@settings(max_examples=150)
+def test_topology_set_text_roundtrip_random(ts):
+    assert parse_topology_set(format_topology_set(ts)) == ts
+
+
+@pytest.mark.parametrize("body, mask", [
+    ("2,1", 3), ("2, 1", 3), (" 1 ", 1), ("1 , 2", 3), ("1,1", 1), ("01", 1), (" ", 0),
+])
+def test_parse_non_canonical_side_sets(body, mask):
+    text = f"topology k=3\ngate 1: L={{}} R={{}}\ngate 2: L={{}} R={{}}\ngate 3: L={{{body}}} R={{}}"
+    assert parse_topology(text).gates[2] == (mask, 0)
+
+
+def test_parse_rejects_non_ascii_digits():
+    with pytest.raises(ParseError) as err:
+        parse_topology_set("topologyset k=1 count=1\n\ntopology k=1\ngate 1: L={²} R={}\n")
+    assert err.value.line == 4
+    with pytest.raises(ParseError):
+        parse_topology("topology k=1\ngate ١: L={} R={}")
+    with pytest.raises(ParseError):
+        parse_topology("topology k=١\ngate 1: L={} R={}")
+
+
+SET_HEAD = "topologyset k=2 count=1\n\n"
+BLOCK = "topology k=2\ngate 1: L={} R={}\ngate 2: L={} R={1}\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "empty topology set"),
+    ("\n\nnot a header\n", 3, "expected 'topologyset"),
+    (SET_HEAD + "topology\ngate 1: L={} R={}\ngate 2: L={} R={1}\n", 3,
+     "expected 'topology k="),
+    (SET_HEAD + "topology k=2\ngate 1: L={} R={}\ngate 3: L={} R={1}\n", 5, "gate numbered 3"),
+    (SET_HEAD + "topology k=2\ngate 1: L={} R={}\ngate 2: L={1}\n", 5, "expected 'gate"),
+    (SET_HEAD + "topology k=2\ngate 1: L={} R={}\n", 3, "expected 2 gate lines"),
+    (SET_HEAD + "topology k=2\ngate 1: L={1} R={}\ngate 2: L={} R={1}\n", 3,
+     "gate 1 may only reference"),
+    (SET_HEAD + "topology k=2\ngate 1: L={} R={}\ngate 2: L={0} R={1}\n", 5, "bad gate index '0'"),
+    (SET_HEAD + "topology k=2\ngate 1: L={} R={}\ngate 2: L={} R={1,}\n", 5, "bad gate index ''"),
+    ("topologyset k=2 count=3\n\n" + BLOCK, 1, "header says count=3 but 1 blocks"),
+    # the block past the count fails before it is parsed
+    (SET_HEAD + BLOCK + "\n\nnot a block\n", 8, "more than count=1"),
+    ("topologyset k=2 count=2\n\n" + BLOCK + "\ntopology k=1\ngate 1: L={} R={}\n", 7,
+     "member with k=1 in a k=2 set"),
+], ids=["empty", "bad-header", "bad-block-header", "gate-number", "bad-gate-line",
+        "gate-line-count", "later-gate", "index-zero", "trailing-comma", "too-few-blocks",
+        "too-many-blocks", "member-k"])
+def test_parse_topology_set_error_lines(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_topology_set(text)
+    assert err.value.line == line
+    assert message in str(err.value)
