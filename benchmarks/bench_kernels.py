@@ -4,7 +4,10 @@ topology-set file format.
 Per backend, times the class walk alone (``count_classes``) and the walk
 plus member materialization (``generate``), and reports the speedup of the
 compiled kernel on each.  Per k, also times ``save_topology_set`` and
-``load_topology_set`` of the generated set, which use no kernel.
+``load_topology_set`` of the generated set, which use no kernel, and the
+pure-Python ``canonical_keys`` in microseconds per call over every member
+with its layer sizes: cold, with the relabel tables emptied so that the
+calls build them, then warm.
 
     python benchmarks/bench_kernels.py --max-k 5
 """
@@ -14,14 +17,29 @@ import os
 import tempfile
 import time
 
-from mcbound import kernel
-from mcbound.topology import count_classes, generate, load_topology_set, save_topology_set
+from mcbound import _gen_py, kernel
+from mcbound.topology import (count_classes, generate, layering, load_topology_set,
+                              save_topology_set)
 
 
 def timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+def canonical_keys_us(members):
+    """Pure-Python ``canonical_keys`` microseconds per call over the members,
+    cold then warm."""
+    cases = [(m.gates, layering(m).sizes) for m in members]
+    _gen_py._TABLES.clear()
+    per_call = []
+    for _ in ("cold", "warm"):
+        start = time.perf_counter()
+        for pairs, sizes in cases:
+            _gen_py.canonical_keys(pairs, sizes)
+        per_call.append((time.perf_counter() - start) / len(cases) * 1e6)
+    return per_call
 
 
 def main():
@@ -35,7 +53,7 @@ def main():
         print("note: compiled kernel not built, timing the fallback only")
     columns = [(b, phase) for b in backends for phase in ("walk", "generate")]
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
-          + f" {'save':>9} {'load':>9}"
+          + f" {'save':>9} {'load':>9} {'keys cold':>10} {'keys warm':>10}"
           + ("   speedup walk/generate" if len(backends) > 1 else ""))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "set.txt")
@@ -53,7 +71,8 @@ def main():
             if back != ts:
                 raise SystemExit(f"k={k}: the loaded set differs from the saved one")
             row = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
-            row += f" {save_s:>8.3f}s {load_s:>8.3f}s"
+            cold_us, warm_us = canonical_keys_us(ts.members)
+            row += f" {save_s:>8.3f}s {load_s:>8.3f}s {cold_us:>8.1f}us {warm_us:>8.1f}us"
             if len(backends) > 1:
                 row += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
                                      for p in ("walk", "generate"))

@@ -5,7 +5,8 @@ produce byte-identical keys.  Only this one skips a candidate gate whose
 side-swapped twin is already listed (see ``extend``); the compiled kernel
 keys both orientations, which give the same class.  Gate sides are bit masks
 (bit i-1 set means gate i is wired in) and a topology is encoded as the
-bytes ``L1 R1 L2 R2 ...`` in gate order.
+bytes ``L1 R1 L2 R2 ...`` in gate order.  ``canonical_keys`` relabels
+masks through tables built once per tuple of layer sizes and then cached.
 """
 
 from __future__ import annotations
@@ -16,15 +17,36 @@ BACKEND = "python"
 
 MAX_GATES = 7
 
-_PERM_TABLES: dict[int, tuple[tuple[int, ...], ...]] = {}
+# Relabel tables per layer-size tuple, built on first use.  Keys are
+# compositions of some q <= MAX_GATES (sizes are checked before a table is
+# built), so the cache holds at most 127 entries whatever the input.
+_TABLES: dict[tuple[int, ...], tuple] = {}
 
 
-def _perm_table(size):
-    table = _PERM_TABLES.get(size)
-    if table is None:
-        table = tuple(permutations(range(size)))
-        _PERM_TABLES[size] = table
-    return table
+def _relabel_tables(sizes):
+    """Build and cache one ``(positions, tab)`` per within-layer permutation
+    ``pi`` of gates laid out in layers of ``sizes``: ``positions[i]`` is
+    ``2 * pi[i]``, the byte offset of gate i's relabeled pair, and ``tab[m]``
+    is mask m with each bit j moved to bit ``pi[j]``, for every m below
+    ``2 ** q``."""
+    if min(sizes) < 1:
+        raise ValueError(f"layer sizes must be at least 1, got {sizes}")
+    q = sum(sizes)
+    layer_orders = []
+    start = 0
+    for size in sizes:
+        layer_orders.append(permutations(range(start, start + size)))
+        start += size
+    tables = []
+    for combo in product(*layer_orders):
+        pi = [target for order in combo for target in order]
+        tab = [0] * (1 << q)
+        for m in range(1, 1 << q):
+            low = m & -m
+            tab[m] = tab[m ^ low] | (1 << pi[low.bit_length() - 1])
+        tables.append((tuple(2 * p for p in pi), tuple(tab)))
+    tables = _TABLES[sizes] = tuple(tables)
+    return tables
 
 
 def layer_masks(pairs):
@@ -47,69 +69,56 @@ def canonical_keys(pairs, layer_sizes):
 
     The search permutes gate positions within each layer and orients each
     gate's sides both ways (side swaps never disturb the layering, which
-    only sees the union of a gate's sides).  Returns ``(key_any, key_min)``:
-    the least encoding overall, and the least encoding among variants whose
-    gates all satisfy the minimality conditions (None when no variant does).
+    only sees the union of a gate's sides).  Each permutation comes from
+    the cached relabel table of ``layer_sizes``, so a side is relabeled by
+    one lookup.  Returns ``(key_any, key_min)``: the least encoding overall,
+    and the least encoding among variants whose gates all satisfy the
+    minimality conditions (None when no variant does).
     """
     q = len(pairs)
     if q == 0:
         return b"", b""
     if q > MAX_GATES:
         raise ValueError(f"kernel supports at most {MAX_GATES} gates, got {q}")
-    if sum(layer_sizes) != q:
+    sizes = tuple(layer_sizes)
+    if sum(sizes) != q:
         raise ValueError("layer sizes do not cover the gate list")
-
-    starts = []
-    pos = 0
-    for size in layer_sizes:
-        starts.append(pos)
-        pos += size
     lefts = [p[0] for p in pairs]
     rights = [p[1] for p in pairs]
-    perm_sets = [_perm_table(s) for s in layer_sizes]
+    if min(lefts) < 0 or min(rights) < 0:
+        raise ValueError("side masks must not be negative")
+    tables = _TABLES.get(sizes) or _relabel_tables(sizes)
 
     best_any = None
     best_min = None
     enc = bytearray(2 * q)
-    pi = [0] * q
-    for combo in product(*perm_sets):
-        for start, sigma in zip(starts, combo):
-            for offset, target in enumerate(sigma):
-                pi[start + offset] = start + target
-        minimal = True
-        # Mask relabel and topology.gate_fault inlined: hot loop, must match _gen_c byte for byte.
-        for i in range(q):
-            a = 0
-            m = lefts[i]
-            while m:
-                low = m & -m
-                a |= 1 << pi[low.bit_length() - 1]
-                m ^= low
-            b = 0
-            m = rights[i]
-            while m:
-                low = m & -m
-                b |= 1 << pi[low.bit_length() - 1]
-                m ^= low
-            if b < a:
-                a, b = b, a
-            if minimal:
-                if a and (a & ~b) == 0:
-                    minimal = False
-                elif b and (b & ~a) == 0:
-                    minimal = False
-                else:
-                    shared = a & b
-                    if shared and not (shared < (a & ~b) and shared < (b & ~a)):
+    try:
+        for positions, tab in tables:
+            minimal = True
+            # topology.gate_fault inlined: hot loop, must match _gen_c byte for byte.
+            for p2, left, right in zip(positions, lefts, rights):
+                a = tab[left]
+                b = tab[right]
+                if b < a:
+                    a, b = b, a
+                if minimal:
+                    if a and (a & ~b) == 0:
                         minimal = False
-            p2 = 2 * pi[i]
-            enc[p2] = a
-            enc[p2 + 1] = b
-        key = bytes(enc)
-        if best_any is None or key < best_any:
-            best_any = key
-        if minimal and (best_min is None or key < best_min):
-            best_min = key
+                    elif b and (b & ~a) == 0:
+                        minimal = False
+                    else:
+                        shared = a & b
+                        if shared and not (shared < (a & ~b) and shared < (b & ~a)):
+                            minimal = False
+                enc[p2] = a
+                enc[p2 + 1] = b
+            key = bytes(enc)
+            if best_any is None or key < best_any:
+                best_any = key
+            if minimal and (best_min is None or key < best_min):
+                best_min = key
+    except IndexError:
+        raise ValueError(f"side masks of {q} gates must be below {1 << q}") from None
     return best_any, best_min
 
 

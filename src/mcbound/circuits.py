@@ -344,11 +344,11 @@ def normalize_circuit_layering(c):
 
 # --- text formats -----------------------------------------------------------
 
-_CIRCUIT_HEADER = re.compile(r"^circuit\s+n=(\d+)\s+k=(\d+)\s*$")
-_CIRCUIT_GATE = re.compile(r"^gate\s+(\d+):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*$")
-_CIRCUIT_OUT = re.compile(r"^out:\s*\{([^}]*)\}\s*$")
-_TT_LINE = re.compile(r"^tt\s+n=(\d+)\s+([01]+)\s*$")
-_TERM_TOKEN = re.compile(r"^(?:x(\d+)|g(\d+)|T)$")
+_CIRCUIT_HEADER = re.compile(r"^circuit\s+n=(\d+)\s+k=(\d+)\s*$", re.ASCII)
+_CIRCUIT_GATE = re.compile(r"^gate\s+(\d+):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*$", re.ASCII)
+_CIRCUIT_OUT = re.compile(r"^out:\s*\{([^}]*)\}\s*$", re.ASCII)
+_TT_LINE = re.compile(r"^tt\s+n=(\d+)\s+([01]+)\s*$", re.ASCII)
+_TERM_TOKEN = re.compile(r"^(?:x(\d+)|g(\d+)|T)$", re.ASCII)
 
 
 def _fmt_terms(terms):

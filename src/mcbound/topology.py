@@ -334,9 +334,12 @@ def format_topology(t):
     return "\n".join(lines)
 
 
-def _parse_index_set(text):
-    """Mask of a side-set body such as ``"1,3"``; raises ValueError on a
-    token that is not an ASCII gate index of at least 1."""
+def _parse_index_set(text, gate):
+    """Mask of a side-set body such as ``"1,3"`` of gate number ``gate``;
+    raises ValueError on a token that is not an ASCII gate index of at
+    least 1.  A spelling missing from ``_TEXT_MASK`` has each index checked
+    against ``gate`` before its bit is built, so the mask stays small; a
+    canonical spelling is left for ``Topology`` to check."""
     mask = _TEXT_MASK.get(text)
     if mask is not None:
         return mask
@@ -346,9 +349,12 @@ def _parse_index_set(text):
         return 0
     for token in body.split(","):
         token = token.strip()
-        if not (token.isascii() and token.isdecimal()) or int(token) < 1:
+        index = int(token) if token.isascii() and token.isdecimal() else 0
+        if index < 1:
             raise ValueError(f"bad gate index {token!r}")
-        mask |= 1 << (int(token) - 1)
+        if index >= gate:
+            raise ValueError(f"gate {gate} may only reference gates 1..{gate - 1}")
+        mask |= 1 << (index - 1)
     return mask
 
 
@@ -369,7 +375,7 @@ def _parse_topology_lines(lines, start_lineno):
         if int(number) != i:
             raise ParseError(f"gate numbered {number}, expected {i}", line=start_lineno + i)
         try:
-            gates.append((_parse_index_set(left), _parse_index_set(right)))
+            gates.append((_parse_index_set(left, i), _parse_index_set(right, i)))
         except ValueError as exc:
             raise ParseError(str(exc), line=start_lineno + i) from None
     try:

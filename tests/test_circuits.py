@@ -271,6 +271,15 @@ def test_parse_circuit_errors():
         parse_circuit("circuit n=2 k=1\ngate 1: L={g1} R={}\nout: {}\n")
 
 
+def test_parse_circuit_rejects_non_ascii_digits():
+    with pytest.raises(ParseError):
+        parse_circuit("circuit n=\u0662 k=0\nout: {x\u0661}\n")
+    with pytest.raises(ParseError):
+        parse_circuit("circuit n=2 k=0\nout: {x\u0661}\n")
+    with pytest.raises(ParseError):
+        parse_truth_table("tt n=\u0661 01")
+
+
 def test_truth_table_text_roundtrip(maj4_circuit):
     tt = truth_table(maj4_circuit)
     line = format_truth_table(tt)

@@ -1,10 +1,14 @@
-"""Compiled and pure-Python kernels must produce byte-identical results."""
+"""The pure-Python kernel against a brute-force reference, and the compiled
+kernel against the pure-Python one, byte for byte."""
+
+import random
+from itertools import permutations, product
 
 import pytest
 
 from mcbound import _gen_py, kernel
 from mcbound.oracle import enumerate_raw_topologies
-from mcbound.topology import generate, is_well_layered, layering
+from mcbound.topology import Topology, gate_fault, generate, is_well_layered, layering
 
 _gen_c = None
 if "c" in kernel.available_backends():
@@ -52,3 +56,63 @@ def test_backend_selection():
     assert kernel.get_backend("python").BACKEND == "python"
     with pytest.raises(ValueError):
         kernel.get_backend("weird")
+
+
+def reference_keys(pairs, sizes):
+    """``canonical_keys`` by brute force: every within-layer gate order, each
+    mask relabeled bit by bit, sides put smaller first (that orientation
+    gives the least bytes, and ``gate_fault`` is the same either way)."""
+    layer_orders = []
+    start = 0
+    for size in sizes:
+        layer_orders.append(permutations(range(start, start + size)))
+        start += size
+    keys = []
+    for combo in product(*layer_orders):
+        pi = [target for order in combo for target in order]
+        out = [None] * len(pairs)
+        for i, sides in enumerate(pairs):
+            out[pi[i]] = sorted(sum(1 << pi[j] for j in range(len(pairs)) if m >> j & 1)
+                                for m in sides)
+        minimal = all(gate_fault(a, b) is None for a, b in out)
+        keys.append((bytes(v for pair in out for v in pair), minimal))
+    return min(key for key, _ in keys), min((key for key, ok in keys if ok), default=None)
+
+
+def well_layered_k5_sample(count, seed=5):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        t = Topology(5, tuple((rng.randrange(1 << i), rng.randrange(1 << i)) for i in range(5)))
+        if is_well_layered(t):
+            found.append(t)
+    return found
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_canonical_keys_match_reference(k):
+    if k < 5:
+        cases = [t for t in enumerate_raw_topologies(k) if is_well_layered(t)]
+    else:
+        cases = well_layered_k5_sample(2000)
+    for t in cases:
+        sizes = layering(t).sizes
+        assert _gen_py.canonical_keys(t.gates, sizes) == reference_keys(t.gates, sizes), t
+
+
+def test_canonical_keys_rejects_bad_input():
+    with pytest.raises(ValueError, match="at least 1"):
+        _gen_py.canonical_keys(((0, 0), (0, 0)), (3, -1))
+    assert (3, -1) not in _gen_py._TABLES
+    with pytest.raises(ValueError, match="below 4"):
+        _gen_py.canonical_keys(((0, 0), (4, 1)), (2,))
+    with pytest.raises(ValueError, match="negative"):
+        _gen_py.canonical_keys(((0, 0), (-1, 1)), (2,))
+
+
+def test_relabel_tables_are_bounded_by_compositions():
+    _gen_py._TABLES.clear()
+    generate(5, backend="python")
+    assert _gen_py._TABLES
+    for sizes in _gen_py._TABLES:
+        assert min(sizes) >= 1 and sum(sizes) <= 5

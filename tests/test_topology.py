@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -369,6 +370,23 @@ def test_parse_rejects_non_ascii_digits():
         parse_topology("topology k=1\ngate ١: L={} R={}")
     with pytest.raises(ParseError):
         parse_topology("topology k=١\ngate 1: L={} R={}")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("topology k=1\ngate 1: L={1,100000000000} R={}", 2),
+    ("topology k=2\ngate 1: L={} R={}\ngate 2: L={1,100000000000} R={}", 3),
+    ("topology k=2\ngate 1: L={} R={}\ngate 2: L={2, 1} R={}", 3),
+])
+def test_parse_rejects_later_side_index_before_building_it(text, line):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="may only reference") as err:
+            parse_topology(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == line
+    assert peak < 1 << 20
 
 
 SET_HEAD = "topologyset k=2 count=1\n\n"
