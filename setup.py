@@ -1,24 +1,5 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "mcbound._gen_c",
-                sources=["src/mcbound/_gen_c.pyx"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-else:
-    # Pure-Python fallback kernel is used when the extension cannot be built.
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler the package installs with the pure-Python kernel.
+setup(ext_modules=[Extension("mcbound._gen_c", sources=["src/mcbound/_gen_c.c"],
+                             extra_compile_args=["-O3"], optional=True)])

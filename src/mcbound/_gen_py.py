@@ -1,12 +1,11 @@
 """Pure-Python kernel for topology canonicalization and layer extension.
 
 Mirrors the compiled kernel in ``mcbound._gen_c``: both backends must
-produce byte-identical keys.  Only this one skips a candidate gate whose
-side-swapped twin is already listed (see ``extend``); the compiled kernel
-keys both orientations, which give the same class.  Gate sides are bit masks
-(bit i-1 set means gate i is wired in) and a topology is encoded as the
-bytes ``L1 R1 L2 R2 ...`` in gate order.  ``canonical_keys`` relabels
-masks through tables built once per tuple of layer sizes and then cached.
+produce byte-identical keys and raise the same ValueErrors.  Gate sides are
+bit masks (bit i-1 set means gate i is wired in) and a topology is encoded
+as the bytes ``L1 R1 L2 R2 ...`` in gate order.  ``canonical_keys``
+relabels masks through tables built once per tuple of layer sizes and then
+cached.
 """
 
 from __future__ import annotations
@@ -134,7 +133,14 @@ def extend(enc, k):
     q = len(enc) // 2
     if q == 0:
         raise ValueError("cannot extend an empty topology")
+    if k > MAX_GATES:
+        raise ValueError(f"kernel supports at most {MAX_GATES} gates, got k={k}")
     pairs = [(enc[2 * i], enc[2 * i + 1]) for i in range(q)]
+    for i, (left, right) in enumerate(pairs):
+        if (left | right) >> i:
+            raise ValueError(f"gate {i + 1} references a gate numbered {i + 1} or later")
+    if q >= k:
+        return []
     layers = layer_masks(pairs)
     sizes = [m.bit_count() for m in layers]
     last = layers[-1]

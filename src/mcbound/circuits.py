@@ -344,11 +344,14 @@ def normalize_circuit_layering(c):
 
 # --- text formats -----------------------------------------------------------
 
-_CIRCUIT_HEADER = re.compile(r"^circuit\s+n=(\d+)\s+k=(\d+)\s*$", re.ASCII)
-_CIRCUIT_GATE = re.compile(r"^gate\s+(\d+):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*$", re.ASCII)
+# Numbers have at most 18 digits, so each fits in 63 bits and int() never
+# meets Python's limit on the length of an integer string.
+_CIRCUIT_HEADER = re.compile(r"^circuit\s+n=(\d{1,18})\s+k=(\d{1,18})\s*$", re.ASCII)
+_CIRCUIT_GATE = re.compile(r"^gate\s+(\d{1,18}):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*$",
+                           re.ASCII)
 _CIRCUIT_OUT = re.compile(r"^out:\s*\{([^}]*)\}\s*$", re.ASCII)
-_TT_LINE = re.compile(r"^tt\s+n=(\d+)\s+([01]+)\s*$", re.ASCII)
-_TERM_TOKEN = re.compile(r"^(?:x(\d+)|g(\d+)|T)$", re.ASCII)
+_TT_LINE = re.compile(r"^tt\s+n=(\d{1,18})\s+([01]+)\s*$", re.ASCII)
+_TERM_TOKEN = re.compile(r"^(?:x(\d{1,18})|g(\d{1,18})|T)$", re.ASCII)
 
 
 def _fmt_terms(terms):

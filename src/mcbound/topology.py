@@ -311,9 +311,11 @@ def generate(k, *, workers=None, backend=None, progress=None):
 
 # --- text formats -----------------------------------------------------------
 
-_TOPOLOGY_HEADER = re.compile(r"^topology\s+k=(\d+)\s*$", re.ASCII)
-_GATE_LINE = re.compile(r"^gate\s+(\d+):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*$", re.ASCII)
-_SET_HEADER = re.compile(r"^topologyset\s+k=(\d+)\s+count=(\d+)\s*$", re.ASCII)
+# Numbers have at most 18 digits, so each fits in 63 bits and int() never
+# meets Python's limit on the length of an integer string.
+_TOPOLOGY_HEADER = re.compile(r"^topology\s+k=(\d{1,18})\s*$", re.ASCII)
+_GATE_LINE = re.compile(r"^gate\s+(\d{1,18}):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*$", re.ASCII)
+_SET_HEADER = re.compile(r"^topologyset\s+k=(\d{1,18})\s+count=(\d{1,18})\s*$", re.ASCII)
 
 # Canonical text of every side mask below 256 (every side of a topology on
 # at most 9 gates), and its inverse; both are fixed at import.
@@ -336,25 +338,22 @@ def format_topology(t):
 
 def _parse_index_set(text, gate):
     """Mask of a side-set body such as ``"1,3"`` of gate number ``gate``;
-    raises ValueError on a token that is not an ASCII gate index of at
-    least 1.  A spelling missing from ``_TEXT_MASK`` has each index checked
-    against ``gate`` before its bit is built, so the mask stays small; a
-    canonical spelling is left for ``Topology`` to check."""
+    raises ValueError on a token that is not an ASCII gate index of 1 to 18
+    digits and at least 1, and on an index of ``gate`` or more."""
     mask = _TEXT_MASK.get(text)
-    if mask is not None:
-        return mask
-    mask = 0
-    body = text.strip()
-    if not body:
-        return 0
-    for token in body.split(","):
-        token = token.strip()
-        index = int(token) if token.isascii() and token.isdecimal() else 0
-        if index < 1:
-            raise ValueError(f"bad gate index {token!r}")
-        if index >= gate:
-            raise ValueError(f"gate {gate} may only reference gates 1..{gate - 1}")
-        mask |= 1 << (index - 1)
+    if mask is None:
+        mask = 0
+        body = text.strip()
+        for token in body.split(",") if body else ():
+            token = token.strip()
+            ok = token.isascii() and token.isdecimal() and len(token) <= 18
+            index = int(token) if ok else 0
+            if index < 1:
+                raise ValueError(f"bad gate index {token!r}")
+            # An index past the gate sets only bit gate-1, so the mask stays small.
+            mask |= 1 << (min(index, gate) - 1)
+    if mask >> (gate - 1):
+        raise ValueError(f"gate {gate} may only reference gates 1..{gate - 1}")
     return mask
 
 

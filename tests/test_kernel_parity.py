@@ -1,8 +1,13 @@
 """The pure-Python kernel against a brute-force reference, and the compiled
 kernel against the pure-Python one, byte for byte."""
 
+import importlib.util
 import random
+import shlex
+import subprocess
+import sysconfig
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -10,45 +15,76 @@ from mcbound import _gen_py, kernel
 from mcbound.oracle import enumerate_raw_topologies
 from mcbound.topology import Topology, gate_fault, generate, is_well_layered, layering
 
-_gen_c = None
-if "c" in kernel.available_backends():
-    from mcbound import _gen_c
 
-needs_compiled = pytest.mark.skipif(_gen_c is None, reason="compiled kernel not built")
+@pytest.fixture(scope="session")
+def gen_c(tmp_path_factory):
+    """The compiled kernel, built from ``_gen_c.c`` next to ``_gen_py.py``
+    into a temporary directory, so no built module lands beside the sources
+    and changes which kernel ``mcbound.kernel`` picks."""
+    source = Path(_gen_py.__file__).with_name("_gen_c.c")
+    target = tmp_path_factory.mktemp("kernel") / ("_gen_c" + sysconfig.get_config_var("EXT_SUFFIX"))
+    command = shlex.split(sysconfig.get_config_var("CC") or "cc") + [
+        "-O3", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"],
+        str(source), "-o", str(target)]
+    try:
+        subprocess.run(command, check=True, capture_output=True, timeout=300)
+    except (OSError, subprocess.SubprocessError) as exc:
+        pytest.skip(f"cannot compile the C kernel: {exc}")
+    spec = importlib.util.spec_from_file_location("mcbound._gen_c", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@needs_compiled
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_canonical_keys_parity(k):
+def test_canonical_keys_parity(gen_c, k):
     for t in enumerate_raw_topologies(k):
         if not is_well_layered(t):
             continue
         sizes = layering(t).sizes
-        assert _gen_c.canonical_keys(t.gates, sizes) == _gen_py.canonical_keys(t.gates, sizes)
+        assert gen_c.canonical_keys(t.gates, sizes) == _gen_py.canonical_keys(t.gates, sizes)
 
 
-@needs_compiled
-def test_extend_parity():
+def test_extend_parity(gen_c):
     parents = [m.encode() for m in generate(3).members]
     parents += [m.encode() for m in generate(2).members]
     for enc in parents:
-        assert _gen_c.extend(enc, 5) == _gen_py.extend(enc, 5)
+        assert gen_c.extend(enc, 5) == _gen_py.extend(enc, 5)
 
 
-@needs_compiled
 @pytest.mark.parametrize("k", [3, 4, 5])
-def test_generate_parity(k):
-    assert generate(k, backend="c").members == generate(k, backend="python").members
+def test_generate_parity(gen_c, monkeypatch, k):
+    monkeypatch.setattr(kernel, "_gen_c", gen_c)
+    assert generate(k, workers=1, backend="c").members == generate(k, backend="python").members
 
 
-@needs_compiled
-def test_kernel_guards_match():
-    for mod in (_gen_c, _gen_py):
-        with pytest.raises(ValueError):
-            mod.extend(b"", 3)
-        with pytest.raises(ValueError):
-            mod.canonical_keys(((0, 0),) * 8 + ((0, 0),), [9])
-    assert _gen_c.canonical_keys((), ()) == _gen_py.canonical_keys((), ())
+GUARD_CASES = [
+    ("extend", (b"", 3)),
+    ("extend", (b"\0\0", 8)),
+    ("extend", (b"\1\0", 3)),  # gate 1 references itself
+    ("extend", (b"\0\0\0\2\0\0", 5)),  # gate 2 references itself
+    ("extend", (b"\0\0\4\0\0\0", 5)),  # gate 2 references gate 3
+    ("canonical_keys", (((0, 0),) * 9, [9])),
+    ("canonical_keys", (((0, 0), (-1, 1)), (2,))),
+    ("canonical_keys", (((0, 0), (4, 1)), (2,))),
+    ("canonical_keys", (((0, 0), (1, 2 ** 80)), (2,))),
+    ("canonical_keys", (((0, 0), (0, 0)), (3, -1))),
+    ("canonical_keys", (((0, 0),), (2,))),
+]
+
+
+def test_kernel_guards_match(gen_c):
+    for name, args in GUARD_CASES:
+        messages = []
+        for mod in (gen_c, _gen_py):
+            with pytest.raises(ValueError) as err:
+                getattr(mod, name)(*args)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], (name, args)
+    assert gen_c.canonical_keys((), ()) == _gen_py.canonical_keys((), ()) == (b"", b"")
+    # a parent of k gates has no children, so no candidate gates are built
+    # (seven gates would give more than 4,096 of them)
+    assert gen_c.extend(bytes(14), 7) == _gen_py.extend(bytes(14), 7) == []
 
 
 def test_backend_selection():

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcbound import kernel
-from mcbound.circuits import Circuit, g, normalize_circuit_layering, topology_of
+from mcbound.circuits import (Circuit, g, normalize_circuit_layering, parse_circuit,
+                              parse_truth_table, topology_of)
 from mcbound.errors import CapacityError, CircuitError, ContractError, ParseError
 from mcbound.oracle import literal_equivalent
 from mcbound.topology import (Topology, TopologySet, canonical_form, count_classes,
@@ -401,7 +402,7 @@ BLOCK = "topology k=2\ngate 1: L={} R={}\ngate 2: L={} R={1}\n"
     (SET_HEAD + "topology k=2\ngate 1: L={} R={}\ngate 3: L={} R={1}\n", 5, "gate numbered 3"),
     (SET_HEAD + "topology k=2\ngate 1: L={} R={}\ngate 2: L={1}\n", 5, "expected 'gate"),
     (SET_HEAD + "topology k=2\ngate 1: L={} R={}\n", 3, "expected 2 gate lines"),
-    (SET_HEAD + "topology k=2\ngate 1: L={1} R={}\ngate 2: L={} R={1}\n", 3,
+    (SET_HEAD + "topology k=2\ngate 1: L={1} R={}\ngate 2: L={} R={1}\n", 4,
      "gate 1 may only reference"),
     (SET_HEAD + "topology k=2\ngate 1: L={} R={}\ngate 2: L={0} R={1}\n", 5, "bad gate index '0'"),
     (SET_HEAD + "topology k=2\ngate 1: L={} R={}\ngate 2: L={} R={1,}\n", 5, "bad gate index ''"),
@@ -418,3 +419,23 @@ def test_parse_topology_set_error_lines(text, line, message):
         parse_topology_set(text)
     assert err.value.line == line
     assert message in str(err.value)
+
+
+LONG = "9" * 5000  # past Python's limit on the length of an integer string
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_circuit, f"circuit n=2 k=0\nout: {{x{LONG}}}\n", 2),
+    (parse_circuit, f"circuit n={LONG} k=0\nout: {{}}\n", 1),
+    (parse_circuit, f"circuit n=2 k=1\ngate {LONG}: L={{}} R={{}}\nout: {{}}\n", 2),
+    (parse_truth_table, f"tt n={LONG} 01", 1),
+    (parse_topology, f"topology k={LONG}\ngate 1: L={{}} R={{}}", 1),
+    (parse_topology, f"topology k=2\ngate 1: L={{}} R={{}}\ngate 2: L={{{LONG}}} R={{}}", 3),
+    (parse_topology_set, f"topologyset k=1 count={LONG}\n\ntopology k=1\ngate 1: L={{}} R={{}}\n", 1),
+], ids=["circuit-term", "circuit-n", "circuit-gate", "truth-table-n", "topology-k",
+        "side-index", "set-count"])
+def test_parse_rejects_long_numbers_at_their_line(parse, text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert "digits" not in str(err.value)
