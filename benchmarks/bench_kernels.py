@@ -2,12 +2,13 @@
 topology-set file format.
 
 Per backend, times the class walk alone (``count_classes``) and the walk
-plus member materialization (``generate``), and reports the speedup of the
+plus the sorted member rows (``generate``), and reports the speedup of the
 compiled kernel on each.  Per k, also times ``save_topology_set`` and
-``load_topology_set`` of the generated set, which use no kernel, and the
-pure-Python ``canonical_keys`` in microseconds per call over every member
-with its layer sizes: cold, with the relabel tables emptied so that the
-calls build them, then warm.
+``load_topology_set`` of the generated set, which use no kernel, the first
+read of ``members`` on the loaded set, which builds its ``Topology`` views,
+and the pure-Python ``canonical_keys`` in microseconds per call over every
+member with its layer sizes: cold, with the relabel tables emptied so that
+the calls build them, then warm.
 
     python benchmarks/bench_kernels.py --max-k 5
 """
@@ -53,7 +54,7 @@ def main():
         print("note: compiled kernel not built, timing the fallback only")
     columns = [(b, phase) for b in backends for phase in ("walk", "generate")]
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
-          + f" {'save':>9} {'load':>9} {'keys cold':>10} {'keys warm':>10}"
+          + f" {'save':>9} {'load':>9} {'members':>9} {'keys cold':>10} {'keys warm':>10}"
           + ("   speedup walk/generate" if len(backends) > 1 else ""))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "set.txt")
@@ -70,9 +71,11 @@ def main():
             back, load_s = timed(load_topology_set, path)
             if back != ts:
                 raise SystemExit(f"k={k}: the loaded set differs from the saved one")
+            members, members_s = timed(lambda: back.members)
             row = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
-            cold_us, warm_us = canonical_keys_us(ts.members)
-            row += f" {save_s:>8.3f}s {load_s:>8.3f}s {cold_us:>8.1f}us {warm_us:>8.1f}us"
+            cold_us, warm_us = canonical_keys_us(members)
+            row += (f" {save_s:>8.3f}s {load_s:>8.3f}s {members_s:>8.3f}s"
+                    f" {cold_us:>8.1f}us {warm_us:>8.1f}us")
             if len(backends) > 1:
                 row += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
                                      for p in ("walk", "generate"))

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import os
 import re
+import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from . import kernel
 from ._gen_py import layer_masks
@@ -77,16 +78,51 @@ class Layering:
         return len(self.layers)
 
 
-@dataclass(frozen=True)
 class TopologySet:
-    """Deduplicated representatives of the topology classes on k gates."""
+    """Deduplicated representatives of the topology classes on k gates.
 
-    k: int
-    members: tuple
+    Each member is held as its row, its validated gates as a tuple of int
+    pairs; sets are equal when their k and rows are.  ``members`` builds
+    the ``Topology`` views on its first read and keeps them."""
+
+    __slots__ = ("k", "rows", "_members")
+
+    def __init__(self, k, members):
+        self.k = k
+        self._members = tuple(members)
+        self.rows = tuple(t.gates for t in self._members)
+
+    @classmethod
+    def _from_rows(cls, k, rows):
+        """The set of the rows, which must be valid gates of k-gate
+        topologies; no ``Topology`` is built until ``members`` is read."""
+        ts = cls.__new__(cls)
+        ts.k = k
+        ts.rows = rows
+        ts._members = None
+        return ts
 
     @property
     def count(self):
-        return len(self.members)
+        return len(self.rows)
+
+    @property
+    def members(self):
+        if self._members is None:
+            k = self.k
+            self._members = tuple(Topology(k, gates) for gates in self.rows)
+        return self._members
+
+    def __eq__(self, other):
+        if not isinstance(other, TopologySet):
+            return NotImplemented
+        return self.k == other.k and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.k, self.rows))
+
+    def __repr__(self):
+        return f"TopologySet(k={self.k}, count={self.count})"
 
 
 def layering(t):
@@ -168,14 +204,16 @@ def canonical_form(t, backend=None):
 def worker_count(workers=None):
     """Worker processes for the class walk: ``workers`` when given, else the
     ``MCBOUND_WORKERS`` environment variable, else 1.  Raises ValueError
-    unless the chosen value is a positive integer."""
+    unless the chosen value is a positive integer, written in the variable
+    as 1 to 18 ASCII digits."""
     if workers is None:
         value = os.environ.get("MCBOUND_WORKERS", "").strip()
         if not value:
             return 1
-        if not value.isdecimal() or int(value) < 1:
+        workers = _ascii_number(value)
+        if not workers:
             raise ValueError(f"MCBOUND_WORKERS must be a positive integer, got {value!r}")
-        return int(value)
+        return workers
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     return workers
@@ -301,12 +339,24 @@ def generate(k, *, workers=None, backend=None, progress=None):
     result is a function of k alone, independent of worker count and
     backend.  ``progress`` receives a ``"subtree"`` event as each subtree
     below the seeds' partial children is walked, and one ``"round"`` event
-    per layer count when the walk ends, before the members are built.  Workers are spawned
-    processes, so a script that asks for more than one must call this under
-    ``if __name__ == "__main__":``.
+    per layer count when the walk ends, before the rows are built.  Workers
+    are spawned processes, so a script that asks for more than one must call
+    this under ``if __name__ == "__main__":``.
     """
     _, kept = _classes(k, workers, backend, progress, collect=True)
-    return TopologySet(k, tuple(Topology.from_encoding(enc) for enc in sorted(kept)))
+    kept.sort()
+    pairs = _shared_pairs()
+    unpack = struct.Struct(f">{k}H").unpack  # one (left << 8 | right) per gate
+    return TopologySet._from_rows(k, tuple(tuple(map(pairs.__getitem__, unpack(enc)))
+                                           for enc in kept))
+
+
+@cache
+def _shared_pairs():
+    """One shared ``(left, right)`` tuple for every gate of a topology on at
+    most MAX_GENERATE_K gates, keyed by ``left << 8 | right``."""
+    sides = range(1 << (MAX_GENERATE_K - 1))
+    return {left << 8 | right: (left, right) for left in sides for right in sides}
 
 
 # --- text formats -----------------------------------------------------------
@@ -316,6 +366,14 @@ def generate(k, *, workers=None, backend=None, progress=None):
 _TOPOLOGY_HEADER = re.compile(r"^topology\s+k=(\d{1,18})\s*$", re.ASCII)
 _GATE_LINE = re.compile(r"^gate\s+(\d{1,18}):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*$", re.ASCII)
 _SET_HEADER = re.compile(r"^topologyset\s+k=(\d{1,18})\s+count=(\d{1,18})\s*$", re.ASCII)
+
+
+def _ascii_number(text):
+    """The value of ``text`` when it is 1 to 18 ASCII digits, else None."""
+    if text.isascii() and text.isdecimal() and len(text) <= 18:
+        return int(text)
+    return None
+
 
 # Canonical text of every side mask below 256 (every side of a topology on
 # at most 9 gates), and its inverse; both are fixed at import.
@@ -329,11 +387,37 @@ def _fmt_mask(mask):
     return ",".join(map(str, mask_indices(mask)))
 
 
+def _gate_line(i, left, right):
+    return f"gate {i}: L={{{_fmt_mask(left)}}} R={{{_fmt_mask(right)}}}"
+
+
+def _topology_text(k, gates):
+    return "\n".join([f"topology k={k}"]
+                     + [_gate_line(i, left, right) for i, (left, right) in enumerate(gates, 1)])
+
+
 def format_topology(t):
-    lines = [f"topology k={t.k}"]
-    for i, (left, right) in enumerate(t.gates, 1):
-        lines.append(f"gate {i}: L={{{_fmt_mask(left)}}} R={{{_fmt_mask(right)}}}")
-    return "\n".join(lines)
+    return _topology_text(t.k, t.gates)
+
+
+@cache
+def _gate_lines():
+    """``(i, (left, right))`` for each canonical line of a gate i <=
+    MAX_GENERATE_K: a fixed 5,461 lines, built on first use."""
+    pairs = _shared_pairs()
+    return {_gate_line(i, left, right): (i, pairs[left << 8 | right])
+            for i in range(1, MAX_GENERATE_K + 1)
+            for left in range(1 << (i - 1)) for right in range(1 << (i - 1))}
+
+
+@cache
+def _gate_texts():
+    """The inverse of ``_gate_lines``: per gate number i, the canonical line
+    of each of its ``(left, right)`` pairs (index 0 is empty)."""
+    texts = [{} for _ in range(MAX_GENERATE_K + 1)]
+    for line, (i, pair) in _gate_lines().items():
+        texts[i][pair] = line
+    return texts
 
 
 def _parse_index_set(text, gate):
@@ -346,9 +430,8 @@ def _parse_index_set(text, gate):
         body = text.strip()
         for token in body.split(",") if body else ():
             token = token.strip()
-            ok = token.isascii() and token.isdecimal() and len(token) <= 18
-            index = int(token) if ok else 0
-            if index < 1:
+            index = _ascii_number(token)
+            if not index:
                 raise ValueError(f"bad gate index {token!r}")
             # An index past the gate sets only bit gate-1, so the mask stays small.
             mask |= 1 << (min(index, gate) - 1)
@@ -358,6 +441,8 @@ def _parse_index_set(text, gate):
 
 
 def _parse_topology_lines(lines, start_lineno):
+    """The gates of the topology block ``lines``, a tuple of int pairs, each
+    checked as its line is read."""
     header = _TOPOLOGY_HEADER.match(lines[0])
     if not header:
         raise ParseError("expected 'topology k=<k>'", line=start_lineno)
@@ -377,30 +462,39 @@ def _parse_topology_lines(lines, start_lineno):
             gates.append((_parse_index_set(left, i), _parse_index_set(right, i)))
         except ValueError as exc:
             raise ParseError(str(exc), line=start_lineno + i) from None
-    try:
-        return Topology(k, tuple(gates))
-    except CircuitError as exc:
-        raise ParseError(str(exc), line=start_lineno) from exc
+    return tuple(gates)
 
 
 def parse_topology(text):
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParseError("empty topology", line=1)
-    return _parse_topology_lines(lines, 1)
+    gates = _parse_topology_lines(lines, 1)
+    return Topology(len(gates), gates)
 
 
 def format_topology_set(ts):
-    blocks = [f"topologyset k={ts.k} count={ts.count}"]
-    for t in ts.members:
-        blocks.append(format_topology(t))
+    k = ts.k
+    blocks = [f"topologyset k={k} count={ts.count}"]
+    if k <= MAX_GENERATE_K:
+        # Rows are valid gates, so every gate's line is in the table.
+        head = f"topology k={k}"
+        texts = _gate_texts()[1:k + 1]
+        blocks += ["\n".join([head, *map(dict.__getitem__, texts, gates)]) for gates in ts.rows]
+    else:
+        blocks += [_topology_text(k, gates) for gates in ts.rows]
     return "\n\n".join(blocks) + "\n"
+
+
+_NO_HIT = (0, None)  # a line outside _gate_lines: no gate is numbered 0
 
 
 def parse_topology_set(text):
     """The topology set in ``text``.  Each member is checked against the
     header as its block ends, and a block past the header's count fails
-    before it is parsed."""
+    before it is parsed.  A block of k+1 lines spelt exactly as
+    ``format_topology_set`` writes it costs one ``_gate_lines`` lookup per
+    gate; any other goes through ``_parse_topology_lines``."""
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
@@ -412,24 +506,41 @@ def parse_topology_set(text):
         raise ParseError("expected 'topologyset k=<k> count=<c>'", line=idx + 1)
     k = int(header.group(1))
     count = int(header.group(2))
-    members = []
-    start = None
+    canonical = 0 < k <= MAX_GENERATE_K
+    if canonical:
+        lookup = _gate_lines().get
+        misses = (_NO_HIT,) * k
+        head = f"topology k={k}"
+        numbers = tuple(range(1, k + 1))
+    rows = []
     lines.append("")  # closes the last block
-    for pos in range(idx + 1, len(lines)):
-        if lines[pos].strip():
-            if start is None:
-                if len(members) == count:
-                    raise ParseError(f"more than count={count} blocks", line=pos + 1)
-                start = pos
-        elif start is not None:
-            t = _parse_topology_lines(lines[start:pos], start + 1)
-            if t.k != k:
-                raise ParseError(f"member with k={t.k} in a k={k} set", line=start + 1)
-            members.append(t)
-            start = None
-    if len(members) != count:
-        raise ParseError(f"header says count={count} but {len(members)} blocks found", line=idx + 1)
-    return TopologySet(k, tuple(members))
+    pos = idx + 1
+    while pos < len(lines):
+        if not lines[pos].strip():
+            pos += 1
+            continue
+        if len(rows) == count:
+            raise ParseError(f"more than count={count} blocks", line=pos + 1)
+        if canonical and lines[pos] == head:
+            end = pos + k + 1
+            if end < len(lines) and not lines[end].strip():
+                # Splits the hits (i, pair) into their numbers and the row.
+                found, row = zip(*map(lookup, lines[pos + 1:end], misses))
+                if found == numbers:
+                    rows.append(row)
+                    pos = end + 1
+                    continue
+        end = pos + 1
+        while lines[end].strip():
+            end += 1
+        gates = _parse_topology_lines(lines[pos:end], pos + 1)
+        if len(gates) != k:
+            raise ParseError(f"member with k={len(gates)} in a k={k} set", line=pos + 1)
+        rows.append(gates)
+        pos = end + 1
+    if len(rows) != count:
+        raise ParseError(f"header says count={count} but {len(rows)} blocks found", line=idx + 1)
+    return TopologySet._from_rows(k, tuple(rows))
 
 
 def save_topology_set(ts, path):

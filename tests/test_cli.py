@@ -76,6 +76,17 @@ def test_workers_env_not_positive_integer_is_usage_error(tmp_path, capsys, monke
         assert not out.exists()
 
 
+def test_workers_env_long_or_non_ascii_is_usage_error(tmp_path, capsys, monkeypatch):
+    # past Python's limit on the length of an integer string, and an Arabic-Indic 2
+    out = tmp_path / "t.txt"
+    for value in ("9" * 5000, "\u0662"):
+        monkeypatch.setenv("MCBOUND_WORKERS", value)
+        code, _, stderr = run(capsys, "generate", "--k", "3", "--out", str(out))
+        assert code == 2
+        assert "MCBOUND_WORKERS must be a positive integer" in stderr
+        assert not out.exists()
+
+
 # --- table2 -----------------------------------------------------------------
 
 def test_table2_small_matches(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcbound import kernel
+from mcbound import kernel, topology
 from mcbound.circuits import (Circuit, g, normalize_circuit_layering, parse_circuit,
                               parse_truth_table, topology_of)
 from mcbound.errors import CapacityError, CircuitError, ContractError, ParseError
@@ -339,6 +339,16 @@ def test_topology_set_format_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_DIGEST_K5
 
 
+# sha256 of format_topology_set(generate(6)), the 67 MiB k=6 file
+FORMAT_DIGEST_K6 = "1885cdf531ece842c04e1308969d4079d5b4e85b8c4609bae3dac1dab3322753"
+
+
+@long_tier
+def test_topology_set_format_digest_k6():
+    text = format_topology_set(generate(6))
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_DIGEST_K6
+
+
 @st.composite
 def topology_sets(draw, max_k=10):
     """Valid topology sets; past k=9 gate sides reach masks of 256 and more."""
@@ -353,6 +363,54 @@ def topology_sets(draw, max_k=10):
 @settings(max_examples=150)
 def test_topology_set_text_roundtrip_random(ts):
     assert parse_topology_set(format_topology_set(ts)) == ts
+
+
+def test_parse_topology_set_respelt_blocks():
+    text = format_topology_set(generate(4))
+    blocks = text.split("\n\n")
+    respelt_blocks = set()
+    for old, new in (("{1,2}", "{2, 1}"), ("{1}", "{ 1 }"), ("{2}", "{02}")):
+        b = next(b for b in range(1, len(blocks)) if old in blocks[b] and b not in respelt_blocks)
+        respelt_blocks.add(b)
+        blocks[b] = blocks[b].replace(old, new)
+    blocks[5] = blocks[5].replace("\n", "  \n") + "  "
+    respelt = "\n\n".join(blocks).replace("\n", "\r\n")
+    assert respelt.replace("\r\n", "\n") != text
+    ts = parse_topology_set(respelt)
+    assert ts == parse_topology_set(text)
+    assert ts.members == parse_topology_set(text).members
+    assert ts != TopologySet(4, ts.members[::-1])
+
+
+def test_gate_line_table_has_a_fixed_size():
+    parse_topology_set(format_topology_set(generate(4)))
+    parse_topology_set(format_topology_set(
+        TopologySet(10, (Topology(10, ((0, 0),) * 9 + ((256, 511),)),))))
+    assert len(topology._gate_lines()) == 5461
+
+
+def test_sets_build_members_on_first_read(tmp_path, monkeypatch):
+    text = format_topology_set(generate(4))
+    eager = TopologySet(4, tuple(parse_topology(block) for block in text.split("\n\n")[1:]))
+    path = tmp_path / "t4.txt"
+    path.write_text(text)
+    built = []
+    post_init = Topology.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Topology, "__post_init__", counting)
+    for make in (lambda: generate(4), lambda: parse_topology_set(text),
+                 lambda: load_topology_set(path)):
+        ts = make()
+        assert ts.count == 85 and not built
+        members = ts.members
+        assert len(built) == 85 and ts.members is members
+        built.clear()
+        assert members == eager.members
+        assert ts == eager
 
 
 @pytest.mark.parametrize("body, mask", [
@@ -419,6 +477,14 @@ def test_parse_topology_set_error_lines(text, line, message):
         parse_topology_set(text)
     assert err.value.line == line
     assert message in str(err.value)
+
+
+def test_parse_topology_set_block_with_extra_gate_line():
+    # the first k+1 lines are canonical; the block as a whole is not
+    text = SET_HEAD + BLOCK + "gate 3: L={} R={}\n"
+    with pytest.raises(ParseError, match="expected 2 gate lines") as err:
+        parse_topology_set(text)
+    assert err.value.line == 3
 
 
 LONG = "9" * 5000  # past Python's limit on the length of an integer string
