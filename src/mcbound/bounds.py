@@ -11,6 +11,11 @@ from .errors import CapacityError
 
 _BN_MAX_ARITY = 30  # |B_n| for n=30 is a 2^30-bit integer; beyond that, refuse
 
+# Python writes an int of at most 4,300 digits as text by default; every
+# value up to 2^_REPORT_MAX_LOG2 has at most that many.
+_REPORT_MAX_DIGITS = 4300
+_REPORT_MAX_LOG2 = (10 ** _REPORT_MAX_DIGITS).bit_length() - 1
+
 
 def _check(n, k):
     if n < 1:
@@ -89,6 +94,20 @@ class BoundReport:
     refined: int
     b_n: int
     verdict: bool
+
+
+def check_report_size(n, k, classes):
+    """Raise CapacityError unless every value of the report for (n, k,
+    classes) is at most 2^_REPORT_MAX_LOG2, and so prints.  Judged from the
+    exponents, before any value is computed: only the refined bound (with
+    3^k below 4^k) and |B_n| can exceed the all-circuits bound."""
+    _check(n, k)
+    log2 = max(k * k + 2 * k + 2 * k * n + n + 1,
+               2 * k * n + n + 3 * k + 1 + classes.bit_length(),
+               1 << min(n, _REPORT_MAX_LOG2.bit_length()))
+    if log2 > _REPORT_MAX_LOG2:
+        raise CapacityError(f"the report for n={n} k={k} has values of more than "
+                            f"{_REPORT_MAX_DIGITS} digits")
 
 
 def pigeonhole_report(n, k, classes):

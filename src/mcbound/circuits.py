@@ -57,6 +57,13 @@ def _coerce_terms(terms, where):
     return out
 
 
+def _check_arity(n):
+    if n < 1:
+        raise CircuitError("arity must be at least 1")
+    if n > MAX_ARITY:
+        raise CapacityError(f"arity {n} exceeds the supported cap of {MAX_ARITY}")
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """Output bits of an n-ary Boolean function: bit v is the value at the
@@ -66,10 +73,7 @@ class TruthTable:
     bits: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise CircuitError("arity must be at least 1")
-        if self.n > MAX_ARITY:
-            raise CapacityError(f"arity {self.n} exceeds the supported cap of {MAX_ARITY}")
+        _check_arity(self.n)
         if not 0 <= self.bits < (1 << self.size):
             raise CircuitError(f"truth table needs exactly {self.size} bits")
 
@@ -85,6 +89,7 @@ class TruthTable:
 
     @classmethod
     def from_string(cls, n, bits):
+        _check_arity(n)
         if len(bits) != (1 << n) or set(bits) - {"0", "1"}:
             raise CircuitError(f"need exactly {1 << n} characters of 0/1")
         value = 0
@@ -104,10 +109,7 @@ class Circuit:
     output: frozenset
 
     def __post_init__(self):
-        if self.n < 1:
-            raise CircuitError("arity must be at least 1")
-        if self.n > MAX_ARITY:
-            raise CapacityError(f"arity {self.n} exceeds the supported cap of {MAX_ARITY}")
+        _check_arity(self.n)
         gates = tuple(
             (_coerce_terms(left, f"gate {i}"), _coerce_terms(right, f"gate {i}"))
             for i, (left, right) in enumerate(self.gates, 1)
@@ -193,8 +195,7 @@ def _fold_table(terms, xtabs, full, values):
 def truth_table(c):
     """Tables for all 2^n assignments at once, one bit-parallel sweep over
     the gates."""
-    if c.n > MAX_ARITY:
-        raise CapacityError(f"arity {c.n} exceeds the supported cap of {MAX_ARITY}")
+    _check_arity(c.n)
     full = (1 << (1 << c.n)) - 1
     xtabs = [_input_table(j, c.n) for j in range(1, c.n + 1)]
     values = []
@@ -347,8 +348,6 @@ def normalize_circuit_layering(c):
 # Numbers have at most 18 digits, so each fits in 63 bits and int() never
 # meets Python's limit on the length of an integer string.
 _CIRCUIT_HEADER = re.compile(r"^circuit\s+n=(\d{1,18})\s+k=(\d{1,18})\s*$", re.ASCII)
-_CIRCUIT_GATE = re.compile(r"^gate\s+(\d{1,18}):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*$",
-                           re.ASCII)
 _CIRCUIT_OUT = re.compile(r"^out:\s*\{([^}]*)\}\s*$", re.ASCII)
 _TT_LINE = re.compile(r"^tt\s+n=(\d{1,18})\s+([01]+)\s*$", re.ASCII)
 _TERM_TOKEN = re.compile(r"^(?:x(\d{1,18})|g(\d{1,18})|T)$", re.ASCII)
@@ -400,7 +399,7 @@ def parse_circuit(text):
         raise ParseError(f"expected {k} gate lines and one 'out:' line", line=lineno)
     gates = []
     for pos, (lineno, line) in enumerate(numbered[1:k + 1], 1):
-        m = _CIRCUIT_GATE.match(line)
+        m = _topo._GATE_LINE.match(line)
         if not m:
             raise ParseError("expected 'gate <i>: L={...} R={...}'", line=lineno)
         if int(m.group(1)) != pos:

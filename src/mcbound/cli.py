@@ -14,12 +14,22 @@ from .circuits import (format_truth_table, is_negation_normal, minimalize_circui
                        topology_of, truth_table)
 from .errors import CapacityError, CircuitError, ContractError, ParseError, read_ascii
 from .randgen import random_circuit
-from .topology import (count_classes, generate, is_minimal, is_well_layered,
-                       load_topology_set, save_topology_set, worker_count)
+from .topology import (_ascii_number, count_classes, generate, is_minimal, is_well_layered,
+                       load_topology_set, save_topology_set)
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 2, 3: 8, 4: 88, 5: 3564, 6: 555709}
 LONG_RUN_K = 6
 LONG_RUN_NOTE = "about 15 s at k=6 with the pure-Python kernel, 2 s compiled"
+
+
+def _integer(text):
+    """The type of every integer flag: an optional '-' and 1 to 18 ASCII
+    digits.  int() would also read other Unicode digits, and meets Python's
+    limit on the length of an integer string past 4,300 digits."""
+    value = _ascii_number(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return -value if text.startswith("-") else value
 
 
 def build_parser():
@@ -30,29 +40,29 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="enumerate topology classes and write them to a file")
-    p.add_argument("--k", type=int, required=True, help="gate count (1..7)")
+    p.add_argument("--k", type=_integer, required=True, help="gate count (1..7)")
     p.add_argument("--out", required=True, help="output topology-set file")
     _common_flags(p)
 
     p = sub.add_parser("table2", help="recompute the class-count table and compare "
                                       "against the known values")
-    p.add_argument("--max-k", type=int, default=5, help="largest gate count to check (<= 6)")
+    p.add_argument("--max-k", type=_integer, default=5, help="largest gate count to check (<= 6)")
     _common_flags(p)
 
     p = sub.add_parser("prove", help="print the bound report and check the pigeonhole verdict")
-    p.add_argument("--n", type=int, required=True, help="input arity")
-    p.add_argument("--k", type=int, required=True, help="gate count")
-    p.add_argument("--classes", type=int, help="topology class count to use")
+    p.add_argument("--n", type=_integer, required=True, help="input arity")
+    p.add_argument("--k", type=_integer, required=True, help="gate count")
+    p.add_argument("--classes", type=_integer, help="topology class count to use")
     p.add_argument("--topologies", help="topology-set file to take the class count from")
     _common_flags(p)
 
     p = sub.add_parser("verify", help="run a brute-force cross-validation suite")
     p.add_argument("--suite", required=True,
                    choices=["oracle-topologies", "rewrites", "completeness", "m3"])
-    p.add_argument("--max-k", type=int, default=4,
+    p.add_argument("--max-k", type=_integer, default=4,
                    help=f"cap for oracle-topologies (1..{oracle.MAX_RAW_K})")
-    p.add_argument("--cases", type=int, default=1000, help="random cases for rewrites")
-    p.add_argument("--seed", type=int, default=42, help="seed for random cases")
+    p.add_argument("--cases", type=_integer, default=1000, help="random cases for rewrites")
+    p.add_argument("--seed", type=_integer, default=42, help="seed for random cases")
     _common_flags(p)
 
     p = sub.add_parser("eval", help="print the truth table of a circuit file")
@@ -61,8 +71,8 @@ def build_parser():
 
 
 def _common_flags(p):
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: MCBOUND_WORKERS or 1); never changes output")
+    p.add_argument("--workers", type=_integer, default=1,
+                   help="parallel worker processes (default 1); never changes output")
     p.add_argument("--allow-long", action="store_true",
                    help=f"permit k >= {LONG_RUN_K} ({LONG_RUN_NOTE})")
     p.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
@@ -145,6 +155,7 @@ def _cmd_prove(args):
         classes = count_classes(args.k, workers=args.workers, progress=_progress(args))
     if classes < 1:
         return _usage_error("class count must be at least 1")
+    bounds.check_report_size(args.n, args.k, classes)
     report = bounds.pigeonhole_report(args.n, args.k, classes)
     print(bounds.render_report(report))
     return 0 if report.verdict else 1
@@ -279,11 +290,8 @@ _DISPATCH = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if "workers" in vars(args):
-        try:
-            args.workers = worker_count(args.workers)
-        except ValueError as exc:
-            return _usage_error(str(exc))
+    if vars(args).get("workers", 1) < 1:
+        return _usage_error("--workers must be at least 1")
     try:
         return _DISPATCH[args.command](args)
     except (CapacityError, CircuitError, ContractError, ParseError) as exc:

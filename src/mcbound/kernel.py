@@ -13,8 +13,6 @@ except ImportError:
 _active = _gen_py if _gen_c is None else _gen_c
 
 BACKEND = _active.BACKEND
-canonical_keys = _active.canonical_keys
-extend = _active.extend
 
 
 def available_backends():
@@ -29,7 +27,7 @@ def get_backend(name=None):
     """Resolve a kernel module by name ("c", "python", or None for default)."""
     if name is None:
         return _active
-    if name in ("python", "py"):
+    if name == "python":
         return _gen_py
     if name == "c":
         if _gen_c is None:

@@ -3,7 +3,6 @@ isomorph-pruned generation of all minimal well-layered gate topologies."""
 
 from __future__ import annotations
 
-import os
 import re
 import struct
 from dataclasses import dataclass
@@ -74,9 +73,6 @@ class Layering:
     def sizes(self):
         return tuple(m.bit_count() for m in self.layers)
 
-    def __len__(self):
-        return len(self.layers)
-
 
 class TopologySet:
     """Deduplicated representatives of the topology classes on k gates.
@@ -90,6 +86,9 @@ class TopologySet:
     def __init__(self, k, members):
         self.k = k
         self._members = tuple(members)
+        for t in self._members:
+            if t.k != k:
+                raise CircuitError(f"member with k={t.k} in a k={k} set")
         self.rows = tuple(t.gates for t in self._members)
 
     @classmethod
@@ -201,24 +200,6 @@ def canonical_form(t, backend=None):
     return Topology.from_encoding(key)
 
 
-def worker_count(workers=None):
-    """Worker processes for the class walk: ``workers`` when given, else the
-    ``MCBOUND_WORKERS`` environment variable, else 1.  Raises ValueError
-    unless the chosen value is a positive integer, written in the variable
-    as 1 to 18 ASCII digits."""
-    if workers is None:
-        value = os.environ.get("MCBOUND_WORKERS", "").strip()
-        if not value:
-            return 1
-        workers = _ascii_number(value)
-        if not workers:
-            raise ValueError(f"MCBOUND_WORKERS must be a positive integer, got {value!r}")
-        return workers
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
-    return workers
-
-
 def _walk(roots, depth, k, backend, collect, split=False):
     """Depth-first class walk below the partial topologies ``roots``, which
     all have ``depth`` layers.
@@ -279,7 +260,8 @@ def _classes(k, workers, backend, progress, collect):
         raise ValueError("gate count must be non-negative")
     if k > MAX_GENERATE_K:
         raise CapacityError(f"generation is capped at k <= {MAX_GENERATE_K}")
-    workers = worker_count(workers)
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     if k == 0:
         return 0, []
     kern = kernel.get_backend(backend)
@@ -320,13 +302,13 @@ def _classes(k, workers, backend, progress, collect):
     return count, kept
 
 
-def count_classes(k, *, workers=None, backend=None, progress=None):
+def count_classes(k, *, workers=1, backend=None, progress=None):
     """Number of classes of minimal well-layered topologies on exactly k
     gates: ``generate(k).count`` without building any member."""
     return _classes(k, workers, backend, progress, collect=False)[0]
 
 
-def generate(k, *, workers=None, backend=None, progress=None):
+def generate(k, *, workers=1, backend=None, progress=None):
     """Representatives of every class of minimal well-layered topologies on
     exactly k gates.
 
@@ -376,9 +358,8 @@ def _ascii_number(text):
 
 
 # Canonical text of every side mask below 256 (every side of a topology on
-# at most 9 gates), and its inverse; both are fixed at import.
+# at most 9 gates), fixed at import.
 _MASK_TEXT = tuple(",".join(map(str, mask_indices(mask))) for mask in range(256))
-_TEXT_MASK = {text: mask for mask, text in enumerate(_MASK_TEXT)}
 
 
 def _fmt_mask(mask):
@@ -424,17 +405,15 @@ def _parse_index_set(text, gate):
     """Mask of a side-set body such as ``"1,3"`` of gate number ``gate``;
     raises ValueError on a token that is not an ASCII gate index of 1 to 18
     digits and at least 1, and on an index of ``gate`` or more."""
-    mask = _TEXT_MASK.get(text)
-    if mask is None:
-        mask = 0
-        body = text.strip()
-        for token in body.split(",") if body else ():
-            token = token.strip()
-            index = _ascii_number(token)
-            if not index:
-                raise ValueError(f"bad gate index {token!r}")
-            # An index past the gate sets only bit gate-1, so the mask stays small.
-            mask |= 1 << (min(index, gate) - 1)
+    mask = 0
+    body = text.strip()
+    for token in body.split(",") if body else ():
+        token = token.strip()
+        index = _ascii_number(token)
+        if not index:
+            raise ValueError(f"bad gate index {token!r}")
+        # An index past the gate sets only bit gate-1, so the mask stays small.
+        mask |= 1 << (min(index, gate) - 1)
     if mask >> (gate - 1):
         raise ValueError(f"gate {gate} may only reference gates 1..{gate - 1}")
     return mask

@@ -287,3 +287,9 @@ def test_truth_table_text_roundtrip(maj4_circuit):
     assert parse_truth_table(line) == tt
     with pytest.raises(ParseError):
         parse_truth_table("tt n=2 01")
+
+
+def test_parse_truth_table_checks_arity_cap_first():
+    for n in ("17", "40", "999999999999999999"):
+        with pytest.raises(CapacityError, match=f"arity {n} exceeds"):
+            parse_truth_table(f"tt n={n} 01")

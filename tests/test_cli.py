@@ -1,5 +1,7 @@
+import pytest
+
 from mcbound.cli import main
-from mcbound.topology import load_topology_set
+from mcbound.topology import generate, load_topology_set
 
 from conftest import MAJ4_TEXT
 
@@ -41,11 +43,15 @@ def test_generate_workers_do_not_change_output(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
-def test_generate_workers_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MCBOUND_WORKERS", "2")
+def test_generate_reads_no_environment(tmp_path, capsys, monkeypatch):
+    plain = tmp_path / "plain.txt"
+    assert run(capsys, "generate", "--k", "3", "--out", str(plain))[0] == 0
     out = tmp_path / "t.txt"
-    code, stdout, _ = run(capsys, "generate", "--k", "3", "--out", str(out))
-    assert code == 0 and stdout.strip() == "8"
+    for value in ("0", "two", "2"):
+        monkeypatch.setenv("MCBOUND_WORKERS", value)
+        assert run(capsys, "generate", "--k", "3", "--out", str(out)) == (0, "8\n", "")
+        assert out.read_text() == plain.read_text()
+        assert generate(3) == generate(3, workers=1)
 
 
 def test_generate_verbose_prints_walk_depths(tmp_path, capsys):
@@ -66,24 +72,14 @@ def test_workers_below_one_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_workers_env_not_positive_integer_is_usage_error(tmp_path, capsys, monkeypatch):
+def test_integer_flags_reject_non_ascii_digits(tmp_path, capsys):
+    # Arabic-Indic 3 and 1, which int() would read
     out = tmp_path / "t.txt"
-    for value in ("two", "0", "-1", "1.5"):
-        monkeypatch.setenv("MCBOUND_WORKERS", value)
-        code, _, stderr = run(capsys, "generate", "--k", "3", "--out", str(out))
-        assert code == 2
-        assert "MCBOUND_WORKERS" in stderr
-        assert not out.exists()
-
-
-def test_workers_env_long_or_non_ascii_is_usage_error(tmp_path, capsys, monkeypatch):
-    # past Python's limit on the length of an integer string, and an Arabic-Indic 2
-    out = tmp_path / "t.txt"
-    for value in ("9" * 5000, "\u0662"):
-        monkeypatch.setenv("MCBOUND_WORKERS", value)
-        code, _, stderr = run(capsys, "generate", "--k", "3", "--out", str(out))
-        assert code == 2
-        assert "MCBOUND_WORKERS must be a positive integer" in stderr
+    for flags in (("--k", "\u0663"), ("--k", "3", "--workers", "\u0661")):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out", str(out), *flags])
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -156,6 +152,16 @@ def test_prove_topology_file_not_ascii(tmp_path, capsys):
     code, _, stderr = run(capsys, "prove", "--n", "3", "--k", "1", "--topologies", str(path))
     assert code == 1
     assert stderr.startswith("error: line 4, col 12: byte 0xc2 is not ASCII")
+
+
+def test_prove_rejects_reports_too_long_to_print(capsys):
+    for n, k in (("14", "1"), ("7", "200"), ("7", "1000000")):
+        code, stdout, stderr = run(capsys, "prove", "--n", n, "--k", k, "--classes", "1")
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: ") and "4300 digits" in stderr
+    code, stdout, _ = run(capsys, "prove", "--n", "13", "--k", "1", "--classes", "1")
+    assert code == 0
+    assert f"|B_n| = {1 << (1 << 13)}" in stdout.splitlines()
 
 
 def test_prove_falls_back_to_generate(capsys):

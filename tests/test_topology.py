@@ -382,6 +382,15 @@ def test_parse_topology_set_respelt_blocks():
     assert ts != TopologySet(4, ts.members[::-1])
 
 
+def test_set_rejects_member_with_other_gate_count():
+    # a load of the first would fail on its gate lines; the second would
+    # save only gate 1 of its member
+    two = Topology(2, ((0, 0), (1, 0)))
+    for k in (3, 1):
+        with pytest.raises(CircuitError, match=f"member with k=2 in a k={k} set"):
+            TopologySet(k, (two,))
+
+
 def test_gate_line_table_has_a_fixed_size():
     parse_topology_set(format_topology_set(generate(4)))
     parse_topology_set(format_topology_set(
