@@ -1,5 +1,5 @@
-"""Benchmark the compiled kernel against the pure-Python fallback, and the
-topology-set file format.
+"""Benchmark the compiled kernel against the pure-Python fallback, the
+topology-set file format and the circuit layer.
 
 Per backend, times the class walk alone (``count_classes``) and the walk
 plus the sorted member rows (``generate``), and reports the speedup of the
@@ -10,15 +10,23 @@ and the pure-Python ``canonical_keys`` in microseconds per call over every
 member with its layer sizes: cold, with the relabel tables emptied so that
 the calls build them, then warm.
 
-    python benchmarks/bench_kernels.py --max-k 5
+Then, over seeded ``random_circuit(max_n=7, max_k=7)`` circuits, the
+microseconds per circuit of each stage of the rewrite pipeline, each stage
+fed the previous one's results: ``truth_table``, ``negation_normalize``,
+``normalize_circuit_layering``, ``minimalize_circuit``, ``format_circuit``
+and ``parse_circuit``, the best of five passes.
+
+    python benchmarks/bench_kernels.py --max-k 5 --circuits 2000
 """
 
 import argparse
 import os
+import random
 import tempfile
 import time
 
-from mcbound import _gen_py, kernel
+from mcbound import _gen_py, circuits, kernel
+from mcbound.randgen import random_circuit
 from mcbound.topology import (count_classes, generate, layering, load_topology_set,
                               save_topology_set)
 
@@ -43,10 +51,39 @@ def canonical_keys_us(members):
     return per_call
 
 
+def circuit_stages_us(count, seed=1):
+    """Microseconds per circuit of each rewrite-pipeline stage, the best of
+    five passes over ``count`` seeded random circuits."""
+    rng = random.Random(seed)
+    batch = [random_circuit(rng, max_n=7, max_k=7) for _ in range(count)]
+    stages = [("truth_table", circuits.truth_table, False),
+              ("negation_normalize", circuits.negation_normalize, True),
+              ("normalize_circuit_layering", circuits.normalize_circuit_layering, True),
+              ("minimalize_circuit", circuits.minimalize_circuit, True),
+              ("format_circuit", circuits.format_circuit, True),
+              ("parse_circuit", circuits.parse_circuit, True)]
+    best = {}
+    for _ in range(5):
+        values = batch
+        results = {}
+        for name, fn, feeds in stages:
+            start = time.perf_counter()
+            results[name] = [fn(v) for v in values]
+            elapsed = (time.perf_counter() - start) / count * 1e6
+            best[name] = min(best.get(name, elapsed), elapsed)
+            if feeds:
+                values = results[name]
+        if results["parse_circuit"] != results["minimalize_circuit"]:
+            raise SystemExit("the circuit text round trip changed a circuit")
+    return best
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-k", type=int, default=5,
                         help="largest gate count to benchmark (default 5)")
+    parser.add_argument("--circuits", type=int, default=2000,
+                        help="random circuits for the circuit-layer table (default 2000)")
     args = parser.parse_args()
 
     backends = kernel.available_backends()
@@ -80,6 +117,10 @@ def main():
                 row += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
                                      for p in ("walk", "generate"))
             print(row)
+    print(f"\ncircuit layer, us per circuit over {args.circuits} random circuits "
+          f"(n <= 7, k <= 7):")
+    for name, us in circuit_stages_us(args.circuits).items():
+        print(f"{name:>28} {us:>8.1f}us")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 from . import topology as _topo
@@ -47,6 +49,31 @@ _KIND_ORDER = {"x": 0, "T": 1, "g": 2}
 
 def term_sort_key(t):
     return (_KIND_ORDER[t.kind], t.idx)
+
+
+# The shared terms: x1..x<MAX_ARITY>, T and g1..g<MAX_GENERATE_K>, in sort
+# order, so a term's rank is its position.  Terms outside them, such as the
+# gates of a circuit past MAX_GENERATE_K gates, take the general code paths,
+# with the same results.
+_TERMS = (*(x(j) for j in range(1, MAX_ARITY + 1)), TOP,
+          *(g(i) for i in range(1, _topo.MAX_GENERATE_K + 1)))
+_G_TERMS = _TERMS[MAX_ARITY + 1:]
+_TERM_BY_TEXT = {str(t): t for t in _TERMS}
+_TERM_RANK = {t: rank for rank, t in enumerate(_TERMS)}
+_RANK_TEXT = tuple(map(str, _TERMS))
+
+
+@cache
+def _allowed(n):
+    """Item i: the shared terms gate i + 1 of an n-input circuit may use,
+    which are also those the output of an i-gate circuit may use."""
+    return tuple(frozenset(_TERMS[:n] + (TOP,) + _G_TERMS[:i])
+                 for i in range(_topo.MAX_GENERATE_K + 1))
+
+
+def _g_term(i):
+    """The term g<i>, shared when the table holds it."""
+    return _G_TERMS[i - 1] if i <= _topo.MAX_GENERATE_K else Term("g", i)
 
 
 def _coerce_terms(terms, where):
@@ -110,6 +137,8 @@ class Circuit:
 
     def __post_init__(self):
         _check_arity(self.n)
+        if _valid_as_given(self.n, self.gates, self.output):
+            return
         gates = tuple(
             (_coerce_terms(left, f"gate {i}"), _coerce_terms(right, f"gate {i}"))
             for i, (left, right) in enumerate(self.gates, 1)
@@ -131,6 +160,27 @@ class Circuit:
     @property
     def k(self):
         return len(self.gates)
+
+
+def _valid_as_given(n, gates, output):
+    """True when the gates are a tuple of frozenset pairs and the output a
+    frozenset, holding shared-table terms each allowed where it stands:
+    one subset test per side.  A plain tuple equals the Term it spells, so
+    the types are checked too.  False leaves the circuit to the full checks,
+    which also give the error."""
+    if type(n) is not int or type(gates) is not tuple or type(output) is not frozenset \
+            or len(gates) > _topo.MAX_GENERATE_K:
+        return False
+    allowed = _allowed(n)
+    for i, gate in enumerate(gates):
+        if type(gate) is not tuple or len(gate) != 2:
+            return False
+        left, right = gate
+        if type(left) is not frozenset or type(right) is not frozenset \
+                or not left <= allowed[i] or not right <= allowed[i]:
+            return False
+    return output <= allowed[len(gates)] \
+        and set(map(type, chain(output, *chain.from_iterable(gates)))) <= {Term}
 
 
 def _coerce_assignment(n, assignment):
@@ -247,7 +297,7 @@ def negation_normalize(c):
         right = right - _TOP_SET
         gates[i] = (left, right)
         fix = left ^ right ^ _TOP_SET
-        ref = Term("g", i + 1)
+        ref = _g_term(i + 1)
         for j in range(i + 1, len(gates)):
             lj, rj = gates[j]
             if ref in lj:
@@ -267,7 +317,7 @@ def _linear_part(terms):
 
 
 def _gate_terms(mask):
-    return frozenset(Term("g", i) for i in _topo.mask_indices(mask))
+    return frozenset(map(_g_term, _topo.mask_indices(mask)))
 
 
 def minimalize_circuit(c):
@@ -279,14 +329,16 @@ def minimalize_circuit(c):
     sides, so the function, the gate count, the layering and well-layering
     are all unchanged.  The input circuit's topology must be well-layered.
     """
-    topo = topology_of(c)
-    if not _topo.is_well_layered(topo):
-        raise ContractError("minimalize_circuit requires a well-layered topology")
     gates = list(c.gates)
+    masks = [(_gate_mask(l), _gate_mask(r)) for l, r in gates]
+    if _topo.well_layer_move(masks) is not None:
+        raise ContractError("minimalize_circuit requires a well-layered topology")
     changed = False
+    i = 1
     for _ in range(3 * len(gates) + 1):
-        masks = [(_gate_mask(l), _gate_mask(r)) for l, r in gates]
-        hit = next(((i, kind) for i, (lg, rg) in enumerate(masks, 1)
+        # A rewrite changes its own gate only, so the gates before gate i
+        # stay without a fault.
+        hit = next(((z, kind) for z, (lg, rg) in enumerate(masks[i - 1:], i)
                     if (kind := _topo.gate_fault(lg, rg))), None)
         if hit is None:
             break
@@ -298,8 +350,10 @@ def minimalize_circuit(c):
         if kind == "left-nested":
             # left side repeated inside right: strip it from the right
             gates[i - 1] = (left, _gate_terms(rg & ~lg) | corr)
+            masks[i - 1] = (lg, rg & ~lg)
         elif kind == "right-nested":
             gates[i - 1] = (_gate_terms(lg & ~rg) | corr, right)
+            masks[i - 1] = (lg & ~rg, rg)
         else:
             lonly = lg & ~rg
             ronly = rg & ~lg
@@ -307,8 +361,10 @@ def minimalize_circuit(c):
             # keep whichever side makes the remaining shared part order-minimal
             if min(lg & rg, lonly, ronly) == lonly:
                 gates[i - 1] = (left, merged)
+                masks[i - 1] = (lg, lonly | ronly)
             else:
                 gates[i - 1] = (merged, right)
+                masks[i - 1] = (lonly | ronly, rg)
     else:
         raise AssertionError("minimalization did not converge")
     if not changed:
@@ -317,7 +373,7 @@ def minimalize_circuit(c):
 
 
 def _rename_terms(terms, pi):
-    return frozenset(Term("g", pi[t.idx]) if t.kind == "g" else t for t in terms)
+    return frozenset(_g_term(pi[t.idx]) if t.kind == "g" else t for t in terms)
 
 
 def normalize_circuit_layering(c):
@@ -354,7 +410,11 @@ _TERM_TOKEN = re.compile(r"^(?:x(\d{1,18})|g(\d{1,18})|T)$", re.ASCII)
 
 
 def _fmt_terms(terms):
-    return "{" + ",".join(str(t) for t in sorted(terms, key=term_sort_key)) + "}"
+    try:
+        ranks = sorted(map(_TERM_RANK.__getitem__, terms))
+    except KeyError:
+        return "{" + ",".join(str(t) for t in sorted(terms, key=term_sort_key)) + "}"
+    return "{" + ",".join(map(_RANK_TEXT.__getitem__, ranks)) + "}"
 
 
 def format_circuit(c):
@@ -366,6 +426,10 @@ def format_circuit(c):
 
 
 def _parse_terms(body, line, lineno):
+    terms = frozenset(map(_TERM_BY_TEXT.get, body.split(",")))
+    if None not in terms:
+        return terms
+    # Empty, re-spelt, out-of-table or unknown terms.
     body = body.strip()
     if not body:
         return frozenset()

@@ -25,10 +25,13 @@ LONG_RUN_NOTE = "about 15 s at k=6 with the pure-Python kernel, 2 s compiled"
 def _integer(text):
     """The type of every integer flag: an optional '-' and 1 to 18 ASCII
     digits.  int() would also read other Unicode digits, and meets Python's
-    limit on the length of an integer string past 4,300 digits."""
+    limit on the length of an integer string past 4,300 digits.  A rejected
+    value is echoed up to its first 20 characters."""
     value = _ascii_number(text.removeprefix("-"))
     if value is None:
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+        shown = repr(text) if len(text) <= 20 else \
+            f"{text[:20] + '…'!r} ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"invalid integer: {shown}")
     return -value if text.startswith("-") else value
 
 
@@ -142,6 +145,9 @@ def _cmd_prove(args):
         return _usage_error("--n must be at least 1")
     if args.k < 0:
         return _usage_error("--k must be non-negative")
+    # More classes only lengthen the report, so a report that is too long
+    # with one class is refused before any file is read or walk run.
+    bounds.check_report_size(args.n, args.k, 1)
     if args.classes is not None:
         classes = args.classes
     elif args.topologies:

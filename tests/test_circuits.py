@@ -1,17 +1,18 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcbound.circuits import (TOP, Circuit, TruthTable, evaluate, format_circuit,
-                              format_truth_table, g, is_negation_normal,
-                              minimalize_circuit, negation_normalize,
+from mcbound.circuits import (_TERMS, MAX_ARITY, TOP, Circuit, Term, TruthTable, _allowed,
+                              evaluate, format_circuit, format_truth_table, g,
+                              is_negation_normal, minimalize_circuit, negation_normalize,
                               normalize_circuit_layering, parse_circuit,
                               parse_truth_table, topology_of, truth_table, x)
 from mcbound.errors import CapacityError, CircuitError, ContractError, ParseError
 from mcbound.randgen import random_circuit
-from mcbound.topology import Topology, is_minimal, is_well_layered, layering
+from mcbound.topology import MAX_GENERATE_K, Topology, is_minimal, is_well_layered, layering
 
 from conftest import MAJ4_TEXT, naive_eval
 
@@ -130,6 +131,36 @@ def test_out_of_range_terms_rejected():
         Circuit(2, ((fs(x(3)), fs()),), fs())
     with pytest.raises(CircuitError):
         Circuit(2, (), fs(g(1)))
+
+
+@pytest.mark.parametrize("gates, output, message", [
+    (((fs(("x", 1)), fs()),), fs(), "gate 1: not a circuit term: ('x', 1)"),
+    (((fs(), fs(x(1))), (fs(x(2)), fs(("x", 1)))), fs(),
+     "gate 2: not a circuit term: ('x', 1)"),
+    ((), fs(("x", 1)), "output: not a circuit term: ('x', 1)"),
+    (((fs(Term("y", 1)), fs()),), fs(), "gate 1: not a circuit term: Term(kind='y', idx=1)"),
+    (((fs(x(0)), fs()),), fs(), "input x0 out of range 1..2"),
+    (((fs(), fs(x(3))),), fs(), "input x3 out of range 1..2"),
+    ((), fs(x(3)), "input x3 out of range 1..2"),
+    (((fs(x(1)), fs()), (fs(g(2)), fs())), fs(), "gate g2 referenced before it is defined"),
+    (((fs(x(1)), fs(g(1))),), fs(), "gate g1 referenced before it is defined"),
+    (((fs(x(1)), fs()),), fs(g(2)), "gate g2 referenced before it is defined"),
+    ((), fs(g(1)), "gate g1 referenced before it is defined"),
+])
+def test_constructor_error_messages(gates, output, message):
+    with pytest.raises(CircuitError) as err:
+        Circuit(2, gates, output)
+    assert str(err.value) == message
+
+
+def test_constructor_stores_frozensets():
+    built = Circuit(2, [[[x(1), TOP], {x(2)}], ({g(1)}, [x(1), x(1)])], {g(2), x(2)})
+    want = Circuit(2, ((fs(x(1), TOP), fs(x(2))), (fs(g(1)), fs(x(1)))), fs(g(2), x(2)))
+    assert type(built.gates) is tuple
+    assert all(type(gate) is tuple and len(gate) == 2 for gate in built.gates)
+    assert all(type(side) is frozenset for gate in built.gates for side in gate)
+    assert type(built.output) is frozenset
+    assert built == want and hash(built) == hash(want)
 
 
 # --- topology projection ------------------------------------------------------
@@ -269,6 +300,65 @@ def test_parse_circuit_errors():
         parse_circuit("circuit n=2 k=2\ngate 1: L={} R={}\nout: {}\n")
     with pytest.raises(ParseError):  # forward reference caught via validation
         parse_circuit("circuit n=2 k=1\ngate 1: L={g1} R={}\nout: {}\n")
+
+
+def test_parse_circuit_error_column():
+    with pytest.raises(ParseError) as err:
+        parse_circuit("circuit n=2 k=1\ngate 1: L={x1, y1} R={}\nout: {}\n")
+    assert (str(err.value), err.value.line, err.value.col) == \
+        ("line 2, col 16: unknown term 'y1'", 2, 16)
+    with pytest.raises(ParseError) as err:
+        parse_circuit("circuit n=2 k=0\nout: {x1,}\n")
+    assert str(err.value) == "line 2: unknown term ''"
+
+
+@st.composite
+def respelt_circuits(draw):
+    """A circuit, past the 7 gates and up to the 16 inputs the format
+    allows, and its text with every term re-spelt: spaces around it,
+    leading zeros, repeated, in any order."""
+    c = draw(circuits(max_n=16, max_k=9))
+
+    def spell(terms):
+        tokens = []
+        for t in terms:
+            zeros, copies, before, after = draw(st.tuples(*[st.integers(0, 2)] * 4))
+            text = "T" if t.kind == "T" else f"{t.kind}{'0' * zeros}{t.idx}"
+            tokens += [" " * before + text + " " * after] * (1 + copies % 2)
+        return ",".join(draw(st.permutations(tokens)))
+
+    lines = [f"circuit n={c.n} k={c.k}"]
+    for i, (left, right) in enumerate(c.gates, 1):
+        lines.append(f"gate {i}: L={{{spell(left)}}} R={{{spell(right)}}}")
+    lines.append(f"out: {{{spell(c.output)}}}")
+    return c, "\n".join(lines) + "\n"
+
+
+@given(respelt_circuits())
+@settings(max_examples=60)
+def test_respelt_circuit_text_parses_like_canonical(case):
+    c, text = case
+    assert parse_circuit(format_circuit(c)) == c
+    assert parse_circuit(text) == c
+
+
+def test_term_tables_are_bounded():
+    rng = random.Random(5)
+    for _ in range(300):
+        c = normalize_circuit_layering(random_circuit(rng, max_n=16, max_k=7))
+        assert parse_circuit(format_circuit(c)) == c
+    assert len(_TERMS) == MAX_ARITY + 1 + MAX_GENERATE_K
+    assert _allowed.cache_info().currsize <= MAX_ARITY
+
+
+def test_rewrite_pipeline_digest():
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for _ in range(2000):
+        c = random_circuit(rng, max_n=7, max_k=7)
+        rewritten = minimalize_circuit(normalize_circuit_layering(negation_normalize(c)))
+        h.update(format_circuit(rewritten).encode())
+    assert h.hexdigest() == "df8b30c8ef1b56786d2ba54b463e0dea34a1315ddd17e43d679795a8d788cbef"
 
 
 def test_parse_circuit_rejects_non_ascii_digits():

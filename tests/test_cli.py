@@ -83,6 +83,19 @@ def test_integer_flags_reject_non_ascii_digits(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_integer_flags_echo_long_values_cut(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    for value, shown in (("abc", "'abc'"), ("9" * 20, "'" + "9" * 20 + "'"),
+                         ("9" * 5000, "'" + "9" * 20 + "…' (5000 characters)"),
+                         ("-" + "x" * 30, "'-" + "x" * 19 + "…' (31 characters)")):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--out", str(out), f"--k={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"argument --k: invalid integer: {shown}")
+        assert len(err) < 1000
+
+
 # --- table2 -----------------------------------------------------------------
 
 def test_table2_small_matches(capsys):
@@ -162,6 +175,18 @@ def test_prove_rejects_reports_too_long_to_print(capsys):
     code, stdout, _ = run(capsys, "prove", "--n", "13", "--k", "1", "--classes", "1")
     assert code == 0
     assert f"|B_n| = {1 << (1 << 13)}" in stdout.splitlines()
+
+
+def test_prove_refuses_long_reports_before_walking_or_loading(tmp_path, capsys, monkeypatch):
+    walked = []
+    monkeypatch.setattr("mcbound.cli.count_classes", lambda *a, **kw: walked.append(a) or 1)
+    message = "error: the report for n=14 k=5 has values of more than 4300 digits\n"
+    assert run(capsys, "prove", "--n", "14", "--k", "5") == (1, "", message)
+    assert walked == []
+    missing = str(tmp_path / "missing.txt")
+    assert run(capsys, "prove", "--n", "14", "--k", "5", "--topologies", missing) == \
+        (1, "", message)
+    assert run(capsys, "prove", "--n", "14", "--k", "5", "--classes", "1") == (1, "", message)
 
 
 def test_prove_falls_back_to_generate(capsys):
