@@ -16,7 +16,7 @@ fed the previous one's results: ``truth_table``, ``negation_normalize``,
 ``normalize_circuit_layering``, ``minimalize_circuit``, ``format_circuit``
 and ``parse_circuit``, the best of five passes.
 
-    python benchmarks/bench_kernels.py --max-k 5 --circuits 2000
+    python benchmarks/bench_kernels.py --max-k 5
 """
 
 import argparse
@@ -29,6 +29,9 @@ from mcbound import _gen_py, circuits, kernel
 from mcbound.randgen import random_circuit
 from mcbound.topology import (count_classes, generate, layering, load_topology_set,
                               save_topology_set)
+
+
+CIRCUITS = 2000
 
 
 def timed(fn, *args, **kwargs):
@@ -82,8 +85,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-k", type=int, default=5,
                         help="largest gate count to benchmark (default 5)")
-    parser.add_argument("--circuits", type=int, default=2000,
-                        help="random circuits for the circuit-layer table (default 2000)")
     args = parser.parse_args()
 
     backends = kernel.available_backends()
@@ -117,9 +118,8 @@ def main():
                 row += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
                                      for p in ("walk", "generate"))
             print(row)
-    print(f"\ncircuit layer, us per circuit over {args.circuits} random circuits "
-          f"(n <= 7, k <= 7):")
-    for name, us in circuit_stages_us(args.circuits).items():
+    print(f"\ncircuit layer, us per circuit over {CIRCUITS} random circuits (n <= 7, k <= 7):")
+    for name, us in circuit_stages_us(CIRCUITS).items():
         print(f"{name:>28} {us:>8.1f}us")
 
 

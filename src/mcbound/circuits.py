@@ -76,12 +76,10 @@ def _g_term(i):
     return _G_TERMS[i - 1] if i <= _topo.MAX_GENERATE_K else Term("g", i)
 
 
-def _coerce_terms(terms, where):
-    out = frozenset(terms)
-    for t in out:
+def _check_types(terms, where):
+    for t in terms:
         if not isinstance(t, Term) or t.kind not in _KIND_ORDER:
             raise CircuitError(f"{where}: not a circuit term: {t!r}")
-    return out
 
 
 def _check_arity(n):
@@ -137,14 +135,15 @@ class Circuit:
 
     def __post_init__(self):
         _check_arity(self.n)
-        if _valid_as_given(self.n, self.gates, self.output):
-            return
-        gates = tuple(
-            (_coerce_terms(left, f"gate {i}"), _coerce_terms(right, f"gate {i}"))
-            for i, (left, right) in enumerate(self.gates, 1)
-        )
+        gates = tuple((frozenset(left), frozenset(right)) for left, right in self.gates)
         object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "output", _coerce_terms(self.output, "output"))
+        object.__setattr__(self, "output", frozenset(self.output))
+        if _terms_allowed(self.n, gates, self.output):
+            return
+        for i, (left, right) in enumerate(gates, 1):
+            _check_types(left, f"gate {i}")
+            _check_types(right, f"gate {i}")
+        _check_types(self.output, "output")
         for i, (left, right) in enumerate(gates, 1):
             for t in left | right:
                 self._check_term(t, i)
@@ -162,22 +161,16 @@ class Circuit:
         return len(self.gates)
 
 
-def _valid_as_given(n, gates, output):
-    """True when the gates are a tuple of frozenset pairs and the output a
-    frozenset, holding shared-table terms each allowed where it stands:
+def _terms_allowed(n, gates, output):
+    """True when every term is a shared-table Term allowed where it stands:
     one subset test per side.  A plain tuple equals the Term it spells, so
     the types are checked too.  False leaves the circuit to the full checks,
     which also give the error."""
-    if type(n) is not int or type(gates) is not tuple or type(output) is not frozenset \
-            or len(gates) > _topo.MAX_GENERATE_K:
+    if type(n) is not int or len(gates) > _topo.MAX_GENERATE_K:
         return False
     allowed = _allowed(n)
-    for i, gate in enumerate(gates):
-        if type(gate) is not tuple or len(gate) != 2:
-            return False
-        left, right = gate
-        if type(left) is not frozenset or type(right) is not frozenset \
-                or not left <= allowed[i] or not right <= allowed[i]:
+    for i, (left, right) in enumerate(gates):
+        if not left <= allowed[i] or not right <= allowed[i]:
             return False
     return output <= allowed[len(gates)] \
         and set(map(type, chain(output, *chain.from_iterable(gates)))) <= {Term}

@@ -145,6 +145,8 @@ def _cmd_prove(args):
         return _usage_error("--n must be at least 1")
     if args.k < 0:
         return _usage_error("--k must be non-negative")
+    if args.classes is not None and args.classes < 1:
+        return _usage_error("class count must be at least 1")
     # More classes only lengthen the report, so a report that is too long
     # with one class is refused before any file is read or walk run.
     bounds.check_report_size(args.n, args.k, 1)

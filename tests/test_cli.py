@@ -187,6 +187,8 @@ def test_prove_refuses_long_reports_before_walking_or_loading(tmp_path, capsys, 
     assert run(capsys, "prove", "--n", "14", "--k", "5", "--topologies", missing) == \
         (1, "", message)
     assert run(capsys, "prove", "--n", "14", "--k", "5", "--classes", "1") == (1, "", message)
+    assert run(capsys, "prove", "--n", "14", "--k", "5", "--classes", "0") == \
+        (2, "", "usage error: class count must be at least 1\n")
 
 
 def test_prove_falls_back_to_generate(capsys):
