@@ -1,14 +1,15 @@
 """Benchmark the compiled kernel against the pure-Python fallback, the
 topology-set file format and the circuit layer.
 
-Per backend, times the class walk alone (``count_classes``) and the walk
-plus the sorted member rows (``generate``), and reports the speedup of the
-compiled kernel on each.  Per k, also times ``save_topology_set`` and
-``load_topology_set`` of the generated set, which use no kernel, the first
-read of ``members`` on the loaded set, which builds its ``Topology`` views,
-and the pure-Python ``canonical_keys`` in microseconds per call over every
-member with its layer sizes: cold, with the relabel tables emptied so that
-the calls build them, then warm.
+Per backend, times the class walk alone (``count_classes``), the walk plus
+the sorted member rows (``generate``) and ``extend`` in microseconds per
+parent over every parent that the walk for k expands, and reports the
+speedup of the compiled kernel on the first two.  Per k, also times
+``save_topology_set`` and ``load_topology_set`` of the generated set, which
+use no kernel, the first read of ``members`` on the loaded set, which
+builds its ``Topology`` views, and the pure-Python ``canonical_keys`` in
+microseconds per call over every member with its layer sizes: cold, with
+the relabel tables emptied so that the calls build them, then warm.
 
 Then, over seeded ``random_circuit(max_n=7, max_k=7)`` circuits, the
 microseconds per circuit of each stage of the rewrite pipeline, each stage
@@ -38,6 +39,29 @@ def timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+def walk_parents(kern, k):
+    """Every parent that the class walk for k expands: the seeds of 1..k-1
+    empty gates and every partial child with a key_min."""
+    parents = []
+    stack = [bytes(2 * q) for q in range(1, k)]
+    while stack:
+        enc = stack.pop()
+        parents.append(enc)
+        stack += [key for key, key_min in kern.extend(enc, k)
+                  if key_min is not None and len(key) < 2 * k]
+    return parents
+
+
+def extend_us(kern, k, parents):
+    """``kern.extend`` microseconds per parent over the parents, as text."""
+    if not parents:
+        return "-"
+    start = time.perf_counter()
+    for enc in parents:
+        kern.extend(enc, k)
+    return f"{(time.perf_counter() - start) / len(parents) * 1e6:.1f}us"
 
 
 def canonical_keys_us(members):
@@ -92,6 +116,7 @@ def main():
         print("note: compiled kernel not built, timing the fallback only")
     columns = [(b, phase) for b in backends for phase in ("walk", "generate")]
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
+          + "".join(f" {b + ' extend':>16}" for b in backends)
           + f" {'save':>9} {'load':>9} {'members':>9} {'keys cold':>10} {'keys warm':>10}"
           + ("   speedup walk/generate" if len(backends) > 1 else ""))
     with tempfile.TemporaryDirectory() as tmp:
@@ -111,6 +136,9 @@ def main():
                 raise SystemExit(f"k={k}: the loaded set differs from the saved one")
             members, members_s = timed(lambda: back.members)
             row = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
+            parents = walk_parents(kernel.get_backend(backends[0]), k)
+            for backend in backends:
+                row += f" {extend_us(kernel.get_backend(backend), k, parents):>16}"
             cold_us, warm_us = canonical_keys_us(members)
             row += (f" {save_s:>8.3f}s {load_s:>8.3f}s {members_s:>8.3f}s"
                     f" {cold_us:>8.1f}us {warm_us:>8.1f}us")

@@ -66,34 +66,64 @@ gate_ok(int a, int b)
     return !shared || (shared < (a & ~b) && shared < (b & ~a));
 }
 
+/* Steps pi to the next permutation of gate positions within each layer of
+   t, stepping the layers like an odometer, the last layer fastest; returns
+   0, with pi back at the identity, after the last one.  start[m] is the
+   first gate of layer m. */
+static int
+next_relabeling(int *pi, const topo *t, const int *start)
+{
+    int m;
+    for (m = t->nlayers - 1; m >= 0; m--)
+        if (next_perm(pi + start[m], t->sizes[m]))
+            return 1;
+    return 0;
+}
+
+/* The identity permutation in pi and each layer's first gate in start. */
+static void
+first_relabeling(int *pi, const topo *t, int *start)
+{
+    int i, m;
+    for (i = 0; i < t->q; i++)
+        pi[i] = i;
+    for (m = 0, i = 0; m < t->nlayers; i += t->sizes[m++])
+        start[m] = i;
+}
+
+/* The encoding of t relabeled by pi in enc, each gate's sides smaller
+   first; returns whether every gate passes gate_ok. */
+static int
+encode(const topo *t, const int *pi, unsigned char *enc)
+{
+    int minimal = 1, i;
+    for (i = 0; i < t->q; i++) {
+        int a = relabel(t->left[i], pi), b = relabel(t->right[i], pi);
+        if (b < a) {
+            int s = a; a = b; b = s;
+        }
+        if (minimal)
+            minimal = gate_ok(a, b);
+        enc[2 * pi[i]] = (unsigned char)a;
+        enc[2 * pi[i] + 1] = (unsigned char)b;
+    }
+    return minimal;
+}
+
 /* Least encodings of t over every permutation of gate positions within
    each layer, each gate's sides put smaller first.  best_any gets the least
    overall and best_min the least whose gates all pass gate_ok; returns
-   whether any variant passed.  The layers' permutations are stepped like
-   an odometer, the last layer fastest. */
+   whether any variant passed. */
 static int
 canon(const topo *t, unsigned char *best_any, unsigned char *best_min)
 {
     int pi[MAX_GATES], start[MAX_GATES];
     unsigned char enc[2 * MAX_GATES];
-    int n = 2 * t->q, have_any = 0, have_min = 0, i, m;
+    int n = 2 * t->q, have_any = 0, have_min = 0;
 
-    for (i = 0; i < t->q; i++)
-        pi[i] = i;
-    for (m = 0, i = 0; m < t->nlayers; i += t->sizes[m++])
-        start[m] = i;
+    first_relabeling(pi, t, start);
     do {
-        int minimal = 1;
-        for (i = 0; i < t->q; i++) {
-            int a = relabel(t->left[i], pi), b = relabel(t->right[i], pi);
-            if (b < a) {
-                int s = a; a = b; b = s;
-            }
-            if (minimal)
-                minimal = gate_ok(a, b);
-            enc[2 * pi[i]] = (unsigned char)a;
-            enc[2 * pi[i] + 1] = (unsigned char)b;
-        }
+        int minimal = encode(t, pi, enc);
         if (!have_any || memcmp(enc, best_any, n) < 0) {
             memcpy(best_any, enc, n);
             have_any = 1;
@@ -102,10 +132,7 @@ canon(const topo *t, unsigned char *best_any, unsigned char *best_min)
             memcpy(best_min, enc, n);
             have_min = 1;
         }
-        for (m = t->nlayers - 1; m >= 0; m--)
-            if (next_perm(pi + start[m], t->sizes[m]))
-                break;
-    } while (m >= 0);
+    } while (next_relabeling(pi, t, start));
     return have_min;
 }
 
@@ -228,34 +255,165 @@ done:
     return result;
 }
 
+/* One relabeling pi of an extend parent: the parent's encoding under it,
+   zero past the parent's gates; whether the parent's gates all pass
+   gate_ok; and its row of candidate images, or -1 when no child needs
+   them. */
+typedef struct {
+    int pi[MAX_GATES];
+    unsigned char enc[2 * MAX_GATES];
+    int minimal;
+    int row;
+} relabeling;
+
+static int
+enc_order(const void *x, const void *y)
+{
+    return memcmp((*(const relabeling *const *)x)->enc,
+                  (*(const relabeling *const *)y)->enc, 2 * MAX_GATES);
+}
+
+/* The new layer of candidates idx[0..width) under one relabeling, from its
+   row of images a << 8 | b, sorted and written as the bytes a b a b ... */
+static void
+sorted_layer(const unsigned short *codes, const int *idx, int width, unsigned char *out)
+{
+    unsigned short layer[MAX_GATES];
+    int i, j;
+    for (i = 0; i < width; i++) {
+        unsigned short c = codes[idx[i]];
+        for (j = i; j > 0 && layer[j - 1] > c; j--)
+            layer[j] = layer[j - 1];
+        layer[j] = c;
+    }
+    for (i = 0; i < width; i++) {
+        out[2 * i] = (unsigned char)(layer[i] >> 8);
+        out[2 * i + 1] = (unsigned char)(layer[i] & 0xFF);
+    }
+}
+
+/* prefix, n bytes, followed by layer, m bytes, as a new bytes. */
+static PyObject *
+child_key(const unsigned char *prefix, int n, const unsigned char *layer, int m)
+{
+    unsigned char key[2 * MAX_GATES];
+    memcpy(key, prefix, n);
+    memcpy(key + n, layer, m);
+    return PyBytes_FromStringAndSize((const char *)key, n + m);
+}
+
 /* Adds the keys of every child of parent with one new layer of 1..k-q of
-   the ncand candidate gates (with repetition) to out. */
+   the ncand candidate gates (with repetition) to out, as _gen_py.extend:
+   the parent's relabelings are walked once, and a child's are a parent
+   relabeling followed by sorting the new layer. */
 static int
 add_children(PyObject *out, const topo *parent, int k,
              const int *cand_left, const int *cand_right, int ncand)
 {
-    topo child = *parent;
-    int idx[MAX_GATES], width, j;
+    /* a parent has at most MAX_GATES - 1 gates, so at most 6! relabelings */
+    relabeling rel[720], *autos[720], *mins[720];
+    int pi[MAX_GATES], start[MAX_GATES], idx[MAX_GATES];
+    unsigned char layer[2 * MAX_GATES], best[2 * MAX_GATES];
+    unsigned short *codes = NULL;
+    unsigned char *ok = NULL;
+    int n = 2 * parent->q, nrel = 0, nautos = 0, nmins = 0, nrows = 0;
+    int least = 0, width, i, j, c, rc = -1;
 
-    child.nlayers = parent->nlayers + 1;
+    first_relabeling(pi, parent, start);
+    do {
+        relabeling *r = &rel[nrel];
+        memcpy(r->pi, pi, sizeof pi);
+        memset(r->enc, 0, sizeof r->enc);
+        r->minimal = encode(parent, pi, r->enc);
+        r->row = -1;
+        if (memcmp(r->enc, rel[least].enc, n) < 0)
+            least = nrel;
+        nrel++;
+    } while (next_relabeling(pi, parent, start));
+
+    /* rows of images for the parent's least relabelings and for the ones
+       that leave its gates minimal */
+    for (i = 0; i < nrel; i++) {
+        int is_auto = !memcmp(rel[i].enc, rel[least].enc, n);
+        if (is_auto)
+            autos[nautos++] = &rel[i];
+        if (rel[i].minimal)
+            mins[nmins++] = &rel[i];
+        if (is_auto || rel[i].minimal)
+            rel[i].row = nrows++;
+    }
+    qsort(mins, nmins, sizeof mins[0], enc_order);
+    codes = PyMem_Malloc((size_t)nrows * ncand * sizeof *codes);
+    ok = PyMem_Malloc((size_t)nrows * ncand);
+    if (codes == NULL || ok == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < nrel; i++) {
+        if (rel[i].row < 0)
+            continue;
+        for (c = 0; c < ncand; c++) {
+            int a = relabel(cand_left[c], rel[i].pi), b = relabel(cand_right[c], rel[i].pi);
+            if (b < a) {
+                int s = a; a = b; b = s;
+            }
+            codes[rel[i].row * ncand + c] = (unsigned short)(a << 8 | b);
+            ok[rel[i].row * ncand + c] = (unsigned char)gate_ok(a, b);
+        }
+    }
+
     for (width = 1; width <= k - parent->q; width++) {
-        child.q = parent->q + width;
-        child.sizes[parent->nlayers] = width;
         memset(idx, 0, sizeof idx);
         for (;;) {
-            PyObject *keys;
-            int rc;
-            for (j = 0; j < width; j++) {
-                child.left[parent->q + j] = cand_left[idx[j]];
-                child.right[parent->q + j] = cand_right[idx[j]];
+            PyObject *key_any, *key_min = Py_None;
+            const relabeling *found = NULL;
+            int g, end;
+
+            for (i = 0; i < nautos; i++) {
+                sorted_layer(codes + autos[i]->row * ncand, idx, width, layer);
+                if (!i || memcmp(layer, best, 2 * width) < 0)
+                    memcpy(best, layer, 2 * width);
             }
-            keys = keys_of(&child);
-            if (keys == NULL)
-                return -1;
-            rc = PyDict_SetItem(out, PyTuple_GET_ITEM(keys, 0), PyTuple_GET_ITEM(keys, 1));
-            Py_DECREF(keys);
-            if (rc < 0)
-                return -1;
+            key_any = child_key(rel[least].enc, n, best, 2 * width);
+            if (key_any == NULL)
+                goto done;
+            c = PyDict_Contains(out, key_any);
+            if (c) {
+                Py_DECREF(key_any);
+                if (c < 0)
+                    goto done;
+                goto next;
+            }
+            /* key_min: the least parent encoding among the groups of minimal
+               relabelings that leave every new gate minimal too, then the
+               least new layer in that group */
+            for (g = 0; g < nmins && found == NULL; g = end)
+                for (end = g; end < nmins && !memcmp(mins[end]->enc, mins[g]->enc, n); end++) {
+                    const unsigned char *row_ok = ok + mins[end]->row * ncand;
+                    for (j = 0; j < width && row_ok[idx[j]]; j++)
+                        ;
+                    if (j < width)
+                        continue;
+                    sorted_layer(codes + mins[end]->row * ncand, idx, width, layer);
+                    if (found == NULL || memcmp(layer, best, 2 * width) < 0) {
+                        memcpy(best, layer, 2 * width);
+                        found = mins[end];
+                    }
+                }
+            if (found != NULL)
+                key_min = child_key(found->enc, n, best, 2 * width);
+            else
+                Py_INCREF(Py_None);
+            if (key_min == NULL) {
+                Py_DECREF(key_any);
+                goto done;
+            }
+            c = PyDict_SetItem(out, key_any, key_min);
+            Py_DECREF(key_any);
+            Py_DECREF(key_min);
+            if (c < 0)
+                goto done;
+        next:
             /* next non-decreasing index tuple */
             for (j = width - 1; j >= 0 && idx[j] == ncand - 1; j--)
                 ;
@@ -266,7 +424,11 @@ add_children(PyObject *out, const topo *parent, int k,
                 idx[s] = idx[j];
         }
     }
-    return 0;
+    rc = 0;
+done:
+    PyMem_Free(codes);
+    PyMem_Free(ok);
+    return rc;
 }
 
 PyDoc_STRVAR(extend_doc,

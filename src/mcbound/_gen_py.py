@@ -3,13 +3,14 @@
 Mirrors the compiled kernel in ``mcbound._gen_c``: both backends must
 produce byte-identical keys and raise the same ValueErrors.  Gate sides are
 bit masks (bit i-1 set means gate i is wired in) and a topology is encoded
-as the bytes ``L1 R1 L2 R2 ...`` in gate order.  ``canonical_keys``
-relabels masks through tables built once per tuple of layer sizes and then
-cached.
+as the bytes ``L1 R1 L2 R2 ...`` in gate order.  Masks are relabeled
+through tables built once per tuple of layer sizes and then cached;
+``extend`` walks its parent's tables once for all of the parent's children.
 """
 
 from __future__ import annotations
 
+import struct
 from itertools import combinations_with_replacement, permutations, product
 
 BACKEND = "python"
@@ -46,6 +47,14 @@ def _relabel_tables(sizes):
         tables.append((tuple(2 * p for p in pi), tuple(tab)))
     tables = _TABLES[sizes] = tuple(tables)
     return tables
+
+
+def _faulty(a, b):
+    """topology.gate_fault(a, b) is not None, for sides a <= b."""
+    if a and (a & ~b) == 0 or b and (b & ~a) == 0:
+        return True
+    shared = a & b
+    return bool(shared) and not (shared < (a & ~b) and shared < (b & ~a))
 
 
 def layer_masks(pairs):
@@ -129,6 +138,12 @@ def extend(enc, k):
     the deduplicated extensions as sorted ``(key_any, key_min)`` pairs:
     key_any identifies the class, key_min is the least encoding whose gates
     all satisfy the minimality conditions (None when the class has none).
+
+    The keys equal ``canonical_keys`` of each child, but the relabelings are
+    searched once per parent (canonical augmentation): new gates reference
+    only old gates, so a child's relabeling is a relabeling of the parent
+    followed by a permutation of the new layer, which can only sort it, and
+    a new gate's fault does not depend on that permutation.
     """
     q = len(enc) // 2
     if q == 0:
@@ -142,7 +157,7 @@ def extend(enc, k):
     if q >= k:
         return []
     layers = layer_masks(pairs)
-    sizes = [m.bit_count() for m in layers]
+    sizes = tuple(m.bit_count() for m in layers)
     last = layers[-1]
     full = (1 << q) - 1
 
@@ -159,10 +174,66 @@ def extend(enc, k):
                 continue
             cands.append((left, right))
 
+    # Once per parent: each relabeling's encoding of the old gates, and
+    # whether those gates are all fault-free.
+    relabeled = []
+    for positions, tab in _TABLES.get(sizes) or _relabel_tables(sizes):
+        old = bytearray(2 * q)
+        minimal = True
+        for p2, (left, right) in zip(positions, pairs):
+            old[p2], old[p2 + 1] = a, b = sorted((tab[left], tab[right]))
+            minimal = minimal and not _faulty(a, b)
+        relabeled.append((bytes(old), minimal, tab))
+    parent_key = min(key for key, _, _ in relabeled)
+
+    cand_lefts = [left for left, _ in cands]
+    cand_rights = [right for _, right in cands]
+    sharing = [index for index, (left, right) in enumerate(cands) if left & right]
+
+    def images(tab):
+        """Each candidate relabeled by tab, sides smaller first, as the
+        integer ``a << 8 | b`` (integer order is byte order), and the indices
+        of the candidates that relabel to a faulty gate.  Relabeling keeps
+        nesting, which the candidates exclude, so only a candidate whose
+        sides share a gate can fail."""
+        codes = [a << 8 | b if a <= b else b << 8 | a
+                 for a, b in zip(map(tab.__getitem__, cand_lefts),
+                                 map(tab.__getitem__, cand_rights))]
+        return codes, frozenset(i for i in sharing if _faulty(codes[i] >> 8, codes[i] & 0xFF))
+
+    autos = []
+    groups = {}
+    for key, minimal, tab in relabeled:
+        if key != parent_key and not minimal:
+            continue
+        codes, bad = images(tab)
+        if key == parent_key:
+            autos.append(codes)
+        if minimal:
+            groups.setdefault(key, []).append((codes, bad))
+    groups = sorted(groups.items())
+
     out = {}
-    for i in range(1, k - q + 1):
-        child_sizes = sizes + [i]
-        for combo in combinations_with_replacement(cands, i):
-            key_any, key_min = canonical_keys(pairs + list(combo), child_sizes)
+    for width in range(1, k - q + 1):
+        pack = struct.Struct(f">{width}H").pack
+        for combo in combinations_with_replacement(range(len(cands)), width):
+            if len(autos) == 1:
+                layer = sorted(map(autos[0].__getitem__, combo))
+            else:
+                layer = min(sorted(map(codes.__getitem__, combo)) for codes in autos)
+            key_any = parent_key + pack(*layer)
+            if key_any in out:
+                continue
+            key_min = None
+            for key, members in groups:
+                best = None
+                for codes, bad in members:
+                    if bad.isdisjoint(combo):
+                        layer = sorted(map(codes.__getitem__, combo))
+                        if best is None or layer < best:
+                            best = layer
+                if best is not None:
+                    key_min = key + pack(*best)
+                    break
             out[key_any] = key_min
     return sorted(out.items())

@@ -77,7 +77,7 @@ def _g_term(i):
 
 
 def _check_types(terms, where):
-    for t in terms:
+    for t in sorted(terms, key=repr):  # set order follows the string hash
         if not isinstance(t, Term) or t.kind not in _KIND_ORDER:
             raise CircuitError(f"{where}: not a circuit term: {t!r}")
 
@@ -144,21 +144,29 @@ class Circuit:
             _check_types(left, f"gate {i}")
             _check_types(right, f"gate {i}")
         _check_types(self.output, "output")
-        for i, (left, right) in enumerate(gates, 1):
-            for t in left | right:
-                self._check_term(t, i)
-        for t in self.output:
-            self._check_term(t, len(gates) + 1)
-
-    def _check_term(self, t, gate_limit):
-        if t.kind == "x" and not 1 <= t.idx <= self.n:
-            raise CircuitError(f"input x{t.idx} out of range 1..{self.n}")
-        if t.kind == "g" and not 1 <= t.idx < gate_limit:
-            raise CircuitError(f"gate g{t.idx} referenced before it is defined")
+        fault = _first_fault(self.n, gates, self.output)
+        if fault:
+            raise CircuitError(fault[1])
 
     @property
     def k(self):
         return len(self.gates)
+
+
+def _first_fault(n, gates, output):
+    """``(position, message)`` for the first term that may not stand where it
+    does, or None: gate i is position i and the output is the last, and
+    each is checked in ``term_sort_key`` order, since set order follows the
+    string hash."""
+    for pos, terms in enumerate([*(left | right for left, right in gates), output], 1):
+        for t in sorted(terms, key=term_sort_key):
+            if t.kind == "T" and t.idx != 0:
+                return pos, f"constant T with index {t.idx!r}, expected 0"
+            if t.kind == "x" and not 1 <= t.idx <= n:
+                return pos, f"input x{t.idx} out of range 1..{n}"
+            if t.kind == "g" and not 1 <= t.idx < pos:
+                return pos, f"gate g{t.idx} referenced before it is defined"
+    return None
 
 
 def _terms_allowed(n, gates, output):
@@ -471,7 +479,9 @@ def parse_circuit(text):
     try:
         return Circuit(n, tuple(gates), output)
     except CircuitError as exc:
-        raise ParseError(str(exc), line=numbered[0][0]) from exc
+        # A bad arity is the header's; a bad term is its gate's or the output's.
+        pos = _first_fault(n, gates, output)[0] if n >= 1 else 0
+        raise ParseError(str(exc), line=numbered[pos][0]) from exc
 
 
 def format_truth_table(tt):

@@ -19,7 +19,7 @@ from .topology import (_ascii_number, count_classes, generate, is_minimal, is_we
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 2, 3: 8, 4: 88, 5: 3564, 6: 555709}
 LONG_RUN_K = 6
-LONG_RUN_NOTE = "about 15 s at k=6 with the pure-Python kernel, 2 s compiled"
+LONG_RUN_NOTE = "about 7 s at k=6 with the pure-Python kernel, 2 s compiled"
 
 
 def _integer(text):

@@ -1,10 +1,15 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcbound
 from mcbound.circuits import (_TERMS, MAX_ARITY, TOP, Circuit, Term, TruthTable,
                               evaluate, format_circuit, format_truth_table, g,
                               is_negation_normal, minimalize_circuit, negation_normalize,
@@ -146,6 +151,8 @@ def test_out_of_range_terms_rejected():
     (((fs(x(1)), fs(g(1))),), fs(), "gate g1 referenced before it is defined"),
     (((fs(x(1)), fs()),), fs(g(2)), "gate g2 referenced before it is defined"),
     ((), fs(g(1)), "gate g1 referenced before it is defined"),
+    (((fs(Term("T", 5)), fs()),), fs(), "constant T with index 5, expected 0"),
+    ((), fs(x(1), Term("T", 1)), "constant T with index 1, expected 0"),
 ])
 def test_constructor_error_messages(gates, output, message):
     with pytest.raises(CircuitError) as err:
@@ -300,6 +307,44 @@ def test_parse_circuit_errors():
         parse_circuit("circuit n=2 k=2\ngate 1: L={} R={}\nout: {}\n")
     with pytest.raises(ParseError):  # forward reference caught via validation
         parse_circuit("circuit n=2 k=1\ngate 1: L={g1} R={}\nout: {}\n")
+
+
+def test_parse_circuit_range_error_lines():
+    cases = [
+        ("circuit n=2 k=1\ngate 1: L={x1,x3,x8,x9,x10} R={}\nout: {}\n",
+         "line 2: input x3 out of range 1..2"),
+        ("circuit n=2 k=2\ngate 1: L={x1} R={x2}\ngate 2: L={x1} R={x2}\nout: {g5}\n",
+         "line 4: gate g5 referenced before it is defined"),
+        ("circuit n=2 k=2\n\ngate 1: L={x1} R={x2}\n\ngate 2: L={g2} R={x2}\nout: {g1}\n",
+         "line 5: gate g2 referenced before it is defined"),
+        ("circuit n=0 k=1\ngate 1: L={x1} R={}\nout: {g1}\n",
+         "line 1: arity must be at least 1"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_circuit(text)
+        assert str(err.value) == message
+
+
+def test_first_circuit_error_ignores_hash_seed():
+    script = ("from mcbound.circuits import Circuit, parse_circuit\n"
+              "try:\n"
+              "    parse_circuit('circuit n=2 k=1\\ngate 1: L={x1,x3,x8,x9,x10} R={}\\nout: {}\\n')\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n"
+              "try:\n"
+              "    Circuit(2, (({('x', 1), ('x', 2), ('y', 1), ('x', 3)}, ()),), ())\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    src = str(Path(mcbound.__file__).parents[1])
+    outputs = set()
+    for seed in ("1", "2"):  # each gave a different first error when sets were checked unsorted
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True, timeout=60)
+        outputs.add(done.stdout)
+    assert outputs == {"line 2: input x3 out of range 1..2\n"
+                       "gate 1: not a circuit term: ('x', 1)\n"}
 
 
 def test_parse_circuit_error_column():

@@ -6,14 +6,15 @@ import random
 import shlex
 import subprocess
 import sysconfig
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import pytest
 
 from mcbound import _gen_py, kernel
 from mcbound.oracle import enumerate_raw_topologies
-from mcbound.topology import Topology, gate_fault, generate, is_well_layered, layering
+from mcbound.topology import (Topology, count_classes, gate_fault, generate, is_well_layered,
+                              layering)
 
 
 @pytest.fixture(scope="session")
@@ -85,6 +86,63 @@ def test_kernel_guards_match(gen_c):
     # a parent of k gates has no children, so no candidate gates are built
     # (seven gates would give more than 4,096 of them)
     assert gen_c.extend(bytes(14), 7) == _gen_py.extend(bytes(14), 7) == []
+
+
+def reference_extend(kern, enc, k):
+    """``extend`` by one full ``kern.canonical_keys`` search per child."""
+    pairs = [(enc[i], enc[i + 1]) for i in range(0, len(enc), 2)]
+    layers = _gen_py.layer_masks(pairs)
+    full = (1 << len(pairs)) - 1
+    cands = [(left, right) for left in range(1, full + 1) if left & layers[-1]
+             for right in range(full + 1) if not (right & layers[-1] and right < left)
+             and left & ~right and not (right and (right & ~left) == 0)]
+    out = {}
+    for width in range(1, k - len(pairs) + 1):
+        sizes = [m.bit_count() for m in layers] + [width]
+        for combo in combinations_with_replacement(cands, width):
+            key_any, key_min = kern.canonical_keys(pairs + list(combo), sizes)
+            out[key_any] = key_min
+    return sorted(out.items())
+
+
+def walk_parents(kern, k):
+    """Each parent the class walk for k expands, with its reference children:
+    the seeds of 1..k-1 empty gates and every partial child with a key_min."""
+    found = []
+    stack = [bytes(2 * q) for q in range(1, k)]
+    while stack:
+        enc = stack.pop()
+        children = reference_extend(kern, enc, k)
+        found.append((enc, children))
+        stack += [key for key, key_min in children if key_min is not None and len(key) < 2 * k]
+    return found
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_extend_matches_reference_on_walk_parents(k):
+    found = walk_parents(_gen_py, k)
+    assert len(found) == {2: 1, 3: 3, 4: 11, 5: 96}[k]
+    for enc, children in found:
+        assert _gen_py.extend(enc, k) == children, enc
+
+
+def test_extend_matches_reference_on_raw_and_member_parents():
+    parents = [t.encode() for q in (1, 2, 3) for t in enumerate_raw_topologies(q)
+               if is_well_layered(t)]
+    # members are key_min encodings, which need not be the least encoding
+    parents += [m.encode() for q in (1, 2, 3, 4) for m in generate(q).members]
+    for enc in parents:
+        for k in range(len(enc) // 2, 6):
+            assert _gen_py.extend(enc, k) == reference_extend(_gen_py, enc, k), (enc, k)
+
+
+def test_compiled_extend_matches_reference_at_k6(gen_c, monkeypatch):
+    found = walk_parents(gen_c, 6)
+    assert len(found) == 3378
+    for enc, children in found:
+        assert gen_c.extend(enc, 6) == children, enc
+    monkeypatch.setattr(kernel, "_gen_c", gen_c)
+    assert count_classes(6, backend="c") == 506935
 
 
 def test_backend_selection():
