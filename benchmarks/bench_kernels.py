@@ -7,9 +7,10 @@ parent over every parent that the walk for k expands, and reports the
 speedup of the compiled kernel on the first two.  Per k, also times
 ``save_topology_set`` and ``load_topology_set`` of the generated set, which
 use no kernel, the first read of ``members`` on the loaded set, which
-builds its ``Topology`` views, and the pure-Python ``canonical_keys`` in
-microseconds per call over every member with its layer sizes: cold, with
-the relabel tables emptied so that the calls build them, then warm.
+builds its ``Topology`` views, ``Topology.from_encoding`` in microseconds
+per member, and the pure-Python ``canonical_keys`` in microseconds per call
+over every member with its layer sizes: cold, with the relabel tables
+emptied so that the calls build them, then warm.
 
 Then, over seeded ``random_circuit(max_n=7, max_k=7)`` circuits, the
 microseconds per circuit of each stage of the rewrite pipeline, each stage
@@ -28,7 +29,7 @@ import time
 
 from mcbound import _gen_py, circuits, kernel
 from mcbound.randgen import random_circuit
-from mcbound.topology import (count_classes, generate, layering, load_topology_set,
+from mcbound.topology import (Topology, count_classes, generate, layering, load_topology_set,
                               save_topology_set)
 
 
@@ -62,6 +63,18 @@ def extend_us(kern, k, parents):
     for enc in parents:
         kern.extend(enc, k)
     return f"{(time.perf_counter() - start) / len(parents) * 1e6:.1f}us"
+
+
+def from_encoding_us(members):
+    """``Topology.from_encoding`` microseconds per member, best of three."""
+    encodings = [m.encode() for m in members]
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        for enc in encodings:
+            Topology.from_encoding(enc)
+        best = min(best, time.perf_counter() - start)
+    return best / len(encodings) * 1e6
 
 
 def canonical_keys_us(members):
@@ -117,7 +130,8 @@ def main():
     columns = [(b, phase) for b in backends for phase in ("walk", "generate")]
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
           + "".join(f" {b + ' extend':>16}" for b in backends)
-          + f" {'save':>9} {'load':>9} {'members':>9} {'keys cold':>10} {'keys warm':>10}"
+          + f" {'save':>9} {'load':>9} {'members':>9} {'from_enc':>9}"
+          + f" {'keys cold':>10} {'keys warm':>10}"
           + ("   speedup walk/generate" if len(backends) > 1 else ""))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "set.txt")
@@ -141,7 +155,7 @@ def main():
                 row += f" {extend_us(kernel.get_backend(backend), k, parents):>16}"
             cold_us, warm_us = canonical_keys_us(members)
             row += (f" {save_s:>8.3f}s {load_s:>8.3f}s {members_s:>8.3f}s"
-                    f" {cold_us:>8.1f}us {warm_us:>8.1f}us")
+                    f" {from_encoding_us(members):>7.2f}us {cold_us:>8.1f}us {warm_us:>8.1f}us")
             if len(backends) > 1:
                 row += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
                                      for p in ("walk", "generate"))

@@ -7,6 +7,8 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import islice, product
+from operator import countOf
 
 from . import kernel
 from ._gen_py import layer_masks
@@ -25,9 +27,27 @@ def mask_indices(mask):
     return tuple(out)
 
 
-def _is_int_pair(gate):
-    return type(gate) is tuple and len(gate) == 2 and type(gate[0]) is int \
-        and type(gate[1]) is int
+def _checked_gates(k, gates):
+    """``gates`` as a tuple of int pairs, each side a mask over the gates
+    before its own; raises CircuitError on the first gate that is not one.
+    A side equal to an int, such as ``True`` or ``1.0``, becomes that int."""
+    gates = tuple(gates)
+    if k != len(gates):
+        raise CircuitError(f"topology k={k} but {len(gates)} gates given")
+    out = []
+    for i, gate in enumerate(gates, 1):
+        try:
+            left, right = gate
+            pair = int(left), int(right)
+        except (TypeError, ValueError, OverflowError):
+            pair = None
+        if pair is None or pair != (left, right):
+            raise CircuitError(f"gate {i} is not a pair of integer sides: {gate!r}")
+        left, right = pair
+        if left < 0 or right < 0 or (left | right) >> (i - 1):
+            raise CircuitError(f"gate {i} may only reference gates 1..{i - 1}")
+        out.append(pair)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -39,16 +59,17 @@ class Topology:
 
     def __post_init__(self):
         gates = self.gates
-        # Anything but a tuple of int pairs is rebuilt into one, so that the
-        # stored gates hash and compare alike however they were given.
-        if not (type(gates) is tuple and all(map(_is_int_pair, gates))):
-            gates = tuple((int(l), int(r)) for l, r in gates)
-            object.__setattr__(self, "gates", gates)
-        if self.k != len(gates):
-            raise CircuitError(f"topology k={self.k} but {len(gates)} gates given")
-        for i, (left, right) in enumerate(gates, 1):
-            if left < 0 or right < 0 or (left | right) >> (i - 1):
-                raise CircuitError(f"gate {i} may only reference gates 1..{i - 1}")
+        checked = None
+        try:
+            if len(gates) == self.k <= MAX_GENERATE_K:
+                # One lookup per gate both checks it and gives its shared
+                # int pair; on a miss the full checks judge the gates.
+                checked = tuple(map(dict.__getitem__, _gate_pairs(), gates))
+        except (KeyError, TypeError):
+            pass
+        if checked is None:
+            checked = _checked_gates(self.k, gates)
+        object.__setattr__(self, "gates", checked)
 
     def encode(self):
         out = bytearray()
@@ -59,8 +80,17 @@ class Topology:
 
     @classmethod
     def from_encoding(cls, data):
-        pairs = tuple(zip(data[::2], data[1::2]))
-        return cls(len(pairs), pairs)
+        """The topology whose encoding is ``data``: a left then a right
+        side byte per gate."""
+        k, odd = divmod(len(data), 2)
+        if odd:
+            raise CircuitError(f"a topology encoding has an even length, not {len(data)}")
+        if k <= MAX_GENERATE_K:
+            try:
+                return cls(k, tuple(map(_shared_pairs().__getitem__, _gate_codes(k)(data))))
+            except KeyError:
+                pass  # a side of 64 or more, which the checks reject below
+        return cls(k, tuple(zip(data[::2], data[1::2])))
 
 
 @dataclass(frozen=True)
@@ -225,28 +255,30 @@ def _walk(roots, depth, k, backend, collect, split=False):
     kept = []
     count = 0
     frontier = []
-
-    def visit(enc, depth):
-        nonlocal count
-        row = tally[depth + 1]
-        for key_any, key_min in kern.extend(enc, k):
-            if len(key_any) == full_len:
-                row[0] += 1
-                if key_min is not None:
-                    count += 1
-                    if collect:
-                        kept.append(key_min)
-            elif key_min is None:
-                row[2] += 1
-            else:
-                row[1] += 1
-                if split:
-                    frontier.append(key_any)
-                else:
-                    visit(key_any, depth + 1)
-
     for enc in roots:
-        visit(enc, depth)
+        # The children of each parent on the current path, as an iterator;
+        # a kept partial child is walked before its next sibling.
+        path = [iter(kern.extend(enc, k))]
+        while path:
+            row = tally[depth + len(path)]
+            for key_any, key_min in path[-1]:
+                if len(key_any) == full_len:
+                    row[0] += 1
+                    if key_min is not None:
+                        count += 1
+                        if collect:
+                            kept.append(key_min)
+                elif key_min is None:
+                    row[2] += 1
+                else:
+                    row[1] += 1
+                    if split:
+                        frontier.append(key_any)
+                    else:
+                        path.append(iter(kern.extend(key_any, k)))
+                        break
+            else:
+                path.pop()
     return count, kept, tally, frontier
 
 
@@ -327,18 +359,34 @@ def generate(k, *, workers=1, backend=None, progress=None):
     """
     _, kept = _classes(k, workers, backend, progress, collect=True)
     kept.sort()
-    pairs = _shared_pairs()
-    unpack = struct.Struct(f">{k}H").unpack  # one (left << 8 | right) per gate
-    return TopologySet._from_rows(k, tuple(tuple(map(pairs.__getitem__, unpack(enc)))
-                                           for enc in kept))
+    pair = _shared_pairs().__getitem__
+    unpack = _gate_codes(k)
+    return TopologySet._from_rows(k, tuple(tuple(map(pair, unpack(enc))) for enc in kept))
+
+
+@cache
+def _gate_pairs():
+    """Per gate i <= MAX_GENERATE_K (index i - 1), each valid ``(left,
+    right)`` pair of gate i mapped to itself.  A pair is one tuple shared by
+    every table, and a lookup by an equal pair, such as ``(True, 0)``, gives
+    the shared int pair."""
+    every = {pair: pair for pair in product(range(1 << (MAX_GENERATE_K - 1)), repeat=2)}
+    shared = every.__getitem__
+    return tuple({pair: pair for pair in map(shared, product(range(1 << (i - 1)), repeat=2))}
+                 for i in range(1, MAX_GENERATE_K)) + (every,)
 
 
 @cache
 def _shared_pairs():
-    """One shared ``(left, right)`` tuple for every gate of a topology on at
-    most MAX_GENERATE_K gates, keyed by ``left << 8 | right``."""
-    sides = range(1 << (MAX_GENERATE_K - 1))
-    return {left << 8 | right: (left, right) for left in sides for right in sides}
+    """The shared pair of each gate of a topology on at most MAX_GENERATE_K
+    gates, keyed by ``left << 8 | right``."""
+    return {pair[0] << 8 | pair[1]: pair for pair in _gate_pairs()[-1]}
+
+
+@cache
+def _gate_codes(k):
+    """Unpacks a k-gate encoding into one ``left << 8 | right`` per gate."""
+    return struct.Struct(f">{k}H").unpack
 
 
 # --- text formats -----------------------------------------------------------
@@ -383,22 +431,18 @@ def format_topology(t):
 
 @cache
 def _gate_lines():
-    """``(i, (left, right))`` for each canonical line of a gate i <=
-    MAX_GENERATE_K: a fixed 5,461 lines, built on first use."""
-    pairs = _shared_pairs()
-    return {_gate_line(i, left, right): (i, pairs[left << 8 | right])
-            for i in range(1, MAX_GENERATE_K + 1)
-            for left in range(1 << (i - 1)) for right in range(1 << (i - 1))}
+    """Per gate i <= MAX_GENERATE_K (index i - 1), the canonical line of each
+    valid pair of gate i mapped to its shared pair: 5,461 lines in all,
+    built on first use."""
+    return tuple({_gate_line(i, *pair): pair for pair in pairs}
+                 for i, pairs in enumerate(_gate_pairs(), 1))
 
 
 @cache
 def _gate_texts():
-    """The inverse of ``_gate_lines``: per gate number i, the canonical line
-    of each of its ``(left, right)`` pairs (index 0 is empty)."""
-    texts = [{} for _ in range(MAX_GENERATE_K + 1)]
-    for line, (i, pair) in _gate_lines().items():
-        texts[i][pair] = line
-    return texts
+    """The inverse of ``_gate_lines``: per gate i (index i - 1), the
+    canonical line of each of its pairs."""
+    return tuple({pair: line for line, pair in lines.items()} for lines in _gate_lines())
 
 
 def _parse_index_set(text, gate):
@@ -419,9 +463,10 @@ def _parse_index_set(text, gate):
     return mask
 
 
-def _parse_topology_lines(lines, start_lineno):
+def _parse_topology_lines(lines, start_lineno, tables=()):
     """The gates of the topology block ``lines``, a tuple of int pairs, each
-    checked as its line is read."""
+    checked as its line is read.  A line of gate i found in ``tables[i - 1]``
+    (``_gate_lines()`` or a prefix of it) is read by that one lookup."""
     header = _TOPOLOGY_HEADER.match(lines[0])
     if not header:
         raise ParseError("expected 'topology k=<k>'", line=start_lineno)
@@ -431,6 +476,10 @@ def _parse_topology_lines(lines, start_lineno):
     match = _GATE_LINE.match
     gates = []
     for i in range(1, k + 1):
+        pair = tables[i - 1].get(lines[i]) if i <= len(tables) else None
+        if pair is not None:
+            gates.append(pair)
+            continue
         m = match(lines[i])
         if not m:
             raise ParseError("expected 'gate <i>: L={...} R={...}'", line=start_lineno + i)
@@ -458,22 +507,38 @@ def format_topology_set(ts):
     if k <= MAX_GENERATE_K:
         # Rows are valid gates, so every gate's line is in the table.
         head = f"topology k={k}"
-        texts = _gate_texts()[1:k + 1]
+        texts = _gate_texts()[:k]
         blocks += ["\n".join([head, *map(dict.__getitem__, texts, gates)]) for gates in ts.rows]
     else:
         blocks += [_topology_text(k, gates) for gates in ts.rows]
     return "\n\n".join(blocks) + "\n"
 
 
-_NO_HIT = (0, None)  # a line outside _gate_lines: no gate is numbered 0
+def _column_rows(lines, start, k, count):
+    """The rows of the set when ``lines[start:]`` are exactly ``count``
+    blocks of k <= MAX_GENERATE_K gates, each after one empty line, spelt
+    as ``format_topology_set`` writes them; else None.  The lines of each
+    gate number form one column, read by one ``_gate_lines`` lookup a line."""
+    step = k + 2
+    if len(lines) - start != count * step \
+            or countOf(islice(lines, start, None, step), "") != count \
+            or countOf(islice(lines, start + 1, None, step), f"topology k={k}") != count:
+        return None
+    columns = [map(table.__getitem__, islice(lines, start + 1 + i, None, step))
+               for i, table in enumerate(_gate_lines()[:k], 1)]
+    try:
+        return tuple(zip(*columns))
+    except KeyError:
+        return None
 
 
 def parse_topology_set(text):
-    """The topology set in ``text``.  Each member is checked against the
-    header as its block ends, and a block past the header's count fails
-    before it is parsed.  A block of k+1 lines spelt exactly as
-    ``format_topology_set`` writes it costs one ``_gate_lines`` lookup per
-    gate; any other goes through ``_parse_topology_lines``."""
+    """The topology set in ``text``.  Text laid out exactly as
+    ``format_topology_set`` writes it, with k <= MAX_GENERATE_K, is read a
+    gate number at a time by ``_column_rows``.  Any other text, including
+    every text with an error, goes through the block parser: it checks each
+    member against the header as its block ends, and fails on a block past
+    the header's count before parsing it."""
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
@@ -485,13 +550,12 @@ def parse_topology_set(text):
         raise ParseError("expected 'topologyset k=<k> count=<c>'", line=idx + 1)
     k = int(header.group(1))
     count = int(header.group(2))
-    canonical = 0 < k <= MAX_GENERATE_K
-    if canonical:
-        lookup = _gate_lines().get
-        misses = (_NO_HIT,) * k
-        head = f"topology k={k}"
-        numbers = tuple(range(1, k + 1))
+    if 0 < k <= MAX_GENERATE_K:
+        rows = _column_rows(lines, idx + 1, k, count)
+        if rows is not None:
+            return TopologySet._from_rows(k, rows)
     rows = []
+    tables = _gate_lines()
     lines.append("")  # closes the last block
     pos = idx + 1
     while pos < len(lines):
@@ -500,19 +564,10 @@ def parse_topology_set(text):
             continue
         if len(rows) == count:
             raise ParseError(f"more than count={count} blocks", line=pos + 1)
-        if canonical and lines[pos] == head:
-            end = pos + k + 1
-            if end < len(lines) and not lines[end].strip():
-                # Splits the hits (i, pair) into their numbers and the row.
-                found, row = zip(*map(lookup, lines[pos + 1:end], misses))
-                if found == numbers:
-                    rows.append(row)
-                    pos = end + 1
-                    continue
         end = pos + 1
         while lines[end].strip():
             end += 1
-        gates = _parse_topology_lines(lines[pos:end], pos + 1)
+        gates = _parse_topology_lines(lines[pos:end], pos + 1, tables)
         if len(gates) != k:
             raise ParseError(f"member with k={len(gates)} in a k={k} set", line=pos + 1)
         rows.append(gates)

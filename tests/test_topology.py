@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import math
 import os
 import random
 import tracemalloc
@@ -68,9 +70,61 @@ def test_topology_normalizes_gates():
         Topology(3, ((0, 0), (0, 0), (0, 4)))
 
 
+@pytest.mark.parametrize("side", [1.5, -0.5, "0", "1", None, math.nan, math.inf])
+def test_topology_rejects_sides_that_are_not_ints(side):
+    with pytest.raises(CircuitError, match="gate 2 is not a pair of integer sides"):
+        Topology(2, ((0, 0), (side, 0)))
+    with pytest.raises(CircuitError, match="gate 9 is not a pair of integer sides"):
+        Topology(9, ((0, 0),) * 8 + ((side, 0),))
+
+
+def test_topology_stores_sides_equal_to_ints_as_ints():
+    for side in (True, 1.0):
+        for k in (2, 9):
+            t = Topology(k, ((0, 0),) * (k - 1) + ((0, side),))
+            assert t.gates[-1] == (0, 1) and type(t.gates[-1][1]) is int
+
+
+# Sides of every kind a caller may pass; only those equal to an int are valid.
+mixed_sides = st.one_of(st.integers(-1, 8), st.booleans(),
+                        st.sampled_from([0.0, 1.0, 2.0, 1.5, math.nan, "0", "1", None]))
+mixed_gates = st.lists(st.tuples(mixed_sides, mixed_sides).flatmap(
+    lambda pair: st.sampled_from([pair, list(pair)])), max_size=4)
+
+
+@given(st.integers(0, 4), mixed_gates)
+@example(2, [(0, 0), (True, 0.0)])
+@example(2, [(0, 0), ("1", 0)])
+@settings(max_examples=300)
+def test_topology_table_path_agrees_with_checked_path(k, gates):
+    def outcome(make):
+        try:
+            return make()
+        except CircuitError as exc:
+            return str(exc)
+    expected = outcome(lambda: topology._checked_gates(k, gates))
+    got = outcome(lambda: Topology(k, gates).gates)
+    assert got == expected
+    if not isinstance(got, str):
+        assert all(type(side) is int for gate in got for side in gate)
+
+
 def test_encoding_roundtrip():
     t = MAJ4_TOPOLOGY
     assert Topology.from_encoding(t.encode()) == t
+    wide = Topology(9, ((0, 0),) * 8 + ((255, 1),))
+    assert Topology.from_encoding(wide.encode()) == wide
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\x00\x00\x00", "even length, not 3"),
+    (b"\x00", "even length, not 1"),
+    (b"\x01\x00", "gate 1 may only reference"),
+    (b"\x00\x00\x40\x00", "gate 2 may only reference"),
+])
+def test_from_encoding_rejects_bad_encodings(data, message):
+    with pytest.raises(CircuitError, match=message):
+        Topology.from_encoding(data)
 
 
 def test_mask_helpers():
@@ -282,6 +336,17 @@ def test_count_classes_matches_generate():
         count_classes(-1)
 
 
+def test_count_classes_leaves_no_cyclic_garbage():
+    count_classes(5)  # the kernel's tables are built once, on first use
+    gc.collect()
+    gc.disable()
+    try:
+        count_classes(5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_worker_count_rejects_non_positive():
     with pytest.raises(ValueError):
         generate(3, workers=0)
@@ -382,6 +447,56 @@ def test_parse_topology_set_respelt_blocks():
     assert ts != TopologySet(4, ts.members[::-1])
 
 
+def _edit_line(text, old, new, after):
+    """``text`` with the first line ``old`` past line ``after`` replaced by
+    the lines ``new``."""
+    lines = text.split("\n")
+    at = lines.index(old, after)
+    lines[at:at + 1] = new
+    return "\n".join(lines)
+
+
+K4_TEXT = format_topology_set(generate(4))
+
+
+@pytest.mark.parametrize("variant, column", [
+    (lambda t: t, True),
+    (lambda t: t.replace("\n", "\r\n"), True),
+    (lambda t: t.replace("\n\n", "\n\n\n", 7), False),
+    (lambda t: _edit_line(t, "gate 3: L={} R={1,2}", ["gate 3: L={} R={1,2} "], 200), False),
+], ids=["canonical", "crlf", "extra-blank-line", "trailing-space"])
+def test_parse_paths_agree_on_equivalent_texts(variant, column, monkeypatch):
+    parsed_blocks = []
+    block_parser = topology._parse_topology_lines
+
+    def counting(lines, start_lineno, tables):
+        parsed_blocks.append(start_lineno)
+        return block_parser(lines, start_lineno, tables)
+
+    monkeypatch.setattr(topology, "_parse_topology_lines", counting)
+    text = variant(K4_TEXT)
+    ts = parse_topology_set(text)
+    assert ts == generate(4)
+    assert ts.members == generate(4).members
+    # The column path reads only text laid out as format_topology_set
+    # writes it; the block parser reads the rest.
+    assert (not parsed_blocks) == column
+
+
+@pytest.mark.parametrize("variant, message, line", [
+    (lambda t: _edit_line(t, "gate 2: L={} R={}", ["gate 2: L={2} R={}"], 100),
+     "gate 2 may only reference gates 1..1", 101),
+    (lambda t: t.replace("count=85", "count=86", 1), "header says count=86 but 85 blocks", 1),
+    (lambda t: t.replace("count=85", "count=84", 1), "more than count=84 blocks", 507),
+    (lambda t: _edit_line(t, "gate 3: L={} R={1,2}", [], 200), "expected 4 gate lines", 375),
+], ids=["later-gate", "count-over", "count-under", "missing-gate-line"])
+def test_parse_errors_keep_their_message_and_line(variant, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_topology_set(variant(K4_TEXT))
+    assert message in str(err.value)
+    assert err.value.line == line
+
+
 def test_set_rejects_member_with_other_gate_count():
     # a load of the first would fail on its gate lines; the second would
     # save only gate 1 of its member
@@ -395,7 +510,7 @@ def test_gate_line_table_has_a_fixed_size():
     parse_topology_set(format_topology_set(generate(4)))
     parse_topology_set(format_topology_set(
         TopologySet(10, (Topology(10, ((0, 0),) * 9 + ((256, 511),)),))))
-    assert len(topology._gate_lines()) == 5461
+    assert sum(map(len, topology._gate_lines())) == 5461
 
 
 def test_sets_build_members_on_first_read(tmp_path, monkeypatch):
