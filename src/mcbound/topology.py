@@ -30,7 +30,8 @@ def mask_indices(mask):
 def _checked_gates(k, gates):
     """``gates`` as a tuple of int pairs, each side a mask over the gates
     before its own; raises CircuitError on the first gate that is not one.
-    A side equal to an int, such as ``True`` or ``1.0``, becomes that int."""
+    A side equal to an int, such as ``True``, ``1.0`` or ``1+0j``, becomes
+    that int."""
     gates = tuple(gates)
     if k != len(gates):
         raise CircuitError(f"topology k={k} but {len(gates)} gates given")
@@ -38,7 +39,7 @@ def _checked_gates(k, gates):
     for i, gate in enumerate(gates, 1):
         try:
             left, right = gate
-            pair = int(left), int(right)
+            pair = int(getattr(left, "real", left)), int(getattr(right, "real", right))
         except (TypeError, ValueError, OverflowError):
             pair = None
         if pair is None or pair != (left, right):
@@ -85,11 +86,6 @@ class Topology:
         k, odd = divmod(len(data), 2)
         if odd:
             raise CircuitError(f"a topology encoding has an even length, not {len(data)}")
-        if k <= MAX_GENERATE_K:
-            try:
-                return cls(k, tuple(map(_shared_pairs().__getitem__, _gate_codes(k)(data))))
-            except KeyError:
-                pass  # a side of 64 or more, which the checks reject below
         return cls(k, tuple(zip(data[::2], data[1::2])))
 
 
@@ -359,9 +355,10 @@ def generate(k, *, workers=1, backend=None, progress=None):
     """
     _, kept = _classes(k, workers, backend, progress, collect=True)
     kept.sort()
-    pair = _shared_pairs().__getitem__
-    unpack = _gate_codes(k)
-    return TopologySet._from_rows(k, tuple(tuple(map(pair, unpack(enc))) for enc in kept))
+    pairs = _shared_pairs()
+    unpack = struct.Struct(f">{k}H").unpack  # one (left << 8 | right) per gate
+    return TopologySet._from_rows(k, tuple(tuple(map(pairs.__getitem__, unpack(enc)))
+                                           for enc in kept))
 
 
 @cache
@@ -381,12 +378,6 @@ def _shared_pairs():
     """The shared pair of each gate of a topology on at most MAX_GENERATE_K
     gates, keyed by ``left << 8 | right``."""
     return {pair[0] << 8 | pair[1]: pair for pair in _gate_pairs()[-1]}
-
-
-@cache
-def _gate_codes(k):
-    """Unpacks a k-gate encoding into one ``left << 8 | right`` per gate."""
-    return struct.Struct(f">{k}H").unpack
 
 
 # --- text formats -----------------------------------------------------------
@@ -463,10 +454,9 @@ def _parse_index_set(text, gate):
     return mask
 
 
-def _parse_topology_lines(lines, start_lineno, tables=()):
+def _parse_topology_lines(lines, start_lineno):
     """The gates of the topology block ``lines``, a tuple of int pairs, each
-    checked as its line is read.  A line of gate i found in ``tables[i - 1]``
-    (``_gate_lines()`` or a prefix of it) is read by that one lookup."""
+    checked as its line is read."""
     header = _TOPOLOGY_HEADER.match(lines[0])
     if not header:
         raise ParseError("expected 'topology k=<k>'", line=start_lineno)
@@ -476,10 +466,6 @@ def _parse_topology_lines(lines, start_lineno, tables=()):
     match = _GATE_LINE.match
     gates = []
     for i in range(1, k + 1):
-        pair = tables[i - 1].get(lines[i]) if i <= len(tables) else None
-        if pair is not None:
-            gates.append(pair)
-            continue
         m = match(lines[i])
         if not m:
             raise ParseError("expected 'gate <i>: L={...} R={...}'", line=start_lineno + i)
@@ -538,7 +524,9 @@ def parse_topology_set(text):
     gate number at a time by ``_column_rows``.  Any other text, including
     every text with an error, goes through the block parser: it checks each
     member against the header as its block ends, and fails on a block past
-    the header's count before parsing it."""
+    the header's count before parsing it.  There a block spelt as
+    ``format_topology_set`` writes it costs one ``_gate_lines`` lookup per
+    gate; any other goes through ``_parse_topology_lines``."""
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
@@ -555,7 +543,8 @@ def parse_topology_set(text):
         if rows is not None:
             return TopologySet._from_rows(k, rows)
     rows = []
-    tables = _gate_lines()
+    head = f"topology k={k}"
+    tables = _gate_lines()[:k] if k <= MAX_GENERATE_K else ()
     lines.append("")  # closes the last block
     pos = idx + 1
     while pos < len(lines):
@@ -564,10 +553,19 @@ def parse_topology_set(text):
             continue
         if len(rows) == count:
             raise ParseError(f"more than count={count} blocks", line=pos + 1)
+        end = pos + k + 1
+        if tables and lines[pos] == head and end < len(lines) and not lines[end].strip():
+            # A block of k canonical gate lines: one lookup a gate.
+            try:
+                rows.append(tuple(map(dict.__getitem__, tables, lines[pos + 1:end])))
+                pos = end + 1
+                continue
+            except KeyError:
+                pass
         end = pos + 1
         while lines[end].strip():
             end += 1
-        gates = _parse_topology_lines(lines[pos:end], pos + 1, tables)
+        gates = _parse_topology_lines(lines[pos:end], pos + 1)
         if len(gates) != k:
             raise ParseError(f"member with k={len(gates)} in a k={k} set", line=pos + 1)
         rows.append(gates)

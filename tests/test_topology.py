@@ -70,7 +70,7 @@ def test_topology_normalizes_gates():
         Topology(3, ((0, 0), (0, 0), (0, 4)))
 
 
-@pytest.mark.parametrize("side", [1.5, -0.5, "0", "1", None, math.nan, math.inf])
+@pytest.mark.parametrize("side", [1.5, -0.5, 1 + 1j, "0", "1", None, math.nan, math.inf])
 def test_topology_rejects_sides_that_are_not_ints(side):
     with pytest.raises(CircuitError, match="gate 2 is not a pair of integer sides"):
         Topology(2, ((0, 0), (side, 0)))
@@ -79,7 +79,7 @@ def test_topology_rejects_sides_that_are_not_ints(side):
 
 
 def test_topology_stores_sides_equal_to_ints_as_ints():
-    for side in (True, 1.0):
+    for side in (True, 1.0, 1 + 0j):
         for k in (2, 9):
             t = Topology(k, ((0, 0),) * (k - 1) + ((0, side),))
             assert t.gates[-1] == (0, 1) and type(t.gates[-1][1]) is int
@@ -87,7 +87,8 @@ def test_topology_stores_sides_equal_to_ints_as_ints():
 
 # Sides of every kind a caller may pass; only those equal to an int are valid.
 mixed_sides = st.one_of(st.integers(-1, 8), st.booleans(),
-                        st.sampled_from([0.0, 1.0, 2.0, 1.5, math.nan, "0", "1", None]))
+                        st.sampled_from([0.0, 1.0, 2.0, 1.5, math.nan, 1 + 0j, 1 + 1j,
+                                         "0", "1", None]))
 mixed_gates = st.lists(st.tuples(mixed_sides, mixed_sides).flatmap(
     lambda pair: st.sampled_from([pair, list(pair)])), max_size=4)
 
@@ -459,28 +460,37 @@ def _edit_line(text, old, new, after):
 K4_TEXT = format_topology_set(generate(4))
 
 
-@pytest.mark.parametrize("variant, column", [
-    (lambda t: t, True),
-    (lambda t: t.replace("\n", "\r\n"), True),
-    (lambda t: t.replace("\n\n", "\n\n\n", 7), False),
-    (lambda t: _edit_line(t, "gate 3: L={} R={1,2}", ["gate 3: L={} R={1,2} "], 200), False),
+@pytest.mark.parametrize("variant, column, respelt", [
+    (lambda t: t, True, 0),
+    (lambda t: t.replace("\n", "\r\n"), True, 0),
+    (lambda t: t.replace("\n\n", "\n\n\n", 7), False, 0),
+    (lambda t: _edit_line(t, "gate 3: L={} R={1,2}", ["gate 3: L={} R={1,2} "], 200), False, 1),
 ], ids=["canonical", "crlf", "extra-blank-line", "trailing-space"])
-def test_parse_paths_agree_on_equivalent_texts(variant, column, monkeypatch):
+def test_parse_paths_agree_on_equivalent_texts(variant, column, respelt, monkeypatch):
+    read_by_columns = []
     parsed_blocks = []
+    column_rows = topology._column_rows
     block_parser = topology._parse_topology_lines
 
-    def counting(lines, start_lineno, tables):
-        parsed_blocks.append(start_lineno)
-        return block_parser(lines, start_lineno, tables)
+    def recording(*args):
+        rows = column_rows(*args)
+        read_by_columns.append(rows is not None)
+        return rows
 
+    def counting(lines, start_lineno):
+        parsed_blocks.append(start_lineno)
+        return block_parser(lines, start_lineno)
+
+    monkeypatch.setattr(topology, "_column_rows", recording)
     monkeypatch.setattr(topology, "_parse_topology_lines", counting)
-    text = variant(K4_TEXT)
-    ts = parse_topology_set(text)
+    ts = parse_topology_set(variant(K4_TEXT))
     assert ts == generate(4)
     assert ts.members == generate(4).members
     # The column path reads only text laid out as format_topology_set
-    # writes it; the block parser reads the rest.
-    assert (not parsed_blocks) == column
+    # writes it; the block parser reads the rest, and parses line by line
+    # only the blocks that are not spelt canonically.
+    assert read_by_columns == [column]
+    assert len(parsed_blocks) == respelt
 
 
 @pytest.mark.parametrize("variant, message, line", [
