@@ -18,19 +18,36 @@ fed the previous one's results: ``truth_table``, ``negation_normalize``,
 ``normalize_circuit_layering``, ``minimalize_circuit``, ``format_circuit``
 and ``parse_circuit``, the best of five passes.
 
+``--json PATH`` also appends the run, as one record, to the JSON list in
+PATH (a new file holds just that record): every figure printed, the
+backends, the ``git rev-parse HEAD`` of this checkout and the seconds of
+``perfbench/calibrate.py``'s reference loop just before and just after the
+run, by which the times can be scaled to a fixed machine speed.
+
     python benchmarks/bench_kernels.py --max-k 5
+    python benchmarks/bench_kernels.py --max-k 6 --json BENCH_<date>.json
 """
 
 import argparse
+import datetime
+import json
 import os
+import platform
 import random
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 from mcbound import _gen_py, circuits, kernel
 from mcbound.randgen import random_circuit
 from mcbound.topology import (Topology, count_classes, generate, layering, load_topology_set,
                               save_topology_set)
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from calibrate import reference_seconds  # noqa: E402
 
 
 CIRCUITS = 2000
@@ -56,13 +73,14 @@ def walk_parents(kern, k):
 
 
 def extend_us(kern, k, parents):
-    """``kern.extend`` microseconds per parent over the parents, as text."""
+    """``kern.extend`` microseconds per parent over the parents, or None
+    when there are none."""
     if not parents:
-        return "-"
+        return None
     start = time.perf_counter()
     for enc in parents:
         kern.extend(enc, k)
-    return f"{(time.perf_counter() - start) / len(parents) * 1e6:.1f}us"
+    return (time.perf_counter() - start) / len(parents) * 1e6
 
 
 def from_encoding_us(members):
@@ -118,12 +136,39 @@ def circuit_stages_us(count, seed=1):
     return best
 
 
+def git_commit():
+    """``git rev-parse HEAD`` of this checkout, or None outside git."""
+    try:
+        done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=10)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def append_record(path, record):
+    """Append ``record`` to the JSON list in ``path``, creating it if absent."""
+    try:
+        with open(path) as f:
+            records = json.load(f)
+    except FileNotFoundError:
+        records = []
+    records.append(record)
+    with open(path, "w") as f:
+        json.dump(records, f, indent=1)
+        f.write("\n")
+
+
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--max-k", type=int, default=5,
                         help="largest gate count to benchmark (default 5)")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also append the run as a JSON record to PATH")
     args = parser.parse_args()
 
+    reference_before = reference_seconds()
     backends = kernel.available_backends()
     if "c" not in backends:
         print("note: compiled kernel not built, timing the fallback only")
@@ -133,6 +178,7 @@ def main():
           + f" {'save':>9} {'load':>9} {'members':>9} {'from_enc':>9}"
           + f" {'keys cold':>10} {'keys warm':>10}"
           + ("   speedup walk/generate" if len(backends) > 1 else ""))
+    rows = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "set.txt")
         for k in range(1, args.max_k + 1):
@@ -149,20 +195,36 @@ def main():
             if back != ts:
                 raise SystemExit(f"k={k}: the loaded set differs from the saved one")
             members, members_s = timed(lambda: back.members)
-            row = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
             parents = walk_parents(kernel.get_backend(backends[0]), k)
-            for backend in backends:
-                row += f" {extend_us(kernel.get_backend(backend), k, parents):>16}"
+            extend = {b: extend_us(kernel.get_backend(b), k, parents) for b in backends}
             cold_us, warm_us = canonical_keys_us(members)
-            row += (f" {save_s:>8.3f}s {load_s:>8.3f}s {members_s:>8.3f}s"
-                    f" {from_encoding_us(members):>7.2f}us {cold_us:>8.1f}us {warm_us:>8.1f}us")
+            from_enc_us = from_encoding_us(members)
+            rows.append({"k": k, "classes": count, "parents": len(parents),
+                         "walk_s": {b: times[b, "walk"] for b in backends},
+                         "generate_s": {b: times[b, "generate"] for b in backends},
+                         "extend_us": extend, "save_s": save_s, "load_s": load_s,
+                         "members_s": members_s, "from_encoding_us": from_enc_us,
+                         "canonical_keys_cold_us": cold_us, "canonical_keys_warm_us": warm_us})
+            line = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
+            for us in extend.values():
+                line += f" {'-' if us is None else f'{us:.1f}us':>16}"
+            line += (f" {save_s:>8.3f}s {load_s:>8.3f}s {members_s:>8.3f}s"
+                     f" {from_enc_us:>7.2f}us {cold_us:>8.1f}us {warm_us:>8.1f}us")
             if len(backends) > 1:
-                row += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
-                                     for p in ("walk", "generate"))
-            print(row)
+                line += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
+                                      for p in ("walk", "generate"))
+            print(line)
     print(f"\ncircuit layer, us per circuit over {CIRCUITS} random circuits (n <= 7, k <= 7):")
-    for name, us in circuit_stages_us(CIRCUITS).items():
+    circuit_us = circuit_stages_us(CIRCUITS)
+    for name, us in circuit_us.items():
         print(f"{name:>28} {us:>8.1f}us")
+    if args.json:
+        append_record(args.json, {
+            "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+            "commit": git_commit(), "backends": backends, "python": platform.python_version(),
+            "cpus": os.cpu_count(), "max_k": args.max_k,
+            "reference_s": {"before": reference_before, "after": reference_seconds()},
+            "rows": rows, "circuit_us": circuit_us})
 
 
 if __name__ == "__main__":

@@ -4,14 +4,17 @@ Mirrors the compiled kernel in ``mcbound._gen_c``: both backends must
 produce byte-identical keys and raise the same ValueErrors.  Gate sides are
 bit masks (bit i-1 set means gate i is wired in) and a topology is encoded
 as the bytes ``L1 R1 L2 R2 ...`` in gate order.  Masks are relabeled
-through tables built once per tuple of layer sizes and then cached;
-``extend`` walks its parent's tables once for all of the parent's children.
+through tables built once per tuple of layer sizes and then cached.
+``extend`` walks its parent's tables once for all of the parent's children,
+and keys every child with a one-gate new layer in one pass over the list of
+candidate gates: each relabeling maps the list to a row of gate codes, and
+element-wise minima of those rows give every child's keys at once.
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 
 BACKEND = "python"
 
@@ -55,6 +58,38 @@ def _faulty(a, b):
         return True
     shared = a & b
     return bool(shared) and not (shared < (a & ~b) and shared < (b & ~a))
+
+
+# Fault tables per gate count q <= MAX_GATES, built on first use.
+_FAULTS: dict[int, bytes] = {}
+
+
+def _fault_table(q):
+    """Build and cache the bytes whose entry ``a << 8 | b`` is 1 when sides
+    a <= b < 2 ** q make a faulty gate (``_faulty``), else 0."""
+    table = bytearray((1 << q) << 8)
+    for a in range(1 << q):
+        for b in range(a, 1 << q):
+            table[a << 8 | b] = _faulty(a, b)
+    table = _FAULTS[q] = bytes(table)
+    return table
+
+
+# Above every gate code ``a << 8 | b``: stands for a relabeled candidate
+# gate that is faulty, so that an element-wise min passes over it.
+_FAULT = 1 << 16
+
+
+def _least(rows):
+    """The element-wise min of equal-length rows, read from an iterable 16
+    at a time so that no more are held at once; None when there are none."""
+    rows = iter(rows)
+    best = None
+    while chunk := list(islice(rows, 16)):
+        if best is not None:
+            chunk.append(best)
+        best = chunk[0] if len(chunk) == 1 else list(map(min, *chunk))
+    return best
 
 
 def layer_masks(pairs):
@@ -144,13 +179,25 @@ def extend(enc, k):
     only old gates, so a child's relabeling is a relabeling of the parent
     followed by a permutation of the new layer, which can only sort it, and
     a new gate's fault does not depend on that permutation.
+
+    Children with one new gate, the most of them, are keyed all at once.
+    Each relabeling maps the candidate gates to a row of codes.  A child's
+    key_any ends in its candidate's least code over the parent's
+    automorphisms, the element-wise min of their rows.  Its key_min ends in
+    the least fault-free code within the first group of minimal relabelings,
+    by ascending old-gate encoding, that leaves the gate fault-free.  Rows
+    are made as a group is reduced and dropped after, so a parent with
+    hundreds of relabelings holds only a few rows at a time.  Wider layers
+    go through the candidate combinations one at a time.
     """
     q = len(enc) // 2
     if q == 0:
         raise ValueError("cannot extend an empty topology")
     if k > MAX_GATES:
         raise ValueError(f"kernel supports at most {MAX_GATES} gates, got k={k}")
-    pairs = [(enc[2 * i], enc[2 * i + 1]) for i in range(q)]
+    lefts = enc[::2]
+    rights = enc[1::2]
+    pairs = list(zip(lefts, rights))
     for i, (left, right) in enumerate(pairs):
         if (left | right) >> i:
             raise ValueError(f"gate {i + 1} references a gate numbered {i + 1} or later")
@@ -161,75 +208,107 @@ def extend(enc, k):
     last = layers[-1]
     full = (1 << q) - 1
 
-    cands = []
-    for left in range(1, full + 1):
-        if not left & last:
-            continue
-        for right in range(full + 1):
-            if right & last and right < left:
-                continue  # (right, left) is listed, and keys ignore side order
-            if (left & ~right) == 0:
-                continue
-            if right and (right & ~left) == 0:
-                continue
-            cands.append((left, right))
+    # Candidate new gates: the left side touches the last layer, neither
+    # side nests inside the other, and keys ignore side order, so a pair
+    # whose sides both touch the last layer is listed once, smaller first.
+    cands = [(left, right) for left in range(1, full + 1) if left & last
+             for right in range(full + 1)
+             if not (right & last and right < left) and left & ~right
+             and not (right and (right & ~left) == 0)]
 
     # Once per parent: each relabeling's encoding of the old gates, and
     # whether those gates are all fault-free.
+    faults = _FAULTS.get(q) or _fault_table(q)
     relabeled = []
     for positions, tab in _TABLES.get(sizes) or _relabel_tables(sizes):
         old = bytearray(2 * q)
         minimal = True
-        for p2, (left, right) in zip(positions, pairs):
-            old[p2], old[p2 + 1] = a, b = sorted((tab[left], tab[right]))
-            minimal = minimal and not _faulty(a, b)
+        for p2, left, right in zip(positions, lefts, rights):
+            a = tab[left]
+            b = tab[right]
+            if b < a:
+                a, b = b, a
+            old[p2] = a
+            old[p2 + 1] = b
+            if faults[a << 8 | b]:
+                minimal = False
         relabeled.append((bytes(old), minimal, tab))
     parent_key = min(key for key, _, _ in relabeled)
 
     cand_lefts = [left for left, _ in cands]
     cand_rights = [right for _, right in cands]
-    sharing = [index for index, (left, right) in enumerate(cands) if left & right]
 
-    def images(tab):
-        """Each candidate relabeled by tab, sides smaller first, as the
-        integer ``a << 8 | b`` (integer order is byte order), and the indices
-        of the candidates that relabel to a faulty gate.  Relabeling keeps
-        nesting, which the candidates exclude, so only a candidate whose
-        sides share a gate can fail."""
-        codes = [a << 8 | b if a <= b else b << 8 | a
-                 for a, b in zip(map(tab.__getitem__, cand_lefts),
-                                 map(tab.__getitem__, cand_rights))]
-        return codes, frozenset(i for i in sharing if _faulty(codes[i] >> 8, codes[i] & 0xFF))
+    def images(tab, lefts, rights):
+        """Each candidate ``(lefts[i], rights[i])`` relabeled by tab, sides
+        smaller first, as the integer ``a << 8 | b`` (integer order is byte
+        order)."""
+        return [a << 8 | b if a <= b else b << 8 | a
+                for a, b in zip(map(tab.__getitem__, lefts), map(tab.__getitem__, rights))]
 
-    autos = []
+    def fault_free(codes):
+        """The codes with ``_FAULT`` in place of each faulty gate's."""
+        return [_FAULT if faults[code] else code for code in codes]
+
+    autos = [tab for key, _, tab in relabeled if key == parent_key]
     groups = {}
     for key, minimal, tab in relabeled:
-        if key != parent_key and not minimal:
-            continue
-        codes, bad = images(tab)
-        if key == parent_key:
-            autos.append(codes)
         if minimal:
-            groups.setdefault(key, []).append((codes, bad))
+            groups.setdefault(key, []).append(tab)
     groups = sorted(groups.items())
 
-    out = {}
-    for width in range(1, k - q + 1):
+    # Width 1, every candidate at once.  A child's key_any ends in the least
+    # code of its gate over the automorphisms, and one candidate per code
+    # stands for its class.  Its key_min comes from the first group whose
+    # element-wise least fault-free row has a code, not _FAULT, for it.
+    # Rows are built while their group is reduced and dropped after.
+    classes = dict(zip(_least(images(tab, cand_lefts, cand_rights) for tab in autos), cands))
+    codes = sorted(classes)
+    reps = list(map(classes.__getitem__, codes))
+    rep_lefts = [left for left, _ in reps]
+    rep_rights = [right for _, right in reps]
+    key_mins = [None] * len(codes)
+    todo = range(len(codes))
+    for key, tabs in groups:
+        if key == parent_key and len(tabs) == 1:
+            least = fault_free(codes)  # the lone automorphism's own row
+        else:
+            least = _least(fault_free(images(tab, rep_lefts, rep_rights)) for tab in tabs)
+        left_over = []
+        for i in todo:
+            if least[i] == _FAULT:
+                left_over.append(i)
+            else:
+                key_mins[i] = key + least[i].to_bytes(2, "big")
+        todo = left_over
+        if not todo:
+            break
+    children = [(parent_key + code.to_bytes(2, "big"), key_min)
+                for code, key_min in zip(codes, key_mins)]
+    if q + 1 == k:
+        return children
+
+    # Widths 2 and up, one combination of candidates at a time.
+    out = dict(children)
+    auto_rows = [images(tab, cand_lefts, cand_rights) for tab in autos]
+    group_rows = [(key, [fault_free(images(tab, cand_lefts, cand_rights)) for tab in tabs])
+                  for key, tabs in groups]
+    for width in range(2, k - q + 1):
         pack = struct.Struct(f">{width}H").pack
         for combo in combinations_with_replacement(range(len(cands)), width):
-            if len(autos) == 1:
-                layer = sorted(map(autos[0].__getitem__, combo))
+            if len(auto_rows) == 1:
+                layer = sorted(map(auto_rows[0].__getitem__, combo))
             else:
-                layer = min(sorted(map(codes.__getitem__, combo)) for codes in autos)
+                layer = min(sorted(map(row.__getitem__, combo)) for row in auto_rows)
             key_any = parent_key + pack(*layer)
             if key_any in out:
                 continue
             key_min = None
-            for key, members in groups:
+            for key, rows in group_rows:
                 best = None
-                for codes, bad in members:
-                    if bad.isdisjoint(combo):
-                        layer = sorted(map(codes.__getitem__, combo))
+                for row in rows:
+                    layer = list(map(row.__getitem__, combo))
+                    if _FAULT not in layer:
+                        layer.sort()
                         if best is None or layer < best:
                             best = layer
                 if best is not None:

@@ -7,6 +7,7 @@ exactly when the command's success condition holds.
 import argparse
 import random
 import sys
+from functools import cache
 
 from . import bounds, oracle
 from .circuits import (format_truth_table, is_negation_normal, minimalize_circuit,
@@ -35,7 +36,11 @@ def _integer(text):
     return -value if text.startswith("-") else value
 
 
+@cache
 def build_parser():
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, and a parser is a web of cycles that only the cyclic collector
+    would free."""
     parser = argparse.ArgumentParser(
         prog="mcbound",
         description="Enumerate XOR-AND circuit topologies up to equivalence and "

@@ -59,6 +59,8 @@ class Topology:
     gates: tuple
 
     def __post_init__(self):
+        if type(self.k) is not int:
+            raise CircuitError(f"topology k must be an int, not {self.k!r}")
         gates = self.gates
         checked = None
         try:

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from mcbound.cli import main
@@ -195,6 +197,18 @@ def test_prove_falls_back_to_generate(capsys):
     code, stdout, _ = run(capsys, "prove", "--n", "2", "--k", "1")
     assert "topology_classes = 1" in stdout
     assert code == 1  # 16-function bound is not below |B_2| = 16
+
+
+def test_repeated_main_calls_leave_no_cyclic_garbage(capsys):
+    run(capsys, "prove", "--n", "7", "--k", "3")  # the parser is built once, on first use
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            assert run(capsys, "prove", "--n", "7", "--k", "3")[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- verify -----------------------------------------------------------------

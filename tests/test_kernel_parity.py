@@ -53,6 +53,27 @@ def test_extend_parity(gen_c):
         assert gen_c.extend(enc, 5) == _gen_py.extend(enc, 5)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+def test_extend_parity_on_k7_seeds(gen_c, q):
+    # q = 6 leaves room for one new gate only, under 720 automorphisms
+    enc = bytes(2 * q)
+    assert _gen_py.extend(enc, 7) == gen_c.extend(enc, 7)
+
+
+def test_extend_parity_on_one_gate_parents_at_k6(gen_c):
+    parents = []
+    stack = [bytes(2 * q) for q in range(1, 6)]
+    while stack:
+        enc = stack.pop()
+        if len(enc) == 10:
+            parents.append(enc)
+        else:
+            stack += [key for key, key_min in gen_c.extend(enc, 6) if key_min is not None]
+    assert len(parents) == 3282
+    for enc in random.Random(6).sample(parents, 300):
+        assert _gen_py.extend(enc, 6) == gen_c.extend(enc, 6), enc
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_generate_parity(gen_c, monkeypatch, k):
     monkeypatch.setattr(kernel, "_gen_c", gen_c)

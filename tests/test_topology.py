@@ -58,6 +58,12 @@ def test_topology_validation():
         Topology(1, ((1, 0),))
 
 
+@pytest.mark.parametrize("k, gates", [(2.0, ((0, 0),) * 2), (True, ((0, 0),))])
+def test_topology_rejects_k_that_is_not_an_int(k, gates):
+    with pytest.raises(CircuitError, match="k must be an int"):
+        Topology(k, gates)
+
+
 def test_topology_normalizes_gates():
     t = Topology(2, [[0, 0], [True, 0]])
     assert t == Topology(2, ((0, 0), (1, 0)))
