@@ -112,6 +112,8 @@ class TopologySet:
     __slots__ = ("k", "rows", "_members")
 
     def __init__(self, k, members):
+        if type(k) is not int:
+            raise CircuitError(f"topology set k must be an int, not {k!r}")
         self.k = k
         self._members = tuple(members)
         for t in self._members:

@@ -62,6 +62,8 @@ def test_topology_validation():
 def test_topology_rejects_k_that_is_not_an_int(k, gates):
     with pytest.raises(CircuitError, match="k must be an int"):
         Topology(k, gates)
+    with pytest.raises(CircuitError, match="k must be an int"):
+        TopologySet(k, (Topology(len(gates), gates),))
 
 
 def test_topology_normalizes_gates():
