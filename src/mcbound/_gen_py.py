@@ -256,11 +256,9 @@ def extend(enc, k):
             groups.setdefault(key, []).append(tab)
     groups = sorted(groups.items())
 
-    # Width 1, every candidate at once.  A child's key_any ends in the least
-    # code of its gate over the automorphisms, and one candidate per code
-    # stands for its class.  Its key_min comes from the first group whose
-    # element-wise least fault-free row has a code, not _FAULT, for it.
-    # Rows are built while their group is reduced and dropped after.
+    # Width 1, every candidate at once; one candidate per key_any code
+    # stands for its class, and a class is settled by the first group whose
+    # least fault-free row has a code, not _FAULT, for it.
     classes = dict(zip(_least(images(tab, cand_lefts, cand_rights) for tab in autos), cands))
     codes = sorted(classes)
     reps = list(map(classes.__getitem__, codes))
