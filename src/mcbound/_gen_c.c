@@ -54,7 +54,7 @@ relabel(int mask, const int *pi)
     return out;
 }
 
-/* topology.gate_fault(a, b) is None, for sides a <= b */
+/* _gen_py.gate_fault(a, b) is None, for sides a <= b */
 static int
 gate_ok(int a, int b)
 {

@@ -3,10 +3,13 @@
 Mirrors the compiled kernel in ``mcbound._gen_c``: both backends must
 produce byte-identical keys and raise the same ValueErrors.  Gate sides are
 bit masks (bit i-1 set means gate i is wired in) and a topology is encoded
-as the bytes ``L1 R1 L2 R2 ...`` in gate order.  Masks are relabeled
-through tables built once per tuple of layer sizes and then cached.
-``extend`` walks its parent's tables once for all of the parent's children,
-and keys every child with a one-gate new layer in one pass over the list of
+as the bytes ``L1 R1 L2 R2 ...`` in gate order.  ``gate_fault`` is the
+minimality predicate.  Masks are relabeled through tables built once per
+tuple of layer sizes and then cached, and ``_relabelings`` is the one pass
+that encodes a topology under each of them and tells which encodings are
+minimal: ``canonical_keys`` takes its two minima, and ``extend`` runs it
+once on the parent for all of the parent's children.  ``extend`` keys every
+child with a one-gate new layer in one pass over the cached list of
 candidate gates: each relabeling maps the list to a row of gate codes, and
 element-wise minima of those rows give every child's keys at once.
 """
@@ -14,6 +17,7 @@ element-wise minima of those rows give every child's keys at once.
 from __future__ import annotations
 
 import struct
+from functools import cache
 from itertools import combinations_with_replacement, islice, permutations, product
 
 BACKEND = "python"
@@ -52,27 +56,39 @@ def _relabel_tables(sizes):
     return tables
 
 
-def _faulty(a, b):
-    """topology.gate_fault(a, b) is not None, for sides a <= b."""
-    if a and (a & ~b) == 0 or b and (b & ~a) == 0:
-        return True
-    shared = a & b
-    return bool(shared) and not (shared < (a & ~b) and shared < (b & ~a))
-
-
-# Fault tables per gate count q <= MAX_GATES, built on first use.
-_FAULTS: dict[int, bytes] = {}
-
-
+@cache
 def _fault_table(q):
-    """Build and cache the bytes whose entry ``a << 8 | b`` is 1 when sides
-    a <= b < 2 ** q make a faulty gate (``_faulty``), else 0."""
+    """The bytes whose entry ``a << 8 | b`` is 1 when sides a <= b < 2 ** q
+    make a faulty gate, else 0."""
     table = bytearray((1 << q) << 8)
     for a in range(1 << q):
         for b in range(a, 1 << q):
-            table[a << 8 | b] = _faulty(a, b)
-    table = _FAULTS[q] = bytes(table)
-    return table
+            table[a << 8 | b] = gate_fault(a, b) is not None
+    return bytes(table)
+
+
+def _relabelings(lefts, rights, sizes):
+    """For each cached relabeling of gates laid out in layers of ``sizes``,
+    ``(encoding, minimal, tab)``: the gates ``(lefts[i], rights[i])``
+    relabeled by ``tab`` and encoded with each gate's sides smaller first,
+    and whether every relabeled gate is fault-free.  A side mask at or above
+    ``2 ** len(lefts)`` raises IndexError."""
+    faults = _fault_table(len(lefts))
+    out = []
+    for positions, tab in _TABLES.get(sizes) or _relabel_tables(sizes):
+        enc = bytearray(2 * len(lefts))
+        minimal = True
+        for p2, left, right in zip(positions, lefts, rights):
+            a = tab[left]
+            b = tab[right]
+            if b < a:
+                a, b = b, a
+            enc[p2] = a
+            enc[p2 + 1] = b
+            if faults[a << 8 | b]:
+                minimal = False
+        out.append((bytes(enc), minimal, tab))
+    return out
 
 
 # Above every gate code ``a << 8 | b``: stands for a relabeled candidate
@@ -92,6 +108,21 @@ def _least(rows):
     return best
 
 
+def gate_fault(left, right):
+    """Why one gate's side masks break the minimality conditions:
+    ``"left-nested"`` (a nonempty left side inside the right),
+    ``"right-nested"`` (the reverse), ``"shared"`` (the shared part is not
+    below both side remainders, masks compared as integers), or None."""
+    if left and (left & ~right) == 0:
+        return "left-nested"
+    if right and (right & ~left) == 0:
+        return "right-nested"
+    shared = left & right
+    if shared and not (shared < (left & ~right) and shared < (right & ~left)):
+        return "shared"
+    return None
+
+
 def layer_masks(pairs):
     """Greedy maximal layering: a gate joins the current layer unless one of
     its sides already meets it.  Returns the layers as bit masks."""
@@ -107,16 +138,32 @@ def layer_masks(pairs):
     return layers
 
 
+@cache
+def _candidates(q, last):
+    """The candidate new gates after q gates whose last layer is the mask
+    ``last``, as three tuples: the ``(left, right)`` pairs, their left
+    sides and their right sides.  The left side touches the last layer,
+    neither side nests inside the other, and keys ignore side order, so a
+    pair whose sides both touch the last layer is listed once, smaller
+    first."""
+    full = (1 << q) - 1
+    cands = tuple((left, right) for left in range(1, full + 1) if left & last
+                  for right in range(full + 1)
+                  if not (right & last and right < left)
+                  and gate_fault(left, right) in (None, "shared"))
+    return cands, tuple(left for left, _ in cands), tuple(right for _, right in cands)
+
+
 def canonical_keys(pairs, layer_sizes):
     """Least encodings of a well-layered topology over gate relabelings.
 
     The search permutes gate positions within each layer and orients each
     gate's sides both ways (side swaps never disturb the layering, which
     only sees the union of a gate's sides).  Each permutation comes from
-    the cached relabel table of ``layer_sizes``, so a side is relabeled by
-    one lookup.  Returns ``(key_any, key_min)``: the least encoding overall,
-    and the least encoding among variants whose gates all satisfy the
-    minimality conditions (None when no variant does).
+    the cached relabel table of ``layer_sizes``, so ``_relabelings``
+    relabels a side by one lookup.  Returns ``(key_any, key_min)``: the
+    least encoding overall, and the least encoding among variants whose
+    gates all satisfy the minimality conditions (None when no variant does).
     """
     q = len(pairs)
     if q == 0:
@@ -130,39 +177,12 @@ def canonical_keys(pairs, layer_sizes):
     rights = [p[1] for p in pairs]
     if min(lefts) < 0 or min(rights) < 0:
         raise ValueError("side masks must not be negative")
-    tables = _TABLES.get(sizes) or _relabel_tables(sizes)
-
-    best_any = None
-    best_min = None
-    enc = bytearray(2 * q)
     try:
-        for positions, tab in tables:
-            minimal = True
-            # topology.gate_fault inlined: hot loop, must match _gen_c byte for byte.
-            for p2, left, right in zip(positions, lefts, rights):
-                a = tab[left]
-                b = tab[right]
-                if b < a:
-                    a, b = b, a
-                if minimal:
-                    if a and (a & ~b) == 0:
-                        minimal = False
-                    elif b and (b & ~a) == 0:
-                        minimal = False
-                    else:
-                        shared = a & b
-                        if shared and not (shared < (a & ~b) and shared < (b & ~a)):
-                            minimal = False
-                enc[p2] = a
-                enc[p2 + 1] = b
-            key = bytes(enc)
-            if best_any is None or key < best_any:
-                best_any = key
-            if minimal and (best_min is None or key < best_min):
-                best_min = key
+        relabeled = _relabelings(lefts, rights, sizes)
     except IndexError:
         raise ValueError(f"side masks of {q} gates must be below {1 << q}") from None
-    return best_any, best_min
+    return (min(key for key, _, _ in relabeled),
+            min((key for key, minimal, _ in relabeled if minimal), default=None))
 
 
 def extend(enc, k):
@@ -204,39 +224,10 @@ def extend(enc, k):
     if q >= k:
         return []
     layers = layer_masks(pairs)
-    sizes = tuple(m.bit_count() for m in layers)
-    last = layers[-1]
-    full = (1 << q) - 1
-
-    # Candidate new gates: the left side touches the last layer, neither
-    # side nests inside the other, and keys ignore side order, so a pair
-    # whose sides both touch the last layer is listed once, smaller first.
-    cands = [(left, right) for left in range(1, full + 1) if left & last
-             for right in range(full + 1)
-             if not (right & last and right < left) and left & ~right
-             and not (right and (right & ~left) == 0)]
-
-    # Once per parent: each relabeling's encoding of the old gates, and
-    # whether those gates are all fault-free.
-    faults = _FAULTS.get(q) or _fault_table(q)
-    relabeled = []
-    for positions, tab in _TABLES.get(sizes) or _relabel_tables(sizes):
-        old = bytearray(2 * q)
-        minimal = True
-        for p2, left, right in zip(positions, lefts, rights):
-            a = tab[left]
-            b = tab[right]
-            if b < a:
-                a, b = b, a
-            old[p2] = a
-            old[p2 + 1] = b
-            if faults[a << 8 | b]:
-                minimal = False
-        relabeled.append((bytes(old), minimal, tab))
+    cands, cand_lefts, cand_rights = _candidates(q, layers[-1])
+    faults = _fault_table(q)
+    relabeled = _relabelings(lefts, rights, tuple(m.bit_count() for m in layers))
     parent_key = min(key for key, _, _ in relabeled)
-
-    cand_lefts = [left for left, _ in cands]
-    cand_rights = [right for _, right in cands]
 
     def images(tab, lefts, rights):
         """Each candidate ``(lefts[i], rights[i])`` relabeled by tab, sides

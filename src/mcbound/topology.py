@@ -11,7 +11,7 @@ from itertools import islice, product
 from operator import countOf
 
 from . import kernel
-from ._gen_py import layer_masks
+from ._gen_py import gate_fault, layer_masks
 from .errors import CapacityError, CircuitError, ContractError, ParseError, read_ascii
 
 MAX_GENERATE_K = 7
@@ -193,21 +193,6 @@ def is_well_layered(t):
     """True iff every gate beyond the first layer uses (on either side) some
     gate of the immediately preceding layer."""
     return well_layer_move(t.gates) is None
-
-
-def gate_fault(left, right):
-    """Why one gate's side masks break the minimality conditions:
-    ``"left-nested"`` (a nonempty left side inside the right),
-    ``"right-nested"`` (the reverse), ``"shared"`` (the shared part is not
-    below both side remainders, masks compared as integers), or None."""
-    if left and (left & ~right) == 0:
-        return "left-nested"
-    if right and (right & ~left) == 0:
-        return "right-nested"
-    shared = left & right
-    if shared and not (shared < (left & ~right) and shared < (right & ~left)):
-        return "shared"
-    return None
 
 
 def is_minimal(t):

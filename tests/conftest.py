@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from mcbound.circuits import Circuit, g, x
 
@@ -51,3 +52,19 @@ def naive_eval(c, bits):
     for t in c.output:
         out ^= term_value(t)
     return out
+
+
+# the text formats' own characters, so that edits often reach the parsers'
+# later checks, and any other character
+_EDIT_CHARS = st.one_of(st.sampled_from("0123456789{},=:- \nxgTLRkoutpylsec"), st.characters())
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with one to three characters deleted, inserted or replaced."""
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("delete", "insert", "replace")))
+        cut = pos + (op != "insert")
+        text = text[:pos] + ("" if op == "delete" else draw(_EDIT_CHARS)) + text[cut:]
+    return text

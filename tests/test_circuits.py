@@ -19,7 +19,7 @@ from mcbound.errors import CapacityError, CircuitError, ContractError, ParseErro
 from mcbound.randgen import random_circuit
 from mcbound.topology import MAX_GENERATE_K, Topology, is_minimal, is_well_layered, layering
 
-from conftest import MAJ4_TEXT, naive_eval
+from conftest import MAJ4_TEXT, mutated, naive_eval
 
 
 def fs(*terms):
@@ -396,6 +396,20 @@ def test_rewrite_pipeline_digest():
         rewritten = minimalize_circuit(normalize_circuit_layering(negation_normalize(c)))
         h.update(format_circuit(rewritten).encode())
     assert h.hexdigest() == "df8b30c8ef1b56786d2ba54b463e0dea34a1315ddd17e43d679795a8d788cbef"
+
+
+@given(circuits(), st.data())
+@settings(max_examples=150)
+def test_parse_circuit_mutated_text(c, data):
+    text = data.draw(mutated(format_circuit(c)))
+    try:
+        parsed = parse_circuit(text)
+    except ParseError:
+        return
+    except CapacityError as exc:  # an arity past the cap, as parse_truth_table
+        assert "exceeds the supported cap" in str(exc)
+        return
+    assert parse_circuit(format_circuit(parsed)) == parsed
 
 
 def test_parse_circuit_rejects_non_ascii_digits():

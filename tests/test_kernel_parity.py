@@ -231,3 +231,18 @@ def test_relabel_tables_are_bounded_by_compositions():
     assert _gen_py._TABLES
     for sizes in _gen_py._TABLES:
         assert min(sizes) >= 1 and sum(sizes) <= 5
+
+
+def test_candidate_lists_are_cached_tuples_and_bounded():
+    _gen_py._candidates.cache_clear()
+    count_classes(5, backend="python")
+    # one entry per (q, last layer) met, q <= 4 at k=5
+    assert 0 < _gen_py._candidates.cache_info().currsize <= 30
+    cands, lefts, rights = _gen_py._candidates(3, 4)
+    assert type(cands) is type(lefts) is type(rights) is tuple
+    assert lefts == tuple(left for left, _ in cands)
+    assert rights == tuple(right for _, right in cands)
+
+
+def test_one_minimality_predicate():
+    assert gate_fault is _gen_py.gate_fault  # as topology re-exports it

@@ -20,6 +20,8 @@ from mcbound.topology import (Topology, TopologySet, canonical_form, count_class
                               mask_indices, parse_topology, parse_topology_set,
                               save_topology_set, well_layer_move)
 
+from conftest import mutated
+
 MAJ4_TOPOLOGY = Topology(4, ((0, 0), (0, 0), (0, 2), (1, 2)))
 # the same wiring listed in a different gate order; not well-layered
 REORDERED_MAJ4 = Topology(4, ((0, 0), (0, 1), (0, 0), (4, 1)))
@@ -280,7 +282,7 @@ def test_canonical_form_matches_equivalence(k):
 
 
 def test_representative_form_is_minimal_when_possible():
-    # the kernel's inline minimality predicate agrees with gate_fault
+    # the kernel's key_min, found through gate_fault, is a minimal member
     for t in all_raw(4):
         if not (is_well_layered(t) and is_minimal(t)):
             continue
@@ -436,6 +438,17 @@ def topology_sets(draw, max_k=10):
 @example(TopologySet(10, (Topology(10, ((0, 0),) * 9 + ((256, 511),)),)))
 @settings(max_examples=150)
 def test_topology_set_text_roundtrip_random(ts):
+    assert parse_topology_set(format_topology_set(ts)) == ts
+
+
+@given(st.integers(0, 3), st.data())
+@settings(max_examples=150)
+def test_parse_topology_set_mutated_text(k, data):
+    text = data.draw(mutated(format_topology_set(generate(k))))
+    try:
+        ts = parse_topology_set(text)
+    except ParseError:
+        return
     assert parse_topology_set(format_topology_set(ts)) == ts
 
 
