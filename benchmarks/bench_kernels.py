@@ -18,6 +18,13 @@ fed the previous one's results: ``truth_table``, ``negation_normalize``,
 ``normalize_circuit_layering``, ``minimalize_circuit``, ``format_circuit``
 and ``parse_circuit``, the best of five passes.
 
+Last, through ``startup.py``, the start-up of the package this script
+imports: the median seconds of STARTS fresh interpreters that each run
+``import mcbound.cli``, and of STARTS that each run ``mcbound prove --n 7
+--k 6 --classes 555709``, with the children's peak RSS.  The children
+inherit ``PYTHONDONTWRITEBYTECODE``, which decides whether they may reuse
+cached bytecode; the record notes it.
+
 ``--json PATH`` also appends the run, as one record, to the JSON list in
 PATH (a new file holds just that record): every figure printed, the
 backends, the ``git rev-parse HEAD`` of this checkout and the seconds of
@@ -51,6 +58,7 @@ from calibrate import reference_seconds  # noqa: E402
 
 
 CIRCUITS = 2000
+STARTS = 21
 
 
 def timed(fn, *args, **kwargs):
@@ -136,6 +144,16 @@ def circuit_stages_us(count, seed=1):
     return best
 
 
+def startup():
+    """``startup.py``'s figures for STARTS starts of the package this script
+    imports."""
+    src = Path(kernel.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-I", "-S", str(ROOT / "benchmarks" / "startup.py"),
+                           str(STARTS), str(src)],
+                          capture_output=True, text=True, check=True, timeout=600)
+    return json.loads(done.stdout)
+
+
 def git_commit():
     """``git rev-parse HEAD`` of this checkout, or None outside git."""
     try:
@@ -218,13 +236,19 @@ def main():
     circuit_us = circuit_stages_us(CIRCUITS)
     for name, us in circuit_us.items():
         print(f"{name:>28} {us:>8.1f}us")
+    print(f"\nstart-up, median of {STARTS} fresh interpreters, and peak RSS:")
+    started = startup()
+    for name, figures in started.items():
+        print(f"{name:>28} {figures['median_s'] * 1e3:>8.1f}ms {figures['peak_rss_mb']:>6.1f}MB")
     if args.json:
         append_record(args.json, {
             "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
             "commit": git_commit(), "backends": backends, "python": platform.python_version(),
             "cpus": os.cpu_count(), "max_k": args.max_k,
             "reference_s": {"before": reference_before, "after": reference_seconds()},
-            "rows": rows, "circuit_us": circuit_us})
+            "rows": rows, "circuit_us": circuit_us,
+            "startup": dict(started, starts=STARTS,
+                            dont_write_bytecode=bool(os.environ.get("PYTHONDONTWRITEBYTECODE")))})
 
 
 if __name__ == "__main__":

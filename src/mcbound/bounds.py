@@ -5,7 +5,7 @@ verdicts hinge on strict comparisons with margins as small as a factor of 4,
 so no value is ever approximated.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapacityError
 
@@ -77,23 +77,14 @@ def b_n_size(n):
     return 1 << (1 << n)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "n k topology_classes all_circuits raw_topologies "
+                                            "per_topology negnormal_per_topology "
+                                            "negnormal_circuits refined b_n verdict")):
     """All bound values for one (n, k, class count) instance.  The verdict is
     true iff the refined bound is strictly below |B_n|, i.e. some n-input
-    function needs more than k AND gates."""
+    function needs more than k AND gates.  An immutable named tuple."""
 
-    n: int
-    k: int
-    topology_classes: int
-    all_circuits: int
-    raw_topologies: int
-    per_topology: int
-    negnormal_per_topology: int
-    negnormal_circuits: int
-    refined: int
-    b_n: int
-    verdict: bool
+    __slots__ = ()
 
 
 def check_report_size(n, k, classes):

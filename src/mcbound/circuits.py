@@ -89,6 +89,17 @@ def _check_arity(n):
         raise CapacityError(f"arity {n} exceeds the supported cap of {MAX_ARITY}")
 
 
+def _check_header_arity(n, lineno):
+    """Refuse a text header's arity past MAX_ARITY, before any other work, as
+    a ParseError at the header's line; an arity below 1 is left to the
+    constructor."""
+    if n > MAX_ARITY:
+        try:
+            _check_arity(n)
+        except CapacityError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """Output bits of an n-ary Boolean function: bit v is the value at the
@@ -459,6 +470,7 @@ def parse_circuit(text):
     if not header:
         raise ParseError("expected 'circuit n=<n> k=<k>'", line=lineno)
     n = int(header.group(1))
+    _check_header_arity(n, lineno)
     k = int(header.group(2))
     if len(numbered) != k + 2:
         raise ParseError(f"expected {k} gate lines and one 'out:' line", line=lineno)
@@ -493,6 +505,7 @@ def parse_truth_table(text):
     if not m:
         raise ParseError("expected 'tt n=<n> <bits>'", line=1)
     n = int(m.group(1))
+    _check_header_arity(n, 1)
     try:
         return TruthTable.from_string(n, m.group(2))
     except CircuitError as exc:

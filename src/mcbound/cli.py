@@ -2,19 +2,17 @@
 
 Results go to stdout, diagnostics and progress to stderr.  Exit status is 0
 exactly when the command's success condition holds.
+
+Only ``verify`` and ``eval`` load the circuit layer and the oracle, so the
+other commands start without them.
 """
 
 import argparse
-import random
 import sys
 from functools import cache
 
-from . import bounds, oracle
-from .circuits import (format_truth_table, is_negation_normal, minimalize_circuit,
-                       negation_normalize, normalize_circuit_layering, parse_circuit,
-                       topology_of, truth_table)
+from . import bounds
 from .errors import CapacityError, CircuitError, ContractError, ParseError, read_ascii
-from .randgen import random_circuit
 from .topology import (_ascii_number, count_classes, generate, is_minimal, is_well_layered,
                        load_topology_set, save_topology_set)
 
@@ -68,7 +66,7 @@ def build_parser():
     p.add_argument("--suite", required=True,
                    choices=["oracle-topologies", "rewrites", "completeness", "m3"])
     p.add_argument("--max-k", type=_integer, default=4,
-                   help=f"cap for oracle-topologies (1..{oracle.MAX_RAW_K})")
+                   help="cap for oracle-topologies (at most the oracle's raw enumeration cap)")
     p.add_argument("--cases", type=_integer, default=1000, help="random cases for rewrites")
     p.add_argument("--seed", type=_integer, default=42, help="seed for random cases")
     _common_flags(p)
@@ -175,6 +173,8 @@ def _cmd_prove(args):
 
 
 def _suite_oracle_topologies(args):
+    from . import oracle
+
     ok = True
     for k in range(1, args.max_k + 1):
         raw = list(oracle.enumerate_raw_topologies(k))
@@ -212,6 +212,12 @@ def _suite_oracle_topologies(args):
 
 
 def _suite_rewrites(args):
+    import random
+
+    from .circuits import (is_negation_normal, minimalize_circuit, negation_normalize,
+                           normalize_circuit_layering, topology_of, truth_table)
+    from .randgen import random_circuit
+
     rng = random.Random(args.seed)
     for case in range(args.cases):
         c = random_circuit(rng)
@@ -244,6 +250,8 @@ def _report_rewrite_failure(op, case, c):
 
 
 def _suite_completeness(args):
+    from . import oracle
+
     ok = True
     for n, k in ((1, 1), (2, 0), (2, 2)):
         if oracle.verify_completeness_small(n, k):
@@ -255,6 +263,8 @@ def _suite_completeness(args):
 
 
 def _suite_m3(args):
+    from . import oracle
+
     all_b3 = 1 << (1 << 3)
     two = oracle.exhaustive_function_set(3, 2, generate(2))
     one = oracle.exhaustive_function_set(3, 1, generate(1))
@@ -273,6 +283,8 @@ def _suite_m3(args):
 
 
 def _cmd_verify(args):
+    from . import oracle
+
     if not 1 <= args.max_k <= oracle.MAX_RAW_K:
         return _usage_error(f"--max-k must be in 1..{oracle.MAX_RAW_K}")
     if args.cases < 1:
@@ -287,6 +299,8 @@ def _cmd_verify(args):
 
 
 def _cmd_eval(args):
+    from .circuits import format_truth_table, parse_circuit, truth_table
+
     circuit = parse_circuit(read_ascii(args.circuit))
     print(format_truth_table(truth_table(circuit)))
     return 0

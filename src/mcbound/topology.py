@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, partial
 from itertools import islice, product
 from operator import countOf
@@ -51,28 +51,36 @@ def _checked_gates(k, gates):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Topology:
-    """AND-gate wiring only: gate i's sides are masks over gates 1..i-1."""
+class Topology(namedtuple("Topology", "k gates")):
+    """AND-gate wiring only: gate i's sides are masks over gates 1..i-1.
 
-    k: int
-    gates: tuple
+    An immutable named tuple: equal to, and unpacked like, the plain tuple
+    ``(k, gates)``.  Every construction, including ``_make``, ``_replace``,
+    a copy and an unpickling, goes through ``__new__`` and its checks."""
 
-    def __post_init__(self):
-        if type(self.k) is not int:
-            raise CircuitError(f"topology k must be an int, not {self.k!r}")
-        gates = self.gates
+    __slots__ = ()
+
+    def __new__(cls, k, gates):
+        if type(k) is not int:
+            raise CircuitError(f"topology k must be an int, not {k!r}")
         checked = None
         try:
-            if len(gates) == self.k <= MAX_GENERATE_K:
+            if len(gates) == k <= MAX_GENERATE_K:
                 # One lookup per gate both checks it and gives its shared
                 # int pair; on a miss the full checks judge the gates.
                 checked = tuple(map(dict.__getitem__, _gate_pairs(), gates))
         except (KeyError, TypeError):
             pass
         if checked is None:
-            checked = _checked_gates(self.k, gates)
-        object.__setattr__(self, "gates", checked)
+            checked = _checked_gates(k, gates)
+        return tuple.__new__(cls, (k, checked))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def encode(self):
         out = bytearray()
@@ -91,11 +99,10 @@ class Topology:
         return cls(k, tuple(zip(data[::2], data[1::2])))
 
 
-@dataclass(frozen=True)
-class Layering:
+class Layering(namedtuple("Layering", "layers")):
     """Ordered partition of a topology's gates into layers, as bit masks."""
 
-    layers: tuple
+    __slots__ = ()
 
     @property
     def sizes(self):
@@ -385,14 +392,17 @@ def _ascii_number(text):
     return None
 
 
-# Canonical text of every side mask below 256 (every side of a topology on
-# at most 9 gates), fixed at import.
-_MASK_TEXT = tuple(",".join(map(str, mask_indices(mask))) for mask in range(256))
+@cache
+def _mask_texts():
+    """Canonical text of every side mask below 256 (every side of a
+    topology on at most 9 gates), built on first use."""
+    return tuple(",".join(map(str, mask_indices(mask))) for mask in range(256))
 
 
 def _fmt_mask(mask):
-    if mask < len(_MASK_TEXT):
-        return _MASK_TEXT[mask]
+    texts = _mask_texts()
+    if mask < len(texts):
+        return texts[mask]
     return ",".join(map(str, mask_indices(mask)))
 
 

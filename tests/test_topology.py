@@ -550,13 +550,14 @@ def test_sets_build_members_on_first_read(tmp_path, monkeypatch):
     path = tmp_path / "t4.txt"
     path.write_text(text)
     built = []
-    post_init = Topology.__post_init__
+    new = Topology.__new__
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(cls, k, gates):
+        t = new(cls, k, gates)
+        built.append(t)
+        return t
 
-    monkeypatch.setattr(Topology, "__post_init__", counting)
+    monkeypatch.setattr(Topology, "__new__", counting)
     for make in (lambda: generate(4), lambda: parse_topology_set(text),
                  lambda: load_topology_set(path)):
         ts = make()
