@@ -2,15 +2,15 @@
 topology-set file format and the circuit layer.
 
 Per backend, times the class walk alone (``count_classes``), the walk plus
-the sorted member rows (``generate``) and ``extend`` in microseconds per
-parent over every parent that the walk for k expands, and reports the
-speedup of the compiled kernel on the first two.  Per k, also times
-``save_topology_set`` and ``load_topology_set`` of the generated set, which
-use no kernel, the first read of ``members`` on the loaded set, which
-builds its ``Topology`` views, ``Topology.from_encoding`` in microseconds
-per member, and the pure-Python ``canonical_keys`` in microseconds per call
-over every member with its layer sizes: cold, with the relabel tables
-emptied so that the calls build them, then warm.
+the sorted member rows (``generate``), and ``extend`` and ``count_extend``
+in microseconds per parent over every parent that the walk for k expands,
+and reports the speedup of the compiled kernel on the first two.  Per k,
+also times ``save_topology_set`` and ``load_topology_set`` of the generated
+set, which use no kernel, the first read of ``members`` on the loaded set,
+which builds its ``Topology`` views, ``Topology.from_encoding`` in
+microseconds per member, and the pure-Python ``canonical_keys`` in
+microseconds per call over every member with its layer sizes: cold, with
+the relabel tables emptied so that the calls build them, then warm.
 
 Then, over seeded ``random_circuit(max_n=7, max_k=7)`` circuits, the
 microseconds per circuit of each stage of the rewrite pipeline, each stage
@@ -80,14 +80,14 @@ def walk_parents(kern, k):
     return parents
 
 
-def extend_us(kern, k, parents):
-    """``kern.extend`` microseconds per parent over the parents, or None
+def per_parent_us(fn, k, parents):
+    """``fn(enc, k)`` microseconds per parent over the parents, or None
     when there are none."""
     if not parents:
         return None
     start = time.perf_counter()
     for enc in parents:
-        kern.extend(enc, k)
+        fn(enc, k)
     return (time.perf_counter() - start) / len(parents) * 1e6
 
 
@@ -192,7 +192,7 @@ def main():
         print("note: compiled kernel not built, timing the fallback only")
     columns = [(b, phase) for b in backends for phase in ("walk", "generate")]
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
-          + "".join(f" {b + ' extend':>16}" for b in backends)
+          + "".join(f" {b + ' ' + f:>16}" for f in ("extend", "count_extend") for b in backends)
           + f" {'save':>9} {'load':>9} {'members':>9} {'from_enc':>9}"
           + f" {'keys cold':>10} {'keys warm':>10}"
           + ("   speedup walk/generate" if len(backends) > 1 else ""))
@@ -214,17 +214,21 @@ def main():
                 raise SystemExit(f"k={k}: the loaded set differs from the saved one")
             members, members_s = timed(lambda: back.members)
             parents = walk_parents(kernel.get_backend(backends[0]), k)
-            extend = {b: extend_us(kernel.get_backend(b), k, parents) for b in backends}
+            extend = {b: per_parent_us(kernel.get_backend(b).extend, k, parents)
+                      for b in backends}
+            count_extend = {b: per_parent_us(kernel.get_backend(b).count_extend, k, parents)
+                            for b in backends}
             cold_us, warm_us = canonical_keys_us(members)
             from_enc_us = from_encoding_us(members)
             rows.append({"k": k, "classes": count, "parents": len(parents),
                          "walk_s": {b: times[b, "walk"] for b in backends},
                          "generate_s": {b: times[b, "generate"] for b in backends},
-                         "extend_us": extend, "save_s": save_s, "load_s": load_s,
+                         "extend_us": extend, "count_extend_us": count_extend,
+                         "save_s": save_s, "load_s": load_s,
                          "members_s": members_s, "from_encoding_us": from_enc_us,
                          "canonical_keys_cold_us": cold_us, "canonical_keys_warm_us": warm_us})
             line = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
-            for us in extend.values():
+            for us in [*extend.values(), *count_extend.values()]:
                 line += f" {'-' if us is None else f'{us:.1f}us':>16}"
             line += (f" {save_s:>8.3f}s {load_s:>8.3f}s {members_s:>8.3f}s"
                      f" {from_enc_us:>7.2f}us {cold_us:>8.1f}us {warm_us:>8.1f}us")

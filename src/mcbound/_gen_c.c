@@ -302,12 +302,35 @@ child_key(const unsigned char *prefix, int n, const unsigned char *layer, int m)
     return PyBytes_FromStringAndSize((const char *)key, n + m);
 }
 
-/* Adds the keys of every child of parent with one new layer of 1..k-q of
-   the ncand candidate gates (with repetition) to out, as _gen_py.extend:
-   the parent's relabelings are walked once, and a child's are a parent
-   relabeling followed by sorting the new layer. */
+/* Whether the new layer of candidates idx[0..width) stands for its class:
+   the first automorphism maps it to the least sorted layer over all of
+   them, which it writes to best.  A relabeling maps distinct multisets of
+   candidates to distinct multisets of codes, so each class has exactly one
+   such layer, and no table of the keys seen is needed. */
 static int
-add_children(PyObject *out, const topo *parent, int k,
+least_under_first(const unsigned short *codes, int ncand, relabeling *const *autos,
+                  int nautos, const int *idx, int width, unsigned char *best)
+{
+    unsigned char layer[2 * MAX_GATES];
+    int i;
+    sorted_layer(codes + autos[0]->row * ncand, idx, width, best);
+    for (i = 1; i < nautos; i++) {
+        sorted_layer(codes + autos[i]->row * ncand, idx, width, layer);
+        if (memcmp(layer, best, 2 * width) < 0)
+            return 0;
+    }
+    return 1;
+}
+
+/* Walks the children of parent with one new layer of 1..k-q of the ncand
+   candidate gates (with repetition), as _gen_py.extend: the parent's
+   relabelings are walked once, and a child's are a parent relabeling
+   followed by sorting the new layer.  Appends each child's (key_any,
+   key_min) to the list out, except, when counts is not NULL, the full
+   children (those of k gates): counts[0] counts them and counts[1] those
+   that have a key_min, and neither key is built. */
+static int
+add_children(PyObject *out, Py_ssize_t *counts, const topo *parent, int k,
              const int *cand_left, const int *cand_right, int ncand)
 {
     /* a parent has at most MAX_GATES - 1 gates, so at most 6! relabelings */
@@ -363,27 +386,32 @@ add_children(PyObject *out, const topo *parent, int k,
     }
 
     for (width = 1; width <= k - parent->q; width++) {
+        int counting = counts != NULL && width == k - parent->q;
         memset(idx, 0, sizeof idx);
         for (;;) {
-            PyObject *key_any, *key_min = Py_None;
+            PyObject *key_any, *key_min = Py_None, *child;
             const relabeling *found = NULL;
             int g, end;
 
-            for (i = 0; i < nautos; i++) {
-                sorted_layer(codes + autos[i]->row * ncand, idx, width, layer);
-                if (!i || memcmp(layer, best, 2 * width) < 0)
-                    memcpy(best, layer, 2 * width);
+            if (!least_under_first(codes, ncand, autos, nautos, idx, width, best))
+                goto next;
+            if (counting) {
+                /* a key_min exists exactly when some minimal relabeling
+                   leaves every new gate minimal too */
+                for (g = 0; g < nmins; g++) {
+                    const unsigned char *row_ok = ok + mins[g]->row * ncand;
+                    for (j = 0; j < width && row_ok[idx[j]]; j++)
+                        ;
+                    if (j == width)
+                        break;
+                }
+                counts[0]++;
+                counts[1] += g < nmins;
+                goto next;
             }
             key_any = child_key(rel[least].enc, n, best, 2 * width);
             if (key_any == NULL)
                 goto done;
-            c = PyDict_Contains(out, key_any);
-            if (c) {
-                Py_DECREF(key_any);
-                if (c < 0)
-                    goto done;
-                goto next;
-            }
             /* key_min: the least parent encoding among the groups of minimal
                relabelings that leave every new gate minimal too, then the
                least new layer in that group */
@@ -408,9 +436,13 @@ add_children(PyObject *out, const topo *parent, int k,
                 Py_DECREF(key_any);
                 goto done;
             }
-            c = PyDict_SetItem(out, key_any, key_min);
+            child = PyTuple_Pack(2, key_any, key_min);
             Py_DECREF(key_any);
             Py_DECREF(key_min);
+            if (child == NULL)
+                goto done;
+            c = PyList_Append(out, child);
+            Py_DECREF(child);
             if (c < 0)
                 goto done;
         next:
@@ -431,24 +463,21 @@ done:
     return rc;
 }
 
-PyDoc_STRVAR(extend_doc,
-"extend(enc, k)\n--\n\n"
-"All one-new-layer extensions of a partial topology, as canonical keys.\n\n"
-"Appends a layer of 1..k-q new gates; every new gate must touch the\n"
-"current last layer and neither side may nest inside the other.  Returns\n"
-"the deduplicated extensions as sorted (key_any, key_min) pairs.");
-
+/* extend(enc, k) when counts is NULL, else count_extend(enc, k) with
+   counts[0..2) zeroed: the shared checks, the parent's layering and
+   candidate gates, then add_children.  Returns the sorted list of
+   children that add_children appends. */
 static PyObject *
-extend(PyObject *self, PyObject *args)
+children(PyObject *args, const char *format, Py_ssize_t *counts)
 {
     Py_buffer enc;
-    PyObject *k_arg, *out = NULL, *result = NULL;
+    PyObject *k_arg, *result = NULL;
     const unsigned char *bytes;
     int cand_left[MAX_CANDS], cand_right[MAX_CANDS];
     int k, over, q, i, cur, last, full, left, right, ncand = 0;
     topo parent;
 
-    if (!PyArg_ParseTuple(args, "y*O:extend", &enc, &k_arg))
+    if (!PyArg_ParseTuple(args, format, &enc, &k_arg))
         return NULL;
     bytes = enc.buf;
     if (enc.len < 2) {
@@ -469,10 +498,9 @@ extend(PyObject *self, PyObject *args)
                          "gate %d references a gate numbered %d or later", i + 1, i + 1);
             goto done;
         }
-    if (over < 0 || enc.len / 2 >= k) {
-        result = PyList_New(0);
+    result = PyList_New(0);
+    if (result == NULL || over < 0 || enc.len / 2 >= k)
         goto done;
-    }
 
     /* greedy maximal layering of the parent, as _gen_py.layer_masks */
     q = parent.q = (int)(enc.len / 2);
@@ -507,23 +535,48 @@ extend(PyObject *self, PyObject *args)
         }
     }
 
-    out = PyDict_New();
-    if (out == NULL)
-        goto done;
-    if (ncand && add_children(out, &parent, k, cand_left, cand_right, ncand) < 0)
-        goto done;
-    result = PyDict_Items(out);
-    if (result != NULL && PyList_Sort(result) < 0)
+    if ((ncand && add_children(result, counts, &parent, k, cand_left, cand_right, ncand) < 0)
+        || PyList_Sort(result) < 0)
         Py_CLEAR(result);
 done:
-    Py_XDECREF(out);
     PyBuffer_Release(&enc);
     return result;
+}
+
+PyDoc_STRVAR(extend_doc,
+"extend(enc, k)\n--\n\n"
+"All one-new-layer extensions of a partial topology, as canonical keys.\n\n"
+"Appends a layer of 1..k-q new gates; every new gate must touch the\n"
+"current last layer and neither side may nest inside the other.  Returns\n"
+"the deduplicated extensions as sorted (key_any, key_min) pairs.");
+
+static PyObject *
+extend(PyObject *self, PyObject *args)
+{
+    return children(args, "y*O:extend", NULL);
+}
+
+PyDoc_STRVAR(count_extend_doc,
+"count_extend(enc, k)\n--\n\n"
+"(full, full_min, partials) for the children extend(enc, k) lists: the\n"
+"number of full children (those of k gates), how many of them have a\n"
+"key_min, and the partial children exactly as extend lists them.  No full\n"
+"child's key is built.");
+
+static PyObject *
+count_extend(PyObject *self, PyObject *args)
+{
+    Py_ssize_t counts[2] = {0, 0};
+    PyObject *partials = children(args, "y*O:count_extend", counts);
+    if (partials == NULL)
+        return NULL;
+    return Py_BuildValue("(nnN)", counts[0], counts[1], partials);
 }
 
 static PyMethodDef methods[] = {
     {"canonical_keys", canonical_keys, METH_VARARGS, canonical_keys_doc},
     {"extend", extend, METH_VARARGS, extend_doc},
+    {"count_extend", count_extend, METH_VARARGS, count_extend_doc},
     {NULL, NULL, 0, NULL},
 };
 

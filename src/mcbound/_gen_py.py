@@ -7,18 +7,21 @@ as the bytes ``L1 R1 L2 R2 ...`` in gate order.  ``gate_fault`` is the
 minimality predicate.  Masks are relabeled through tables built once per
 tuple of layer sizes and then cached, and ``_relabelings`` is the one pass
 that encodes a topology under each of them and tells which encodings are
-minimal: ``canonical_keys`` takes its two minima, and ``extend`` runs it
-once on the parent for all of the parent's children.  ``extend`` keys every
-child with a one-gate new layer in one pass over the cached list of
-candidate gates: each relabeling maps the list to a row of gate codes, and
-element-wise minima of those rows give every child's keys at once.
+minimal: ``canonical_keys`` takes its two minima, and ``extend`` and
+``count_extend`` run it once on the parent (``_Parent``) for all of the
+parent's children.  Every child with a one-gate new layer is keyed in one
+pass over the cached list of candidate gates: each relabeling maps the list
+to a row of gate codes, and element-wise minima of those rows give every
+child's keys at once.  ``count_extend`` counts the children that complete k
+gates instead of keying them.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import cache
+from functools import cache, cached_property, reduce
 from itertools import combinations_with_replacement, islice, permutations, product
+from operator import and_
 
 BACKEND = "python"
 
@@ -185,114 +188,137 @@ def canonical_keys(pairs, layer_sizes):
             min((key for key, minimal, _ in relabeled if minimal), default=None))
 
 
-def extend(enc, k):
-    """All one-new-layer extensions of a partial topology, as canonical keys.
-
-    Appends a layer of 1..k-q new gates; every new gate must touch the
-    current last layer and neither side may nest inside the other.  Returns
-    the deduplicated extensions as sorted ``(key_any, key_min)`` pairs:
-    key_any identifies the class, key_min is the least encoding whose gates
-    all satisfy the minimality conditions (None when the class has none).
-
-    The keys equal ``canonical_keys`` of each child, but the relabelings are
-    searched once per parent (canonical augmentation): new gates reference
-    only old gates, so a child's relabeling is a relabeling of the parent
-    followed by a permutation of the new layer, which can only sort it, and
-    a new gate's fault does not depend on that permutation.
-
-    Children with one new gate, the most of them, are keyed all at once.
-    Each relabeling maps the candidate gates to a row of codes.  A child's
-    key_any ends in its candidate's least code over the parent's
-    automorphisms, the element-wise min of their rows.  Its key_min ends in
-    the least fault-free code within the first group of minimal relabelings,
-    by ascending old-gate encoding, that leaves the gate fault-free.  Rows
-    are made as a group is reduced and dropped after, so a parent with
-    hundreds of relabelings holds only a few rows at a time.  Wider layers
-    go through the candidate combinations one at a time.
-    """
+def _checked_gates(enc, k):
+    """The gate count q of the parent ``enc``, once the checks that
+    ``extend`` and ``count_extend`` share have passed."""
     q = len(enc) // 2
     if q == 0:
         raise ValueError("cannot extend an empty topology")
     if k > MAX_GATES:
         raise ValueError(f"kernel supports at most {MAX_GATES} gates, got k={k}")
-    lefts = enc[::2]
-    rights = enc[1::2]
-    pairs = list(zip(lefts, rights))
-    for i, (left, right) in enumerate(pairs):
-        if (left | right) >> i:
+    for i in range(q):
+        if (enc[2 * i] | enc[2 * i + 1]) >> i:
             raise ValueError(f"gate {i + 1} references a gate numbered {i + 1} or later")
-    if q >= k:
-        return []
-    layers = layer_masks(pairs)
-    cands, cand_lefts, cand_rights = _candidates(q, layers[-1])
-    faults = _fault_table(q)
-    relabeled = _relabelings(lefts, rights, tuple(m.bit_count() for m in layers))
-    parent_key = min(key for key, _, _ in relabeled)
+    return q
 
-    def images(tab, lefts, rights):
-        """Each candidate ``(lefts[i], rights[i])`` relabeled by tab, sides
-        smaller first, as the integer ``a << 8 | b`` (integer order is byte
-        order)."""
-        return [a << 8 | b if a <= b else b << 8 | a
-                for a, b in zip(map(tab.__getitem__, lefts), map(tab.__getitem__, rights))]
 
-    def fault_free(codes):
+def _images(tab, lefts, rights):
+    """Each candidate ``(lefts[i], rights[i])`` relabeled by tab, sides
+    smaller first, as the integer ``a << 8 | b`` (integer order is byte
+    order)."""
+    return [a << 8 | b if a <= b else b << 8 | a
+            for a, b in zip(map(tab.__getitem__, lefts), map(tab.__getitem__, rights))]
+
+
+class _Parent:
+    """A parent of q gates with its relabelings searched once for all of its
+    children (canonical augmentation): ``key`` is its least encoding,
+    ``autos`` the relabel tables that give it, the first of them first, and
+    ``groups`` the tables that leave every gate fault-free, grouped by the
+    encoding they give, ascending.  ``cands``, ``lefts`` and ``rights`` are
+    the candidate new gates from ``_candidates``."""
+
+    def __init__(self, enc, q):
+        lefts = enc[:2 * q:2]
+        rights = enc[1:2 * q:2]
+        layers = layer_masks(zip(lefts, rights))
+        self.cands, self.lefts, self.rights = _candidates(q, layers[-1])
+        self.faults = _fault_table(q)
+        relabeled = _relabelings(lefts, rights, tuple(m.bit_count() for m in layers))
+        self.key = min(key for key, _, _ in relabeled)
+        self.autos = [tab for key, _, tab in relabeled if key == self.key]
+        groups = {}
+        for key, minimal, tab in relabeled:
+            if minimal:
+                groups.setdefault(key, []).append(tab)
+        self.groups = sorted(groups.items())
+
+    def fault_free(self, codes):
         """The codes with ``_FAULT`` in place of each faulty gate's."""
+        faults = self.faults
         return [_FAULT if faults[code] else code for code in codes]
 
-    autos = [tab for key, _, tab in relabeled if key == parent_key]
-    groups = {}
-    for key, minimal, tab in relabeled:
-        if minimal:
-            groups.setdefault(key, []).append(tab)
-    groups = sorted(groups.items())
+    def one_gate(self):
+        """The children with one new gate, all at once: the sorted least
+        codes of their classes and, for each, the ``(key, code)`` whose
+        bytes make its key_min, or None when it has none.
 
-    # Width 1, every candidate at once; one candidate per key_any code
-    # stands for its class, and a class is settled by the first group whose
-    # least fault-free row has a code, not _FAULT, for it.
-    classes = dict(zip(_least(images(tab, cand_lefts, cand_rights) for tab in autos), cands))
-    codes = sorted(classes)
-    reps = list(map(classes.__getitem__, codes))
-    rep_lefts = [left for left, _ in reps]
-    rep_rights = [right for _, right in reps]
-    key_mins = [None] * len(codes)
-    todo = range(len(codes))
-    for key, tabs in groups:
-        if key == parent_key and len(tabs) == 1:
-            least = fault_free(codes)  # the lone automorphism's own row
-        else:
-            least = _least(fault_free(images(tab, rep_lefts, rep_rights)) for tab in tabs)
-        left_over = []
-        for i in todo:
-            if least[i] == _FAULT:
-                left_over.append(i)
+        A child's key_any ends in its candidate's least code over the
+        automorphisms, the element-wise min of their rows, and one
+        candidate per least code stands for its class.  A class is settled
+        by the first group whose least fault-free row has a code, not
+        _FAULT, for it."""
+        classes = dict(zip(_least(_images(tab, self.lefts, self.rights) for tab in self.autos),
+                           self.cands))
+        codes = sorted(classes)
+        reps = list(map(classes.__getitem__, codes))
+        rep_lefts = [left for left, _ in reps]
+        rep_rights = [right for _, right in reps]
+        settled = [None] * len(codes)
+        todo = range(len(codes))
+        for key, tabs in self.groups:
+            if key == self.key and len(tabs) == 1:
+                least = self.fault_free(codes)  # the lone automorphism's own row
             else:
-                key_mins[i] = key + least[i].to_bytes(2, "big")
-        todo = left_over
-        if not todo:
-            break
-    children = [(parent_key + code.to_bytes(2, "big"), key_min)
-                for code, key_min in zip(codes, key_mins)]
-    if q + 1 == k:
-        return children
+                least = _least(self.fault_free(_images(tab, rep_lefts, rep_rights))
+                               for tab in tabs)
+            left_over = []
+            for i in todo:
+                if least[i] == _FAULT:
+                    left_over.append(i)
+                else:
+                    settled[i] = key, least[i]
+            todo = left_over
+            if not todo:
+                break
+        return codes, settled
 
-    # Widths 2 and up, one combination of candidates at a time.
-    out = dict(children)
-    auto_rows = [images(tab, cand_lefts, cand_rights) for tab in autos]
-    group_rows = [(key, [fault_free(images(tab, cand_lefts, cand_rights)) for tab in tabs])
-                  for key, tabs in groups]
-    for width in range(2, k - q + 1):
+    def one_gate_children(self):
+        """The ``(key_any, key_min)`` of each child with one new gate."""
+        codes, settled = self.one_gate()
+        return [(self.key + code.to_bytes(2, "big"),
+                 None if found is None else found[0] + found[1].to_bytes(2, "big"))
+                for code, found in zip(codes, settled)]
+
+    @cached_property
+    def auto_rows(self):
+        """Each automorphism's row of candidate codes."""
+        return [_images(tab, self.lefts, self.rights) for tab in self.autos]
+
+    @cached_property
+    def group_rows(self):
+        """Each group's key with its tables' fault-free rows of candidate
+        codes."""
+        return [(key, [self.fault_free(_images(tab, self.lefts, self.rights)) for tab in tabs])
+                for key, tabs in self.groups]
+
+    def representatives(self, width):
+        """The combinations of ``width`` candidate indices, with repetition,
+        that stand for their children's classes: those that the first
+        automorphism maps to the least sorted layer over all of them.  A
+        relabeling maps distinct multisets of candidates to distinct
+        multisets of codes, so each class has exactly one, and no table of
+        the keys seen is needed."""
+        combos = combinations_with_replacement(range(len(self.cands)), width)
+        first, *rest = self.auto_rows
+        if not rest:
+            return combos
+
+        def least_under_first(combo):
+            layer = sorted(map(first.__getitem__, combo))
+            return all(layer <= sorted(map(row.__getitem__, combo)) for row in rest)
+        return filter(least_under_first, combos)
+
+    def wide_children(self, width):
+        """The ``(key_any, key_min)`` of each child with ``width`` new gates.
+        Its key_min ends in the least fault-free sorted layer within the
+        first group that has one."""
         pack = struct.Struct(f">{width}H").pack
-        for combo in combinations_with_replacement(range(len(cands)), width):
-            if len(auto_rows) == 1:
-                layer = sorted(map(auto_rows[0].__getitem__, combo))
-            else:
-                layer = min(sorted(map(row.__getitem__, combo)) for row in auto_rows)
-            key_any = parent_key + pack(*layer)
-            if key_any in out:
-                continue
+        first = self.auto_rows[0]
+        children = []
+        for combo in self.representatives(width):
             key_min = None
-            for key, rows in group_rows:
+            for key, rows in self.group_rows:
                 best = None
                 for row in rows:
                     layer = list(map(row.__getitem__, combo))
@@ -303,5 +329,75 @@ def extend(enc, k):
                 if best is not None:
                     key_min = key + pack(*best)
                     break
-            out[key_any] = key_min
-    return sorted(out.items())
+            children.append((self.key + pack(*sorted(map(first.__getitem__, combo))), key_min))
+        return children
+
+    def count_wide(self, width):
+        """``(full, full_min)`` over the children with ``width`` new gates,
+        with no key built: a child has a key_min exactly when some table
+        that leaves the parent fault-free leaves each new gate fault-free
+        too.  Per candidate, byte r of an integer is 1 when the r-th
+        distinct fault-free row has its code, so a combination has a
+        key_min exactly when the AND of its integers is not 0."""
+        rows = {bytes(code != _FAULT for code in row) for _, rows in self.group_rows
+                for row in rows}
+        masks = [int.from_bytes(bytes(column), "little") for column in zip(*rows)] \
+            or [0] * len(self.cands)
+        full = full_min = 0
+        for combo in self.representatives(width):
+            full += 1
+            full_min += reduce(and_, map(masks.__getitem__, combo)) != 0
+        return full, full_min
+
+
+def extend(enc, k):
+    """All one-new-layer extensions of a partial topology, as canonical keys.
+
+    Appends a layer of 1..k-q new gates; every new gate must touch the
+    current last layer and neither side may nest inside the other.  Returns
+    the deduplicated extensions as sorted ``(key_any, key_min)`` pairs:
+    key_any identifies the class, key_min is the least encoding whose gates
+    all satisfy the minimality conditions (None when the class has none).
+
+    The keys equal ``canonical_keys`` of each child, but the relabelings are
+    searched once per parent (``_Parent``): new gates reference only old
+    gates, so a child's relabeling is a relabeling of the parent followed by
+    a permutation of the new layer, which can only sort it, and a new gate's
+    fault does not depend on that permutation.
+
+    Children with one new gate, the most of them, are keyed all at once by
+    element-wise minima over rows of relabeled candidate codes, made as a
+    group of relabelings is reduced and dropped after, so a parent with
+    hundreds of relabelings holds only a few rows at a time.  Wider layers
+    go through their representative combinations of candidates one at a
+    time.
+    """
+    q = _checked_gates(enc, k)
+    if q >= k:
+        return []
+    parent = _Parent(enc, q)
+    children = parent.one_gate_children()
+    for width in range(2, k - q + 1):
+        children += parent.wide_children(width)
+    return sorted(children)
+
+
+def count_extend(enc, k):
+    """``(full, full_min, partials)`` for the children ``extend(enc, k)``
+    lists: the number of full children (those of k gates), how many of them
+    have a key_min, and the partial children exactly as ``extend`` lists
+    them.  It raises the same ValueErrors, and builds no full child's key:
+    when the new layer holds one gate, the full children are counted from
+    their least codes, and wider full layers from their representative
+    combinations (``_Parent.count_wide``)."""
+    q = _checked_gates(enc, k)
+    if q >= k:
+        return 0, 0, []
+    parent = _Parent(enc, q)
+    if q + 1 == k:
+        codes, settled = parent.one_gate()
+        return len(codes), len(settled) - settled.count(None), []
+    partials = parent.one_gate_children()
+    for width in range(2, k - q):
+        partials += parent.wide_children(width)
+    return (*parent.count_wide(k - q), sorted(partials))

@@ -35,13 +35,13 @@ TOP = Term("T", 0)
 
 
 def x(j):
-    """Input term x<j>."""
-    return Term("x", j)
+    """Input term x<j>, the shared one when the table holds it."""
+    return _TERMS[j - 1] if type(j) is int and 1 <= j <= MAX_ARITY else Term("x", j)
 
 
 def g(i):
-    """Earlier-gate term g<i>."""
-    return Term("g", i)
+    """Earlier-gate term g<i>, the shared one when the table holds it."""
+    return _g_term(i) if type(i) is int and i >= 1 else Term("g", i)
 
 
 _KIND_ORDER = {"x": 0, "T": 1, "g": 2}
@@ -52,15 +52,17 @@ def term_sort_key(t):
 
 
 # The shared terms: x1..x<MAX_ARITY>, T and g1..g<MAX_GENERATE_K>, in sort
-# order, so a term's rank is its position.  Terms outside them, such as the
-# gates of a circuit past MAX_GENERATE_K gates, take the general code paths,
-# with the same results.
-_TERMS = (*(x(j) for j in range(1, MAX_ARITY + 1)), TOP,
-          *(g(i) for i in range(1, _topo.MAX_GENERATE_K + 1)))
+# order, so a term's rank is its position.  ``x``, ``g``, the parsers and the
+# rewrites hand out these objects.  Terms outside them, such as the gates of
+# a circuit past MAX_GENERATE_K gates or a Term built by hand, take the
+# general code paths, with the same results.
+_TERMS = (*(Term("x", j) for j in range(1, MAX_ARITY + 1)), TOP,
+          *(Term("g", i) for i in range(1, _topo.MAX_GENERATE_K + 1)))
 _G_TERMS = _TERMS[MAX_ARITY + 1:]
 _TERM_BY_TEXT = {str(t): t for t in _TERMS}
 _TERM_RANK = {t: rank for rank, t in enumerate(_TERMS)}
 _RANK_TEXT = tuple(map(str, _TERMS))
+_SHARED_IDS = frozenset(map(id, _TERMS))  # _TERMS keeps these ids theirs
 
 
 @cache
@@ -78,7 +80,7 @@ def _g_term(i):
 
 def _check_types(terms, where):
     for t in sorted(terms, key=repr):  # set order follows the string hash
-        if not isinstance(t, Term) or t.kind not in _KIND_ORDER:
+        if not isinstance(t, Term) or t.kind not in _KIND_ORDER or type(t.idx) is not int:
             raise CircuitError(f"{where}: not a circuit term: {t!r}")
 
 
@@ -181,18 +183,22 @@ def _first_fault(n, gates, output):
 
 
 def _terms_allowed(n, gates, output):
-    """True when every term is a shared-table Term allowed where it stands:
-    one subset test per side.  A plain tuple equals the Term it spells, so
-    the types are checked too.  False leaves the circuit to the full checks,
-    which also give the error."""
+    """True when every term is a Term with an int index allowed where it
+    stands: one subset test per side, then one pass that finds every term
+    to be a shared one, by id, or else checks the types.  A plain tuple or
+    ``Term("x", 1.0)`` equals the Term it spells, so only that pass tells
+    them apart.  False leaves the circuit to the full checks, which also
+    give the error."""
     if type(n) is not int or len(gates) > _topo.MAX_GENERATE_K:
         return False
     allowed = _allowed(n)
     for i, (left, right) in enumerate(gates):
         if not left <= allowed[i] or not right <= allowed[i]:
             return False
-    return output <= allowed[len(gates)] \
-        and set(map(type, chain(output, *chain.from_iterable(gates)))) <= {Term}
+    return output <= allowed[len(gates)] and (
+        _SHARED_IDS.issuperset(map(id, chain(output, *chain.from_iterable(gates))))
+        or all(type(t) is Term and type(t.idx) is int
+               for t in chain(output, *chain.from_iterable(gates))))
 
 
 def _coerce_assignment(n, assignment):
@@ -453,9 +459,9 @@ def _parse_terms(body, line, lineno):
             col = line.find(token) + 1 if token and token in line else None
             raise ParseError(f"unknown term {token!r}", line=lineno, col=col)
         if m.group(1) is not None:
-            terms.append(Term("x", int(m.group(1))))
+            terms.append(x(int(m.group(1))))
         elif m.group(2) is not None:
-            terms.append(Term("g", int(m.group(2))))
+            terms.append(g(int(m.group(2))))
         else:
             terms.append(TOP)
     return frozenset(terms)

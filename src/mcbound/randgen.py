@@ -1,6 +1,6 @@
 """Seeded random circuit sampling for the rewrite verification suites."""
 
-from .circuits import TOP, Circuit, Term
+from .circuits import TOP, Circuit, g, x
 
 
 def random_circuit(rng, max_n=4, max_k=4):
@@ -16,9 +16,9 @@ def random_circuit(rng, max_n=4, max_k=4):
 
 
 def _term_pool(n, gate_limit):
-    pool = [Term("x", j) for j in range(1, n + 1)]
+    pool = [x(j) for j in range(1, n + 1)]
     pool.append(TOP)
-    pool.extend(Term("g", j) for j in range(1, gate_limit))
+    pool.extend(g(j) for j in range(1, gate_limit))
     return pool
 
 

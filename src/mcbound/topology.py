@@ -222,7 +222,7 @@ def canonical_form(t, backend=None):
     return Topology.from_encoding(key)
 
 
-def _walk(roots, depth, k, backend, collect, split=False):
+def _walk(roots, depth, k, expand, split=False):
     """Depth-first class walk below the partial topologies ``roots``, which
     all have ``depth`` layers.
 
@@ -234,75 +234,106 @@ def _walk(roots, depth, k, backend, collect, split=False):
     of its prefix.  With ``split`` the roots' partial children are returned
     instead of walked.
 
-    Returns ``(count, kept, tally, frontier)``: the number of full
-    descendants that have a minimal relabeling; their key_min encodings in
-    walk order, with ``collect`` (else empty); per layer count d,
-    ``tally[d]`` holds the full keys, the kept partials and the pruned
-    partials among the children with d layers; and the partial children not
-    walked.
+    ``expand(enc, row)`` takes a parent's full children into account,
+    adding their number to ``row[0]``, and returns its partial children as
+    ``(key_any, key_min)`` pairs.  Returns ``(tally, frontier)``: per layer
+    count d, ``tally[d]`` holds the full keys, the kept partials and the
+    pruned partials among the children with d layers; and the partial
+    children not walked.
     """
-    kern = kernel.get_backend(backend)
-    full_len = 2 * k
     tally = [[0, 0, 0] for _ in range(k + 1)]
-    kept = []
-    count = 0
     frontier = []
     for enc in roots:
-        # The children of each parent on the current path, as an iterator;
-        # a kept partial child is walked before its next sibling.
-        path = [iter(kern.extend(enc, k))]
+        # The partial children of each parent on the current path, as an
+        # iterator; a kept one is walked before its next sibling.
+        path = [iter(expand(enc, tally[depth + 1]))]
         while path:
             row = tally[depth + len(path)]
             for key_any, key_min in path[-1]:
-                if len(key_any) == full_len:
-                    row[0] += 1
-                    if key_min is not None:
-                        count += 1
-                        if collect:
-                            kept.append(key_min)
-                elif key_min is None:
+                if key_min is None:
                     row[2] += 1
+                    continue
+                row[1] += 1
+                if split:
+                    frontier.append(key_any)
                 else:
-                    row[1] += 1
-                    if split:
-                        frontier.append(key_any)
-                    else:
-                        path.append(iter(kern.extend(key_any, k)))
-                        break
+                    path.append(iter(expand(key_any, tally[depth + len(path) + 1])))
+                    break
             else:
                 path.pop()
-    return count, kept, tally, frontier
+    return tally, frontier
 
 
-def _classes(k, workers, backend, progress, collect):
-    """``(count, kept)`` of ``_walk`` over every class on k gates, from the
-    single-layer seeds of 1..k-1 empty gates.  The seeds are expanded here;
-    the subtrees below their partial children are walked one by one, or
-    shared out among spawned processes with several workers, and
-    ``progress`` hears of each finished subtree."""
+def _count_walk(roots, depth, k, backend, split=False):
+    """``_walk`` with the kernel's ``count_extend``: ``(count, tally,
+    frontier)``, where count is the number of full descendants that have a
+    minimal relabeling."""
+    count_extend = kernel.get_backend(backend).count_extend
+    count = 0
+
+    def expand(enc, row):
+        nonlocal count
+        full, full_min, partials = count_extend(enc, k)
+        row[0] += full
+        count += full_min
+        return partials
+
+    tally, frontier = _walk(roots, depth, k, expand, split)
+    return count, tally, frontier
+
+
+def _kept_walk(roots, depth, k, backend, split=False):
+    """``_walk`` with the kernel's ``extend``: ``(kept, tally, frontier)``,
+    where kept holds the key_min encodings of the full descendants that
+    have one, in walk order."""
+    extend = kernel.get_backend(backend).extend
+    full_len = 2 * k
+    kept = []
+
+    def expand(enc, row):
+        partials = []
+        for key_any, key_min in extend(enc, k):
+            if len(key_any) < full_len:
+                partials.append((key_any, key_min))
+                continue
+            row[0] += 1
+            if key_min is not None:
+                kept.append(key_min)
+        return partials
+
+    tally, frontier = _walk(roots, depth, k, expand, split)
+    return kept, tally, frontier
+
+
+def _classes(k, workers, backend, progress, walk):
+    """The result of ``walk`` (``_count_walk`` or ``_kept_walk``) over every
+    class on k gates, from the single-layer seeds of 1..k-1 empty gates.
+    The caller adds the full seed of k empty gates, its own minimal form.
+    The seeds are expanded here; the subtrees below their partial children
+    are walked one by one, or shared out among spawned processes with
+    several workers, and ``progress`` hears of each finished subtree."""
     if k < 0:
         raise ValueError("gate count must be non-negative")
     if k > MAX_GENERATE_K:
         raise CapacityError(f"generation is capped at k <= {MAX_GENERATE_K}")
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
-    if k == 0:
-        return 0, []
     kern = kernel.get_backend(backend)
+    if k == 0:
+        return walk((), 0, 0, kern.BACKEND)[0]  # nothing to walk
     roots = [bytes(2 * length) for length in range(1, k)]
-    count, kept, tally, frontier = _walk(roots, 1, k, kern.BACKEND, collect, split=True)
+    result, tally, frontier = walk(roots, 1, k, kern.BACKEND, split=True)
 
     def merge(results):
-        nonlocal count
-        for done, (sub_count, sub_kept, sub_tally, _) in enumerate(results, 1):
-            count += sub_count
-            kept.extend(sub_kept)
+        nonlocal result
+        for done, (sub_result, sub_tally, _) in enumerate(results, 1):
+            result += sub_result
             for row, sub_row in zip(tally, sub_tally):
                 row[:] = [a + b for a, b in zip(row, sub_row)]
             if progress:
                 progress({"phase": "subtree", "k": k, "done": done, "total": len(frontier)})
 
-    subtree = partial(_walk, depth=2, k=k, backend=kern.BACKEND, collect=collect)
+    subtree = partial(walk, depth=2, k=k, backend=kern.BACKEND)
     jobs = ([enc] for enc in frontier)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -312,10 +343,7 @@ def _classes(k, workers, backend, progress, collect):
             merge(pool.map(subtree, jobs))
     else:
         merge(map(subtree, jobs))
-    # The k empty gates form a full single-layer seed, its own minimal form.
-    tally[1][0] += 1
-    count += 1
-    kept.append(bytes(2 * k))
+    tally[1][0] += 1  # the full seed
     if progress:
         complete = tally[1][0]
         for depth in range(2, k + 1):
@@ -323,13 +351,16 @@ def _classes(k, workers, backend, progress, collect):
             complete += full
             progress({"phase": "round", "k": k, "round": depth, "complete": complete,
                       "partial": partials, "pruned": pruned})
-    return count, kept
+    return result
 
 
 def count_classes(k, *, workers=1, backend=None, progress=None):
     """Number of classes of minimal well-layered topologies on exactly k
-    gates: ``generate(k).count`` without building any member."""
-    return _classes(k, workers, backend, progress, collect=False)[0]
+    gates: ``generate(k).count``, with the last layer of each parent
+    counted inside the kernel (``count_extend``), so no full class is
+    keyed."""
+    # The k empty gates form a full single-layer seed, its own minimal form.
+    return _classes(k, workers, backend, progress, _count_walk) + (k > 0)
 
 
 def generate(k, *, workers=1, backend=None, progress=None):
@@ -349,7 +380,9 @@ def generate(k, *, workers=1, backend=None, progress=None):
     are spawned processes, so a script that asks for more than one must call
     this under ``if __name__ == "__main__":``.
     """
-    _, kept = _classes(k, workers, backend, progress, collect=True)
+    kept = _classes(k, workers, backend, progress, _kept_walk)
+    if k:
+        kept.append(bytes(2 * k))  # the full seed, as in count_classes
     kept.sort()
     pairs = _shared_pairs()
     unpack = struct.Struct(f">{k}H").unpack  # one (left << 8 | right) per gate

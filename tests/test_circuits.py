@@ -160,6 +160,29 @@ def test_constructor_error_messages(gates, output, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("term", [Term("x", 1.0), Term("g", 1.0), Term("x", True),
+                                  Term("T", 0.0)])
+def test_term_index_must_be_an_int(term):
+    # Each term equals a valid one.  Up to seven gates the constructor's
+    # fast path sees the circuit first, at n=2 and n=9; past seven only the
+    # full checks do.
+    short = ((fs(x(1)), fs()), (fs(TOP), fs(term)))
+    long = ((fs(x(1)), fs()),) * 8 + ((fs(TOP), fs(term)),)
+    for n, gates in ((2, short), (9, short), (2, long)):
+        with pytest.raises(CircuitError) as err:
+            Circuit(n, gates, fs())
+        assert str(err.value) == f"gate {len(gates)}: not a circuit term: {term!r}"
+    with pytest.raises(CircuitError, match="output: not a circuit term"):
+        Circuit(2, (), fs(term))
+
+
+def test_terms_built_by_hand_give_the_same_circuit():
+    by_hand = Circuit(2, ((fs(Term("x", 1)), fs(Term("T", 0))),), fs(Term("g", 1), Term("x", 2)))
+    shared = Circuit(2, ((fs(x(1)), fs(TOP)),), fs(g(1), x(2)))
+    assert by_hand == shared and hash(by_hand) == hash(shared)
+    assert x(1) is x(1) and g(7) is g(7) and x(17) == Term("x", 17) and g(8) == Term("g", 8)
+
+
 def test_constructor_stores_frozensets():
     built = Circuit(2, [[[x(1), TOP], {x(2)}], ({g(1)}, [x(1), x(1)])], {g(2), x(2)})
     want = Circuit(2, ((fs(x(1), TOP), fs(x(2))), (fs(g(1)), fs(x(1)))), fs(g(2), x(2)))

@@ -115,6 +115,18 @@ def test_table2_reports_mismatch(capsys):
     assert "k=4" in stderr
 
 
+def test_table2_verbose_prints_walk_depths(capsys):
+    code, stdout, stderr = run(capsys, "table2", "--max-k", "3", "-v")
+    assert code == 0
+    assert stdout.splitlines() == ["1 1", "2 2", "3 8"]
+    assert stderr.splitlines() == [
+        "[walk k=2] depth 2: 2 complete, 0 partial, 0 pruned",
+        "[walk k=3] subtree 1/1",
+        "[walk k=3] depth 2: 5 complete, 1 partial, 0 pruned",
+        "[walk k=3] depth 3: 8 complete, 0 partial, 0 pruned",
+    ]
+
+
 def test_table2_guards(capsys):
     assert run(capsys, "table2", "--max-k", "7")[0] == 2
     code, _, stderr = run(capsys, "table2", "--max-k", "6")
@@ -128,6 +140,18 @@ def test_prove_published_class_count(capsys):
                           "--classes", "555709")
     assert code == 0
     assert stdout.splitlines()[-1] == "verdict: M(7) >= 7: true"
+
+
+def test_prove_verbose_prints_walk_depths(capsys):
+    # the counting walk reports the same depths as generate's
+    code, stdout, stderr = run(capsys, "prove", "--n", "7", "--k", "4", "-v")
+    assert code == 0
+    assert "topology_classes = 85" in stdout.splitlines()
+    assert stderr.splitlines() == [f"[walk k=4] subtree {i}/5" for i in range(1, 6)] + [
+        "[walk k=4] depth 2: 15 complete, 5 partial, 0 pruned",
+        "[walk k=4] depth 3: 59 complete, 3 partial, 0 pruned",
+        "[walk k=4] depth 4: 95 complete, 0 partial, 0 pruned",
+    ]
 
 
 def test_prove_insufficient_class_count(capsys):

@@ -58,6 +58,7 @@ def test_extend_parity_on_k7_seeds(gen_c, q):
     # q = 6 leaves room for one new gate only, under 720 automorphisms
     enc = bytes(2 * q)
     assert _gen_py.extend(enc, 7) == gen_c.extend(enc, 7)
+    assert _gen_py.count_extend(enc, 7) == gen_c.count_extend(enc, 7)
 
 
 def test_extend_parity_on_one_gate_parents_at_k6(gen_c):
@@ -80,12 +81,16 @@ def test_generate_parity(gen_c, monkeypatch, k):
     assert generate(k, workers=1, backend="c").members == generate(k, backend="python").members
 
 
-GUARD_CASES = [
-    ("extend", (b"", 3)),
-    ("extend", (b"\0\0", 8)),
-    ("extend", (b"\1\0", 3)),  # gate 1 references itself
-    ("extend", (b"\0\0\0\2\0\0", 5)),  # gate 2 references itself
-    ("extend", (b"\0\0\4\0\0\0", 5)),  # gate 2 references gate 3
+EXTEND_GUARD_ARGS = [
+    (b"", 3),
+    (b"\0\0", 8),
+    (b"\1\0", 3),  # gate 1 references itself
+    (b"\0\0\0\2\0\0", 5),  # gate 2 references itself
+    (b"\0\0\4\0\0\0", 5),  # gate 2 references gate 3
+]
+
+GUARD_CASES = [(name, args) for name in ("extend", "count_extend")
+               for args in EXTEND_GUARD_ARGS] + [
     ("canonical_keys", (((0, 0),) * 9, [9])),
     ("canonical_keys", (((0, 0), (-1, 1)), (2,))),
     ("canonical_keys", (((0, 0), (4, 1)), (2,))),
@@ -107,6 +112,63 @@ def test_kernel_guards_match(gen_c):
     # a parent of k gates has no children, so no candidate gates are built
     # (seven gates would give more than 4,096 of them)
     assert gen_c.extend(bytes(14), 7) == _gen_py.extend(bytes(14), 7) == []
+    assert gen_c.count_extend(bytes(14), 7) == _gen_py.count_extend(bytes(14), 7) == (0, 0, [])
+    assert gen_c.count_extend(b"\0\0", -2 ** 80) == _gen_py.count_extend(b"\0\0", -2 ** 80) \
+        == (0, 0, [])
+
+
+def test_odd_length_parent_ignores_its_last_byte(gen_c):
+    for enc, k in ((b"\0\0\0", 3), (b"\0\0\1", 3), (b"\0\0\0\1\3", 4)):
+        for kern in (gen_c, _gen_py):
+            assert kern.extend(enc, k) == kern.extend(enc[:-1], k), (kern.BACKEND, enc)
+            assert kern.count_extend(enc, k) == kern.count_extend(enc[:-1], k), \
+                (kern.BACKEND, enc)
+
+
+def counted(children, k):
+    """``count_extend``'s ``(full, full_min, partials)`` from ``extend``'s
+    children."""
+    full = [key_min for key_any, key_min in children if len(key_any) == 2 * k]
+    return (len(full), len(full) - full.count(None),
+            [child for child in children if len(child[0]) < 2 * k])
+
+
+def unpruned_walk_parents(kern, k):
+    """Each parent that a walk for k which prunes nothing expands: the seeds
+    of 1..k-1 empty gates and every partial child, with or without a
+    key_min, with the parent's ``kern.extend`` children."""
+    found = []
+    stack = [bytes(2 * q) for q in range(1, k)]
+    while stack:
+        enc = stack.pop()
+        children = kern.extend(enc, k)
+        found.append((enc, children))
+        stack += [key for key, _ in children if len(key) < 2 * k]
+    return found
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_count_extend_matches_extend_on_unpruned_parents(k):
+    found = unpruned_walk_parents(_gen_py, k)
+    assert len(found) == {2: 1, 3: 3, 4: 11, 5: 106}[k]
+    for enc, children in found:
+        assert _gen_py.count_extend(enc, k) == counted(children, k), enc
+
+
+def test_compiled_count_extend_matches_extend_on_unpruned_parents_at_k6(gen_c):
+    found = unpruned_walk_parents(gen_c, 6)
+    assert len(found) == 5224
+    # the unpruned class count, summed from the full children
+    assert sum(counted(children, 6)[0] for _, children in found) + 1 == 1353064
+    for enc, children in found:
+        assert gen_c.count_extend(enc, 6) == counted(children, 6), enc
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_count_classes_equals_generate_count(gen_c, monkeypatch, k):
+    monkeypatch.setattr(kernel, "_gen_c", gen_c)
+    for backend in ("c", "python"):
+        assert count_classes(k, backend=backend) == generate(k, backend=backend).count
 
 
 def reference_extend(kern, enc, k):
@@ -145,6 +207,7 @@ def test_extend_matches_reference_on_walk_parents(k):
     assert len(found) == {2: 1, 3: 3, 4: 11, 5: 96}[k]
     for enc, children in found:
         assert _gen_py.extend(enc, k) == children, enc
+        assert _gen_py.count_extend(enc, k) == counted(children, k), enc
 
 
 def test_extend_matches_reference_on_raw_and_member_parents():
@@ -162,6 +225,7 @@ def test_compiled_extend_matches_reference_at_k6(gen_c, monkeypatch):
     assert len(found) == 3378
     for enc, children in found:
         assert gen_c.extend(enc, 6) == children, enc
+        assert gen_c.count_extend(enc, 6) == counted(children, 6), enc
     monkeypatch.setattr(kernel, "_gen_c", gen_c)
     assert count_classes(6, backend="c") == 506935
 

@@ -341,10 +341,18 @@ def test_generate_member_digests(k):
 def test_count_classes_matches_generate():
     for k in range(6):
         assert count_classes(k) == generate(k).count
+    assert count_classes(5, workers=2) == 3282
     with pytest.raises(CapacityError):
         count_classes(8)
     with pytest.raises(ValueError):
         count_classes(-1)
+
+
+@pytest.mark.skipif(kernel.BACKEND != "c",
+                    reason="k=7 needs the compiled kernel, so MCBOUND_LONG=1 alone does not "
+                           "run it: the pure-Python count is about 25 times slower at k=6")
+def test_count_classes_k7():
+    assert count_classes(7) == 312463157
 
 
 def test_count_classes_leaves_no_cyclic_garbage():
@@ -365,8 +373,9 @@ def test_worker_count_rejects_non_positive():
 
 def test_generate_caps():
     assert generate(0).count == 0
-    with pytest.raises(CapacityError):
-        generate(8)
+    for k in (8, 10 ** 12):  # refused before anything is built for k
+        with pytest.raises(CapacityError):
+            generate(k)
     with pytest.raises(ValueError):
         generate(-1)
 
