@@ -17,9 +17,12 @@ from .topology import (_ascii_number, count_classes, generate, is_minimal, is_we
                        load_topology_set, save_topology_set)
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 2, 3: 8, 4: 88, 5: 3564, 6: 555709}
-LONG_RUN_K = 6
-LONG_RUN_NOTE = ("at k=6 about 1 s to count and 2 s to generate with the pure-Python "
-                 "kernel, 0.05 s and 1 s compiled")
+# The long runs: generate at its cap, and the class count at its cap.
+GENERATE_LONG_K = 6
+COUNT_LONG_K = 7
+LONG_RUN_NOTE = ("generate --k 6 takes about 2 s and 95 MB with the pure-Python kernel "
+                 "and 1 s compiled; prove --k 7 counts 312,463,157 classes in about 20 s "
+                 "compiled, and the pure-Python kernel is about 25 times slower")
 
 
 def _integer(text):
@@ -47,7 +50,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="enumerate topology classes and write them to a file")
-    p.add_argument("--k", type=_integer, required=True, help="gate count (1..7)")
+    p.add_argument("--k", type=_integer, required=True, help="gate count (1..6)")
     p.add_argument("--out", required=True, help="output topology-set file")
     _common_flags(p)
 
@@ -81,7 +84,7 @@ def _common_flags(p):
     p.add_argument("--workers", type=_integer, default=1,
                    help="parallel worker processes (default 1); never changes output")
     p.add_argument("--allow-long", action="store_true",
-                   help=f"permit k >= {LONG_RUN_K} ({LONG_RUN_NOTE})")
+                   help=f"permit the long runs ({LONG_RUN_NOTE})")
     p.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
 
 
@@ -105,8 +108,8 @@ def _progress(args):
     return emit
 
 
-def _guard_long(args, k):
-    if k >= LONG_RUN_K and not args.allow_long:
+def _guard_long(args, k, long_k):
+    if k == long_k and not args.allow_long:
         print(f"error: k={k} is a long run ({LONG_RUN_NOTE}); pass --allow-long "
               f"to confirm", file=sys.stderr)
         return False
@@ -116,7 +119,7 @@ def _guard_long(args, k):
 def _cmd_generate(args):
     if args.k < 1:
         return _usage_error("--k must be at least 1")
-    if not _guard_long(args, args.k):
+    if not _guard_long(args, args.k, GENERATE_LONG_K):
         return 1
     ts = generate(args.k, workers=args.workers, progress=_progress(args))
     save_topology_set(ts, args.out)
@@ -129,8 +132,6 @@ def _cmd_table2(args):
         return _usage_error("--max-k must be at least 1")
     if args.max_k > max(EXPECTED_CLASS_COUNTS):
         return _usage_error(f"no expected value beyond k={max(EXPECTED_CLASS_COUNTS)}")
-    if not _guard_long(args, args.max_k):
-        return 1
     progress = _progress(args)
     failures = []
     for k in range(1, args.max_k + 1):
@@ -162,7 +163,7 @@ def _cmd_prove(args):
             return _usage_error(f"{args.topologies} holds k={ts.k} topologies, not k={args.k}")
         classes = ts.count
     else:
-        if not _guard_long(args, args.k):
+        if not _guard_long(args, args.k, COUNT_LONG_K):
             return 1
         classes = count_classes(args.k, workers=args.workers, progress=_progress(args))
     if classes < 1:

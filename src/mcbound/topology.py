@@ -15,6 +15,9 @@ from ._gen_py import gate_fault, layer_masks
 from .errors import CapacityError, CircuitError, ContractError, ParseError, read_ascii
 
 MAX_GENERATE_K = 7
+# generate keeps every class key, about 56 bytes each: some 28 MB for the
+# 506,935 classes on 6 gates, but some 17 GB for the 312,463,157 on 7.
+_MAX_KEPT_K = 6
 
 
 def mask_indices(mask):
@@ -56,7 +59,11 @@ class Topology(namedtuple("Topology", "k gates")):
 
     An immutable named tuple: equal to, and unpacked like, the plain tuple
     ``(k, gates)``.  Every construction, including ``_make``, ``_replace``,
-    a copy and an unpickling, goes through ``__new__`` and its checks."""
+    a copy and an unpickling, goes through ``__new__`` and its checks, with
+    two exceptions that build the tuple from gates already checked:
+    ``from_encoding``, whose table lookups (``_decoder``) check a ``bytes``
+    encoding of at most MAX_GENERATE_K gates, and ``TopologySet.members``,
+    whose rows were checked when the set was built."""
 
     __slots__ = ()
 
@@ -92,10 +99,18 @@ class Topology(namedtuple("Topology", "k gates")):
     @classmethod
     def from_encoding(cls, data):
         """The topology whose encoding is ``data``: a left then a right
-        side byte per gate."""
+        side byte per gate.  ``bytes`` of at most MAX_GENERATE_K gates are
+        decoded with one table lookup per gate; anything else, and an
+        encoding with a gate that misses its table, goes through
+        ``__new__``, which names the first bad gate."""
         k, odd = divmod(len(data), 2)
         if odd:
             raise CircuitError(f"a topology encoding has an even length, not {len(data)}")
+        if type(data) is bytes and k <= MAX_GENERATE_K:
+            try:
+                return tuple.__new__(cls, (k, _decoder(k)(data)))
+            except KeyError:
+                pass
         return cls(k, tuple(zip(data[::2], data[1::2])))
 
 
@@ -131,7 +146,8 @@ class TopologySet:
     @classmethod
     def _from_rows(cls, k, rows):
         """The set of the rows, which must be valid gates of k-gate
-        topologies; no ``Topology`` is built until ``members`` is read."""
+        topologies, each a tuple of int pairs: ``members`` builds its views
+        from them without checking them again, and not until it is read."""
         ts = cls.__new__(cls)
         ts.k = k
         ts.rows = rows
@@ -145,8 +161,8 @@ class TopologySet:
     @property
     def members(self):
         if self._members is None:
-            k = self.k
-            self._members = tuple(Topology(k, gates) for gates in self.rows)
+            new, k = tuple.__new__, self.k
+            self._members = tuple([new(Topology, (k, gates)) for gates in self.rows])
         return self._members
 
     def __eq__(self, other):
@@ -378,16 +394,17 @@ def generate(k, *, workers=1, backend=None, progress=None):
     below the seeds' partial children is walked, and one ``"round"`` event
     per layer count when the walk ends, before the rows are built.  Workers
     are spawned processes, so a script that asks for more than one must call
-    this under ``if __name__ == "__main__":``.
+    this under ``if __name__ == "__main__":``.  Past k = 6 it raises
+    CapacityError before it walks, as the keys would not fit in memory.
     """
+    if k > _MAX_KEPT_K:
+        raise CapacityError(f"generate is capped at k <= {_MAX_KEPT_K}: the classes on more "
+                            f"gates would not fit in memory; count_classes counts them")
     kept = _classes(k, workers, backend, progress, _kept_walk)
     if k:
         kept.append(bytes(2 * k))  # the full seed, as in count_classes
     kept.sort()
-    pairs = _shared_pairs()
-    unpack = struct.Struct(f">{k}H").unpack  # one (left << 8 | right) per gate
-    return TopologySet._from_rows(k, tuple(tuple(map(pairs.__getitem__, unpack(enc)))
-                                           for enc in kept))
+    return TopologySet._from_rows(k, tuple(map(_decoder(k), kept)))
 
 
 @cache
@@ -403,10 +420,22 @@ def _gate_pairs():
 
 
 @cache
-def _shared_pairs():
-    """The shared pair of each gate of a topology on at most MAX_GENERATE_K
-    gates, keyed by ``left << 8 | right``."""
-    return {pair[0] << 8 | pair[1]: pair for pair in _gate_pairs()[-1]}
+def _gate_codes():
+    """Per gate i <= MAX_GENERATE_K (index i - 1), the code ``left << 8 |
+    right`` of each valid pair of gate i mapped to its shared pair."""
+    return tuple({pair[0] << 8 | pair[1]: pair for pair in pairs.values()}
+                 for pairs in _gate_pairs())
+
+
+@cache
+def _decoder(k):
+    """The function from a ``bytes`` encoding of k <= MAX_GENERATE_K gates to
+    its gates as shared pairs: one ``struct`` unpack into the gates' codes,
+    then one ``_gate_codes`` lookup per gate, which raises KeyError on a gate
+    that is not valid."""
+    unpack = struct.Struct(f">{k}H").unpack
+    codes = _gate_codes()
+    return lambda data: tuple(map(dict.__getitem__, codes, unpack(data)))
 
 
 # --- text formats -----------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 
 import pytest
 
+from mcbound import kernel
 from mcbound.cli import main
 from mcbound.topology import generate, load_topology_set
 
@@ -35,6 +36,17 @@ def test_generate_k6_needs_allow_long(tmp_path, capsys):
     code, _, stderr = run(capsys, "generate", "--k", "6", "--out", str(tmp_path / "x"))
     assert code == 1
     assert "--allow-long" in stderr
+
+
+def test_generate_k7_is_refused_before_it_walks(tmp_path, capsys, monkeypatch):
+    def no_walk(name=None):
+        raise AssertionError("generate --k 7 reached the kernel")
+
+    monkeypatch.setattr(kernel, "get_backend", no_walk)
+    out = tmp_path / "x"
+    for flags in ((), ("--allow-long",)):
+        code, _, stderr = run(capsys, "generate", "--k", "7", "--out", str(out), *flags)
+        assert code == 1 and "capped at k <= 6" in stderr and not out.exists()
 
 
 def test_generate_workers_do_not_change_output(tmp_path, capsys):
@@ -129,8 +141,8 @@ def test_table2_verbose_prints_walk_depths(capsys):
 
 def test_table2_guards(capsys):
     assert run(capsys, "table2", "--max-k", "7")[0] == 2
-    code, _, stderr = run(capsys, "table2", "--max-k", "6")
-    assert code == 1 and "--allow-long" in stderr
+    code, stdout, stderr = run(capsys, "table2", "--max-k", "6")
+    assert code == 1 and "--allow-long" not in stderr and stdout.endswith("6 506935\n")
 
 
 # --- prove ------------------------------------------------------------------
@@ -215,6 +227,18 @@ def test_prove_refuses_long_reports_before_walking_or_loading(tmp_path, capsys, 
     assert run(capsys, "prove", "--n", "14", "--k", "5", "--classes", "1") == (1, "", message)
     assert run(capsys, "prove", "--n", "14", "--k", "5", "--classes", "0") == \
         (2, "", "usage error: class count must be at least 1\n")
+
+
+def test_prove_asks_for_allow_long_only_at_k7(capsys, monkeypatch):
+    counted = []
+    monkeypatch.setattr("mcbound.cli.count_classes",
+                        lambda k, **kw: counted.append(k) or 506935)
+    code, _, stderr = run(capsys, "prove", "--n", "7", "--k", "7")
+    assert code == 1 and "--allow-long" in stderr and counted == []
+    code, _, stderr = run(capsys, "prove", "--n", "7", "--k", "6")
+    assert "--allow-long" not in stderr and counted == [6]
+    run(capsys, "prove", "--n", "7", "--k", "7", "--allow-long")
+    assert counted == [6, 7]
 
 
 def test_prove_falls_back_to_generate(capsys):

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -136,6 +137,62 @@ def test_encoding_roundtrip():
 def test_from_encoding_rejects_bad_encodings(data, message):
     with pytest.raises(CircuitError, match=message):
         Topology.from_encoding(data)
+
+
+def decode_outcome(data):
+    """``from_encoding``'s gates for ``data``, or its CircuitError text."""
+    try:
+        return Topology.from_encoding(data).gates
+    except CircuitError as exc:
+        return str(exc)
+
+
+def checked_outcome(data):
+    """The gates, or the CircuitError text, of ``data`` read pair by pair
+    through the checked constructor."""
+    try:
+        return Topology(len(data) // 2, tuple(zip(data[::2], data[1::2]))).gates
+    except CircuitError as exc:
+        return str(exc)
+
+
+def test_from_encoding_table_path_agrees_exhaustively():
+    # every encoding of at most 3 gates with sides below 8: 266,305 in all,
+    # 70 of them valid
+    valid = 0
+    for k in range(4):
+        for data in map(bytes, product(range(8), repeat=2 * k)):
+            got = decode_outcome(data)
+            assert got == checked_outcome(data), data
+            valid += not isinstance(got, str)
+    assert valid == 1 + 1 + 4 + 64
+
+
+@given(st.integers(0, 9).flatmap(lambda k: st.binary(min_size=2 * k, max_size=2 * k)))
+@example(bytes(14))
+@example(bytes(16))
+@example(bytes(12) + b"\x3f\x40")
+@settings(max_examples=300)
+def test_from_encoding_table_path_agrees_with_checked_path(data):
+    expected = checked_outcome(data)
+    for form in (data, bytearray(data), list(data)):
+        assert decode_outcome(form) == expected
+
+
+def test_from_encoding_gives_shared_int_pairs():
+    for t in generate(5).members:
+        decoded = Topology.from_encoding(t.encode())
+        assert decoded == t
+        for gate, pairs in zip(decoded.gates, topology._gate_pairs()):
+            assert all(type(side) is int for side in gate)
+            assert pairs[gate] is gate
+
+
+def test_generate_rows_are_the_decoded_member_encodings():
+    for k in range(6):
+        ts = generate(k)
+        assert ts.rows == tuple(Topology.from_encoding(m.encode()).gates for m in ts.members)
+        assert ts.members == tuple(Topology(k, gates) for gates in ts.rows)
 
 
 def test_mask_helpers():
@@ -380,6 +437,20 @@ def test_generate_caps():
         generate(-1)
 
 
+def test_generate_refuses_k7_before_it_walks(monkeypatch):
+    class Refusing:
+        BACKEND = "refusing"
+
+        def extend(self, enc, k):
+            raise AssertionError("generate(7) started a walk")
+
+        count_extend = extend
+
+    monkeypatch.setattr(kernel, "get_backend", lambda name=None: Refusing())
+    with pytest.raises(CapacityError, match="k <= 6"):
+        generate(7)
+
+
 # --- text formats ----------------------------------------------------------
 
 def test_topology_text_roundtrip():
@@ -558,24 +629,29 @@ def test_sets_build_members_on_first_read(tmp_path, monkeypatch):
     eager = TopologySet(4, tuple(parse_topology(block) for block in text.split("\n\n")[1:]))
     path = tmp_path / "t4.txt"
     path.write_text(text)
-    built = []
+    checked = []
     new = Topology.__new__
 
     def counting(cls, k, gates):
-        t = new(cls, k, gates)
-        built.append(t)
-        return t
+        checked.append(gates)
+        return new(cls, k, gates)
+
+    def views():
+        return sum(type(obj) is Topology for obj in gc.get_objects())
 
     monkeypatch.setattr(Topology, "__new__", counting)
     for make in (lambda: generate(4), lambda: parse_topology_set(text),
                  lambda: load_topology_set(path)):
+        before = views()
         ts = make()
-        assert ts.count == 85 and not built
+        assert ts.count == 85 and views() == before
         members = ts.members
-        assert len(built) == 85 and ts.members is members
-        built.clear()
+        assert views() == before + 85 and ts.members is members
         assert members == eager.members
         assert ts == eager
+        del ts, members
+    # The rows were checked as each set was built, so no view is checked again.
+    assert not checked
 
 
 @pytest.mark.parametrize("body, mask", [
