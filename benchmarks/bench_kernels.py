@@ -10,7 +10,11 @@ set, which use no kernel, the first read of ``members`` on the loaded set,
 which builds its ``Topology`` views, ``Topology.from_encoding`` in
 microseconds per member, and the pure-Python ``canonical_keys`` in
 microseconds per call over every member with its layer sizes: cold, with
-the relabel tables emptied so that the calls build them, then warm.
+the relabel tables emptied so that the calls build them, then warm.  And,
+through ``startup.py``, the seconds and peak RSS of four fresh
+interpreters per k: ``generate`` alone, the CLI's ``generate``, which also
+saves the set, a load of the file it saved, and a load of the file with one
+gate line in its middle respelt, as ``respell`` writes it.
 
 Then, over seeded ``random_circuit(max_n=7, max_k=7)`` circuits, the
 microseconds per circuit of each stage of the rewrite pipeline, each stage
@@ -27,9 +31,11 @@ cached bytecode; the record notes it.
 
 ``--json PATH`` also appends the run, as one record, to the JSON list in
 PATH (a new file holds just that record): every figure printed, the
-backends, the ``git rev-parse HEAD`` of this checkout and the seconds of
-``perfbench/calibrate.py``'s reference loop just before and just after the
-run, by which the times can be scaled to a fixed machine speed.
+backends, the ``git rev-parse HEAD`` of the checkout whose package is
+measured, with the sha256 of its ``git diff HEAD`` when it has uncommitted
+changes, and the seconds of ``perfbench/calibrate.py``'s reference loop just
+before and just after the run, by which the times can be scaled to a fixed
+machine speed.
 
     python benchmarks/bench_kernels.py --max-k 5
     python benchmarks/bench_kernels.py --max-k 6 --json BENCH_<date>.json
@@ -37,6 +43,7 @@ run, by which the times can be scaled to a fixed machine speed.
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import platform
@@ -89,6 +96,17 @@ def per_parent_us(fn, k, parents):
     for enc in parents:
         fn(enc, k)
     return (time.perf_counter() - start) / len(parents) * 1e6
+
+
+def respell(path, out):
+    """Write the set file at ``path`` to ``out`` with a space before the end
+    of one ``gate 1`` line, the first at or past its middle, so that its
+    block is no longer spelt as ``format_topology_set`` writes it."""
+    data = Path(path).read_bytes()
+    line = b"gate 1: L={} R={}\n"
+    at = data.find(line, len(data) // 2)
+    at = (data.rfind(line) if at < 0 else at) + len(line) - 1
+    Path(out).write_bytes(data[:at] + b" " + data[at:])
 
 
 def from_encoding_us(members):
@@ -144,24 +162,37 @@ def circuit_stages_us(count, seed=1):
     return best
 
 
-def startup():
-    """``startup.py``'s figures for STARTS starts of the package this script
+SRC = Path(kernel.__file__).resolve().parents[1]  # the package measured
+
+
+def fresh(*args):
+    """``startup.py``'s figures for ``args``, for the package this script
     imports."""
-    src = Path(kernel.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-I", "-S", str(ROOT / "benchmarks" / "startup.py"),
-                           str(STARTS), str(src)],
+                           *map(str, args), str(SRC)],
                           capture_output=True, text=True, check=True, timeout=600)
     return json.loads(done.stdout)
 
 
-def git_commit():
-    """``git rev-parse HEAD`` of this checkout, or None outside git."""
+def git(*args):
+    """The output of ``git args`` in the checkout of the package measured,
+    or None outside git."""
     try:
-        done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
-                              capture_output=True, text=True, timeout=10)
+        done = subprocess.run(["git", "-C", str(SRC.parent), *args],
+                              capture_output=True, timeout=60)
     except OSError:
         return None
-    return done.stdout.strip() if done.returncode == 0 else None
+    return done.stdout if done.returncode == 0 else None
+
+
+def git_state():
+    """The commit of the package's checkout, and the sha256 of its ``git
+    diff HEAD`` when that is not empty, else None; both None outside git."""
+    commit = git("rev-parse", "HEAD")
+    if commit is None:
+        return None, None
+    diff = git("diff", "HEAD")
+    return commit.decode().strip(), hashlib.sha256(diff).hexdigest() if diff else None
 
 
 def append_record(path, record):
@@ -194,7 +225,7 @@ def main():
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
           + "".join(f" {b + ' ' + f:>16}" for f in ("extend", "count_extend") for b in backends)
           + f" {'save':>9} {'load':>9} {'members':>9} {'from_enc':>9}"
-          + f" {'keys cold':>10} {'keys warm':>10}"
+          + f" {'keys cold':>10} {'keys warm':>10} {'fresh generate/cli/load/respelt MB':>36}"
           + ("   speedup walk/generate" if len(backends) > 1 else ""))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -220,18 +251,24 @@ def main():
                             for b in backends}
             cold_us, warm_us = canonical_keys_us(members)
             from_enc_us = from_encoding_us(members)
+            respelt = os.path.join(tmp, "respelt.txt")
+            respell(path, respelt)
+            fresh_runs = fresh("set", k, os.path.join(tmp, "fresh.txt"), respelt)
+            fresh_mb = "/".join(f"{run['peak_rss_mb']:.1f}" for run in fresh_runs.values())
             rows.append({"k": k, "classes": count, "parents": len(parents),
                          "walk_s": {b: times[b, "walk"] for b in backends},
                          "generate_s": {b: times[b, "generate"] for b in backends},
                          "extend_us": extend, "count_extend_us": count_extend,
                          "save_s": save_s, "load_s": load_s,
                          "members_s": members_s, "from_encoding_us": from_enc_us,
-                         "canonical_keys_cold_us": cold_us, "canonical_keys_warm_us": warm_us})
+                         "canonical_keys_cold_us": cold_us, "canonical_keys_warm_us": warm_us,
+                         "fresh": fresh_runs})
             line = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
             for us in [*extend.values(), *count_extend.values()]:
                 line += f" {'-' if us is None else f'{us:.1f}us':>16}"
             line += (f" {save_s:>8.3f}s {load_s:>8.3f}s {members_s:>8.3f}s"
-                     f" {from_enc_us:>7.2f}us {cold_us:>8.1f}us {warm_us:>8.1f}us")
+                     f" {from_enc_us:>7.2f}us {cold_us:>8.1f}us {warm_us:>8.1f}us"
+                     f" {fresh_mb:>36}")
             if len(backends) > 1:
                 line += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
                                       for p in ("walk", "generate"))
@@ -241,13 +278,15 @@ def main():
     for name, us in circuit_us.items():
         print(f"{name:>28} {us:>8.1f}us")
     print(f"\nstart-up, median of {STARTS} fresh interpreters, and peak RSS:")
-    started = startup()
+    started = fresh(STARTS)
     for name, figures in started.items():
         print(f"{name:>28} {figures['median_s'] * 1e3:>8.1f}ms {figures['peak_rss_mb']:>6.1f}MB")
     if args.json:
+        commit, diff_sha256 = git_state()
         append_record(args.json, {
             "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-            "commit": git_commit(), "backends": backends, "python": platform.python_version(),
+            "commit": commit, "diff_sha256": diff_sha256,
+            "backends": backends, "python": platform.python_version(),
             "cpus": os.cpu_count(), "max_k": args.max_k,
             "reference_s": {"before": reference_before, "after": reference_seconds()},
             "rows": rows, "circuit_us": circuit_us,

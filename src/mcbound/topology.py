@@ -3,16 +3,17 @@ isomorph-pruned generation of all minimal well-layered gate topologies."""
 
 from __future__ import annotations
 
+import io
 import re
 import struct
 from collections import namedtuple
 from functools import cache, partial
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import countOf
 
 from . import kernel
 from ._gen_py import gate_fault, layer_masks
-from .errors import CapacityError, CircuitError, ContractError, ParseError, read_ascii
+from .errors import CapacityError, CircuitError, ContractError, ParseError
 
 MAX_GENERATE_K = 7
 # generate keeps every class key, about 56 bytes each: some 28 MB for the
@@ -482,19 +483,11 @@ def format_topology(t):
 
 
 @cache
-def _gate_lines():
-    """Per gate i <= MAX_GENERATE_K (index i - 1), the canonical line of each
-    valid pair of gate i mapped to its shared pair: 5,461 lines in all,
-    built on first use."""
-    return tuple({_gate_line(i, *pair): pair for pair in pairs}
-                 for i, pairs in enumerate(_gate_pairs(), 1))
-
-
-@cache
 def _gate_texts():
-    """The inverse of ``_gate_lines``: per gate i (index i - 1), the
-    canonical line of each of its pairs."""
-    return tuple({pair: line for line, pair in lines.items()} for lines in _gate_lines())
+    """Per gate i <= MAX_GENERATE_K (index i - 1), each valid pair of gate i
+    mapped to its canonical line: 5,461 lines in all, built on first use."""
+    return tuple({pair: _gate_line(i, *pair) for pair in pairs}
+                 for i, pairs in enumerate(_gate_pairs(), 1))
 
 
 def _parse_index_set(text, gate):
@@ -548,98 +541,194 @@ def parse_topology(text):
     return Topology(len(gates), gates)
 
 
-def format_topology_set(ts):
+def _set_blocks(ts):
+    """The text of ``ts`` as ``format_topology_set`` writes it, a block at a
+    time: its header line, then one block of lines per member, each without
+    the newlines that separate them."""
     k = ts.k
-    blocks = [f"topologyset k={k} count={ts.count}"]
+    yield f"topologyset k={k} count={ts.count}"
     if k <= MAX_GENERATE_K:
         # Rows are valid gates, so every gate's line is in the table.
         head = f"topology k={k}"
         texts = _gate_texts()[:k]
-        blocks += ["\n".join([head, *map(dict.__getitem__, texts, gates)]) for gates in ts.rows]
+        for gates in ts.rows:
+            yield "\n".join([head, *map(dict.__getitem__, texts, gates)])
     else:
-        blocks += [_topology_text(k, gates) for gates in ts.rows]
-    return "\n\n".join(blocks) + "\n"
+        for gates in ts.rows:
+            yield _topology_text(k, gates)
 
 
-def _column_rows(lines, start, k, count):
-    """The rows of the set when ``lines[start:]`` are exactly ``count``
-    blocks of k <= MAX_GENERATE_K gates, each after one empty line, spelt
-    as ``format_topology_set`` writes them; else None.  The lines of each
-    gate number form one column, read by one ``_gate_lines`` lookup a line."""
-    step = k + 2
-    if len(lines) - start != count * step \
-            or countOf(islice(lines, start, None, step), "") != count \
-            or countOf(islice(lines, start + 1, None, step), f"topology k={k}") != count:
-        return None
-    columns = [map(table.__getitem__, islice(lines, start + 1 + i, None, step))
-               for i, table in enumerate(_gate_lines()[:k], 1)]
+def format_topology_set(ts):
+    return "\n\n".join(_set_blocks(ts)) + "\n"
+
+
+# Bytes read from a file at a time, and blocks read or written at a time.
+_CHUNK_BYTES = 1 << 16
+_CHUNK_BLOCKS = 256
+
+
+@cache
+def _line_tables(eol):
+    """Per gate i <= MAX_GENERATE_K (index i - 1), the canonical line of
+    each valid pair of gate i as ASCII bytes ended by ``eol`` (``b"\\n"`` or
+    ``b"\\r\\n"``), the line as read, mapped to its shared pair: 5,461 lines
+    in all, built on first use."""
+    return tuple({line.encode() + eol: pair for pair, line in texts.items()}
+                 for texts in _gate_texts())
+
+
+def _ascii(line, lineno):
+    """``line``, a line read as bytes, as str; a byte outside ASCII raises
+    ParseError with its line and column."""
     try:
-        return tuple(zip(*columns))
-    except KeyError:
-        return None
+        return line.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte 0x{line[exc.start]:02x} is not ASCII",
+                         line=lineno, col=exc.start + 1) from None
+
+
+def _block_row(lines, start, k, head, tables):
+    """The gates of the block ``lines``, which starts at line ``start`` with
+    the header of a k-gate topology and has at most k gate lines.  A block
+    spelt as ``format_topology_set`` writes it costs one lookup per gate in
+    ``tables``; any other goes through ``_parse_topology_lines``."""
+    if tables is not None and len(lines) == k + 1 and lines[0] == head:
+        try:
+            return tuple(map(dict.__getitem__, tables, lines[1:]))
+        except KeyError:
+            pass
+    return _parse_topology_lines([_ascii(line, lineno)
+                                  for lineno, line in enumerate(lines, start)], start)
+
+
+def _set_rows(lines, k, count, header_line, eol):
+    """The rows of the set whose header, at line ``header_line`` and ended
+    by ``eol``, gave k and count, in tuples of rows, read from ``lines``, an
+    iterator over the lines after the header, as bytes each ended by
+    ``b"\\n"`` but perhaps the last.
+
+    While the layout is the one ``format_topology_set`` writes, the lines
+    are read in chunks of _CHUNK_BLOCKS blocks, each block with the blank
+    line after it, and the lines of each gate number are looked up as one
+    column in ``_line_tables(eol)``.  A chunk laid out in any other way,
+    including every chunk with an error, is read a line at a time, and so
+    are the lines after it up to the next blank line.  A block fails at its
+    first line when it is past the header's count or names another k, and
+    at its (k + 2)-th line when it has too many."""
+    head = f"topology k={k}".encode() + eol
+    tables = _line_tables(eol)[:k] if 0 < k <= MAX_GENERATE_K else None
+    size = k + 2  # a block as written, with the blank line after it
+    lineno, found = header_line, 0
+    block, start = [], 0  # the block being read a line at a time, and its first line
+    pending = []  # a chunk read but not laid out as written
+    while True:
+        spare = len(pending)
+        for line in chain(pending, lines):
+            spare -= 1
+            lineno += 1
+            if line.strip():
+                if not block:
+                    if found == count:
+                        raise ParseError(f"more than count={count} blocks", line=lineno)
+                    if line != head:
+                        header = _TOPOLOGY_HEADER.match(_ascii(line, lineno))
+                        if not header:
+                            raise ParseError("expected 'topology k=<k>'", line=lineno)
+                        if int(header.group(1)) != k:
+                            raise ParseError(f"member with k={int(header.group(1))} in a k={k} "
+                                             f"set", line=lineno)
+                    start = lineno
+                elif len(block) > k:
+                    raise ParseError(f"expected {k} gate lines", line=start)
+                block.append(line)
+            elif block:
+                yield (_block_row(block, start, k, head, tables),)
+                found += 1
+                block = []
+            if spare <= 0 and tables is not None and not block:
+                break  # past the chunk and between blocks: read by chunks again
+        else:
+            break  # the end of the text
+        pending = []
+        while chunk := list(islice(lines, size * min(_CHUNK_BLOCKS, count - found))):
+            if len(chunk) % size == size - 1:
+                chunk.append(eol)  # the text ends with the last gate line of a block
+            blocks = len(chunk) // size
+            if len(chunk) % size == 0 \
+                    and countOf(islice(chunk, 0, None, size), head) == blocks \
+                    and countOf(islice(chunk, size - 1, None, size), eol) == blocks:
+                columns = [map(table.__getitem__, islice(chunk, i, None, size))
+                           for i, table in enumerate(tables, 1)]
+                try:
+                    rows = tuple(zip(*columns))
+                except KeyError:
+                    pass
+                else:
+                    yield rows
+                    found += blocks
+                    lineno += len(chunk)
+                    continue
+            pending = chunk
+            break
+    if block:
+        yield (_block_row(block, start, k, head, tables),)
+        found += 1
+    if found != count:
+        raise ParseError(f"header says count={count} but {found} blocks found", line=header_line)
+
+
+def _read_topology_set(lines):
+    """The topology set read from ``lines``, an iterator over the lines of
+    its text as bytes, each ended by ``b"\\n"`` but perhaps the last.  Only
+    ``b"\\n"`` ends a line: a ``b"\\r"`` before it is white space, as are
+    ``\\v`` and ``\\f`` anywhere, and ``\\x1c``-``\\x1e`` are neither."""
+    lineno = 0
+    for line in lines:
+        lineno += 1
+        if line.strip():
+            break
+    else:
+        raise ParseError("empty topology set", line=1)
+    header = _SET_HEADER.match(_ascii(line, lineno))
+    if not header:
+        raise ParseError("expected 'topologyset k=<k> count=<c>'", line=lineno)
+    k = int(header.group(1))
+    count = int(header.group(2))
+    eol = b"\r\n" if line.endswith(b"\r\n") else b"\n"
+    rows = tuple(chain.from_iterable(_set_rows(lines, k, count, lineno, eol)))
+    return TopologySet._from_rows(k, rows)
+
+
+def _utf8_pieces(text):
+    """``text`` as UTF-8, in pieces of about _CHUNK_BYTES characters, each
+    ended by a newline but the last."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_BYTES) + 1 or len(text)
+        yield text[start:end].encode("utf-8", "surrogatepass")
+        start = end
 
 
 def parse_topology_set(text):
-    """The topology set in ``text``.  Text laid out exactly as
-    ``format_topology_set`` writes it, with k <= MAX_GENERATE_K, is read a
-    gate number at a time by ``_column_rows``.  Any other text, including
-    every text with an error, goes through the block parser: it checks each
-    member against the header as its block ends, and fails on a block past
-    the header's count before parsing it.  There a block spelt as
-    ``format_topology_set`` writes it costs one ``_gate_lines`` lookup per
-    gate; any other goes through ``_parse_topology_lines``."""
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx == len(lines):
-        raise ParseError("empty topology set", line=1)
-    header = _SET_HEADER.match(lines[idx])
-    if not header:
-        raise ParseError("expected 'topologyset k=<k> count=<c>'", line=idx + 1)
-    k = int(header.group(1))
-    count = int(header.group(2))
-    if 0 < k <= MAX_GENERATE_K:
-        rows = _column_rows(lines, idx + 1, k, count)
-        if rows is not None:
-            return TopologySet._from_rows(k, rows)
-    rows = []
-    head = f"topology k={k}"
-    tables = _gate_lines()[:k] if k <= MAX_GENERATE_K else ()
-    lines.append("")  # closes the last block
-    pos = idx + 1
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
-            continue
-        if len(rows) == count:
-            raise ParseError(f"more than count={count} blocks", line=pos + 1)
-        end = pos + k + 1
-        if tables and lines[pos] == head and end < len(lines) and not lines[end].strip():
-            # A block of k canonical gate lines: one lookup a gate.
-            try:
-                rows.append(tuple(map(dict.__getitem__, tables, lines[pos + 1:end])))
-                pos = end + 1
-                continue
-            except KeyError:
-                pass
-        end = pos + 1
-        while lines[end].strip():
-            end += 1
-        gates = _parse_topology_lines(lines[pos:end], pos + 1)
-        if len(gates) != k:
-            raise ParseError(f"member with k={len(gates)} in a k={k} set", line=pos + 1)
-        rows.append(gates)
-        pos = end + 1
-    if len(rows) != count:
-        raise ParseError(f"header says count={count} but {len(rows)} blocks found", line=idx + 1)
-    return TopologySet._from_rows(k, tuple(rows))
+    """The topology set in ``text``, read as its UTF-8 bytes by the reader
+    of ``load_topology_set``, a piece at a time, so that a character
+    outside ASCII fails as its first byte does in a file."""
+    return _read_topology_set(chain.from_iterable(map(io.BytesIO, _utf8_pieces(text))))
 
 
 def save_topology_set(ts, path):
+    """Write ``format_topology_set(ts)`` to ``path``, _CHUNK_BLOCKS blocks
+    at a time."""
+    blocks = _set_blocks(ts)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_topology_set(ts))
+        fh.write(next(blocks))
+        while chunk := list(islice(blocks, _CHUNK_BLOCKS)):
+            fh.write("\n\n".join(["", *chunk]))
+        fh.write("\n")
 
 
 def load_topology_set(path):
-    return parse_topology_set(read_ascii(path))
+    """The topology set in the file at ``path``, read _CHUNK_BYTES at a
+    time; a byte outside ASCII raises ParseError with its line and column."""
+    with open(path, "rb", buffering=_CHUNK_BYTES) as fh:
+        return _read_topology_set(fh)

@@ -145,6 +145,13 @@ def test_table2_guards(capsys):
     assert code == 1 and "--allow-long" not in stderr and stdout.endswith("6 506935\n")
 
 
+def test_table2_takes_no_allow_long(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table2", "--max-k", "3", "--allow-long"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-long" in capsys.readouterr().err
+
+
 # --- prove ------------------------------------------------------------------
 
 def test_prove_published_class_count(capsys):
@@ -239,6 +246,19 @@ def test_prove_asks_for_allow_long_only_at_k7(capsys, monkeypatch):
     assert "--allow-long" not in stderr and counted == [6]
     run(capsys, "prove", "--n", "7", "--k", "7", "--allow-long")
     assert counted == [6, 7]
+
+
+def test_allow_long_prints_no_progress(capsys, monkeypatch):
+    progress = []
+
+    def count_classes(k, **kw):
+        progress.append(kw.get("progress"))
+        return 312463157
+
+    monkeypatch.setattr("mcbound.cli.count_classes", count_classes)
+    _, stdout, stderr = run(capsys, "prove", "--n", "7", "--k", "7", "--allow-long")
+    assert "topology_classes = 312463157" in stdout
+    assert progress == [None] and "[walk" not in stderr
 
 
 def test_prove_falls_back_to_generate(capsys):

@@ -521,15 +521,26 @@ def test_topology_set_text_roundtrip_random(ts):
     assert parse_topology_set(format_topology_set(ts)) == ts
 
 
+def read_outcome(read, arg):
+    """The set that ``read(arg)`` returns, or its ParseError's message, line
+    and column."""
+    try:
+        return read(arg)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
 @given(st.integers(0, 3), st.data())
 @settings(max_examples=150)
-def test_parse_topology_set_mutated_text(k, data):
+def test_parse_topology_set_mutated_text(tmp_path_factory, k, data):
     text = data.draw(mutated(format_topology_set(generate(k))))
-    try:
-        ts = parse_topology_set(text)
-    except ParseError:
-        return
-    assert parse_topology_set(format_topology_set(ts)) == ts
+    # The file holds the text as parse_topology_set reads it: its UTF-8 bytes.
+    path = tmp_path_factory.getbasetemp() / "mutated.txt"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    parsed = read_outcome(parse_topology_set, text)
+    assert read_outcome(load_topology_set, path) == parsed
+    if isinstance(parsed, TopologySet):
+        assert parse_topology_set(format_topology_set(parsed)) == parsed
 
 
 def test_parse_topology_set_respelt_blocks():
@@ -561,37 +572,65 @@ def _edit_line(text, old, new, after):
 K4_TEXT = format_topology_set(generate(4))
 
 
-@pytest.mark.parametrize("variant, column, respelt", [
-    (lambda t: t, True, 0),
-    (lambda t: t.replace("\n", "\r\n"), True, 0),
-    (lambda t: t.replace("\n\n", "\n\n\n", 7), False, 0),
-    (lambda t: _edit_line(t, "gate 3: L={} R={1,2}", ["gate 3: L={} R={1,2} "], 200), False, 1),
+@pytest.mark.parametrize("variant, respelt", [
+    (lambda t: t, 0),
+    (lambda t: t.replace("\n", "\r\n"), 0),
+    (lambda t: t.replace("\n\n", "\n\n\n", 7), 0),
+    (lambda t: _edit_line(t, "gate 3: L={} R={1,2}", ["gate 3: L={} R={1,2} "], 200), 1),
 ], ids=["canonical", "crlf", "extra-blank-line", "trailing-space"])
-def test_parse_paths_agree_on_equivalent_texts(variant, column, respelt, monkeypatch):
-    read_by_columns = []
+def test_parse_paths_agree_on_equivalent_texts(variant, respelt, tmp_path, monkeypatch):
     parsed_blocks = []
-    column_rows = topology._column_rows
     block_parser = topology._parse_topology_lines
-
-    def recording(*args):
-        rows = column_rows(*args)
-        read_by_columns.append(rows is not None)
-        return rows
 
     def counting(lines, start_lineno):
         parsed_blocks.append(start_lineno)
         return block_parser(lines, start_lineno)
 
-    monkeypatch.setattr(topology, "_column_rows", recording)
     monkeypatch.setattr(topology, "_parse_topology_lines", counting)
-    ts = parse_topology_set(variant(K4_TEXT))
-    assert ts == generate(4)
-    assert ts.members == generate(4).members
-    # The column path reads only text laid out as format_topology_set
-    # writes it; the block parser reads the rest, and parses line by line
-    # only the blocks that are not spelt canonically.
-    assert read_by_columns == [column]
-    assert len(parsed_blocks) == respelt
+    path = tmp_path / "t4.txt"
+    path.write_bytes(variant(K4_TEXT).encode())
+    for ts in (parse_topology_set(variant(K4_TEXT)), load_topology_set(path)):
+        assert ts == generate(4)
+        assert ts.members == generate(4).members
+    # Only the blocks that are not spelt as format_topology_set writes them
+    # are parsed line by line, by parse and by load alike.
+    assert len(parsed_blocks) == 2 * respelt
+
+
+def test_reader_returns_to_chunks_after_other_spellings(monkeypatch):
+    ts = generate(5)
+    text = format_topology_set(ts)
+    blocks = text.split("\n\n")
+    blocks[1000] = blocks[1000].replace("gate 1: L={} R={}", "gate 1: L={ } R={}")
+    blocks[2000] += "\n"  # an extra blank line
+    read_by_lines = []
+    block_row = topology._block_row
+
+    def counting(lines, start, *args):
+        read_by_lines.append(start)
+        return block_row(lines, start, *args)
+
+    monkeypatch.setattr(topology, "_block_row", counting)
+    assert parse_topology_set("\n\n".join(blocks)) == ts
+    # Each spelling sends at most its chunk, and the lines up to the next
+    # blank line, through the reader that takes one line at a time.
+    assert 0 < len(read_by_lines) <= 2 * (topology._CHUNK_BLOCKS + 1)
+    read_by_lines.clear()
+    # without its last newline, the last line is spelt otherwise: only the
+    # last chunk is read a line at a time
+    assert parse_topology_set(text.removesuffix("\n")) == ts
+    assert 0 < len(read_by_lines) <= topology._CHUNK_BLOCKS
+
+
+@pytest.mark.parametrize("ts", [
+    generate(0), generate(3), generate(5), TopologySet(4, ()),
+    TopologySet(10, (Topology(10, ((0, 0),) * 9 + ((256, 511),)),) * 300),
+], ids=["k0", "k3", "k5", "empty", "k10"])
+def test_save_writes_the_formatted_text(ts, tmp_path):
+    path = tmp_path / "set.txt"
+    save_topology_set(ts, path)
+    assert path.read_bytes() == format_topology_set(ts).encode()
+    assert load_topology_set(path) == ts
 
 
 @pytest.mark.parametrize("variant, message, line", [
@@ -604,6 +643,23 @@ def test_parse_paths_agree_on_equivalent_texts(variant, column, respelt, monkeyp
 def test_parse_errors_keep_their_message_and_line(variant, message, line):
     with pytest.raises(ParseError) as err:
         parse_topology_set(variant(K4_TEXT))
+    assert message in str(err.value)
+    assert err.value.line == line
+
+
+K5_TEXT = format_topology_set(generate(5))
+
+
+@pytest.mark.parametrize("variant, message, line", [
+    (lambda t: _edit_line(t, "gate 2: L={} R={1}", ["gate 2: L={2} R={1}"], 14000),
+     "gate 2 may only reference gates 1..1", 14005),
+    (lambda t: t.replace("count=3282", "count=3281", 1), "more than count=3281 blocks", 22970),
+    (lambda t: _edit_line(t, "gate 3: L={1} R={2}", [], 20000), "expected 5 gate lines", 20002),
+], ids=["later-gate", "count-under", "missing-gate-line"])
+def test_errors_past_the_first_chunk_keep_their_line(variant, message, line):
+    # the k=5 text is 13 chunks of blocks: these errors are in the last ones
+    with pytest.raises(ParseError) as err:
+        parse_topology_set(variant(K5_TEXT))
     assert message in str(err.value)
     assert err.value.line == line
 
@@ -621,7 +677,35 @@ def test_gate_line_table_has_a_fixed_size():
     parse_topology_set(format_topology_set(generate(4)))
     parse_topology_set(format_topology_set(
         TopologySet(10, (Topology(10, ((0, 0),) * 9 + ((256, 511),)),))))
-    assert sum(map(len, topology._gate_lines())) == 5461
+    assert sum(map(len, topology._gate_texts())) == 5461
+    assert sum(map(len, topology._line_tables(b"\n"))) == 5461
+
+
+def transient_bytes(fn, *args):
+    """The traced peak of ``fn(*args)`` less what its result retains."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # noqa: F841  (held while the retained size is read)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - retained
+
+
+def test_save_and_load_work_in_bounded_chunks(tmp_path):
+    ts = generate(5)
+    sets = {"tenth": TopologySet._from_rows(5, ts.rows[:328]), "all": ts}
+    transient = {}
+    for name, part in sets.items():
+        path = tmp_path / f"{name}.txt"
+        save_topology_set(part, path)
+        assert load_topology_set(path) == part  # and every table is built
+        transient[name] = (transient_bytes(save_topology_set, part, path),
+                           transient_bytes(load_topology_set, path))
+    # Ten times the members, but the same chunks: what a save or a load
+    # holds beyond its result does not grow with the member count.
+    for small, large in zip(transient["tenth"], transient["all"]):
+        assert large < 2 * small
 
 
 def test_sets_build_members_on_first_read(tmp_path, monkeypatch):
@@ -710,14 +794,55 @@ BLOCK = "topology k=2\ngate 1: L={} R={}\ngate 2: L={} R={1}\n"
     (SET_HEAD + BLOCK + "\n\nnot a block\n", 8, "more than count=1"),
     ("topologyset k=2 count=2\n\n" + BLOCK + "\ntopology k=1\ngate 1: L={} R={}\n", 7,
      "member with k=1 in a k=2 set"),
+    # only "\n" ends a line: these are characters of the line they are in
+    (SET_HEAD + "topology k=2\ngate 1: L={} R={}\vgate 2: L={} R={1}\n", 3,
+     "expected 2 gate lines"),
+    ("topologyset k=2 count=1\f\f" + BLOCK, 1, "expected 'topologyset"),
+    (SET_HEAD + "topology k=2\ngate 1: L={} R={}\x1cgate 2: L={} R={1}\n", 3,
+     "expected 2 gate lines"),
+    ("topologyset k=2 count=1\n\x1d\n" + BLOCK, 2, "expected 'topology k="),
+    ("topologyset k=2 count=1\x1e\n\n" + BLOCK, 1, "expected 'topologyset"),
+    (SET_HEAD + "topology k=2\ngate 1: L={} R={}\ngate 2: L={\xe9} R={1}\n", 5,
+     "line 5, col 12: byte 0xc3 is not ASCII"),
+    ("\xa0\n" + SET_HEAD + BLOCK, 1, "line 1, col 1: byte 0xc2 is not ASCII"),
 ], ids=["empty", "bad-header", "bad-block-header", "gate-number", "bad-gate-line",
         "gate-line-count", "later-gate", "index-zero", "trailing-comma", "too-few-blocks",
-        "too-many-blocks", "member-k"])
-def test_parse_topology_set_error_lines(text, line, message):
+        "too-many-blocks", "member-k", "vertical-tab", "form-feed", "file-separator",
+        "group-separator", "record-separator", "non-ascii", "non-ascii-space"])
+def test_parse_topology_set_error_lines(text, line, message, tmp_path):
     with pytest.raises(ParseError) as err:
         parse_topology_set(text)
     assert err.value.line == line
     assert message in str(err.value)
+    path = tmp_path / "set.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as loaded:
+        load_topology_set(path)
+    assert (str(loaded.value), loaded.value.line, loaded.value.col) == \
+        (str(err.value), err.value.line, err.value.col)
+
+
+def test_block_with_too_many_lines_fails_before_it_is_held():
+    text = SET_HEAD + "topology k=2\n" + "gate 1: L={} R={}\n" * 200_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="expected 2 gate lines") as err:
+            parse_topology_set(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 3
+    assert peak < 1 << 20  # the 3.6 MB of lines are never held at once
+
+
+def test_set_lines_end_at_newline_only():
+    ts = parse_topology_set(SET_HEAD + BLOCK)
+    assert parse_topology_set((SET_HEAD + BLOCK).replace("\n", "\r\n")) == ts
+    assert parse_topology_set((SET_HEAD + BLOCK).removesuffix("\n")) == ts
+    assert parse_topology_set(" \t\r\n\v\f\n" + SET_HEAD + BLOCK) == ts  # two blank lines
+    # \v and \f are white space inside a line, as \t and \r are
+    assert parse_topology_set(SET_HEAD + BLOCK.replace(": L=", ":\vL=").replace(" R=", "\fR=")) \
+        == ts
 
 
 def test_parse_topology_set_block_with_extra_gate_line():
