@@ -8,9 +8,10 @@ and reports the speedup of the compiled kernel on the first two.  Per k,
 also times ``save_topology_set`` and ``load_topology_set`` of the generated
 set, which use no kernel, the first read of ``members`` on the loaded set,
 which builds its ``Topology`` views, ``Topology.from_encoding`` in
-microseconds per member, and the pure-Python ``canonical_keys`` in
-microseconds per call over every member with its layer sizes: cold, with
-the relabel tables emptied so that the calls build them, then warm.  And,
+microseconds per member, and ``canonical_keys`` in microseconds per call
+over every member's encoding: the pure-Python kernel cold, with its relabel
+tables emptied so that the calls build them, then warm, and the compiled
+kernel when it is built.  And,
 through ``startup.py``, the seconds and peak RSS of four fresh
 interpreters per k: ``generate`` alone, the CLI's ``generate``, which also
 saves the set, a load of the file it saved, and a load of the file with one
@@ -56,7 +57,7 @@ from pathlib import Path
 
 from mcbound import _gen_py, circuits, kernel
 from mcbound.randgen import random_circuit
-from mcbound.topology import (Topology, count_classes, generate, layering, load_topology_set,
+from mcbound.topology import (Topology, count_classes, generate, load_topology_set,
                               save_topology_set)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,18 +122,22 @@ def from_encoding_us(members):
     return best / len(encodings) * 1e6
 
 
-def canonical_keys_us(members):
-    """Pure-Python ``canonical_keys`` microseconds per call over the members,
-    cold then warm."""
-    cases = [(m.gates, layering(m).sizes) for m in members]
-    _gen_py._TABLES.clear()
-    per_call = []
-    for _ in ("cold", "warm"):
+def canonical_keys_us(members, backends):
+    """``canonical_keys`` microseconds per call over the members' encodings:
+    the pure-Python kernel cold, then warm, then the compiled kernel, or
+    None when it is not among ``backends``."""
+    encodings = [m.encode() for m in members]
+
+    def per_call(keys):
         start = time.perf_counter()
-        for pairs, sizes in cases:
-            _gen_py.canonical_keys(pairs, sizes)
-        per_call.append((time.perf_counter() - start) / len(cases) * 1e6)
-    return per_call
+        for enc in encodings:
+            keys(enc)
+        return (time.perf_counter() - start) / len(encodings) * 1e6
+    _gen_py._TABLES.clear()
+    cold_us = per_call(_gen_py.canonical_keys)
+    warm_us = per_call(_gen_py.canonical_keys)
+    c_us = per_call(kernel.get_backend("c").canonical_keys) if "c" in backends else None
+    return cold_us, warm_us, c_us
 
 
 def circuit_stages_us(count, seed=1):
@@ -225,7 +230,8 @@ def main():
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
           + "".join(f" {b + ' ' + f:>16}" for f in ("extend", "count_extend") for b in backends)
           + f" {'save':>9} {'load':>9} {'members':>9} {'from_enc':>9}"
-          + f" {'keys cold':>10} {'keys warm':>10} {'fresh generate/cli/load/respelt MB':>36}"
+          + f" {'keys cold':>10} {'keys warm':>10} {'keys c':>10}"
+          + f" {'fresh generate/cli/load/respelt MB':>36}"
           + ("   speedup walk/generate" if len(backends) > 1 else ""))
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -249,7 +255,7 @@ def main():
                       for b in backends}
             count_extend = {b: per_parent_us(kernel.get_backend(b).count_extend, k, parents)
                             for b in backends}
-            cold_us, warm_us = canonical_keys_us(members)
+            cold_us, warm_us, keys_c_us = canonical_keys_us(members, backends)
             from_enc_us = from_encoding_us(members)
             respelt = os.path.join(tmp, "respelt.txt")
             respell(path, respelt)
@@ -262,12 +268,14 @@ def main():
                          "save_s": save_s, "load_s": load_s,
                          "members_s": members_s, "from_encoding_us": from_enc_us,
                          "canonical_keys_cold_us": cold_us, "canonical_keys_warm_us": warm_us,
+                         "canonical_keys_c_us": keys_c_us,
                          "fresh": fresh_runs})
             line = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
             for us in [*extend.values(), *count_extend.values()]:
                 line += f" {'-' if us is None else f'{us:.1f}us':>16}"
             line += (f" {save_s:>8.3f}s {load_s:>8.3f}s {members_s:>8.3f}s"
                      f" {from_enc_us:>7.2f}us {cold_us:>8.1f}us {warm_us:>8.1f}us"
+                     f" {'-' if keys_c_us is None else f'{keys_c_us:.2f}us':>10}"
                      f" {fresh_mb:>36}")
             if len(backends) > 1:
                 line += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"

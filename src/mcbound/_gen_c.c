@@ -161,28 +161,43 @@ int_value(PyObject *obj, int *out, int *over)
     return 0;
 }
 
-/* Reads side `side` of pair into *mask; bad_neg and bad_big record a
-   negative mask and one of 2^q or more. */
+/* Reads the encoding enc, the last byte of an odd length ignored, into *t
+   with its greedy maximal layering, as _gen_py.read_topology; gates past
+   MAX_GATES are checked but not read.  Returns the mask of the last layer
+   read, or -1 with a ValueError set when a gate references itself or a
+   later gate. */
 static int
-read_side(PyObject *pair, int side, int q, int *mask, int *bad_neg, int *bad_big)
+read_topology(const Py_buffer *enc, topo *t)
 {
-    int over, rc;
-    PyObject *obj = PySequence_GetItem(pair, side);
-    if (obj == NULL)
-        return -1;
-    rc = int_value(obj, mask, &over);
-    Py_DECREF(obj);
-    if (rc < 0)
-        return -1;
-    if (over < 0 || *mask < 0)
-        *bad_neg = 1;
-    else if (over > 0 || *mask >= 1 << q)
-        *bad_big = 1;
-    return 0;
+    const unsigned char *bytes = enc->buf;
+    Py_ssize_t q = enc->len / 2;
+    int i, cur = 0;
+
+    /* a byte cannot reach past the eighth gate */
+    for (i = 0; i < q && i < 8; i++)
+        if ((bytes[2 * i] | bytes[2 * i + 1]) >> i) {
+            PyErr_Format(PyExc_ValueError,
+                         "gate %d references a gate numbered %d or later", i + 1, i + 1);
+            return -1;
+        }
+    t->q = q < MAX_GATES ? (int)q : MAX_GATES;
+    t->nlayers = 0;
+    for (i = 0; i < t->q; i++) {
+        t->left[i] = bytes[2 * i];
+        t->right[i] = bytes[2 * i + 1];
+        if (cur & (t->left[i] | t->right[i])) {
+            t->sizes[t->nlayers++] = __builtin_popcount(cur);
+            cur = 0;
+        }
+        cur |= 1 << i;
+    }
+    if (cur)
+        t->sizes[t->nlayers++] = __builtin_popcount(cur);
+    return cur;
 }
 
 PyDoc_STRVAR(canonical_keys_doc,
-"canonical_keys(pairs, layer_sizes)\n--\n\n"
+"canonical_keys(enc)\n--\n\n"
 "Least encodings of a well-layered topology over gate relabelings, as\n"
 "(key_any, key_min): the least encoding overall, and the least whose gates\n"
 "all satisfy the minimality conditions (None when no variant does).");
@@ -190,68 +205,18 @@ PyDoc_STRVAR(canonical_keys_doc,
 static PyObject *
 canonical_keys(PyObject *self, PyObject *args)
 {
-    PyObject *pairs_arg, *sizes_arg, *pairs = NULL, *sizes = NULL, *result = NULL;
-    Py_ssize_t q, nsizes, i;
-    long long total = 0;
-    int bad_cover = 0, bad_size = 0, bad_neg = 0, bad_big = 0;
+    Py_buffer enc;
+    PyObject *result = NULL;
     topo t;
 
-    if (!PyArg_ParseTuple(args, "OO:canonical_keys", &pairs_arg, &sizes_arg))
+    if (!PyArg_ParseTuple(args, "y*:canonical_keys", &enc))
         return NULL;
-    pairs = PySequence_Fast(pairs_arg, "pairs must be a sequence");
-    if (pairs == NULL)
-        return NULL;
-    q = PySequence_Fast_GET_SIZE(pairs);
-    if (q == 0) {
-        result = Py_BuildValue("(y#y#)", "", (Py_ssize_t)0, "", (Py_ssize_t)0);
-        goto done;
-    }
-    if (q > MAX_GATES) {
+    if (enc.len / 2 > MAX_GATES)
         PyErr_Format(PyExc_ValueError, "kernel supports at most %d gates, got %zd",
-                     MAX_GATES, q);
-        goto done;
-    }
-    sizes = PySequence_Tuple(sizes_arg);
-    if (sizes == NULL)
-        goto done;
-    nsizes = PyTuple_GET_SIZE(sizes);
-    for (i = 0; i < nsizes; i++) {
-        int size, over;
-        if (int_value(PyTuple_GET_ITEM(sizes, i), &size, &over) < 0)
-            goto done;
-        if (over)
-            bad_cover = 1;
-        total += size;
-        if (size < 1)
-            bad_size = 1;
-        else if (i < MAX_GATES)
-            t.sizes[i] = size;
-    }
-    if (bad_cover || total != q) {
-        PyErr_SetString(PyExc_ValueError, "layer sizes do not cover the gate list");
-        goto done;
-    }
-    for (i = 0; i < q; i++) {
-        PyObject *pair = PySequence_Fast_GET_ITEM(pairs, i);
-        if (read_side(pair, 0, (int)q, &t.left[i], &bad_neg, &bad_big) < 0
-            || read_side(pair, 1, (int)q, &t.right[i], &bad_neg, &bad_big) < 0)
-            goto done;
-    }
-    if (bad_neg)
-        PyErr_SetString(PyExc_ValueError, "side masks must not be negative");
-    else if (bad_size)
-        PyErr_Format(PyExc_ValueError, "layer sizes must be at least 1, got %R", sizes);
-    else if (bad_big)
-        PyErr_Format(PyExc_ValueError, "side masks of %zd gates must be below %d",
-                     q, 1 << q);
-    else {
-        t.q = (int)q;
-        t.nlayers = (int)nsizes;
+                     MAX_GATES, enc.len / 2);
+    else if (read_topology(&enc, &t) >= 0)
         result = keys_of(&t);
-    }
-done:
-    Py_DECREF(pairs);
-    Py_XDECREF(sizes);
+    PyBuffer_Release(&enc);
     return result;
 }
 
@@ -464,22 +429,20 @@ done:
 }
 
 /* extend(enc, k) when counts is NULL, else count_extend(enc, k) with
-   counts[0..2) zeroed: the shared checks, the parent's layering and
-   candidate gates, then add_children.  Returns the sorted list of
-   children that add_children appends. */
+   counts[0..2) zeroed: the shared checks, the parent read by
+   read_topology, its candidate gates, then add_children.  Returns the
+   sorted list of children that add_children appends. */
 static PyObject *
 children(PyObject *args, const char *format, Py_ssize_t *counts)
 {
     Py_buffer enc;
     PyObject *k_arg, *result = NULL;
-    const unsigned char *bytes;
     int cand_left[MAX_CANDS], cand_right[MAX_CANDS];
-    int k, over, q, i, cur, last, full, left, right, ncand = 0;
+    int k, over, q, last, full, left, right, ncand = 0;
     topo parent;
 
     if (!PyArg_ParseTuple(args, format, &enc, &k_arg))
         return NULL;
-    bytes = enc.buf;
     if (enc.len < 2) {
         PyErr_SetString(PyExc_ValueError, "cannot extend an empty topology");
         goto done;
@@ -491,32 +454,13 @@ children(PyObject *args, const char *format, Py_ssize_t *counts)
                      MAX_GATES, k_arg);
         goto done;
     }
-    /* a byte cannot reach past the eighth gate */
-    for (i = 0; i < enc.len / 2 && i < 8; i++)
-        if ((bytes[2 * i] | bytes[2 * i + 1]) >> i) {
-            PyErr_Format(PyExc_ValueError,
-                         "gate %d references a gate numbered %d or later", i + 1, i + 1);
-            goto done;
-        }
+    last = read_topology(&enc, &parent);
+    if (last < 0)
+        goto done;
     result = PyList_New(0);
     if (result == NULL || over < 0 || enc.len / 2 >= k)
         goto done;
-
-    /* greedy maximal layering of the parent, as _gen_py.layer_masks */
-    q = parent.q = (int)(enc.len / 2);
-    parent.nlayers = 0;
-    cur = 0;
-    for (i = 0; i < q; i++) {
-        parent.left[i] = bytes[2 * i];
-        parent.right[i] = bytes[2 * i + 1];
-        if (cur & (parent.left[i] | parent.right[i])) {
-            parent.sizes[parent.nlayers++] = __builtin_popcount(cur);
-            cur = 0;
-        }
-        cur |= 1 << i;
-    }
-    parent.sizes[parent.nlayers++] = __builtin_popcount(cur);
-    last = cur;
+    q = parent.q;
 
     /* candidate gates, ascending; (right, left) is skipped when (left, right)
        is listed, because keys ignore side order */

@@ -4,16 +4,17 @@ Mirrors the compiled kernel in ``mcbound._gen_c``: both backends must
 produce byte-identical keys and raise the same ValueErrors.  Gate sides are
 bit masks (bit i-1 set means gate i is wired in) and a topology is encoded
 as the bytes ``L1 R1 L2 R2 ...`` in gate order.  ``gate_fault`` is the
-minimality predicate.  Masks are relabeled through tables built once per
-tuple of layer sizes and then cached, and ``_relabelings`` is the one pass
-that encodes a topology under each of them and tells which encodings are
-minimal: ``canonical_keys`` takes its two minima, and ``extend`` and
-``count_extend`` run it once on the parent (``_Parent``) for all of the
-parent's children.  Every child with a one-gate new layer is keyed in one
-pass over the cached list of candidate gates: each relabeling maps the list
-to a row of gate codes, and element-wise minima of those rows give every
-child's keys at once.  ``count_extend`` counts the children that complete k
-gates instead of keying them.
+minimality predicate.  Every entry point takes an encoding, which
+``read_topology`` checks and layers.  Masks are relabeled through tables
+built once per tuple of layer sizes and then cached, and ``_relabelings`` is
+the one pass that encodes a topology under each of them and tells which
+encodings are minimal: ``canonical_keys`` takes its two minima, and
+``extend`` and ``count_extend`` run it once on the parent (``_Parent``) for
+all of the parent's children.  Every child with a one-gate new layer is
+keyed in one pass over the cached list of candidate gates: each relabeling
+maps the list to a row of gate codes, and element-wise minima of those rows
+give every child's keys at once.  ``count_extend`` counts the children that
+complete k gates instead of keying them.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ BACKEND = "python"
 
 MAX_GATES = 7
 
-# Relabel tables per layer-size tuple, built on first use.  Keys are
-# compositions of some q <= MAX_GATES (sizes are checked before a table is
-# built), so the cache holds at most 127 entries whatever the input.
+# Relabel tables per layer-size tuple, built on first use.  Keys are the
+# layer sizes of some q <= MAX_GATES gates, compositions of q, so the cache
+# holds at most 128 entries whatever the input.
 _TABLES: dict[tuple[int, ...], tuple] = {}
 
 
@@ -39,8 +40,6 @@ def _relabel_tables(sizes):
     ``2 * pi[i]``, the byte offset of gate i's relabeled pair, and ``tab[m]``
     is mask m with each bit j moved to bit ``pi[j]``, for every m below
     ``2 ** q``."""
-    if min(sizes) < 1:
-        raise ValueError(f"layer sizes must be at least 1, got {sizes}")
     q = sum(sizes)
     layer_orders = []
     start = 0
@@ -70,13 +69,13 @@ def _fault_table(q):
     return bytes(table)
 
 
-def _relabelings(lefts, rights, sizes):
-    """For each cached relabeling of gates laid out in layers of ``sizes``,
-    ``(encoding, minimal, tab)``: the gates ``(lefts[i], rights[i])``
-    relabeled by ``tab`` and encoded with each gate's sides smaller first,
-    and whether every relabeled gate is fault-free.  A side mask at or above
-    ``2 ** len(lefts)`` raises IndexError."""
+def _relabelings(lefts, rights, layers):
+    """For each cached relabeling of gates ``(lefts[i], rights[i])`` within
+    their layers, the masks ``layers``, ``(encoding, minimal, tab)``: the
+    gates relabeled by ``tab`` and encoded with each gate's sides smaller
+    first, and whether every relabeled gate is fault-free."""
     faults = _fault_table(len(lefts))
+    sizes = tuple(m.bit_count() for m in layers)
     out = []
     for positions, tab in _TABLES.get(sizes) or _relabel_tables(sizes):
         enc = bytearray(2 * len(lefts))
@@ -157,49 +156,47 @@ def _candidates(q, last):
     return cands, tuple(left for left, _ in cands), tuple(right for _, right in cands)
 
 
-def canonical_keys(pairs, layer_sizes):
-    """Least encodings of a well-layered topology over gate relabelings.
+def read_topology(enc):
+    """The gates of the encoding ``enc``, the last byte of an odd length
+    ignored, as ``(lefts, rights, layers)``: the left and the right side
+    masks and the greedy maximal layering (``layer_masks``).  A gate that
+    references itself or a later gate raises ValueError."""
+    q = len(enc) // 2
+    for i in range(q):
+        if (enc[2 * i] | enc[2 * i + 1]) >> i:
+            raise ValueError(f"gate {i + 1} references a gate numbered {i + 1} or later")
+    lefts = enc[:2 * q:2]
+    rights = enc[1:2 * q:2]
+    return lefts, rights, layer_masks(zip(lefts, rights))
+
+
+def canonical_keys(enc):
+    """Least encodings of the well-layered topology ``enc`` over gate
+    relabelings.
 
     The search permutes gate positions within each layer and orients each
     gate's sides both ways (side swaps never disturb the layering, which
     only sees the union of a gate's sides).  Each permutation comes from
-    the cached relabel table of ``layer_sizes``, so ``_relabelings``
+    the cached relabel table of the layer sizes, so ``_relabelings``
     relabels a side by one lookup.  Returns ``(key_any, key_min)``: the
     least encoding overall, and the least encoding among variants whose
     gates all satisfy the minimality conditions (None when no variant does).
     """
-    q = len(pairs)
-    if q == 0:
-        return b"", b""
-    if q > MAX_GATES:
-        raise ValueError(f"kernel supports at most {MAX_GATES} gates, got {q}")
-    sizes = tuple(layer_sizes)
-    if sum(sizes) != q:
-        raise ValueError("layer sizes do not cover the gate list")
-    lefts = [p[0] for p in pairs]
-    rights = [p[1] for p in pairs]
-    if min(lefts) < 0 or min(rights) < 0:
-        raise ValueError("side masks must not be negative")
-    try:
-        relabeled = _relabelings(lefts, rights, sizes)
-    except IndexError:
-        raise ValueError(f"side masks of {q} gates must be below {1 << q}") from None
+    if len(enc) // 2 > MAX_GATES:
+        raise ValueError(f"kernel supports at most {MAX_GATES} gates, got {len(enc) // 2}")
+    relabeled = _relabelings(*read_topology(enc))
     return (min(key for key, _, _ in relabeled),
             min((key for key, minimal, _ in relabeled if minimal), default=None))
 
 
-def _checked_gates(enc, k):
-    """The gate count q of the parent ``enc``, once the checks that
-    ``extend`` and ``count_extend`` share have passed."""
-    q = len(enc) // 2
-    if q == 0:
+def _checked_parent(enc, k):
+    """``read_topology(enc)``, once the checks that ``extend`` and
+    ``count_extend`` share have passed."""
+    if len(enc) < 2:
         raise ValueError("cannot extend an empty topology")
     if k > MAX_GATES:
         raise ValueError(f"kernel supports at most {MAX_GATES} gates, got k={k}")
-    for i in range(q):
-        if (enc[2 * i] | enc[2 * i + 1]) >> i:
-            raise ValueError(f"gate {i + 1} references a gate numbered {i + 1} or later")
-    return q
+    return read_topology(enc)
 
 
 def _images(tab, lefts, rights):
@@ -216,15 +213,14 @@ class _Parent:
     ``autos`` the relabel tables that give it, the first of them first, and
     ``groups`` the tables that leave every gate fault-free, grouped by the
     encoding they give, ascending.  ``cands``, ``lefts`` and ``rights`` are
-    the candidate new gates from ``_candidates``."""
+    the candidate new gates from ``_candidates``.  ``gates`` is the
+    parent's ``read_topology``."""
 
-    def __init__(self, enc, q):
-        lefts = enc[:2 * q:2]
-        rights = enc[1:2 * q:2]
-        layers = layer_masks(zip(lefts, rights))
-        self.cands, self.lefts, self.rights = _candidates(q, layers[-1])
-        self.faults = _fault_table(q)
-        relabeled = _relabelings(lefts, rights, tuple(m.bit_count() for m in layers))
+    def __init__(self, gates):
+        lefts, _, layers = gates
+        self.cands, self.lefts, self.rights = _candidates(len(lefts), layers[-1])
+        self.faults = _fault_table(len(lefts))
+        relabeled = _relabelings(*gates)
         self.key = min(key for key, _, _ in relabeled)
         self.autos = [tab for key, _, tab in relabeled if key == self.key]
         groups = {}
@@ -372,10 +368,11 @@ def extend(enc, k):
     go through their representative combinations of candidates one at a
     time.
     """
-    q = _checked_gates(enc, k)
+    gates = _checked_parent(enc, k)
+    q = len(gates[0])
     if q >= k:
         return []
-    parent = _Parent(enc, q)
+    parent = _Parent(gates)
     children = parent.one_gate_children()
     for width in range(2, k - q + 1):
         children += parent.wide_children(width)
@@ -390,10 +387,11 @@ def count_extend(enc, k):
     when the new layer holds one gate, the full children are counted from
     their least codes, and wider full layers from their representative
     combinations (``_Parent.count_wide``)."""
-    q = _checked_gates(enc, k)
+    gates = _checked_parent(enc, k)
+    q = len(gates[0])
     if q >= k:
         return 0, 0, []
-    parent = _Parent(enc, q)
+    parent = _Parent(gates)
     if q + 1 == k:
         codes, settled = parent.one_gate()
         return len(codes), len(settled) - settled.count(None), []

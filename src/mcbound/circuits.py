@@ -16,7 +16,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import topology as _topo
-from .errors import CapacityError, CircuitError, ContractError, ParseError
+from .errors import SPACE, CapacityError, CircuitError, ContractError, ParseError
 
 MAX_ARITY = 16
 
@@ -468,7 +468,7 @@ def _parse_terms(body, line, lineno):
 
 
 def parse_circuit(text):
-    numbered = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+    numbered = [(i, line) for i, line in enumerate(text.split("\n"), 1) if line.strip(SPACE)]
     if not numbered:
         raise ParseError("empty circuit", line=1)
     lineno, line = numbered[0]

@@ -1,5 +1,10 @@
-"""Exception types shared across the package, and the text-file reader
-that reports a non-ASCII byte as a ParseError."""
+"""Exception types shared across the package, and the check of every text
+format that reports a non-ASCII byte as a ParseError at its line and
+column."""
+
+# The white space of every text format, as ``bytes.strip`` strips it but for
+# ``\n``, which ends a line and is the only character that does.
+SPACE = " \t\r\v\f"
 
 
 class CircuitError(ValueError):
@@ -27,14 +32,18 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def read_ascii(path):
-    """The text of the file at ``path``; a byte outside ASCII raises
-    ParseError with its line and column, counted as the parsers count."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def ascii_line(line, lineno):
+    """``line``, a line read as bytes, as str; a byte outside ASCII raises
+    ParseError with its line and column."""
     try:
-        return data.decode("ascii")
+        return line.decode("ascii")
     except UnicodeDecodeError as exc:
-        lines = (data[:exc.start].decode("ascii") + "?").splitlines()
-        raise ParseError(f"byte 0x{data[exc.start]:02x} is not ASCII",
-                         line=len(lines), col=len(lines[-1])) from None
+        raise ParseError(f"byte 0x{line[exc.start]:02x} is not ASCII",
+                         line=lineno, col=exc.start + 1) from None
+
+
+def read_ascii(path):
+    """The text of the file at ``path``, each line checked by
+    ``ascii_line``; only ``\\n`` ends a line, as in every text format."""
+    with open(path, "rb") as fh:
+        return "".join([ascii_line(line, lineno) for lineno, line in enumerate(fh, 1)])

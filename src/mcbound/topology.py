@@ -13,7 +13,7 @@ from operator import countOf
 
 from . import kernel
 from ._gen_py import gate_fault, layer_masks
-from .errors import CapacityError, CircuitError, ContractError, ParseError
+from .errors import SPACE, CapacityError, CircuitError, ContractError, ParseError, ascii_line
 
 MAX_GENERATE_K = 7
 # generate keeps every class key, about 56 bytes each: some 28 MB for the
@@ -224,7 +224,7 @@ def is_minimal(t):
     return all(gate_fault(left, right) is None for left, right in t.gates)
 
 
-def canonical_form(t, backend=None):
+def canonical_form(t):
     """Least-encoding equivalent of a well-layered topology, searched over
     within-layer index permutations and per-gate side swaps (swaps never
     disturb the layering, which only sees the union of a gate's sides).
@@ -232,10 +232,10 @@ def canonical_form(t, backend=None):
     equal; validated exhaustively against permutation search for k <= 4."""
     if not is_well_layered(t):
         raise ContractError("canonical_form requires a well-layered topology")
-    if t.k == 0:
-        return t
-    kern = kernel.get_backend(backend)
-    key, _ = kern.canonical_keys(t.gates, layering(t).sizes)
+    kern = kernel.get_backend()
+    if t.k > kern.MAX_GATES:  # before its sides may overflow the encoding's bytes
+        raise ValueError(f"kernel supports at most {kern.MAX_GATES} gates, got {t.k}")
+    key, _ = kern.canonical_keys(t.encode())
     return Topology.from_encoding(key)
 
 
@@ -534,7 +534,7 @@ def _parse_topology_lines(lines, start_lineno):
 
 
 def parse_topology(text):
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.split("\n") if line.strip(SPACE)]
     if not lines:
         raise ParseError("empty topology", line=1)
     gates = _parse_topology_lines(lines, 1)
@@ -577,16 +577,6 @@ def _line_tables(eol):
                  for texts in _gate_texts())
 
 
-def _ascii(line, lineno):
-    """``line``, a line read as bytes, as str; a byte outside ASCII raises
-    ParseError with its line and column."""
-    try:
-        return line.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"byte 0x{line[exc.start]:02x} is not ASCII",
-                         line=lineno, col=exc.start + 1) from None
-
-
 def _block_row(lines, start, k, head, tables):
     """The gates of the block ``lines``, which starts at line ``start`` with
     the header of a k-gate topology and has at most k gate lines.  A block
@@ -597,7 +587,7 @@ def _block_row(lines, start, k, head, tables):
             return tuple(map(dict.__getitem__, tables, lines[1:]))
         except KeyError:
             pass
-    return _parse_topology_lines([_ascii(line, lineno)
+    return _parse_topology_lines([ascii_line(line, lineno)
                                   for lineno, line in enumerate(lines, start)], start)
 
 
@@ -631,7 +621,7 @@ def _set_rows(lines, k, count, header_line, eol):
                     if found == count:
                         raise ParseError(f"more than count={count} blocks", line=lineno)
                     if line != head:
-                        header = _TOPOLOGY_HEADER.match(_ascii(line, lineno))
+                        header = _TOPOLOGY_HEADER.match(ascii_line(line, lineno))
                         if not header:
                             raise ParseError("expected 'topology k=<k>'", line=lineno)
                         if int(header.group(1)) != k:
@@ -689,7 +679,7 @@ def _read_topology_set(lines):
             break
     else:
         raise ParseError("empty topology set", line=1)
-    header = _SET_HEADER.match(_ascii(line, lineno))
+    header = _SET_HEADER.match(ascii_line(line, lineno))
     if not header:
         raise ParseError("expected 'topologyset k=<k> count=<c>'", line=lineno)
     k = int(header.group(1))

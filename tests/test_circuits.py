@@ -332,6 +332,22 @@ def test_parse_circuit_errors():
         parse_circuit("circuit n=2 k=1\ngate 1: L={g1} R={}\nout: {}\n")
 
 
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_circuit_lines_end_at_newline_only(sep):
+    # as in a topology set: the text is one line, so its header is bad
+    with pytest.raises(ParseError) as err:
+        parse_circuit(f"circuit n=2 k=0{sep}out: {{x1}}\n")
+    assert str(err.value) == "line 1: expected 'circuit n=<n> k=<k>'"
+
+
+def test_circuit_white_space_is_ascii():
+    c = parse_circuit("circuit n=2 k=0\nout: {x1}\n")
+    assert parse_circuit("\v\f \t\r\ncircuit\vn=2\fk=0\r\nout:\v{x1}\f\n") == c
+    with pytest.raises(ParseError) as err:  # a line of \x1c is not blank
+        parse_circuit("circuit n=2 k=0\n\x1c\nout: {x1}\n")
+    assert str(err.value) == "line 1: expected 0 gate lines and one 'out:' line"
+
+
 def test_parse_circuit_range_error_lines():
     cases = [
         ("circuit n=2 k=1\ngate 1: L={x1,x3,x8,x9,x10} R={}\nout: {}\n",

@@ -359,6 +359,14 @@ def test_eval_not_ascii(tmp_path, capsys):
     assert stderr.startswith("error: line 2, col 14: byte 0xe2 is not ASCII")
 
 
+def test_eval_not_ascii_counts_lines_at_newline_only(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes("circuit n=2 k=0\vout: {x1} \xe9\n".encode())
+    code, _, stderr = run(capsys, "eval", str(path))
+    assert code == 1
+    assert stderr.startswith("error: line 1, col 27: byte 0xc3 is not ASCII")
+
+
 def test_eval_missing_file(capsys):
     code, _, stderr = run(capsys, "eval", "/nonexistent/never.txt")
     assert code == 1

@@ -13,37 +13,42 @@ import pytest
 
 from mcbound import _gen_py, kernel
 from mcbound.oracle import enumerate_raw_topologies
-from mcbound.topology import (Topology, count_classes, gate_fault, generate, is_well_layered,
-                              layering)
+from mcbound.topology import (Topology, canonical_form, count_classes, gate_fault, generate,
+                              is_well_layered, layering)
 
 
 @pytest.fixture(scope="session")
 def gen_c(tmp_path_factory):
     """The compiled kernel, built from ``_gen_c.c`` next to ``_gen_py.py``
     into a temporary directory, so no built module lands beside the sources
-    and changes which kernel ``mcbound.kernel`` picks."""
+    and changes which kernel ``mcbound.kernel`` picks.  Skips only when no
+    compiler can be started: a build that fails, warnings included, fails
+    the tests that use the kernel, with the compiler's messages."""
     source = Path(_gen_py.__file__).with_name("_gen_c.c")
     target = tmp_path_factory.mktemp("kernel") / ("_gen_c" + sysconfig.get_config_var("EXT_SUFFIX"))
     command = shlex.split(sysconfig.get_config_var("CC") or "cc") + [
-        "-O3", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"],
+        "-O3", "-Wall", "-Werror", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"],
         str(source), "-o", str(target)]
     try:
-        subprocess.run(command, check=True, capture_output=True, timeout=300)
-    except (OSError, subprocess.SubprocessError) as exc:
-        pytest.skip(f"cannot compile the C kernel: {exc}")
+        done = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    except OSError as exc:
+        pytest.skip(f"cannot start the C compiler: {exc}")
+    assert done.returncode == 0, f"the C kernel does not build:\n{done.stderr}"
     spec = importlib.util.spec_from_file_location("mcbound._gen_c", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_canonical_keys_parity(gen_c, k):
-    for t in enumerate_raw_topologies(k):
-        if not is_well_layered(t):
-            continue
-        sizes = layering(t).sizes
-        assert gen_c.canonical_keys(t.gates, sizes) == _gen_py.canonical_keys(t.gates, sizes)
+    if k < 5:
+        cases = [t for t in enumerate_raw_topologies(k) if is_well_layered(t)]
+    else:
+        cases = list(generate(5).members) + well_layered_k5_sample(2000)
+    for t in cases:
+        enc = t.encode()
+        assert gen_c.canonical_keys(enc) == _gen_py.canonical_keys(enc), t
 
 
 def test_extend_parity(gen_c):
@@ -89,15 +94,16 @@ EXTEND_GUARD_ARGS = [
     (b"\0\0\4\0\0\0", 5),  # gate 2 references gate 3
 ]
 
+KEYS_GUARD_ARGS = [
+    (bytes(16),),  # 8 gates
+    (b"\1\0",),  # gate 1 references itself
+    (b"\0\0\0\2\0\0",),  # gate 2 references itself
+    (b"\0\0\4\0\0\0",),  # gate 2 references gate 3
+]
+
 GUARD_CASES = [(name, args) for name in ("extend", "count_extend")
                for args in EXTEND_GUARD_ARGS] + [
-    ("canonical_keys", (((0, 0),) * 9, [9])),
-    ("canonical_keys", (((0, 0), (-1, 1)), (2,))),
-    ("canonical_keys", (((0, 0), (4, 1)), (2,))),
-    ("canonical_keys", (((0, 0), (1, 2 ** 80)), (2,))),
-    ("canonical_keys", (((0, 0), (0, 0)), (3, -1))),
-    ("canonical_keys", (((0, 0),), (2,))),
-]
+    ("canonical_keys", args) for args in KEYS_GUARD_ARGS]
 
 
 def test_kernel_guards_match(gen_c):
@@ -108,7 +114,7 @@ def test_kernel_guards_match(gen_c):
                 getattr(mod, name)(*args)
             messages.append(str(err.value))
         assert messages[0] == messages[1], (name, args)
-    assert gen_c.canonical_keys((), ()) == _gen_py.canonical_keys((), ()) == (b"", b"")
+    assert gen_c.canonical_keys(b"") == _gen_py.canonical_keys(b"") == (b"", b"")
     # a parent of k gates has no children, so no candidate gates are built
     # (seven gates would give more than 4,096 of them)
     assert gen_c.extend(bytes(14), 7) == _gen_py.extend(bytes(14), 7) == []
@@ -123,6 +129,8 @@ def test_odd_length_parent_ignores_its_last_byte(gen_c):
             assert kern.extend(enc, k) == kern.extend(enc[:-1], k), (kern.BACKEND, enc)
             assert kern.count_extend(enc, k) == kern.count_extend(enc[:-1], k), \
                 (kern.BACKEND, enc)
+            assert kern.canonical_keys(enc) == kern.canonical_keys(enc[:-1]), (kern.BACKEND, enc)
+    assert gen_c.canonical_keys(b"\7") == _gen_py.canonical_keys(b"\7") == (b"", b"")
 
 
 def counted(children, k):
@@ -173,17 +181,16 @@ def test_count_classes_equals_generate_count(gen_c, monkeypatch, k):
 
 def reference_extend(kern, enc, k):
     """``extend`` by one full ``kern.canonical_keys`` search per child."""
-    pairs = [(enc[i], enc[i + 1]) for i in range(0, len(enc), 2)]
-    layers = _gen_py.layer_masks(pairs)
-    full = (1 << len(pairs)) - 1
-    cands = [(left, right) for left in range(1, full + 1) if left & layers[-1]
-             for right in range(full + 1) if not (right & layers[-1] and right < left)
+    q = len(enc) // 2
+    last = _gen_py.layer_masks(zip(enc[::2], enc[1::2]))[-1]
+    full = (1 << q) - 1
+    cands = [bytes((left, right)) for left in range(1, full + 1) if left & last
+             for right in range(full + 1) if not (right & last and right < left)
              and left & ~right and not (right and (right & ~left) == 0)]
     out = {}
-    for width in range(1, k - len(pairs) + 1):
-        sizes = [m.bit_count() for m in layers] + [width]
+    for width in range(1, k - q + 1):
         for combo in combinations_with_replacement(cands, width):
-            key_any, key_min = kern.canonical_keys(pairs + list(combo), sizes)
+            key_any, key_min = kern.canonical_keys(enc + b"".join(combo))
             out[key_any] = key_min
     return sorted(out.items())
 
@@ -275,18 +282,30 @@ def test_canonical_keys_match_reference(k):
     else:
         cases = well_layered_k5_sample(2000)
     for t in cases:
-        sizes = layering(t).sizes
-        assert _gen_py.canonical_keys(t.gates, sizes) == reference_keys(t.gates, sizes), t
+        assert _gen_py.canonical_keys(t.encode()) == reference_keys(t.gates, layering(t).sizes), t
 
 
 def test_canonical_keys_rejects_bad_input():
-    with pytest.raises(ValueError, match="at least 1"):
-        _gen_py.canonical_keys(((0, 0), (0, 0)), (3, -1))
-    assert (3, -1) not in _gen_py._TABLES
-    with pytest.raises(ValueError, match="below 4"):
-        _gen_py.canonical_keys(((0, 0), (4, 1)), (2,))
-    with pytest.raises(ValueError, match="negative"):
-        _gen_py.canonical_keys(((0, 0), (-1, 1)), (2,))
+    tables = dict(_gen_py._TABLES)
+    for enc, message in ((bytes(16), "kernel supports at most 7 gates, got 8"),
+                         (b"\0\0\0\2", "gate 2 references a gate numbered 2 or later"),
+                         (b"\0\0\4\0\0\0", "gate 2 references a gate numbered 2 or later")):
+        with pytest.raises(ValueError) as err:
+            _gen_py.canonical_keys(enc)
+        assert str(err.value) == message
+    assert _gen_py._TABLES == tables  # no table is built for a rejected encoding
+
+
+@pytest.mark.parametrize("name", ["c", "python"])
+def test_canonical_form_refuses_more_gates_than_the_kernel(request, monkeypatch, name):
+    monkeypatch.setattr(kernel, "_active", request.getfixturevalue("gen_c") if name == "c"
+                        else _gen_py)
+    for k in (8, 10):  # the sides of gate 10 do not fit in an encoding's bytes
+        chain = Topology(k, ((0, 0),) + tuple((1 << i, 0) for i in range(k - 1)))
+        assert is_well_layered(chain)
+        with pytest.raises(ValueError) as err:
+            canonical_form(chain)
+        assert str(err.value) == f"kernel supports at most 7 gates, got {k}"
 
 
 def test_relabel_tables_are_bounded_by_compositions():

@@ -47,7 +47,7 @@ def well_layer_normalize(t):
 
 def min_key(t):
     """The kernel's least minimal relabeling of a well-layered topology."""
-    return kernel.get_backend().canonical_keys(t.gates, layering(t).sizes)[1]
+    return kernel.get_backend().canonical_keys(t.encode())[1]
 
 
 # --- type invariants ----------------------------------------------------------
@@ -843,6 +843,30 @@ def test_set_lines_end_at_newline_only():
     # \v and \f are white space inside a line, as \t and \r are
     assert parse_topology_set(SET_HEAD + BLOCK.replace(": L=", ":\vL=").replace(" R=", "\fR=")) \
         == ts
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_topology_lines_end_at_newline_only(sep):
+    # the same rule as a set's: the block is one line, so its header is bad
+    block = BLOCK.replace("\n", sep, 2)
+    with pytest.raises(ParseError) as in_set:
+        parse_topology_set(SET_HEAD + block)
+    with pytest.raises(ParseError) as alone:
+        parse_topology(block)
+    assert in_set.value.line == 3
+    assert (str(alone.value), alone.value.line) == \
+        (str(in_set.value).replace("line 3:", "line 1:"), 1)
+
+
+def test_topology_white_space_is_ascii():
+    t = parse_topology(BLOCK)
+    assert parse_topology(BLOCK.replace(": L=", ":\vL=").replace(" R=", "\fR=")) == t
+    assert parse_topology(" \t\r\n\v\f\n" + BLOCK.replace("\n", "\r\n")) == t
+    # a line of \x1c is not blank, as in a set
+    with pytest.raises(ParseError, match="expected 2 gate lines"):
+        parse_topology(BLOCK + "\x1c\n")
+    with pytest.raises(ParseError, match="expected 2 gate lines"):
+        parse_topology_set(SET_HEAD + BLOCK + "\x1c\n")
 
 
 def test_parse_topology_set_block_with_extra_gate_line():
