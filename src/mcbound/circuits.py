@@ -16,7 +16,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import topology as _topo
-from .errors import SPACE, CapacityError, CircuitError, ContractError, ParseError
+from .errors import CapacityError, CircuitError, ContractError, ParseError, ascii_lines
 
 MAX_ARITY = 16
 
@@ -443,32 +443,34 @@ def format_circuit(c):
     return "\n".join(lines) + "\n"
 
 
-def _parse_terms(body, line, lineno):
+def _parse_terms(m, group, lineno):
+    body = m.group(group)
     terms = frozenset(map(_TERM_BY_TEXT.get, body.split(",")))
     if None not in terms:
         return terms
     # Empty, re-spelt, out-of-table or unknown terms.
-    body = body.strip()
-    if not body:
+    if not body.strip():
         return frozenset()
     terms = []
-    for token in body.split(","):
-        token = token.strip()
-        m = _TERM_TOKEN.match(token)
-        if not m:
-            col = line.find(token) + 1 if token and token in line else None
-            raise ParseError(f"unknown term {token!r}", line=lineno, col=col)
-        if m.group(1) is not None:
-            terms.append(x(int(m.group(1))))
-        elif m.group(2) is not None:
-            terms.append(g(int(m.group(2))))
+    col = m.start(group) + 1
+    for piece in body.split(","):
+        token = piece.strip()
+        t = _TERM_TOKEN.match(token)
+        if not t:
+            raise ParseError(f"unknown term {token!r}", line=lineno,
+                             col=col + piece.find(token) if token else None)
+        if t.group(1) is not None:
+            terms.append(x(int(t.group(1))))
+        elif t.group(2) is not None:
+            terms.append(g(int(t.group(2))))
         else:
             terms.append(TOP)
+        col += len(piece) + 1
     return frozenset(terms)
 
 
 def parse_circuit(text):
-    numbered = [(i, line) for i, line in enumerate(text.split("\n"), 1) if line.strip(SPACE)]
+    numbered = list(ascii_lines(text))
     if not numbered:
         raise ParseError("empty circuit", line=1)
     lineno, line = numbered[0]
@@ -480,20 +482,13 @@ def parse_circuit(text):
     k = int(header.group(2))
     if len(numbered) != k + 2:
         raise ParseError(f"expected {k} gate lines and one 'out:' line", line=lineno)
-    gates = []
-    for pos, (lineno, line) in enumerate(numbered[1:k + 1], 1):
-        m = _topo._GATE_LINE.match(line)
-        if not m:
-            raise ParseError("expected 'gate <i>: L={...} R={...}'", line=lineno)
-        if int(m.group(1)) != pos:
-            raise ParseError(f"gate numbered {m.group(1)}, expected {pos}", line=lineno)
-        gates.append((_parse_terms(m.group(2), line, lineno),
-                      _parse_terms(m.group(3), line, lineno)))
+    gates = [(_parse_terms(m, 2, lineno), _parse_terms(m, 3, lineno))
+             for lineno, m in _topo._gate_matches(numbered[1:k + 1])]
     lineno, line = numbered[k + 1]
     m = _CIRCUIT_OUT.match(line)
     if not m:
         raise ParseError("expected 'out: {...}'", line=lineno)
-    output = _parse_terms(m.group(1), line, lineno)
+    output = _parse_terms(m, 1, lineno)
     try:
         return Circuit(n, tuple(gates), output)
     except CircuitError as exc:
@@ -507,12 +502,14 @@ def format_truth_table(tt):
 
 
 def parse_truth_table(text):
-    m = _TT_LINE.match(text.strip())
-    if not m:
-        raise ParseError("expected 'tt n=<n> <bits>'", line=1)
+    numbered = list(ascii_lines(text)) or [(1, "")]
+    lineno, line = numbered[0]
+    m = _TT_LINE.match(line)
+    if not m or len(numbered) > 1:
+        raise ParseError("expected one line 'tt n=<n> <bits>'", line=lineno)
     n = int(m.group(1))
-    _check_header_arity(n, 1)
+    _check_header_arity(n, lineno)
     try:
         return TruthTable.from_string(n, m.group(2))
     except CircuitError as exc:
-        raise ParseError(str(exc), line=1) from exc
+        raise ParseError(str(exc), line=lineno) from exc

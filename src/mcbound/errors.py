@@ -42,6 +42,18 @@ def ascii_line(line, lineno):
                          line=lineno, col=exc.start + 1) from None
 
 
+def ascii_lines(text):
+    """The ``(lineno, line)`` pairs of the non-blank lines of the str
+    ``text``, numbered over every line, as they are read: only ``\\n`` ends a
+    line, and a character outside ASCII raises the ParseError of its first
+    UTF-8 byte in a file (``ascii_line``), once the lines before it are read."""
+    lines = enumerate(text.split("\n"), 1)
+    if not text.isascii():
+        lines = ((lineno, ascii_line(line.encode("utf-8", "surrogatepass"), lineno))
+                 for lineno, line in lines)
+    return ((lineno, line) for lineno, line in lines if line.strip(SPACE))
+
+
 def read_ascii(path):
     """The text of the file at ``path``, each line checked by
     ``ascii_line``; only ``\\n`` ends a line, as in every text format."""

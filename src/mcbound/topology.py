@@ -13,7 +13,7 @@ from operator import countOf
 
 from . import kernel
 from ._gen_py import gate_fault, layer_masks
-from .errors import SPACE, CapacityError, CircuitError, ContractError, ParseError, ascii_line
+from .errors import CapacityError, CircuitError, ContractError, ParseError, ascii_line, ascii_lines
 
 MAX_GENERATE_K = 7
 # generate keeps every class key, about 56 bytes each: some 28 MB for the
@@ -508,36 +508,40 @@ def _parse_index_set(text, gate):
     return mask
 
 
-def _parse_topology_lines(lines, start_lineno):
-    """The gates of the topology block ``lines``, a tuple of int pairs, each
-    checked as its line is read."""
-    header = _TOPOLOGY_HEADER.match(lines[0])
-    if not header:
-        raise ParseError("expected 'topology k=<k>'", line=start_lineno)
-    k = int(header.group(1))
-    if len(lines) != k + 1:
-        raise ParseError(f"expected {k} gate lines", line=start_lineno)
-    match = _GATE_LINE.match
-    gates = []
-    for i in range(1, k + 1):
-        m = match(lines[i])
+def _gate_matches(numbered):
+    """The ``(lineno, match)`` of each ``(lineno, line)`` pair of ``numbered``
+    as it is read; a line must match _GATE_LINE, numbered by its place."""
+    for i, (lineno, line) in enumerate(numbered, 1):
+        m = _GATE_LINE.match(line)
         if not m:
-            raise ParseError("expected 'gate <i>: L={...} R={...}'", line=start_lineno + i)
-        number, left, right = m.groups()
-        if int(number) != i:
-            raise ParseError(f"gate numbered {number}, expected {i}", line=start_lineno + i)
+            raise ParseError("expected 'gate <i>: L={...} R={...}'", line=lineno)
+        if int(m.group(1)) != i:
+            raise ParseError(f"gate numbered {m.group(1)}, expected {i}", line=lineno)
+        yield lineno, m
+
+
+def _parse_topology_lines(numbered):
+    """The gates, as int pairs, of the block read from ``numbered``, an iterator
+    over its ``(lineno, line)`` pairs: the header, then at most k + 1 lines."""
+    start, line = next(numbered, (1, ""))  # an empty text lacks its header at line 1
+    header = _TOPOLOGY_HEADER.match(line)
+    if not header:
+        raise ParseError("expected 'topology k=<k>'", line=start)
+    k = int(header.group(1))
+    lines = list(islice(numbered, k + 1))
+    if len(lines) != k:
+        raise ParseError(f"expected {k} gate lines", line=start)
+    gates = []
+    for i, (lineno, m) in enumerate(_gate_matches(lines), 1):
         try:
-            gates.append((_parse_index_set(left, i), _parse_index_set(right, i)))
+            gates.append((_parse_index_set(m.group(2), i), _parse_index_set(m.group(3), i)))
         except ValueError as exc:
-            raise ParseError(str(exc), line=start_lineno + i) from None
+            raise ParseError(str(exc), line=lineno) from None
     return tuple(gates)
 
 
 def parse_topology(text):
-    lines = [line for line in text.split("\n") if line.strip(SPACE)]
-    if not lines:
-        raise ParseError("empty topology", line=1)
-    gates = _parse_topology_lines(lines, 1)
+    gates = _parse_topology_lines(ascii_lines(text))
     return Topology(len(gates), gates)
 
 
@@ -579,16 +583,15 @@ def _line_tables(eol):
 
 def _block_row(lines, start, k, head, tables):
     """The gates of the block ``lines``, which starts at line ``start`` with
-    the header of a k-gate topology and has at most k gate lines.  A block
-    spelt as ``format_topology_set`` writes it costs one lookup per gate in
-    ``tables``; any other goes through ``_parse_topology_lines``."""
+    the header of a k-gate topology and has at most k gate lines, all ASCII.
+    A block spelt as ``format_topology_set`` writes it costs one lookup per
+    gate in ``tables``; any other goes through ``_parse_topology_lines``."""
     if tables is not None and len(lines) == k + 1 and lines[0] == head:
         try:
             return tuple(map(dict.__getitem__, tables, lines[1:]))
         except KeyError:
             pass
-    return _parse_topology_lines([ascii_line(line, lineno)
-                                  for lineno, line in enumerate(lines, start)], start)
+    return _parse_topology_lines(enumerate(map(bytes.decode, lines), start))
 
 
 def _set_rows(lines, k, count, header_line, eol):
@@ -628,8 +631,10 @@ def _set_rows(lines, k, count, header_line, eol):
                             raise ParseError(f"member with k={int(header.group(1))} in a k={k} "
                                              f"set", line=lineno)
                     start = lineno
-                elif len(block) > k:
-                    raise ParseError(f"expected {k} gate lines", line=start)
+                else:
+                    ascii_line(line, lineno)  # checked as it is read, as parse_topology does
+                    if len(block) > k:
+                        raise ParseError(f"expected {k} gate lines", line=start)
                 block.append(line)
             elif block:
                 yield (_block_row(block, start, k, head, tables),)

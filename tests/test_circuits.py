@@ -1,8 +1,10 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,8 @@ from mcbound.circuits import (_TERMS, MAX_ARITY, TOP, Circuit, Term, TruthTable,
                               parse_truth_table, topology_of, truth_table, x)
 from mcbound.errors import CapacityError, CircuitError, ContractError, ParseError
 from mcbound.randgen import random_circuit
-from mcbound.topology import MAX_GENERATE_K, Topology, is_minimal, is_well_layered, layering
+from mcbound.topology import (MAX_GENERATE_K, Topology, format_topology_set, generate, is_minimal,
+                              is_well_layered, layering, parse_topology_set)
 
 from conftest import MAJ4_TEXT, mutated, naive_eval
 
@@ -396,6 +399,19 @@ def test_parse_circuit_error_column():
     assert str(err.value) == "line 2: unknown term ''"
 
 
+@pytest.mark.parametrize("text, line, col, token", [
+    ("circuit n=2 k=1\ngate 1: L={g} R={}\nout: {}\n", 2, 12, "g"),
+    ("circuit n=2 k=1\ngate 1: L={x1} R={x1,e}\nout: {}\n", 2, 22, "e"),
+    ("circuit n=2 k=0\nout: {x1, 1}\n", 2, 11, "1"),
+], ids=["term-in-keyword", "term-after-same-side", "term-in-earlier-term"])
+def test_parse_circuit_term_error_column(text, line, col, token):
+    # the column is the token's own, not that of the first equal text on its line
+    with pytest.raises(ParseError) as err:
+        parse_circuit(text)
+    assert (str(err.value), err.value.line, err.value.col) == \
+        (f"line {line}, col {col}: unknown term {token!r}", line, col)
+
+
 @st.composite
 def respelt_circuits(draw):
     """A circuit, past the 7 gates and up to the 16 inputs the format
@@ -446,6 +462,88 @@ def test_parse_circuit_mutated_text(c, data):
     except ParseError:
         return
     assert parse_circuit(format_circuit(parsed)) == parsed
+
+
+# the text formats' own characters, white space a line may hold, and
+# characters outside ASCII, among them digits and a line separator of str
+FUZZ_CHARS = "0123456789{},=:- \nxgTLRkoutpylsec\t\r\v\f\x1c\xa0\xe9\u0661\u00b2\u2028"
+
+
+def seeded_mutation(rng, text):
+    """``text`` with one to three characters deleted, inserted or replaced,
+    drawn from ``rng``."""
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(text))
+        op = rng.choice(("delete", "insert", "replace"))
+        cut = pos + (op != "insert")
+        text = text[:pos] + ("" if op == "delete" else rng.choice(FUZZ_CHARS)) + text[cut:]
+    return text
+
+
+def fuzz_batch(seed, size):
+    """``size`` seeded mutated circuit texts, then as many mutated
+    topology-set texts for k <= 3, as ``(kind, text)`` pairs."""
+    rng = random.Random(seed)
+    sets = [format_topology_set(generate(k)) for k in range(4)]
+    texts = [format_circuit(random_circuit(rng, max_n=7, max_k=7)) for _ in range(size)]
+    return [("circuit", seeded_mutation(rng, text)) for text in texts] + \
+        [("set", seeded_mutation(rng, rng.choice(sets))) for _ in range(size)]
+
+
+FUZZ_SCRIPT = """\
+import json, sys
+from mcbound.circuits import format_circuit, parse_circuit
+from mcbound.errors import ParseError
+from mcbound.topology import format_topology_set, parse_topology_set
+readers = {"circuit": (parse_circuit, format_circuit),
+           "set": (parse_topology_set, format_topology_set)}
+for kind, text in json.load(sys.stdin):
+    parse, fmt = readers[kind]
+    try:
+        print(json.dumps(["parsed", fmt(parse(text))]))
+    except ParseError as exc:
+        print(json.dumps(["error", str(exc)]))
+"""
+
+
+def test_mutated_texts_parse_alike_under_every_hash_seed():
+    batch = fuzz_batch(seed=20, size=300)
+    src = str(Path(mcbound.__file__).parents[1])
+    outcomes = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", FUZZ_SCRIPT], env=env, check=True,
+                              input=json.dumps(batch), capture_output=True, text=True,
+                              timeout=120)
+        outcomes.append(done.stdout.splitlines())
+    assert len(outcomes[0]) == len(batch)
+    assert outcomes[0] == outcomes[1]
+    # both readers meet parsed texts and errors alike
+    kinds = {(kind, json.loads(out)[0]) for (kind, _), out in zip(batch, outcomes[0])}
+    assert kinds == {(kind, result) for kind in ("circuit", "set") for result in ("parsed", "error")}
+
+
+def test_mutated_texts_parse_in_memory_bounded_by_their_length():
+    batch = fuzz_batch(seed=21, size=150)
+    readers = {"circuit": parse_circuit, "set": parse_topology_set}
+
+    def attempt(kind, text):
+        try:
+            readers[kind](text)
+        except ParseError:
+            pass
+
+    for kind, text in batch:  # build every table the readers keep, first
+        attempt(kind, text)
+        attempt(kind, text.replace("\n", "\r\n"))
+    for kind, text in batch:
+        tracemalloc.start()
+        try:
+            attempt(kind, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * len(text), (kind, text)
 
 
 def test_parse_circuit_rejects_non_ascii_digits():

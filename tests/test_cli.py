@@ -3,8 +3,10 @@ import gc
 import pytest
 
 from mcbound import kernel
+from mcbound.circuits import parse_circuit, parse_truth_table
 from mcbound.cli import main
-from mcbound.topology import generate, load_topology_set
+from mcbound.errors import ParseError
+from mcbound.topology import generate, load_topology_set, parse_topology, parse_topology_set
 
 from conftest import MAJ4_TEXT
 
@@ -365,6 +367,43 @@ def test_eval_not_ascii_counts_lines_at_newline_only(tmp_path, capsys):
     code, _, stderr = run(capsys, "eval", str(path))
     assert code == 1
     assert stderr.startswith("error: line 1, col 27: byte 0xc3 is not ASCII")
+
+
+@pytest.mark.parametrize("parse, text, message, line, col", [
+    (parse_topology, "topology k=1\ngate 1: L={\xa0} R={}", "byte 0xc2 is not ASCII", 2, 12),
+    (parse_circuit, "circuit n=1 k=1\ngate 1: L={\xa0} R={}\nout: {}\n",
+     "byte 0xc2 is not ASCII", 2, 12),
+    (parse_truth_table, "\xa0tt n=1 01", "byte 0xc2 is not ASCII", 1, 1),
+    (parse_topology, "\n \ntopology k=1\nbad", "expected 'gate <i>: L={...} R={...}'", 4, None),
+    (parse_circuit, "\n \ncircuit n=1 k=1\nbad\nout: {}\n",
+     "expected 'gate <i>: L={...} R={...}'", 4, None),
+    (parse_truth_table, "\n \ntt n=1 0", "need exactly 2 characters of 0/1", 3, None),
+    (parse_topology, "\n\ntopology k=1\ngate 1: L={\xe9} R={}", "byte 0xc3 is not ASCII", 4, 12),
+    (parse_circuit, "\n\ncircuit n=1 k=0\nout: {\u0661}\n", "byte 0xd9 is not ASCII", 4, 7),
+    (parse_truth_table, "\n\ntt n=1 01\u2028", "byte 0xe2 is not ASCII", 3, 10),
+    (parse_topology, "topology k=1\ngate 1: L={} R={}\ngate 2: L={} R={1}",
+     "expected 1 gate lines", 1, None),
+    (parse_circuit, "circuit n=1 k=0\nout: {}\nout: {}\n",
+     "expected 0 gate lines and one 'out:' line", 1, None),
+    (parse_truth_table, "tt n=1 01\ntt n=1 01", "expected one line 'tt n=<n> <bits>'", 1, None),
+], ids=[f"{case}-{fmt}" for case in ("non-ascii", "blank-lines", "non-ascii-after-blank-lines",
+                                      "extra-line") for fmt in ("topology", "circuit", "tt")])
+def test_texts_number_and_check_lines_as_files_do(parse, text, message, line, col, tmp_path,
+                                                  capsys):
+    where = f"line {line}" if col is None else f"line {line}, col {col}"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (f"{where}: {message}", line, col)
+    if parse is parse_circuit:  # a circuit file of the same bytes fails alike
+        path = tmp_path / "c.txt"
+        path.write_bytes(text.encode())
+        code, _, stderr = run(capsys, "eval", str(path))
+        assert (code, stderr) == (1, f"error: {err.value}\n")
+    if parse is parse_topology:  # and so does the same block in a set
+        with pytest.raises(ParseError) as in_set:
+            parse_topology_set("topologyset k=1 count=1\n\n" + text)
+        assert (in_set.value.line, in_set.value.col) == (line + 2, col)
+        assert str(in_set.value) == f"{where.replace(str(line), str(line + 2), 1)}: {message}"
 
 
 def test_eval_missing_file(capsys):

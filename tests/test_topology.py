@@ -7,7 +7,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mcbound import kernel, topology
@@ -582,9 +582,9 @@ def test_parse_paths_agree_on_equivalent_texts(variant, respelt, tmp_path, monke
     parsed_blocks = []
     block_parser = topology._parse_topology_lines
 
-    def counting(lines, start_lineno):
-        parsed_blocks.append(start_lineno)
-        return block_parser(lines, start_lineno)
+    def counting(numbered):
+        parsed_blocks.append(numbered)
+        return block_parser(numbered)
 
     monkeypatch.setattr(topology, "_parse_topology_lines", counting)
     path = tmp_path / "t4.txt"
@@ -867,6 +867,48 @@ def test_topology_white_space_is_ascii():
         parse_topology(BLOCK + "\x1c\n")
     with pytest.raises(ParseError, match="expected 2 gate lines"):
         parse_topology_set(SET_HEAD + BLOCK + "\x1c\n")
+
+
+def block_outcome(block, k):
+    """``read_outcome`` of ``parse_topology(block)``, checked to be that of
+    a set of k gates that holds the block alone: the same topology as its
+    member, or the same error, two lines down."""
+    alone = read_outcome(parse_topology, block)
+    in_set = read_outcome(parse_topology_set, f"topologyset k={k} count=1\n\n" + block)
+    if isinstance(alone, Topology):
+        assert in_set.members == (alone,)
+    else:
+        message, line, col = alone
+        assert in_set == (message.replace(f"line {line}", f"line {line + 2}", 1), line + 2, col)
+    return alone
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_block_reads_the_same_alone_and_in_a_set(data):
+    members = (Topology(0, ()), *generate(1).members, *generate(2).members, *generate(3).members)
+    t = data.draw(st.sampled_from(members))
+    block = data.draw(mutated(format_topology(t)))
+    lines = block.split("\n")
+    nonblank = [i for i, line in enumerate(lines) if line.strip(" \t\r\v\f")]
+    assume(nonblank and nonblank[-1] - nonblank[0] == len(nonblank) - 1)  # no blank line inside
+    # the set names the k of the block's header, so that it reads the block as a member
+    header = topology._TOPOLOGY_HEADER.match(lines[nonblank[0]])
+    block_outcome(block, int(header.group(1)) if header else t.k)
+
+
+@pytest.mark.parametrize("block, outcome", [
+    ("topology k=1\ngate 1: L={\xe9} R={}\ngate 2: L={} R={}",
+     ("line 2, col 12: byte 0xc3 is not ASCII", 2, 12)),
+    ("topology k=1\ngate 1: L={} R={}\ngate 2: L={\xe9} R={}",
+     ("line 3, col 12: byte 0xc3 is not ASCII", 3, 12)),
+    ("topology k=1\ngate 1: L={} R={}\ngate 2: L={} R={}\n\xe9", ("line 1: expected 1 gate lines", 1, None)),
+    ("topologx k=1\n\xe9", ("line 1: expected 'topology k=<k>'", 1, None)),
+], ids=["gate-line-before-count", "extra-line", "past-extra-line", "header-first"])
+def test_block_errors_come_as_the_set_reader_meets_them(block, outcome):
+    # each line is checked as it is read, and no line is read past the one
+    # that shows the block has too many
+    assert block_outcome(block, 1) == outcome
 
 
 def test_parse_topology_set_block_with_extra_gate_line():
