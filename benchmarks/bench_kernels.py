@@ -10,12 +10,14 @@ set, which use no kernel, the first read of ``members`` on the loaded set,
 which builds its ``Topology`` views, ``Topology.from_encoding`` in
 microseconds per member, and ``canonical_keys`` in microseconds per call
 over every member's encoding: the pure-Python kernel cold, with its relabel
-tables emptied so that the calls build them, then warm, and the compiled
-kernel when it is built.  And,
-through ``startup.py``, the seconds and peak RSS of four fresh
-interpreters per k: ``generate`` alone, the CLI's ``generate``, which also
-saves the set, a load of the file it saved, and a load of the file with one
-gate line in its middle respelt, as ``respell`` writes it.
+tables and candidate rows emptied so that the calls build them, then warm,
+and the compiled kernel when it is built.  And, through ``startup.py``, the
+seconds and peak RSS of four fresh interpreters per k: ``generate`` alone,
+the CLI's ``generate``, which also saves the set, a load of the file it
+saved, and a load of the file with one gate line in its middle respelt, as
+``respell`` writes it; then, per k and backend, of four more with that
+kernel as the default: ``count_classes``, ``generate``, ``mcbound prove
+--n 7 --k K`` without ``--classes``, and ``mcbound table2 --max-k K``.
 
 Then, over seeded ``random_circuit(max_n=7, max_k=7)`` circuits, the
 microseconds per circuit of each stage of the rewrite pipeline, each stage
@@ -133,7 +135,9 @@ def canonical_keys_us(members, backends):
         for enc in encodings:
             keys(enc)
         return (time.perf_counter() - start) / len(encodings) * 1e6
-    _gen_py._TABLES.clear()
+    # a package from before the candidate rows were cached has no _ROWS
+    for cache in (_gen_py._TABLES, getattr(_gen_py, "_ROWS", {})):
+        cache.clear()
     cold_us = per_call(_gen_py.canonical_keys)
     warm_us = per_call(_gen_py.canonical_keys)
     c_us = per_call(kernel.get_backend("c").canonical_keys) if "c" in backends else None
@@ -261,6 +265,7 @@ def main():
             respell(path, respelt)
             fresh_runs = fresh("set", k, os.path.join(tmp, "fresh.txt"), respelt)
             fresh_mb = "/".join(f"{run['peak_rss_mb']:.1f}" for run in fresh_runs.values())
+            fresh_kernel = {b: fresh("kernel", k, b) for b in backends}
             rows.append({"k": k, "classes": count, "parents": len(parents),
                          "walk_s": {b: times[b, "walk"] for b in backends},
                          "generate_s": {b: times[b, "generate"] for b in backends},
@@ -269,7 +274,7 @@ def main():
                          "members_s": members_s, "from_encoding_us": from_enc_us,
                          "canonical_keys_cold_us": cold_us, "canonical_keys_warm_us": warm_us,
                          "canonical_keys_c_us": keys_c_us,
-                         "fresh": fresh_runs})
+                         "fresh": fresh_runs, "fresh_kernel": fresh_kernel})
             line = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
             for us in [*extend.values(), *count_extend.values()]:
                 line += f" {'-' if us is None else f'{us:.1f}us':>16}"
@@ -281,6 +286,12 @@ def main():
                 line += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
                                       for p in ("walk", "generate"))
             print(line)
+    print("\nfresh interpreters per kernel, seconds and peak RSS:")
+    for row in rows:
+        for b, figures in row["fresh_kernel"].items():
+            print(f"{row['k']:>2} {b:>6} " + "  ".join(
+                f"{name} {run['seconds']:.3f}s {run['peak_rss_mb']:.1f}MB"
+                for name, run in figures.items()))
     print(f"\ncircuit layer, us per circuit over {CIRCUITS} random circuits (n <= 7, k <= 7):")
     circuit_us = circuit_stages_us(CIRCUITS)
     for name, us in circuit_us.items():

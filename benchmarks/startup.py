@@ -2,6 +2,7 @@
 
     python -I -S benchmarks/startup.py STARTS SRC
     python -I -S benchmarks/startup.py set K PATH RESPELT SRC
+    python -I -S benchmarks/startup.py kernel K BACKEND SRC
 
 The first form runs STARTS fresh interpreters of each command in COMMANDS,
 alternated, and prints one JSON object: per command, the median seconds
@@ -10,6 +11,9 @@ from spawning the child until it exits and the largest peak RSS in MB that
 SET_COMMANDS once for the topology set on K gates, saved to and loaded
 from PATH, then loaded from RESPELT, the same set with one line spelt
 otherwise, and prints, per command, its seconds and its child's peak RSS.
+The third runs each command in KERNEL_COMMANDS once for K gates with the
+kernel BACKEND ("c" or "python") made the package's default in the child,
+and prints the same figures.
 The children run with SRC first on PYTHONPATH and otherwise the caller's
 environment.  Linux counts in a child's peak RSS the memory of the process
 that spawned it, so the children must be spawned by a process smaller than
@@ -40,6 +44,19 @@ SET_COMMANDS = {
     "load_respelt": "from mcbound.topology import load_topology_set; "
                     "load_topology_set({respelt!r})",
 }
+# the class walk alone, the walk and the sorted member rows, and the two CLI
+# commands that count classes: prove without --classes, and table2, whose
+# status 1, where the published counts differ from the walk's (from k=4 on),
+# is a finished run too
+KERNEL_COMMANDS = {
+    "count_classes": "from mcbound.topology import count_classes; count_classes({k})",
+    "generate": "from mcbound.topology import generate; generate({k})",
+    "prove": "import sys; from mcbound.cli import main; "
+             "sys.exit(main(['prove', '--n', '7', '--k', '{k}']))",
+    "table2": "import sys; from mcbound.cli import main; "
+              "sys.exit(main(['table2', '--max-k', '{k}']) not in (0, 1))",
+}
+PIN_KERNEL = "import mcbound.kernel as kernel; kernel._active = kernel.get_backend({backend!r}); "
 
 
 def child_run(code, env):
@@ -59,11 +76,16 @@ def main():
     src = sys.argv[-1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if sys.argv[1] == "set":
-        k, path, respelt = int(sys.argv[2]), sys.argv[3], sys.argv[4]
+    if sys.argv[1] in ("set", "kernel"):
+        if sys.argv[1] == "set":
+            commands = SET_COMMANDS
+            fields = {"k": int(sys.argv[2]), "path": sys.argv[3], "respelt": sys.argv[4]}
+        else:
+            commands = {name: PIN_KERNEL + code for name, code in KERNEL_COMMANDS.items()}
+            fields = {"k": int(sys.argv[2]), "backend": sys.argv[3]}
         figures = {}
-        for name, code in SET_COMMANDS.items():
-            seconds, mb = child_run(code.format(k=k, path=path, respelt=respelt), env)
+        for name, code in commands.items():
+            seconds, mb = child_run(code.format(**fields), env)
             figures[name] = {"seconds": seconds, "peak_rss_mb": mb}
         print(json.dumps(figures))
         return

@@ -11,17 +11,19 @@ the one pass that encodes a topology under each of them and tells which
 encodings are minimal: ``canonical_keys`` takes its two minima, and
 ``extend`` and ``count_extend`` run it once on the parent (``_Parent``) for
 all of the parent's children.  Every child with a one-gate new layer is
-keyed in one pass over the cached list of candidate gates: each relabeling
-maps the list to a row of gate codes, and element-wise minima of those rows
-give every child's keys at once.  ``count_extend`` counts the children that
+keyed in one pass over the cached list of candidate gates: each relabel
+table maps the list to a row of gate codes, built on the table's first use
+and cached (``_rows``), and element-wise minima of those rows give every
+child's keys at once.  ``count_extend`` counts the children that
 complete k gates instead of keying them.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import cache, cached_property, reduce
-from itertools import combinations_with_replacement, islice, permutations, product
+from array import array
+from functools import cache, reduce
+from itertools import combinations_with_replacement, count, islice, permutations, product
 from operator import and_
 
 BACKEND = "python"
@@ -71,13 +73,14 @@ def _fault_table(q):
 
 def _relabelings(lefts, rights, layers):
     """For each cached relabeling of gates ``(lefts[i], rights[i])`` within
-    their layers, the masks ``layers``, ``(encoding, minimal, tab)``: the
-    gates relabeled by ``tab`` and encoded with each gate's sides smaller
-    first, and whether every relabeled gate is fault-free."""
+    their layers, the masks ``layers``, ``(encoding, minimal, index)``: the
+    gates relabeled by the table at ``index`` in the cached tuple for their
+    layer sizes and encoded with each gate's sides smaller first, and
+    whether every relabeled gate is fault-free."""
     faults = _fault_table(len(lefts))
     sizes = tuple(m.bit_count() for m in layers)
     out = []
-    for positions, tab in _TABLES.get(sizes) or _relabel_tables(sizes):
+    for index, (positions, tab) in enumerate(_TABLES.get(sizes) or _relabel_tables(sizes)):
         enc = bytearray(2 * len(lefts))
         minimal = True
         for p2, left, right in zip(positions, lefts, rights):
@@ -89,13 +92,19 @@ def _relabelings(lefts, rights, layers):
             enc[p2 + 1] = b
             if faults[a << 8 | b]:
                 minimal = False
-        out.append((bytes(enc), minimal, tab))
+        out.append((bytes(enc), minimal, index))
     return out
 
 
-# Above every gate code ``a << 8 | b``: stands for a relabeled candidate
-# gate that is faulty, so that an element-wise min passes over it.
-_FAULT = 1 << 16
+# Above every gate code ``a << 8 | b``, at most 63 << 8 | 63: stands for a
+# relabeled candidate gate that is faulty, so that an element-wise min
+# passes over it.
+_FAULT = 0xFFFF
+
+# Candidate rows per ``(layer sizes, table index)``, built on first use by
+# ``_rows``.  Keys are tables of at most 6 gates, so the cache is bounded as
+# _TABLES is, and each row is an unsigned 16-bit array.
+_ROWS: dict[tuple, tuple] = {}
 
 
 def _least(rows):
@@ -207,32 +216,54 @@ def _images(tab, lefts, rights):
             for a, b in zip(map(tab.__getitem__, lefts), map(tab.__getitem__, rights))]
 
 
+def _rows(sizes, index):
+    """The row of candidate codes that table ``index`` of the layer sizes
+    gives (``_images`` over ``_candidates``, whose last layer is the top
+    ``sizes[-1]`` gates), and its fault-free twin, with ``_FAULT`` in place
+    of each faulty gate's code; built once per table and cached."""
+    rows = _ROWS.get((sizes, index))
+    if rows is None:
+        q = sum(sizes)
+        _, lefts, rights = _candidates(q, (1 << q) - (1 << (q - sizes[-1])))
+        faults = _fault_table(q)
+        row = array("H", _images((_TABLES.get(sizes) or _relabel_tables(sizes))[index][1],
+                                 lefts, rights))
+        rows = _ROWS[sizes, index] = row, array("H", [_FAULT if faults[code] else code
+                                                       for code in row])
+    return rows
+
+
 class _Parent:
     """A parent of q gates with its relabelings searched once for all of its
     children (canonical augmentation): ``key`` is its least encoding,
-    ``autos`` the relabel tables that give it, the first of them first, and
-    ``groups`` the tables that leave every gate fault-free, grouped by the
-    encoding they give, ascending.  ``cands``, ``lefts`` and ``rights`` are
-    the candidate new gates from ``_candidates``.  ``gates`` is the
-    parent's ``read_topology``."""
+    ``autos`` the indices of the relabel tables that give it, the first of
+    them first, and ``groups`` the indices of the tables that leave every
+    gate fault-free, grouped by the encoding they give, ascending.  Its
+    layer sizes ``sizes`` fix its candidate new gates and each table's rows
+    of their codes (``_rows``)."""
 
     def __init__(self, gates):
-        lefts, _, layers = gates
-        self.cands, self.lefts, self.rights = _candidates(len(lefts), layers[-1])
-        self.faults = _fault_table(len(lefts))
+        self.sizes = tuple(m.bit_count() for m in gates[2])
         relabeled = _relabelings(*gates)
         self.key = min(key for key, _, _ in relabeled)
-        self.autos = [tab for key, _, tab in relabeled if key == self.key]
+        self.autos = [index for key, _, index in relabeled if key == self.key]
         groups = {}
-        for key, minimal, tab in relabeled:
+        for key, minimal, index in relabeled:
             if minimal:
-                groups.setdefault(key, []).append(tab)
+                groups.setdefault(key, []).append(index)
         self.groups = sorted(groups.items())
 
-    def fault_free(self, codes):
-        """The codes with ``_FAULT`` in place of each faulty gate's."""
-        faults = self.faults
-        return [_FAULT if faults[code] else code for code in codes]
+    @property
+    def auto_rows(self):
+        """Each automorphism's row of candidate codes."""
+        return [_rows(self.sizes, index)[0] for index in self.autos]
+
+    @property
+    def group_rows(self):
+        """Each group's key with its tables' fault-free rows of candidate
+        codes."""
+        return [(key, [_rows(self.sizes, index)[1] for index in indices])
+                for key, indices in self.groups]
 
     def one_gate(self):
         """The children with one new gate, all at once: the sorted least
@@ -243,21 +274,15 @@ class _Parent:
         automorphisms, the element-wise min of their rows, and one
         candidate per least code stands for its class.  A class is settled
         by the first group whose least fault-free row has a code, not
-        _FAULT, for it."""
-        classes = dict(zip(_least(_images(tab, self.lefts, self.rights) for tab in self.autos),
-                           self.cands))
+        _FAULT, for it; a group's rows are read only once it is reached."""
+        classes = dict(zip(_least(self.auto_rows), count()))
         codes = sorted(classes)
         reps = list(map(classes.__getitem__, codes))
-        rep_lefts = [left for left, _ in reps]
-        rep_rights = [right for _, right in reps]
         settled = [None] * len(codes)
         todo = range(len(codes))
-        for key, tabs in self.groups:
-            if key == self.key and len(tabs) == 1:
-                least = self.fault_free(codes)  # the lone automorphism's own row
-            else:
-                least = _least(self.fault_free(_images(tab, rep_lefts, rep_rights))
-                               for tab in tabs)
+        for key, indices in self.groups:
+            least = _least(list(map(_rows(self.sizes, index)[1].__getitem__, reps))
+                           for index in indices)
             left_over = []
             for i in todo:
                 if least[i] == _FAULT:
@@ -276,18 +301,6 @@ class _Parent:
                  None if found is None else found[0] + found[1].to_bytes(2, "big"))
                 for code, found in zip(codes, settled)]
 
-    @cached_property
-    def auto_rows(self):
-        """Each automorphism's row of candidate codes."""
-        return [_images(tab, self.lefts, self.rights) for tab in self.autos]
-
-    @cached_property
-    def group_rows(self):
-        """Each group's key with its tables' fault-free rows of candidate
-        codes."""
-        return [(key, [self.fault_free(_images(tab, self.lefts, self.rights)) for tab in tabs])
-                for key, tabs in self.groups]
-
     def representatives(self, width):
         """The combinations of ``width`` candidate indices, with repetition,
         that stand for their children's classes: those that the first
@@ -295,8 +308,8 @@ class _Parent:
         relabeling maps distinct multisets of candidates to distinct
         multisets of codes, so each class has exactly one, and no table of
         the keys seen is needed."""
-        combos = combinations_with_replacement(range(len(self.cands)), width)
         first, *rest = self.auto_rows
+        combos = combinations_with_replacement(range(len(first)), width)
         if not rest:
             return combos
 
@@ -311,10 +324,11 @@ class _Parent:
         first group that has one."""
         pack = struct.Struct(f">{width}H").pack
         first = self.auto_rows[0]
+        group_rows = self.group_rows
         children = []
         for combo in self.representatives(width):
             key_min = None
-            for key, rows in self.group_rows:
+            for key, rows in group_rows:
                 best = None
                 for row in rows:
                     layer = list(map(row.__getitem__, combo))
@@ -338,7 +352,7 @@ class _Parent:
         rows = {bytes(code != _FAULT for code in row) for _, rows in self.group_rows
                 for row in rows}
         masks = [int.from_bytes(bytes(column), "little") for column in zip(*rows)] \
-            or [0] * len(self.cands)
+            or [0] * len(self.auto_rows[0])
         full = full_min = 0
         for combo in self.representatives(width):
             full += 1
@@ -362,11 +376,11 @@ def extend(enc, k):
     fault does not depend on that permutation.
 
     Children with one new gate, the most of them, are keyed all at once by
-    element-wise minima over rows of relabeled candidate codes, made as a
-    group of relabelings is reduced and dropped after, so a parent with
-    hundreds of relabelings holds only a few rows at a time.  Wider layers
-    go through their representative combinations of candidates one at a
-    time.
+    element-wise minima over rows of relabeled candidate codes.  A row
+    depends only on the layer sizes and the table, so each is built once,
+    when a parent first uses its table, and kept as a 16-bit array.  Wider
+    layers go through their representative combinations of candidates one
+    at a time.
     """
     gates = _checked_parent(enc, k)
     q = len(gates[0])

@@ -16,7 +16,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import topology as _topo
-from .errors import CapacityError, CircuitError, ContractError, ParseError, ascii_lines
+from .errors import SPACE, CapacityError, CircuitError, ContractError, ParseError, ascii_lines
 
 MAX_ARITY = 16
 
@@ -449,12 +449,12 @@ def _parse_terms(m, group, lineno):
     if None not in terms:
         return terms
     # Empty, re-spelt, out-of-table or unknown terms.
-    if not body.strip():
+    if not body.strip(SPACE):
         return frozenset()
     terms = []
     col = m.start(group) + 1
     for piece in body.split(","):
-        token = piece.strip()
+        token = piece.strip(SPACE)
         t = _TERM_TOKEN.match(token)
         if not t:
             raise ParseError(f"unknown term {token!r}", line=lineno,

@@ -13,7 +13,8 @@ from operator import countOf
 
 from . import kernel
 from ._gen_py import gate_fault, layer_masks
-from .errors import CapacityError, CircuitError, ContractError, ParseError, ascii_line, ascii_lines
+from .errors import (SPACE, CapacityError, CircuitError, ContractError, ParseError, ascii_line,
+                     ascii_lines)
 
 MAX_GENERATE_K = 7
 # generate keeps every class key, about 56 bytes each: some 28 MB for the
@@ -495,9 +496,9 @@ def _parse_index_set(text, gate):
     raises ValueError on a token that is not an ASCII gate index of 1 to 18
     digits and at least 1, and on an index of ``gate`` or more."""
     mask = 0
-    body = text.strip()
+    body = text.strip(SPACE)
     for token in body.split(",") if body else ():
-        token = token.strip()
+        token = token.strip(SPACE)
         index = _ascii_number(token)
         if not index:
             raise ValueError(f"bad gate index {token!r}")

@@ -351,6 +351,16 @@ def test_circuit_white_space_is_ascii():
     assert str(err.value) == "line 1: expected 0 gate lines and one 'out:' line"
 
 
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_circuit_terms_keep_separator_characters(sep):
+    # str.strip() would strip them, reading {} or {x1}
+    for text, term, col in (("circuit n=1 k=0\nout: {x1%s}\n", "x1" + sep, 7),
+                            ("circuit n=1 k=1\ngate 1: L={%s} R={x1}\nout: {g1}\n", sep, 12)):
+        with pytest.raises(ParseError) as err:
+            parse_circuit(text % sep)
+        assert str(err.value) == f"line 2, col {col}: unknown term {term!r}"
+
+
 def test_parse_circuit_range_error_lines():
     cases = [
         ("circuit n=2 k=1\ngate 1: L={x1,x3,x8,x9,x10} R={}\nout: {}\n",

@@ -318,6 +318,7 @@ def test_relabel_tables_are_bounded_by_compositions():
 
 def test_candidate_lists_are_cached_tuples_and_bounded():
     _gen_py._candidates.cache_clear()
+    _gen_py._ROWS.clear()  # cached rows would spare the walk its candidate lists
     count_classes(5, backend="python")
     # one entry per (q, last layer) met, q <= 4 at k=5
     assert 0 < _gen_py._candidates.cache_info().currsize <= 30
@@ -325,6 +326,43 @@ def test_candidate_lists_are_cached_tuples_and_bounded():
     assert type(cands) is type(lefts) is type(rights) is tuple
     assert lefts == tuple(left for left, _ in cands)
     assert rights == tuple(right for _, right in cands)
+
+
+def test_candidate_rows_are_cached_images_of_their_tables():
+    _gen_py._ROWS.clear()
+    generate(5, backend="python")
+    assert _gen_py._ROWS
+    for (sizes, index), (row, free) in _gen_py._ROWS.items():
+        q = sum(sizes)
+        _, lefts, rights = _gen_py._candidates(q, (1 << q) - (1 << (q - sizes[-1])))
+        assert row.typecode == free.typecode == "H"
+        assert list(row) == _gen_py._images(_gen_py._TABLES[sizes][index][1], lefts, rights)
+        assert list(free) == [code if gate_fault(code >> 8, code & 0xFF) is None
+                              else _gen_py._FAULT for code in row]
+
+
+def test_candidate_rows_are_bounded_by_tables():
+    _gen_py._ROWS.clear()
+    count_classes(5, backend="python")
+    assert _gen_py._ROWS
+    for sizes, index in _gen_py._ROWS:
+        assert min(sizes) >= 1 and sum(sizes) <= 4  # parents of at most 4 gates at k=5
+        assert 0 <= index < len(_gen_py._TABLES[sizes])
+
+
+def test_candidate_rows_are_built_only_for_the_tables_a_parent_uses():
+    fewer = 0
+    for enc, _ in unpruned_walk_parents(_gen_py, 5):
+        gates = _gen_py.read_topology(enc)
+        parent = _gen_py._Parent(gates)
+        used = {(parent.sizes, index)
+                for index in parent.autos + [i for _, group in parent.groups for i in group]}
+        for run in (_gen_py.count_extend, _gen_py.extend):
+            _gen_py._ROWS.clear()
+            run(enc, 5)
+            assert set(_gen_py._ROWS) <= used, enc
+        fewer += len(used) < len(_gen_py._TABLES[parent.sizes])
+    assert fewer  # some parent uses only some of its tables, so no table list is built whole
 
 
 def test_one_minimality_predicate():

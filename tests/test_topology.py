@@ -407,7 +407,7 @@ def test_count_classes_matches_generate():
 
 @pytest.mark.skipif(kernel.BACKEND != "c",
                     reason="k=7 needs the compiled kernel, so MCBOUND_LONG=1 alone does not "
-                           "run it: the pure-Python count is about 25 times slower at k=6")
+                           "run it: the pure-Python count takes about 8 minutes, 22 times as long")
 def test_count_classes_k7():
     assert count_classes(7) == 312463157
 
@@ -867,6 +867,24 @@ def test_topology_white_space_is_ascii():
         parse_topology(BLOCK + "\x1c\n")
     with pytest.raises(ParseError, match="expected 2 gate lines"):
         parse_topology_set(SET_HEAD + BLOCK + "\x1c\n")
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_side_sets_keep_separator_characters(sep, tmp_path):
+    # str.strip() would strip them, reading {} or {1}
+    for side in (sep, "1" + sep, sep + "1"):
+        block = f"topology k=2\ngate 1: L={{}} R={{}}\ngate 2: L={{{side}}} R={{1}}\n"
+        assert block_outcome(block, 2) == (f"line 3: bad gate index {side!r}", 3, None)
+    # past the blocks the reader takes in chunks, laid out as written
+    text = format_topology_set(generate(4))
+    at = text.index("R={1}\n", len(text) // 2) + len("R={1")
+    text = text[:at] + sep + text[at:]
+    path = tmp_path / "set.txt"
+    path.write_bytes(text.encode())
+    line = text.count("\n", 0, at) + 1
+    for read, arg in ((parse_topology_set, text), (load_topology_set, path)):
+        assert read_outcome(read, arg) == (f"line {line}: bad gate index {'1' + sep!r}", line,
+                                           None)
 
 
 def block_outcome(block, k):
