@@ -4,7 +4,8 @@ topology-set file format and the circuit layer.
 Per backend, times the class walk alone (``count_classes``), the walk plus
 the sorted member rows (``generate``), and ``extend`` and ``count_extend``
 in microseconds per parent over every parent that the walk for k expands,
-and reports the speedup of the compiled kernel on the first two.  Per k,
+each the median of PASSES passes, and reports the speedup of the compiled
+kernel on the first two.  Per k,
 also times ``save_topology_set`` and ``load_topology_set`` of the generated
 set, which use no kernel, the first read of ``members`` on the loaded set,
 which builds its ``Topology`` views, ``Topology.from_encoding`` in
@@ -51,6 +52,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -69,12 +71,21 @@ from calibrate import reference_seconds  # noqa: E402
 
 CIRCUITS = 2000
 STARTS = 21
+PASSES = 5
 
 
 def timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+def median_timed(fn, *args, **kwargs):
+    """The result of the first of PASSES calls ``fn(*args, **kwargs)`` and
+    the median seconds of the calls; no other result is kept."""
+    result, first = timed(fn, *args, **kwargs)
+    return result, statistics.median([first] + [timed(fn, *args, **kwargs)[1]
+                                                for _ in range(PASSES - 1)])
 
 
 def walk_parents(kern, k):
@@ -85,20 +96,20 @@ def walk_parents(kern, k):
     while stack:
         enc = stack.pop()
         parents.append(enc)
-        stack += [key for key, key_min in kern.extend(enc, k)
-                  if key_min is not None and len(key) < 2 * k]
+        stack += [key for key, key_min in kern.extend(enc, k)[2] if key_min is not None]
     return parents
 
 
 def per_parent_us(fn, k, parents):
-    """``fn(enc, k)`` microseconds per parent over the parents, or None
-    when there are none."""
+    """``fn(enc, k)`` microseconds per parent over the parents, the median
+    of PASSES passes, or None when there are none."""
     if not parents:
         return None
-    start = time.perf_counter()
-    for enc in parents:
-        fn(enc, k)
-    return (time.perf_counter() - start) / len(parents) * 1e6
+
+    def one_pass():
+        for enc in parents:
+            fn(enc, k)
+    return median_timed(one_pass)[1] / len(parents) * 1e6
 
 
 def respell(path, out):
@@ -243,9 +254,10 @@ def main():
         for k in range(1, args.max_k + 1):
             times = {}
             for backend in backends:
-                count, times[backend, "walk"] = timed(count_classes, k, backend=backend,
-                                                      workers=1)
-                ts, times[backend, "generate"] = timed(generate, k, backend=backend, workers=1)
+                count, times[backend, "walk"] = median_timed(count_classes, k,
+                                                             backend=backend, workers=1)
+                ts, times[backend, "generate"] = median_timed(generate, k, backend=backend,
+                                                              workers=1)
                 if ts.count != count:
                     raise SystemExit(f"k={k} {backend}: the walk counted {count} classes, "
                                      f"generate built {ts.count}")
@@ -306,7 +318,7 @@ def main():
             "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
             "commit": commit, "diff_sha256": diff_sha256,
             "backends": backends, "python": platform.python_version(),
-            "cpus": os.cpu_count(), "max_k": args.max_k,
+            "cpus": os.cpu_count(), "max_k": args.max_k, "passes": PASSES,
             "reference_s": {"before": reference_before, "after": reference_seconds()},
             "rows": rows, "circuit_us": circuit_us,
             "startup": dict(started, starts=STARTS,

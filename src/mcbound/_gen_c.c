@@ -290,12 +290,13 @@ least_under_first(const unsigned short *codes, int ncand, relabeling *const *aut
 /* Walks the children of parent with one new layer of 1..k-q of the ncand
    candidate gates (with repetition), as _gen_py.extend: the parent's
    relabelings are walked once, and a child's are a parent relabeling
-   followed by sorting the new layer.  Appends each child's (key_any,
-   key_min) to the list out, except, when counts is not NULL, the full
-   children (those of k gates): counts[0] counts them and counts[1] those
-   that have a key_min, and neither key is built. */
+   followed by sorting the new layer.  Appends each partial child's
+   (key_any, key_min) to the list out.  Of the full children (those of k
+   gates), counts[0] counts all, and no key_any is built: their key_min
+   goes to the list keys, or when keys is NULL, counts[1] counts those that
+   have one and no key is built. */
 static int
-add_children(PyObject *out, Py_ssize_t *counts, const topo *parent, int k,
+add_children(PyObject *out, PyObject *keys, Py_ssize_t *counts, const topo *parent, int k,
              const int *cand_left, const int *cand_right, int ncand)
 {
     /* a parent has at most MAX_GATES - 1 gates, so at most 6! relabelings */
@@ -351,16 +352,17 @@ add_children(PyObject *out, Py_ssize_t *counts, const topo *parent, int k,
     }
 
     for (width = 1; width <= k - parent->q; width++) {
-        int counting = counts != NULL && width == k - parent->q;
+        int full = width == k - parent->q;
         memset(idx, 0, sizeof idx);
         for (;;) {
-            PyObject *key_any, *key_min = Py_None, *child;
+            PyObject *key_any = NULL, *key_min = Py_None, *child;
             const relabeling *found = NULL;
             int g, end;
 
             if (!least_under_first(codes, ncand, autos, nautos, idx, width, best))
                 goto next;
-            if (counting) {
+            counts[0] += full;
+            if (full && keys == NULL) {
                 /* a key_min exists exactly when some minimal relabeling
                    leaves every new gate minimal too */
                 for (g = 0; g < nmins; g++) {
@@ -370,12 +372,10 @@ add_children(PyObject *out, Py_ssize_t *counts, const topo *parent, int k,
                     if (j == width)
                         break;
                 }
-                counts[0]++;
                 counts[1] += g < nmins;
                 goto next;
             }
-            key_any = child_key(rel[least].enc, n, best, 2 * width);
-            if (key_any == NULL)
+            if (!full && (key_any = child_key(rel[least].enc, n, best, 2 * width)) == NULL)
                 goto done;
             /* key_min: the least parent encoding among the groups of minimal
                relabelings that leave every new gate minimal too, then the
@@ -398,16 +398,18 @@ add_children(PyObject *out, Py_ssize_t *counts, const topo *parent, int k,
             else
                 Py_INCREF(Py_None);
             if (key_min == NULL) {
-                Py_DECREF(key_any);
+                Py_XDECREF(key_any);
                 goto done;
             }
-            child = PyTuple_Pack(2, key_any, key_min);
-            Py_DECREF(key_any);
+            if (full) {
+                c = found == NULL ? 0 : PyList_Append(keys, key_min);
+            } else {
+                child = PyTuple_Pack(2, key_any, key_min);
+                Py_DECREF(key_any);
+                c = child == NULL ? -1 : PyList_Append(out, child);
+                Py_XDECREF(child);
+            }
             Py_DECREF(key_min);
-            if (child == NULL)
-                goto done;
-            c = PyList_Append(out, child);
-            Py_DECREF(child);
             if (c < 0)
                 goto done;
         next:
@@ -428,15 +430,16 @@ done:
     return rc;
 }
 
-/* extend(enc, k) when counts is NULL, else count_extend(enc, k) with
-   counts[0..2) zeroed: the shared checks, the parent read by
-   read_topology, its candidate gates, then add_children.  Returns the
-   sorted list of children that add_children appends. */
+/* extend(enc, k) when keep is 1, else count_extend(enc, k): the shared
+   checks, the parent read by read_topology, its candidate gates, then
+   add_children.  Returns (full, keys, partials), or (full, full_min,
+   partials) when keep is 0, with keys and partials sorted. */
 static PyObject *
-children(PyObject *args, const char *format, Py_ssize_t *counts)
+children(PyObject *args, const char *format, int keep)
 {
     Py_buffer enc;
-    PyObject *k_arg, *result = NULL;
+    PyObject *k_arg, *partials = NULL, *keys = NULL, *result = NULL;
+    Py_ssize_t counts[2] = {0, 0};
     int cand_left[MAX_CANDS], cand_right[MAX_CANDS];
     int k, over, q, last, full, left, right, ncand = 0;
     topo parent;
@@ -457,14 +460,16 @@ children(PyObject *args, const char *format, Py_ssize_t *counts)
     last = read_topology(&enc, &parent);
     if (last < 0)
         goto done;
-    result = PyList_New(0);
-    if (result == NULL || over < 0 || enc.len / 2 >= k)
+    partials = PyList_New(0);
+    keys = keep ? PyList_New(0) : NULL;
+    if (partials == NULL || (keep && keys == NULL))
         goto done;
     q = parent.q;
 
-    /* candidate gates, ascending; (right, left) is skipped when (left, right)
-       is listed, because keys ignore side order */
-    full = (1 << q) - 1;
+    /* candidate gates, ascending, none when the parent has k gates or more;
+       (right, left) is skipped when (left, right) is listed, because keys
+       ignore side order */
+    full = over < 0 || enc.len / 2 >= k ? 0 : (1 << q) - 1;
     for (left = 1; left <= full; left++) {
         if (!(left & last))
             continue;
@@ -479,42 +484,44 @@ children(PyObject *args, const char *format, Py_ssize_t *counts)
         }
     }
 
-    if ((ncand && add_children(result, counts, &parent, k, cand_left, cand_right, ncand) < 0)
-        || PyList_Sort(result) < 0)
-        Py_CLEAR(result);
+    if ((ncand && add_children(partials, keys, counts, &parent, k, cand_left, cand_right,
+                               ncand) < 0)
+        || PyList_Sort(partials) < 0 || (keep && PyList_Sort(keys) < 0))
+        goto done;
+    result = keep ? Py_BuildValue("(nOO)", counts[0], keys, partials)
+                  : Py_BuildValue("(nnO)", counts[0], counts[1], partials);
 done:
+    Py_XDECREF(partials);
+    Py_XDECREF(keys);
     PyBuffer_Release(&enc);
     return result;
 }
 
 PyDoc_STRVAR(extend_doc,
 "extend(enc, k)\n--\n\n"
-"All one-new-layer extensions of a partial topology, as canonical keys.\n\n"
+"All one-new-layer extensions of a partial topology, by canonical key.\n\n"
 "Appends a layer of 1..k-q new gates; every new gate must touch the\n"
 "current last layer and neither side may nest inside the other.  Returns\n"
-"the deduplicated extensions as sorted (key_any, key_min) pairs.");
+"(full, keys, partials): the number of full children (those of k gates),\n"
+"the sorted key_min encodings of those that have one, and the partial\n"
+"children as sorted (key_any, key_min) pairs.  No full child's key_any\n"
+"is built.");
 
 static PyObject *
 extend(PyObject *self, PyObject *args)
 {
-    return children(args, "y*O:extend", NULL);
+    return children(args, "y*O:extend", 1);
 }
 
 PyDoc_STRVAR(count_extend_doc,
 "count_extend(enc, k)\n--\n\n"
-"(full, full_min, partials) for the children extend(enc, k) lists: the\n"
-"number of full children (those of k gates), how many of them have a\n"
-"key_min, and the partial children exactly as extend lists them.  No full\n"
-"child's key is built.");
+"(full, full_min, partials): extend(enc, k) with full_min, the number of\n"
+"its keys, in place of the keys.  No full child's key is built.");
 
 static PyObject *
 count_extend(PyObject *self, PyObject *args)
 {
-    Py_ssize_t counts[2] = {0, 0};
-    PyObject *partials = children(args, "y*O:count_extend", counts);
-    if (partials == NULL)
-        return NULL;
-    return Py_BuildValue("(nnN)", counts[0], counts[1], partials);
+    return children(args, "y*O:count_extend", 0);
 }
 
 static PyMethodDef methods[] = {

@@ -14,8 +14,9 @@ all of the parent's children.  Every child with a one-gate new layer is
 keyed in one pass over the cached list of candidate gates: each relabel
 table maps the list to a row of gate codes, built on the table's first use
 and cached (``_rows``), and element-wise minima of those rows give every
-child's keys at once.  ``count_extend`` counts the children that
-complete k gates instead of keying them.
+child's keys at once.  ``extend`` and ``count_extend`` key the partial
+children alike and differ only in the children that complete k gates:
+``extend`` keeps their key_min encodings, ``count_extend`` counts them.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ _FAULT = 0xFFFF
 
 # Candidate rows per ``(layer sizes, table index)``, built on first use by
 # ``_rows``.  Keys are tables of at most 6 gates, so the cache is bounded as
-# _TABLES is, and each row is an unsigned 16-bit array.
+# _TABLES is, and each holds two unsigned 16-bit arrays and one bytes.
 _ROWS: dict[tuple, tuple] = {}
 
 
@@ -198,16 +199,6 @@ def canonical_keys(enc):
             min((key for key, minimal, _ in relabeled if minimal), default=None))
 
 
-def _checked_parent(enc, k):
-    """``read_topology(enc)``, once the checks that ``extend`` and
-    ``count_extend`` share have passed."""
-    if len(enc) < 2:
-        raise ValueError("cannot extend an empty topology")
-    if k > MAX_GATES:
-        raise ValueError(f"kernel supports at most {MAX_GATES} gates, got k={k}")
-    return read_topology(enc)
-
-
 def _images(tab, lefts, rights):
     """Each candidate ``(lefts[i], rights[i])`` relabeled by tab, sides
     smaller first, as the integer ``a << 8 | b`` (integer order is byte
@@ -219,8 +210,9 @@ def _images(tab, lefts, rights):
 def _rows(sizes, index):
     """The row of candidate codes that table ``index`` of the layer sizes
     gives (``_images`` over ``_candidates``, whose last layer is the top
-    ``sizes[-1]`` gates), and its fault-free twin, with ``_FAULT`` in place
-    of each faulty gate's code; built once per table and cached."""
+    ``sizes[-1]`` gates), its fault-free twin, with ``_FAULT`` in place of
+    each faulty gate's code, and the twin's flags, the bytes whose entry is
+    1 where the twin has a code; built once per table and cached."""
     rows = _ROWS.get((sizes, index))
     if rows is None:
         q = sum(sizes)
@@ -228,8 +220,9 @@ def _rows(sizes, index):
         faults = _fault_table(q)
         row = array("H", _images((_TABLES.get(sizes) or _relabel_tables(sizes))[index][1],
                                  lefts, rights))
-        rows = _ROWS[sizes, index] = row, array("H", [_FAULT if faults[code] else code
-                                                       for code in row])
+        flags = bytes(1 - faults[code] for code in row)
+        rows = _ROWS[sizes, index] = row, array("H", [code if ok else _FAULT
+                                                       for code, ok in zip(row, flags)]), flags
     return rows
 
 
@@ -318,14 +311,13 @@ class _Parent:
             return all(layer <= sorted(map(row.__getitem__, combo)) for row in rest)
         return filter(least_under_first, combos)
 
-    def wide_children(self, width):
-        """The ``(key_any, key_min)`` of each child with ``width`` new gates.
-        Its key_min ends in the least fault-free sorted layer within the
+    def wide_layers(self, width):
+        """Each child with ``width`` new gates as its representative
+        combination of candidates and its key_min, or None when it has none.
+        The key_min ends in the least fault-free sorted layer within the
         first group that has one."""
         pack = struct.Struct(f">{width}H").pack
-        first = self.auto_rows[0]
         group_rows = self.group_rows
-        children = []
         for combo in self.representatives(width):
             key_min = None
             for key, rows in group_rows:
@@ -339,19 +331,30 @@ class _Parent:
                 if best is not None:
                     key_min = key + pack(*best)
                     break
-            children.append((self.key + pack(*sorted(map(first.__getitem__, combo))), key_min))
-        return children
+            yield combo, key_min
 
-    def count_wide(self, width):
+    def wide_children(self, width):
+        """The ``(key_any, key_min)`` of each child with ``width`` new
+        gates."""
+        pack = struct.Struct(f">{width}H").pack
+        first = self.auto_rows[0]
+        return [(self.key + pack(*sorted(map(first.__getitem__, combo))), key_min)
+                for combo, key_min in self.wide_layers(width)]
+
+    def count_full(self, width):
         """``(full, full_min)`` over the children with ``width`` new gates,
-        with no key built: a child has a key_min exactly when some table
-        that leaves the parent fault-free leaves each new gate fault-free
-        too.  Per candidate, byte r of an integer is 1 when the r-th
-        distinct fault-free row has its code, so a combination has a
-        key_min exactly when the AND of its integers is not 0."""
-        rows = {bytes(code != _FAULT for code in row) for _, rows in self.group_rows
-                for row in rows}
-        masks = [int.from_bytes(bytes(column), "little") for column in zip(*rows)] \
+        with no key built.  One new gate's children are counted from their
+        least codes.  Otherwise a child has a key_min exactly when some
+        table that leaves the parent fault-free leaves each new gate
+        fault-free too.  Per candidate, byte r of an integer is 1 when the
+        r-th distinct fault-free row has its code (the row's cached flags),
+        so a combination has a key_min exactly when the AND of its integers
+        is not 0."""
+        if width == 1:
+            codes, settled = self.one_gate()
+            return len(codes), len(settled) - settled.count(None)
+        flags = {_rows(self.sizes, index)[2] for _, indices in self.groups for index in indices}
+        masks = [int.from_bytes(bytes(column), "little") for column in zip(*flags)] \
             or [0] * len(self.auto_rows[0])
         full = full_min = 0
         for combo in self.representatives(width):
@@ -359,15 +362,23 @@ class _Parent:
             full_min += reduce(and_, map(masks.__getitem__, combo)) != 0
         return full, full_min
 
+    def full_keys(self, width):
+        """``(full, keys)`` over the children with ``width`` new gates: their
+        number and the sorted key_min encodings of those that have one, with
+        no key_any built."""
+        if width == 1:
+            codes, settled = self.one_gate()
+            keys = [key + code.to_bytes(2, "big") for key, code in filter(None, settled)]
+            return len(codes), sorted(keys)
+        key_mins = [key_min for _, key_min in self.wide_layers(width)]
+        return len(key_mins), sorted(filter(None, key_mins))
 
-def extend(enc, k):
-    """All one-new-layer extensions of a partial topology, as canonical keys.
 
-    Appends a layer of 1..k-q new gates; every new gate must touch the
-    current last layer and neither side may nest inside the other.  Returns
-    the deduplicated extensions as sorted ``(key_any, key_min)`` pairs:
-    key_any identifies the class, key_min is the least encoding whose gates
-    all satisfy the minimality conditions (None when the class has none).
+def _children(enc, k, last):
+    """For a parent ``enc`` of q gates, ``(*last(parent, k - q), partials)``:
+    what ``_Parent.full_keys`` or ``_Parent.count_full`` gives for the full
+    children (those of k gates), then the partial children as sorted
+    ``(key_any, key_min)`` pairs; None when q >= k.
 
     The keys equal ``canonical_keys`` of each child, but the relabelings are
     searched once per parent (``_Parent``): new gates reference only old
@@ -382,34 +393,38 @@ def extend(enc, k):
     layers go through their representative combinations of candidates one
     at a time.
     """
-    gates = _checked_parent(enc, k)
+    if len(enc) < 2:
+        raise ValueError("cannot extend an empty topology")
+    if k > MAX_GATES:
+        raise ValueError(f"kernel supports at most {MAX_GATES} gates, got k={k}")
+    gates = read_topology(enc)
     q = len(gates[0])
     if q >= k:
-        return []
+        return None
     parent = _Parent(gates)
-    children = parent.one_gate_children()
-    for width in range(2, k - q + 1):
-        children += parent.wide_children(width)
-    return sorted(children)
+    partials = parent.one_gate_children() if q + 1 < k else []
+    for width in range(2, k - q):
+        partials += parent.wide_children(width)
+    return (*last(parent, k - q), sorted(partials))
+
+
+def extend(enc, k):
+    """All one-new-layer extensions of a partial topology, by canonical key.
+
+    Appends a layer of 1..k-q new gates; every new gate must touch the
+    current last layer and neither side may nest inside the other.  Returns
+    ``(full, keys, partials)`` over the deduplicated extensions: the number
+    of full children (those of k gates), the sorted key_min encodings of
+    those that have one, and the partial children as sorted ``(key_any,
+    key_min)`` pairs.  key_any identifies the class, and key_min is the
+    least encoding whose gates all satisfy the minimality conditions (None
+    when the class has none).  No full child's key_any is built.
+    """
+    return _children(enc, k, _Parent.full_keys) or (0, [], [])
 
 
 def count_extend(enc, k):
-    """``(full, full_min, partials)`` for the children ``extend(enc, k)``
-    lists: the number of full children (those of k gates), how many of them
-    have a key_min, and the partial children exactly as ``extend`` lists
-    them.  It raises the same ValueErrors, and builds no full child's key:
-    when the new layer holds one gate, the full children are counted from
-    their least codes, and wider full layers from their representative
-    combinations (``_Parent.count_wide``)."""
-    gates = _checked_parent(enc, k)
-    q = len(gates[0])
-    if q >= k:
-        return 0, 0, []
-    parent = _Parent(gates)
-    if q + 1 == k:
-        codes, settled = parent.one_gate()
-        return len(codes), len(settled) - settled.count(None), []
-    partials = parent.one_gate_children()
-    for width in range(2, k - q):
-        partials += parent.wide_children(width)
-    return (*parent.count_wide(k - q), sorted(partials))
+    """``(full, full_min, partials)``: ``extend(enc, k)`` with ``full_min``,
+    the number of its keys, in place of the keys.  It raises the same
+    ValueErrors, and builds no full child's key."""
+    return _children(enc, k, _Parent.count_full) or (0, 0, [])

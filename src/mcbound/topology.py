@@ -240,7 +240,14 @@ def canonical_form(t):
     return Topology.from_encoding(key)
 
 
-def _walk(roots, depth, k, expand, split=False):
+# What a walk makes of each parent's full children, per kernel entry point,
+# as the type of its empty total: count_extend's counts of the children
+# with a key_min add up, and extend's lists of their key_min encodings join
+# into one list, so that no list per parent outlives the walk.
+_GATHERED = {"count_extend": int, "extend": list}
+
+
+def _walk(roots, depth, k, backend, entry, split=False):
     """Depth-first class walk below the partial topologies ``roots``, which
     all have ``depth`` layers.
 
@@ -252,79 +259,38 @@ def _walk(roots, depth, k, expand, split=False):
     of its prefix.  With ``split`` the roots' partial children are returned
     instead of walked.
 
-    ``expand(enc, row)`` takes a parent's full children into account,
-    adding their number to ``row[0]``, and returns its partial children as
-    ``(key_any, key_min)`` pairs.  Returns ``(tally, frontier)``: per layer
-    count d, ``tally[d]`` holds the full keys, the kept partials and the
-    pruned partials among the children with d layers; and the partial
-    children not walked.
+    ``entry`` names the kernel function that extends a parent,
+    ``"count_extend"`` or ``"extend"``: it returns ``(full, found,
+    partials)``, where found counts or lists the key_min encodings of the
+    full children, and partials are ``(key_any, key_min)`` pairs.  Returns
+    ``(found, tally, frontier)``: the parents' found added up
+    (``_GATHERED``); per layer count d, ``tally[d]`` holds the full keys,
+    the kept partials and the pruned partials among the children with d
+    layers; and the partial children not walked.
     """
+    step = getattr(kernel.get_backend(backend), entry)
     tally = [[0, 0, 0] for _ in range(k + 1)]
+    found = _GATHERED[entry]()
     frontier = []
-    for enc in roots:
-        # The partial children of each parent on the current path, as an
-        # iterator; a kept one is walked before its next sibling.
-        path = [iter(expand(enc, tally[depth + 1]))]
-        while path:
-            row = tally[depth + len(path)]
-            for key_any, key_min in path[-1]:
-                if key_min is None:
-                    row[2] += 1
-                    continue
-                row[1] += 1
-                if split:
-                    frontier.append(key_any)
-                else:
-                    path.append(iter(expand(key_any, tally[depth + len(path) + 1])))
-                    break
-            else:
-                path.pop()
-    return tally, frontier
-
-
-def _count_walk(roots, depth, k, backend, split=False):
-    """``_walk`` with the kernel's ``count_extend``: ``(count, tally,
-    frontier)``, where count is the number of full descendants that have a
-    minimal relabeling."""
-    count_extend = kernel.get_backend(backend).count_extend
-    count = 0
-
-    def expand(enc, row):
-        nonlocal count
-        full, full_min, partials = count_extend(enc, k)
+    stack = [(enc, depth) for enc in reversed(roots)]
+    while stack:
+        enc, layers = stack.pop()
+        full, kept, partials = step(enc, k)
+        found += kept
+        children = [key_any for key_any, key_min in partials if key_min is not None]
+        row = tally[layers + 1]
         row[0] += full
-        count += full_min
-        return partials
-
-    tally, frontier = _walk(roots, depth, k, expand, split)
-    return count, tally, frontier
-
-
-def _kept_walk(roots, depth, k, backend, split=False):
-    """``_walk`` with the kernel's ``extend``: ``(kept, tally, frontier)``,
-    where kept holds the key_min encodings of the full descendants that
-    have one, in walk order."""
-    extend = kernel.get_backend(backend).extend
-    full_len = 2 * k
-    kept = []
-
-    def expand(enc, row):
-        partials = []
-        for key_any, key_min in extend(enc, k):
-            if len(key_any) < full_len:
-                partials.append((key_any, key_min))
-                continue
-            row[0] += 1
-            if key_min is not None:
-                kept.append(key_min)
-        return partials
-
-    tally, frontier = _walk(roots, depth, k, expand, split)
-    return kept, tally, frontier
+        row[1] += len(children)
+        row[2] += len(partials) - len(children)
+        if split:
+            frontier += children
+        else:
+            stack += [(child, layers + 1) for child in reversed(children)]
+    return found, tally, frontier
 
 
-def _classes(k, workers, backend, progress, walk):
-    """The result of ``walk`` (``_count_walk`` or ``_kept_walk``) over every
+def _classes(k, workers, backend, progress, entry):
+    """The found of ``_walk`` with the kernel function ``entry`` over every
     class on k gates, from the single-layer seeds of 1..k-1 empty gates.
     The caller adds the full seed of k empty gates, its own minimal form.
     The seeds are expanded here; the subtrees below their partial children
@@ -337,21 +303,19 @@ def _classes(k, workers, backend, progress, walk):
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     kern = kernel.get_backend(backend)
-    if k == 0:
-        return walk((), 0, 0, kern.BACKEND)[0]  # nothing to walk
     roots = [bytes(2 * length) for length in range(1, k)]
-    result, tally, frontier = walk(roots, 1, k, kern.BACKEND, split=True)
+    found, tally, frontier = _walk(roots, 1, k, kern.BACKEND, entry, split=True)
 
     def merge(results):
-        nonlocal result
-        for done, (sub_result, sub_tally, _) in enumerate(results, 1):
-            result += sub_result
+        nonlocal found
+        for done, (sub_found, sub_tally, _) in enumerate(results, 1):
+            found += sub_found
             for row, sub_row in zip(tally, sub_tally):
                 row[:] = [a + b for a, b in zip(row, sub_row)]
             if progress:
                 progress({"phase": "subtree", "k": k, "done": done, "total": len(frontier)})
 
-    subtree = partial(walk, depth=2, k=k, backend=kern.BACKEND)
+    subtree = partial(_walk, depth=2, k=k, backend=kern.BACKEND, entry=entry)
     jobs = ([enc] for enc in frontier)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -361,7 +325,8 @@ def _classes(k, workers, backend, progress, walk):
             merge(pool.map(subtree, jobs))
     else:
         merge(map(subtree, jobs))
-    tally[1][0] += 1  # the full seed
+    if k:
+        tally[1][0] += 1  # the full seed
     if progress:
         complete = tally[1][0]
         for depth in range(2, k + 1):
@@ -369,7 +334,7 @@ def _classes(k, workers, backend, progress, walk):
             complete += full
             progress({"phase": "round", "k": k, "round": depth, "complete": complete,
                       "partial": partials, "pruned": pruned})
-    return result
+    return found
 
 
 def count_classes(k, *, workers=1, backend=None, progress=None):
@@ -378,7 +343,7 @@ def count_classes(k, *, workers=1, backend=None, progress=None):
     counted inside the kernel (``count_extend``), so no full class is
     keyed."""
     # The k empty gates form a full single-layer seed, its own minimal form.
-    return _classes(k, workers, backend, progress, _count_walk) + (k > 0)
+    return _classes(k, workers, backend, progress, "count_extend") + (k > 0)
 
 
 def generate(k, *, workers=1, backend=None, progress=None):
@@ -390,7 +355,8 @@ def generate(k, *, workers=1, backend=None, progress=None):
     one side nested in the other, each parent's children are deduplicated
     by canonical key, and a class is kept exactly when some relabeling
     satisfies the minimality conditions.  The least minimal relabeling is
-    the stored representative, and members are sorted by encoding, so the
+    the stored representative, which the kernel's ``extend`` hands over for
+    each parent's full children, and members are sorted by encoding, so the
     result is a function of k alone, independent of worker count and
     backend.  ``progress`` receives a ``"subtree"`` event as each subtree
     below the seeds' partial children is walked, and one ``"round"`` event
@@ -402,7 +368,7 @@ def generate(k, *, workers=1, backend=None, progress=None):
     if k > _MAX_KEPT_K:
         raise CapacityError(f"generate is capped at k <= {_MAX_KEPT_K}: the classes on more "
                             f"gates would not fit in memory; count_classes counts them")
-    kept = _classes(k, workers, backend, progress, _kept_walk)
+    kept = _classes(k, workers, backend, progress, "extend")
     if k:
         kept.append(bytes(2 * k))  # the full seed, as in count_classes
     kept.sort()

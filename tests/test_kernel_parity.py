@@ -74,7 +74,7 @@ def test_extend_parity_on_one_gate_parents_at_k6(gen_c):
         if len(enc) == 10:
             parents.append(enc)
         else:
-            stack += [key for key, key_min in gen_c.extend(enc, 6) if key_min is not None]
+            stack += [key for key, key_min in gen_c.extend(enc, 6)[2] if key_min is not None]
     assert len(parents) == 3282
     for enc in random.Random(6).sample(parents, 300):
         assert _gen_py.extend(enc, 6) == gen_c.extend(enc, 6), enc
@@ -117,7 +117,7 @@ def test_kernel_guards_match(gen_c):
     assert gen_c.canonical_keys(b"") == _gen_py.canonical_keys(b"") == (b"", b"")
     # a parent of k gates has no children, so no candidate gates are built
     # (seven gates would give more than 4,096 of them)
-    assert gen_c.extend(bytes(14), 7) == _gen_py.extend(bytes(14), 7) == []
+    assert gen_c.extend(bytes(14), 7) == _gen_py.extend(bytes(14), 7) == (0, [], [])
     assert gen_c.count_extend(bytes(14), 7) == _gen_py.count_extend(bytes(14), 7) == (0, 0, [])
     assert gen_c.count_extend(b"\0\0", -2 ** 80) == _gen_py.count_extend(b"\0\0", -2 ** 80) \
         == (0, 0, [])
@@ -133,25 +133,17 @@ def test_odd_length_parent_ignores_its_last_byte(gen_c):
     assert gen_c.canonical_keys(b"\7") == _gen_py.canonical_keys(b"\7") == (b"", b"")
 
 
-def counted(children, k):
-    """``count_extend``'s ``(full, full_min, partials)`` from ``extend``'s
-    children."""
-    full = [key_min for key_any, key_min in children if len(key_any) == 2 * k]
-    return (len(full), len(full) - full.count(None),
-            [child for child in children if len(child[0]) < 2 * k])
-
-
 def unpruned_walk_parents(kern, k):
     """Each parent that a walk for k which prunes nothing expands: the seeds
     of 1..k-1 empty gates and every partial child, with or without a
-    key_min, with the parent's ``kern.extend`` children."""
+    key_min, with the parent's ``kern.extend``."""
     found = []
     stack = [bytes(2 * q) for q in range(1, k)]
     while stack:
         enc = stack.pop()
-        children = kern.extend(enc, k)
-        found.append((enc, children))
-        stack += [key for key, _ in children if len(key) < 2 * k]
+        extended = kern.extend(enc, k)
+        found.append((enc, extended))
+        stack += [key for key, _ in extended[2]]
     return found
 
 
@@ -159,17 +151,30 @@ def unpruned_walk_parents(kern, k):
 def test_count_extend_matches_extend_on_unpruned_parents(k):
     found = unpruned_walk_parents(_gen_py, k)
     assert len(found) == {2: 1, 3: 3, 4: 11, 5: 106}[k]
-    for enc, children in found:
-        assert _gen_py.count_extend(enc, k) == counted(children, k), enc
+    for enc, (full, keys, partials) in found:
+        assert _gen_py.count_extend(enc, k) == (full, len(keys), partials), enc
 
 
 def test_compiled_count_extend_matches_extend_on_unpruned_parents_at_k6(gen_c):
     found = unpruned_walk_parents(gen_c, 6)
     assert len(found) == 5224
     # the unpruned class count, summed from the full children
-    assert sum(counted(children, 6)[0] for _, children in found) + 1 == 1353064
-    for enc, children in found:
-        assert gen_c.count_extend(enc, 6) == counted(children, 6), enc
+    assert sum(extended[0] for _, extended in found) + 1 == 1353064
+    for enc, (full, keys, partials) in found:
+        assert gen_c.count_extend(enc, 6) == (full, len(keys), partials), enc
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_extend_keys_are_the_sorted_full_key_mins(request, k):
+    kern = request.getfixturevalue("gen_c") if k == 6 else _gen_py
+    for enc, (full, keys, partials) in unpruned_walk_parents(kern, k):
+        full_counted, full_min, partials_counted = kern.count_extend(enc, k)
+        assert (full, partials) == (full_counted, partials_counted), enc
+        assert len(keys) == full_min <= full, enc
+        # distinct classes have distinct key_min encodings, each its own key_min
+        assert keys == sorted(set(keys)), enc
+        for key in keys:
+            assert len(key) == 2 * k and kern.canonical_keys(key)[1] == key, (enc, key)
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -195,6 +200,16 @@ def reference_extend(kern, enc, k):
     return sorted(out.items())
 
 
+def reference_results(children, k):
+    """``extend``'s ``(full, keys, partials)`` and ``count_extend``'s
+    ``(full, full_min, partials)`` from every child's ``(key_any,
+    key_min)``, as ``reference_extend`` lists them."""
+    full = [key_min for key_any, key_min in children if len(key_any) == 2 * k]
+    keys = sorted(key for key in full if key is not None)
+    partials = [child for child in children if len(child[0]) < 2 * k]
+    return (len(full), keys, partials), (len(full), len(keys), partials)
+
+
 def walk_parents(kern, k):
     """Each parent the class walk for k expands, with its reference children:
     the seeds of 1..k-1 empty gates and every partial child with a key_min."""
@@ -213,8 +228,9 @@ def test_extend_matches_reference_on_walk_parents(k):
     found = walk_parents(_gen_py, k)
     assert len(found) == {2: 1, 3: 3, 4: 11, 5: 96}[k]
     for enc, children in found:
-        assert _gen_py.extend(enc, k) == children, enc
-        assert _gen_py.count_extend(enc, k) == counted(children, k), enc
+        extended, counted = reference_results(children, k)
+        assert _gen_py.extend(enc, k) == extended, enc
+        assert _gen_py.count_extend(enc, k) == counted, enc
 
 
 def test_extend_matches_reference_on_raw_and_member_parents():
@@ -224,15 +240,18 @@ def test_extend_matches_reference_on_raw_and_member_parents():
     parents += [m.encode() for q in (1, 2, 3, 4) for m in generate(q).members]
     for enc in parents:
         for k in range(len(enc) // 2, 6):
-            assert _gen_py.extend(enc, k) == reference_extend(_gen_py, enc, k), (enc, k)
+            extended, counted = reference_results(reference_extend(_gen_py, enc, k), k)
+            assert _gen_py.extend(enc, k) == extended, (enc, k)
+            assert _gen_py.count_extend(enc, k) == counted, (enc, k)
 
 
 def test_compiled_extend_matches_reference_at_k6(gen_c, monkeypatch):
     found = walk_parents(gen_c, 6)
     assert len(found) == 3378
     for enc, children in found:
-        assert gen_c.extend(enc, 6) == children, enc
-        assert gen_c.count_extend(enc, 6) == counted(children, 6), enc
+        extended, counted = reference_results(children, 6)
+        assert gen_c.extend(enc, 6) == extended, enc
+        assert gen_c.count_extend(enc, 6) == counted, enc
     monkeypatch.setattr(kernel, "_gen_c", gen_c)
     assert count_classes(6, backend="c") == 506935
 
@@ -332,13 +351,15 @@ def test_candidate_rows_are_cached_images_of_their_tables():
     _gen_py._ROWS.clear()
     generate(5, backend="python")
     assert _gen_py._ROWS
-    for (sizes, index), (row, free) in _gen_py._ROWS.items():
+    for (sizes, index), (row, free, flags) in _gen_py._ROWS.items():
         q = sum(sizes)
         _, lefts, rights = _gen_py._candidates(q, (1 << q) - (1 << (q - sizes[-1])))
         assert row.typecode == free.typecode == "H"
         assert list(row) == _gen_py._images(_gen_py._TABLES[sizes][index][1], lefts, rights)
         assert list(free) == [code if gate_fault(code >> 8, code & 0xFF) is None
                               else _gen_py._FAULT for code in row]
+        assert type(flags) is bytes
+        assert list(flags) == [code != _gen_py._FAULT for code in free]
 
 
 def test_candidate_rows_are_bounded_by_tables():
