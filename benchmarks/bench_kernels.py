@@ -19,6 +19,8 @@ saved, and a load of the file with one gate line in its middle respelt, as
 ``respell`` writes it; then, per k and backend, of four more with that
 kernel as the default: ``count_classes``, ``generate``, ``mcbound prove
 --n 7 --k K`` without ``--classes``, and ``mcbound table2 --max-k K``.
+Each of these fresh figures is the median of PASSES runs, with their min
+and max beside it (``seconds_min``, ``seconds_max`` and the like).
 
 Then, over seeded ``random_circuit(max_n=7, max_k=7)`` circuits, the
 microseconds per circuit of each stage of the rewrite pipeline, each stage
@@ -194,6 +196,16 @@ def fresh(*args):
     return json.loads(done.stdout)
 
 
+def fresh_passes(*args):
+    """``fresh(*args)`` over PASSES runs: per command and figure, the
+    median, with the min and max beside it."""
+    runs = [fresh(*args) for _ in range(PASSES)]
+    return {name: {figure + suffix: pick([run[name][figure] for run in runs])
+                   for figure in figures
+                   for suffix, pick in (("", statistics.median), ("_min", min), ("_max", max))}
+            for name, figures in runs[0].items()}
+
+
 def git(*args):
     """The output of ``git args`` in the checkout of the package measured,
     or None outside git."""
@@ -275,9 +287,9 @@ def main():
             from_enc_us = from_encoding_us(members)
             respelt = os.path.join(tmp, "respelt.txt")
             respell(path, respelt)
-            fresh_runs = fresh("set", k, os.path.join(tmp, "fresh.txt"), respelt)
+            fresh_runs = fresh_passes("set", k, os.path.join(tmp, "fresh.txt"), respelt)
             fresh_mb = "/".join(f"{run['peak_rss_mb']:.1f}" for run in fresh_runs.values())
-            fresh_kernel = {b: fresh("kernel", k, b) for b in backends}
+            fresh_kernel = {b: fresh_passes("kernel", k, b) for b in backends}
             rows.append({"k": k, "classes": count, "parents": len(parents),
                          "walk_s": {b: times[b, "walk"] for b in backends},
                          "generate_s": {b: times[b, "generate"] for b in backends},
@@ -298,7 +310,7 @@ def main():
                 line += "   " + "/".join(f"{times['python', p] / max(times['c', p], 1e-9):.1f}x"
                                       for p in ("walk", "generate"))
             print(line)
-    print("\nfresh interpreters per kernel, seconds and peak RSS:")
+    print(f"\nfresh interpreters per kernel, seconds and peak RSS, median of {PASSES}:")
     for row in rows:
         for b, figures in row["fresh_kernel"].items():
             print(f"{row['k']:>2} {b:>6} " + "  ".join(

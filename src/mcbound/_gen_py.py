@@ -14,9 +14,12 @@ all of the parent's children.  Every child with a one-gate new layer is
 keyed in one pass over the cached list of candidate gates: each relabel
 table maps the list to a row of gate codes, built on the table's first use
 and cached (``_rows``), and element-wise minima of those rows give every
-child's keys at once.  ``extend`` and ``count_extend`` key the partial
-children alike and differ only in the children that complete k gates:
-``extend`` keeps their key_min encodings, ``count_extend`` counts them.
+child's keys at once, each class's key_min settled group by group.
+``extend`` and ``count_extend`` key the partial children alike and differ
+only in the children that complete k gates: ``extend`` keeps their key_min
+encodings, ``count_extend`` counts them and settles no class, since a
+one-gate child has a key_min exactly when the OR of the cached fault-free
+flags of the parent's rows is 1 at its candidate.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import struct
 from array import array
 from functools import cache, reduce
 from itertools import combinations_with_replacement, count, islice, permutations, product
-from operator import and_
+from operator import and_, or_
 
 BACKEND = "python"
 
@@ -233,7 +236,8 @@ class _Parent:
     them first, and ``groups`` the indices of the tables that leave every
     gate fault-free, grouped by the encoding they give, ascending.  Its
     layer sizes ``sizes`` fix its candidate new gates and each table's rows
-    of their codes (``_rows``)."""
+    of their codes (``_rows``).  Only the paths that build keys settle its
+    one-gate classes group by group; ``count_full`` reads the flags alone."""
 
     def __init__(self, gates):
         self.sizes = tuple(m.bit_count() for m in gates[2])
@@ -267,7 +271,8 @@ class _Parent:
         automorphisms, the element-wise min of their rows, and one
         candidate per least code stands for its class.  A class is settled
         by the first group whose least fault-free row has a code, not
-        _FAULT, for it; a group's rows are read only once it is reached."""
+        _FAULT, for it; a group's rows are read only once it is reached.
+        Only the paths that need the keys call it; ``count_full`` does not."""
         classes = dict(zip(_least(self.auto_rows), count()))
         codes = sorted(classes)
         reps = list(map(classes.__getitem__, codes))
@@ -343,17 +348,20 @@ class _Parent:
 
     def count_full(self, width):
         """``(full, full_min)`` over the children with ``width`` new gates,
-        with no key built.  One new gate's children are counted from their
-        least codes.  Otherwise a child has a key_min exactly when some
-        table that leaves the parent fault-free leaves each new gate
-        fault-free too.  Per candidate, byte r of an integer is 1 when the
-        r-th distinct fault-free row has its code (the row's cached flags),
-        so a combination has a key_min exactly when the AND of its integers
-        is not 0."""
-        if width == 1:
-            codes, settled = self.one_gate()
-            return len(codes), len(settled) - settled.count(None)
+        with no key built and no class settled.  A child has a key_min
+        exactly when some table that leaves the parent fault-free leaves
+        each new gate fault-free too, as the tables' cached flags tell.  One
+        new gate's classes are the distinct least codes, and a class has a
+        key_min when the OR of the flags is 1 at its candidate.  Wider, byte
+        r of a candidate's integer is 1 when the r-th distinct flags are, so
+        a combination has one when the AND of its integers is not 0."""
         flags = {_rows(self.sizes, index)[2] for _, indices in self.groups for index in indices}
+        if width == 1:
+            least = _least(self.auto_rows)
+            classes = dict(zip(least, count()))
+            free = reduce(or_, (int.from_bytes(row, "big") for row in flags), 0)
+            free = free.to_bytes(len(least), "big")
+            return len(classes), sum(map(free.__getitem__, classes.values()))
         masks = [int.from_bytes(bytes(column), "little") for column in zip(*flags)] \
             or [0] * len(self.auto_rows[0])
         full = full_min = 0

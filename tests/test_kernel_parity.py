@@ -245,6 +245,24 @@ def test_extend_matches_reference_on_raw_and_member_parents():
             assert _gen_py.count_extend(enc, k) == counted, (enc, k)
 
 
+def test_one_gate_count_matches_the_settled_classes():
+    parents = {enc for enc, _ in unpruned_walk_parents(_gen_py, 5)}
+    parents |= {t.encode() for q in (1, 2, 3) for t in enumerate_raw_topologies(q)
+                if is_well_layered(t)}
+    parents |= {m.encode() for q in (1, 2, 3, 4) for m in generate(q).members}
+    no_group = one_flag_row = 0
+    for enc in sorted(parents):
+        parent = _gen_py._Parent(_gen_py.read_topology(enc))
+        codes, settled = parent.one_gate()
+        full, full_min = len(codes), len(settled) - settled.count(None)
+        assert _gen_py.count_extend(enc, len(enc) // 2 + 1)[:2] == (full, full_min), enc
+        no_group += not parent.groups and full_min == 0 < full
+        flags = {_gen_py._rows(parent.sizes, index)[2]
+                 for _, indices in parent.groups for index in indices}
+        one_flag_row += len(flags) == 1
+    assert no_group and one_flag_row
+
+
 def test_compiled_extend_matches_reference_at_k6(gen_c, monkeypatch):
     found = walk_parents(gen_c, 6)
     assert len(found) == 3378
