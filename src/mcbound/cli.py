@@ -192,23 +192,14 @@ def _suite_oracle_topologies(args):
                   file=sys.stderr)
             ok = False
             continue
-        kept = [t for t in raw if is_well_layered(t) and is_minimal(t)]
+        # an ordered set: the classes keep their order, and lookups are O(1)
+        kept = dict.fromkeys(t for t in raw if is_well_layered(t) and is_minimal(t))
         classes = oracle.brute_equiv_classes(kept)
         reps = generate(k, workers=args.workers)
-        by_encoding = {}
-        for ci, cls in enumerate(classes):
-            for t in cls:
-                by_encoding[t.encode()] = ci
-        hits = [0] * len(classes)
-        missing = None
-        for member in reps.members:
-            ci = by_encoding.get(member.encode())
-            if ci is None:
-                missing = member
-                break
-            hits[ci] += 1
-        if (len(classes) != reps.count or missing is not None
-                or any(h != 1 for h in hits)):
+        missing = next((m for m in reps.members if m not in kept), None)
+        forms = {oracle.literal_form(m) for m in reps.members}
+        if (missing is not None or len(forms) != reps.count
+                or forms != {oracle.literal_form(cls[0]) for cls in classes}):
             print(f"fail: k={k}: {len(classes)} brute classes vs {reps.count} generated",
                   file=sys.stderr)
             if missing is not None:

@@ -29,21 +29,20 @@ def enumerate_raw_topologies(k):
         yield Topology(k, combo)
 
 
+def _relabeled(mask, pi):
+    """The mask with each set bit i moved to bit pi[i]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << pi[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _matches_under(t1, t2, pi):
     # pi maps 0-based old positions to new positions
     for i, (left, right) in enumerate(t1.gates):
-        lm = 0
-        m = left
-        while m:
-            low = m & -m
-            lm |= 1 << pi[low.bit_length() - 1]
-            m ^= low
-        rm = 0
-        m = right
-        while m:
-            low = m & -m
-            rm |= 1 << pi[low.bit_length() - 1]
-            m ^= low
+        lm, rm = _relabeled(left, pi), _relabeled(right, pi)
         target = t2.gates[pi[i]]
         if (lm, rm) != target and (rm, lm) != target:
             return False
@@ -61,18 +60,30 @@ def literal_equivalent(t1, t2):
     return False
 
 
+def literal_form(t):
+    """The least tuple of gate pairs over all k! permutations of the gate
+    indices, each relabeled pair written smaller side first, which covers
+    the per-gate side swap.  Two topologies have the same form exactly when
+    they are literally equivalent: the orbit representative of Harary and
+    Palmer, *Graphical Enumeration* (1973), ch. 2."""
+    forms = []
+    for pi in permutations(range(t.k)):
+        gates = [None] * t.k
+        for i, (left, right) in enumerate(t.gates):
+            lm, rm = _relabeled(left, pi), _relabeled(right, pi)
+            gates[pi[i]] = (lm, rm) if lm <= rm else (rm, lm)
+        forms.append(tuple(gates))
+    return min(forms)
+
+
 def brute_equiv_classes(topologies):
     """Partition a collection of topologies into equivalence classes by
-    pairwise permutation search against each class representative."""
-    classes = []
+    their literal least form: classes in the order of their first member,
+    members in input order."""
+    classes = {}
     for t in topologies:
-        for cls in classes:
-            if literal_equivalent(t, cls[0]):
-                cls.append(t)
-                break
-        else:
-            classes.append([t])
-    return classes
+        classes.setdefault(literal_form(t), []).append(t)
+    return list(classes.values())
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,16 @@ class FunctionSet:
 def _members_of(topologies):
     members = getattr(topologies, "members", None)
     return list(members) if members is not None else list(topologies)
+
+
+def _xor_at(values, mask):
+    """The XOR of values[i] over the set bits i of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= values[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def exhaustive_function_set(n, k, topologies, negation_normal_only=False,
@@ -126,13 +147,7 @@ def exhaustive_function_set(n, k, topologies, negation_normal_only=False,
     size = 1 << n
     full = (1 << size) - 1
     xtabs = [_input_table(j, n) for j in range(1, n + 1)]
-    lin_tables = []
-    for sub in range(1 << n):
-        acc = 0
-        for j in range(n):
-            if (sub >> j) & 1:
-                acc ^= xtabs[j]
-        lin_tables.append(acc)
+    lin_tables = [_xor_at(xtabs, sub) for sub in range(1 << n)]
 
     spans = 0  # dense bitset over XOR-combinations of gate outputs
 
@@ -141,26 +156,12 @@ def exhaustive_function_set(n, k, topologies, negation_normal_only=False,
         if idx == k:
             combo = 0
             for sub in range(1 << k):
-                acc = 0
-                for j in range(k):
-                    if (sub >> j) & 1:
-                        acc ^= values[j]
-                combo |= 1 << acc
+                combo |= 1 << _xor_at(values, sub)
             spans |= combo
             return
         lmask, rmask = topo.gates[idx]
-        lbase = 0
-        m = lmask
-        while m:
-            low = m & -m
-            lbase ^= values[low.bit_length() - 1]
-            m ^= low
-        rbase = 0
-        m = rmask
-        while m:
-            low = m & -m
-            rbase ^= values[low.bit_length() - 1]
-            m ^= low
+        lbase = _xor_at(values, lmask)
+        rbase = _xor_at(values, rmask)
         for ltop, rtop in placements:
             lfix = lbase ^ (full if ltop else 0)
             rfix = rbase ^ (full if rtop else 0)

@@ -1,7 +1,16 @@
+import os
+
 import pytest
 from hypothesis import strategies as st
 
+from mcbound import kernel
 from mcbound.circuits import Circuit, g, x
+
+# The long tier: runs of half a minute or more, on a compiled build or with
+# MCBOUND_LONG=1.
+long_tier = pytest.mark.skipif(
+    not (kernel.BACKEND == "c" or os.environ.get("MCBOUND_LONG")),
+    reason="long tier needs the compiled kernel or MCBOUND_LONG=1")
 
 # Four-input majority example: ((x1^x2)&(x3&x4)) ^ ((x1&x2)&(x3^x4^(x3&x4)))
 MAJ4_TEXT = """\

@@ -6,13 +6,11 @@ implementation computes the exact definitional quotient instead (85, 3282,
 Known-discrepancy section.  Everything else must pass.
 """
 
-import os
 import random
 import time
 
 import pytest
 
-from mcbound import kernel
 from mcbound.bounds import (all_circuits_bound, b_n_size, circuits_per_topology,
                             negnormal_circuit_bound, negnormal_circuits_per_topology,
                             raw_topology_count, refined_bound)
@@ -27,11 +25,9 @@ from mcbound.randgen import random_circuit
 from mcbound.topology import (canonical_form, generate, is_minimal,
                               is_well_layered, layering)
 
-from conftest import MAJ4_TEXT
+from conftest import MAJ4_TEXT, long_tier
 
 PUBLISHED_COUNTS = {1: 1, 2: 2, 3: 8, 4: 88, 5: 3564, 6: 555709}
-
-run_long_tier = kernel.BACKEND == "c" or os.environ.get("MCBOUND_LONG")
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +63,7 @@ def test_criterion_01_class_counts_fast_tier(canonicalization_gate):
     print("criterion 1: PASS")
 
 
-@pytest.mark.skipif(not run_long_tier,
-                    reason="long tier needs the compiled kernel or MCBOUND_LONG=1")
+@long_tier
 def test_criterion_02_class_count_long_tier(canonicalization_gate):
     single = generate(6, workers=1)
     parallel = generate(6, workers=2)

@@ -8,7 +8,7 @@ from mcbound.cli import main
 from mcbound.errors import ParseError
 from mcbound.topology import generate, load_topology_set, parse_topology, parse_topology_set
 
-from conftest import MAJ4_TEXT
+from conftest import MAJ4_TEXT, long_tier
 
 
 def run(capsys, *argv):
@@ -308,6 +308,14 @@ def test_verify_oracle_topologies(capsys):
                           "--max-k", "3")
     assert code == 0
     assert "k=3: 8 classes" in stdout
+
+
+@long_tier
+def test_verify_oracle_topologies_k5(capsys):
+    code, stdout, _ = run(capsys, "verify", "--suite", "oracle-topologies",
+                          "--max-k", "5")
+    assert code == 0
+    assert "ok: k=5: 3282 classes match generated representatives\n" in stdout
 
 
 def test_verify_max_k_out_of_range_is_usage_error(capsys):

@@ -3,7 +3,7 @@ import pytest
 from mcbound.errors import CapacityError
 from mcbound.oracle import (FunctionSet, brute_equiv_classes,
                             enumerate_raw_topologies, exhaustive_function_set,
-                            literal_equivalent, verify_completeness_small)
+                            literal_equivalent, literal_form, verify_completeness_small)
 from mcbound.topology import Topology, generate, is_minimal, is_well_layered
 
 B3 = 1 << (1 << 3)
@@ -47,6 +47,24 @@ MAJ4_TOPOLOGY = Topology(4, ((0, 0), (0, 0), (0, 2), (1, 2)))
 def test_literal_equivalent_cases(t1, t2, expected):
     assert literal_equivalent(t1, t2) == expected
     assert literal_equivalent(t2, t1) == expected
+
+
+def test_literal_form_agrees_with_the_permutation_search():
+    # every pair of raw topologies with k <= 3, pairs of different k included
+    raw = [t for k in range(4) for t in enumerate_raw_topologies(k)]
+    forms = [literal_form(t) for t in raw]
+    for a, fa in zip(raw, forms):
+        for b, fb in zip(raw, forms):
+            assert (fa == fb) == literal_equivalent(a, b), (a, b)
+
+
+def test_brute_classes_k4_have_distinct_forms():
+    kept = [t for t in enumerate_raw_topologies(4)
+            if is_well_layered(t) and is_minimal(t)]
+    classes = brute_equiv_classes(kept)
+    assert len(classes) == 85
+    assert len({literal_form(cls[0]) for cls in classes}) == 85
+    assert all(literal_equivalent(cls[0], t) for cls in classes for t in cls)
 
 
 def test_brute_classes_k3():

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import math
-import os
 import random
 import tracemalloc
 from itertools import product
@@ -21,7 +20,7 @@ from mcbound.topology import (Topology, TopologySet, canonical_form, count_class
                               mask_indices, parse_topology, parse_topology_set,
                               save_topology_set, well_layer_move)
 
-from conftest import mutated
+from conftest import long_tier, mutated
 
 MAJ4_TOPOLOGY = Topology(4, ((0, 0), (0, 0), (0, 2), (1, 2)))
 # the same wiring listed in a different gate order; not well-layered
@@ -384,9 +383,6 @@ MEMBER_DIGESTS = {
     5: "acba33e1c4e9d6d1410450553e6fc50695ef34b344d544639003a887a1313ada",
     6: "bf2de176bf4b15288877979af84b009440f00d4b63f362ed021e5539ab6d5f29",
 }
-long_tier = pytest.mark.skipif(
-    not (kernel.BACKEND == "c" or os.environ.get("MCBOUND_LONG")),
-    reason="k=6 needs the compiled kernel or MCBOUND_LONG=1")
 
 
 @pytest.mark.parametrize("k", [4, 5, pytest.param(6, marks=long_tier)])
@@ -407,7 +403,7 @@ def test_count_classes_matches_generate():
 
 @pytest.mark.skipif(kernel.BACKEND != "c",
                     reason="k=7 needs the compiled kernel, so MCBOUND_LONG=1 alone does not "
-                           "run it: the pure-Python count takes about 8 minutes, 22 times as long")
+                           "run it: the pure-Python count takes about 4 minutes, 10 times as long")
 def test_count_classes_k7():
     assert count_classes(7) == 312463157
 
