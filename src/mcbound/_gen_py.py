@@ -10,16 +10,17 @@ built once per tuple of layer sizes and then cached, and ``_relabelings`` is
 the one pass that encodes a topology under each of them and tells which
 encodings are minimal: ``canonical_keys`` takes its two minima, and
 ``extend`` and ``count_extend`` run it once on the parent (``_Parent``) for
-all of the parent's children.  Every child with a one-gate new layer is
-keyed in one pass over the cached list of candidate gates: each relabel
-table maps the list to a row of gate codes, built on the table's first use
-and cached (``_rows``), and element-wise minima of those rows give every
-child's keys at once, each class's key_min settled group by group.
+all of the parent's children.  Candidate new gates are listed once per
+parent shape, and each relabel table maps the list to a row of gate codes,
+built on the table's first use and cached (``_rows``).  The classes of
+children with a new layer of any width, one combination of candidates for
+each (``_Parent.representatives``), are keyed all at once by element-wise
+minima of the layers that those rows give (``_layers``), and one pass,
+``_Parent.layers``, settles each class's key_min group by group.
 ``extend`` and ``count_extend`` key the partial children alike and differ
 only in the children that complete k gates: ``extend`` keeps their key_min
-encodings, ``count_extend`` counts them and settles no class, since a
-one-gate child has a key_min exactly when the OR of the cached fault-free
-flags of the parent's rows is 1 at its candidate.
+encodings, ``count_extend`` counts them and settles no class, since the
+cached fault-free flags of the parent's rows tell which have a key_min.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from __future__ import annotations
 import struct
 from array import array
 from functools import cache, reduce
-from itertools import combinations_with_replacement, count, islice, permutations, product
-from operator import and_, or_
+from itertools import (chain, combinations_with_replacement, compress, count, islice, permutations,
+                       product)
+from operator import and_, eq, or_
 
 BACKEND = "python"
 
@@ -102,8 +104,9 @@ def _relabelings(lefts, rights, layers):
 
 # Above every gate code ``a << 8 | b``, at most 63 << 8 | 63: stands for a
 # relabeled candidate gate that is faulty, so that an element-wise min
-# passes over it.
+# passes over it.  _FAULTY does so for a sorted layer of more gates.
 _FAULT = 0xFFFF
+_FAULTY = [_FAULT]
 
 # Candidate rows per ``(layer sizes, table index)``, built on first use by
 # ``_rows``.  Keys are tables of at most 6 gates, so the cache is bounded as
@@ -156,17 +159,16 @@ def layer_masks(pairs):
 @cache
 def _candidates(q, last):
     """The candidate new gates after q gates whose last layer is the mask
-    ``last``, as three tuples: the ``(left, right)`` pairs, their left
-    sides and their right sides.  The left side touches the last layer,
-    neither side nests inside the other, and keys ignore side order, so a
-    pair whose sides both touch the last layer is listed once, smaller
-    first."""
+    ``last``, as two tuples: their left sides and their right sides.  The
+    left side touches the last layer, neither side nests inside the other,
+    and keys ignore side order, so a pair whose sides both touch the last
+    layer is listed once, smaller first."""
     full = (1 << q) - 1
     cands = tuple((left, right) for left in range(1, full + 1) if left & last
                   for right in range(full + 1)
                   if not (right & last and right < left)
                   and gate_fault(left, right) in (None, "shared"))
-    return cands, tuple(left for left, _ in cands), tuple(right for _, right in cands)
+    return tuple(left for left, _ in cands), tuple(right for _, right in cands)
 
 
 def read_topology(enc):
@@ -219,7 +221,7 @@ def _rows(sizes, index):
     rows = _ROWS.get((sizes, index))
     if rows is None:
         q = sum(sizes)
-        _, lefts, rights = _candidates(q, (1 << q) - (1 << (q - sizes[-1])))
+        lefts, rights = _candidates(q, (1 << q) - (1 << (q - sizes[-1])))
         faults = _fault_table(q)
         row = array("H", _images((_TABLES.get(sizes) or _relabel_tables(sizes))[index][1],
                                  lefts, rights))
@@ -229,6 +231,26 @@ def _rows(sizes, index):
     return rows
 
 
+def _layers(row, reps, width):
+    """The new layer that ``row``, a row of candidate codes, gives each class
+    in ``reps`` (``_Parent.representatives``): one gate's code, or the
+    sorted codes of more gates, or ``_FAULTY`` when one of them is
+    ``_FAULT``, which is looked for before sorting."""
+    if width == 1:
+        return list(map(row.__getitem__, reps))
+    codes = map(row.__getitem__, chain.from_iterable(reps))
+    return [_FAULTY if _FAULT in layer else sorted(layer) for layer in zip(*[codes] * width)]
+
+
+@cache
+def _layer_format(width):
+    """``(fault, pack)`` for new layers of ``width`` gates as ``_layers``
+    gives them: the stand-in for a layer with a faulty gate, and the
+    function that gives a layer's bytes."""
+    pack = struct.Struct(f">{width}H").pack
+    return (_FAULT, pack) if width == 1 else (_FAULTY, lambda layer: pack(*layer))
+
+
 class _Parent:
     """A parent of q gates with its relabelings searched once for all of its
     children (canonical augmentation): ``key`` is its least encoding,
@@ -236,8 +258,9 @@ class _Parent:
     them first, and ``groups`` the indices of the tables that leave every
     gate fault-free, grouped by the encoding they give, ascending.  Its
     layer sizes ``sizes`` fix its candidate new gates and each table's rows
-    of their codes (``_rows``).  Only the paths that build keys settle its
-    one-gate classes group by group; ``count_full`` reads the flags alone."""
+    of their codes (``_rows``).  ``layers`` settles the key_min of every
+    class of children, whatever the width of its new layer, group by group;
+    ``count_full`` reads the flags alone."""
 
     def __init__(self, gates):
         self.sizes = tuple(m.bit_count() for m in gates[2])
@@ -255,58 +278,18 @@ class _Parent:
         """Each automorphism's row of candidate codes."""
         return [_rows(self.sizes, index)[0] for index in self.autos]
 
-    @property
-    def group_rows(self):
-        """Each group's key with its tables' fault-free rows of candidate
-        codes."""
-        return [(key, [_rows(self.sizes, index)[1] for index in indices])
-                for key, indices in self.groups]
-
-    def one_gate(self):
-        """The children with one new gate, all at once: the sorted least
-        codes of their classes and, for each, the ``(key, code)`` whose
-        bytes make its key_min, or None when it has none.
-
-        A child's key_any ends in its candidate's least code over the
-        automorphisms, the element-wise min of their rows, and one
-        candidate per least code stands for its class.  A class is settled
-        by the first group whose least fault-free row has a code, not
-        _FAULT, for it; a group's rows are read only once it is reached.
-        Only the paths that need the keys call it; ``count_full`` does not."""
-        classes = dict(zip(_least(self.auto_rows), count()))
-        codes = sorted(classes)
-        reps = list(map(classes.__getitem__, codes))
-        settled = [None] * len(codes)
-        todo = range(len(codes))
-        for key, indices in self.groups:
-            least = _least(list(map(_rows(self.sizes, index)[1].__getitem__, reps))
-                           for index in indices)
-            left_over = []
-            for i in todo:
-                if least[i] == _FAULT:
-                    left_over.append(i)
-                else:
-                    settled[i] = key, least[i]
-            todo = left_over
-            if not todo:
-                break
-        return codes, settled
-
-    def one_gate_children(self):
-        """The ``(key_any, key_min)`` of each child with one new gate."""
-        codes, settled = self.one_gate()
-        return [(self.key + code.to_bytes(2, "big"),
-                 None if found is None else found[0] + found[1].to_bytes(2, "big"))
-                for code, found in zip(codes, settled)]
-
     def representatives(self, width):
-        """The combinations of ``width`` candidate indices, with repetition,
-        that stand for their children's classes: those that the first
-        automorphism maps to the least sorted layer over all of them.  A
-        relabeling maps distinct multisets of candidates to distinct
-        multisets of codes, so each class has exactly one, and no table of
-        the keys seen is needed."""
-        first, *rest = self.auto_rows
+        """The classes of the children with ``width`` new gates, one
+        combination of that many candidate indices, with repetition, for
+        each: the one that the first automorphism maps to the least new
+        layer over the class, a bare index for one gate.  A relabeling maps
+        distinct multisets of candidates to distinct multisets of codes, so
+        each class has exactly one, and no table of the keys seen is
+        needed."""
+        rows = self.auto_rows
+        first, *rest = rows
+        if width == 1:
+            return compress(count(), map(eq, first, _least(rows))) if rest else range(len(first))
         combos = combinations_with_replacement(range(len(first)), width)
         if not rest:
             return combos
@@ -316,54 +299,61 @@ class _Parent:
             return all(layer <= sorted(map(row.__getitem__, combo)) for row in rest)
         return filter(least_under_first, combos)
 
-    def wide_layers(self, width):
-        """Each child with ``width`` new gates as its representative
-        combination of candidates and its key_min, or None when it has none.
-        The key_min ends in the least fault-free sorted layer within the
-        first group that has one."""
-        pack = struct.Struct(f">{width}H").pack
-        group_rows = self.group_rows
-        for combo in self.representatives(width):
-            key_min = None
-            for key, rows in group_rows:
-                best = None
-                for row in rows:
-                    layer = list(map(row.__getitem__, combo))
-                    if _FAULT not in layer:
-                        layer.sort()
-                        if best is None or layer < best:
-                            best = layer
-                if best is not None:
-                    key_min = key + pack(*best)
-                    break
-            yield combo, key_min
+    def layers(self, width):
+        """The children with ``width`` new gates, all at once: their classes
+        (``representatives``) and, for each, its key_min or None when it has
+        none.
 
-    def wide_children(self, width):
-        """The ``(key_any, key_min)`` of each child with ``width`` new
-        gates."""
-        pack = struct.Struct(f">{width}H").pack
-        first = self.auto_rows[0]
-        return [(self.key + pack(*sorted(map(first.__getitem__, combo))), key_min)
-                for combo, key_min in self.wide_layers(width)]
+        A key_min is the key of the first group, in key order, one of whose
+        tables leaves every new gate fault-free, followed by the least new
+        layer that the group's tables give, the element-wise min of their
+        rows' ``_layers``.  Each group reads only the classes that no group
+        before it settled."""
+        reps = list(self.representatives(width))
+        fault, pack = _layer_format(width)
+        settled = [None] * len(reps)
+        todo = range(len(reps))
+        open_reps = reps
+        for key, indices in self.groups:
+            least = _least(_layers(_rows(self.sizes, index)[1], open_reps, width)
+                           for index in indices)
+            left_over = []
+            for i, layer in zip(todo, least):
+                if layer == fault:
+                    left_over.append(i)
+                else:
+                    settled[i] = key + pack(layer)
+            todo = left_over
+            if not todo:
+                break
+            open_reps = list(map(reps.__getitem__, todo))
+        return reps, settled
+
+    def children(self, width):
+        """The ``(key_any, key_min)`` of each child with ``width`` new gates:
+        key_any ends in the new layer that the first automorphism gives its
+        class."""
+        reps, settled = self.layers(width)
+        _, pack = _layer_format(width)
+        return [(self.key + pack(layer), key_min)
+                for layer, key_min in zip(_layers(self.auto_rows[0], reps, width), settled)]
 
     def count_full(self, width):
         """``(full, full_min)`` over the children with ``width`` new gates,
         with no key built and no class settled.  A child has a key_min
         exactly when some table that leaves the parent fault-free leaves
         each new gate fault-free too, as the tables' cached flags tell.  One
-        new gate's classes are the distinct least codes, and a class has a
-        key_min when the OR of the flags is 1 at its candidate.  Wider, byte
-        r of a candidate's integer is 1 when the r-th distinct flags are, so
-        a combination has one when the AND of its integers is not 0."""
+        new gate's class has a key_min when the OR of the flags is 1 at its
+        candidate.  Wider, byte r of a candidate's integer is 1 when the
+        r-th distinct flags are, so a combination has one when the AND of
+        its integers is not 0."""
         flags = {_rows(self.sizes, index)[2] for _, indices in self.groups for index in indices}
+        size = len(self.auto_rows[0])
         if width == 1:
-            least = _least(self.auto_rows)
-            classes = dict(zip(least, count()))
+            reps = list(self.representatives(1))
             free = reduce(or_, (int.from_bytes(row, "big") for row in flags), 0)
-            free = free.to_bytes(len(least), "big")
-            return len(classes), sum(map(free.__getitem__, classes.values()))
-        masks = [int.from_bytes(bytes(column), "little") for column in zip(*flags)] \
-            or [0] * len(self.auto_rows[0])
+            return len(reps), sum(map(free.to_bytes(size, "big").__getitem__, reps))
+        masks = [int.from_bytes(bytes(column), "little") for column in zip(*flags)] or [0] * size
         full = full_min = 0
         for combo in self.representatives(width):
             full += 1
@@ -374,12 +364,8 @@ class _Parent:
         """``(full, keys)`` over the children with ``width`` new gates: their
         number and the sorted key_min encodings of those that have one, with
         no key_any built."""
-        if width == 1:
-            codes, settled = self.one_gate()
-            keys = [key + code.to_bytes(2, "big") for key, code in filter(None, settled)]
-            return len(codes), sorted(keys)
-        key_mins = [key_min for _, key_min in self.wide_layers(width)]
-        return len(key_mins), sorted(filter(None, key_mins))
+        reps, settled = self.layers(width)
+        return len(reps), sorted(filter(None, settled))
 
 
 def _children(enc, k, last):
@@ -394,12 +380,10 @@ def _children(enc, k, last):
     a permutation of the new layer, which can only sort it, and a new gate's
     fault does not depend on that permutation.
 
-    Children with one new gate, the most of them, are keyed all at once by
-    element-wise minima over rows of relabeled candidate codes.  A row
-    depends only on the layer sizes and the table, so each is built once,
-    when a parent first uses its table, and kept as a 16-bit array.  Wider
-    layers go through their representative combinations of candidates one
-    at a time.
+    The children of each width are keyed all at once by element-wise
+    minima over rows of relabeled candidate codes (``_Parent.layers``).  A
+    row depends only on the layer sizes and the table, so each is built
+    once, when a parent first uses its table, and kept as a 16-bit array.
     """
     if len(enc) < 2:
         raise ValueError("cannot extend an empty topology")
@@ -410,9 +394,9 @@ def _children(enc, k, last):
     if q >= k:
         return None
     parent = _Parent(gates)
-    partials = parent.one_gate_children() if q + 1 < k else []
-    for width in range(2, k - q):
-        partials += parent.wide_children(width)
+    partials = []
+    for width in range(1, k - q):
+        partials += parent.children(width)
     return (*last(parent, k - q), sorted(partials))
 
 

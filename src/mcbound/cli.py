@@ -183,17 +183,23 @@ def _cmd_prove(args):
 def _suite_oracle_topologies(args):
     from . import oracle
 
+    if not 1 <= args.max_k <= oracle.MAX_RAW_K:
+        return _usage_error(f"--max-k must be in 1..{oracle.MAX_RAW_K}")
     ok = True
     for k in range(1, args.max_k + 1):
-        raw = list(oracle.enumerate_raw_topologies(k))
+        # an ordered set: the classes keep their order, and lookups are O(1);
+        # the raw topologies are counted as they pass, not held
+        kept = {}
+        raw = 0
+        for raw, t in enumerate(oracle.enumerate_raw_topologies(k), 1):
+            if is_well_layered(t) and is_minimal(t):
+                kept[t] = None
         expected_raw = bounds.raw_topology_count(k)
-        if len(raw) != expected_raw:
-            print(f"fail: k={k}: {len(raw)} raw topologies, expected {expected_raw}",
+        if raw != expected_raw:
+            print(f"fail: k={k}: {raw} raw topologies, expected {expected_raw}",
                   file=sys.stderr)
             ok = False
             continue
-        # an ordered set: the classes keep their order, and lookups are O(1)
-        kept = dict.fromkeys(t for t in raw if is_well_layered(t) and is_minimal(t))
         classes = oracle.brute_equiv_classes(kept)
         reps = generate(k, workers=args.workers)
         missing = next((m for m in reps.members if m not in kept), None)
@@ -211,6 +217,8 @@ def _suite_oracle_topologies(args):
 
 
 def _suite_rewrites(args):
+    if args.cases < 1:
+        return _usage_error("--cases must be at least 1")
     import random
 
     from .circuits import (is_negation_normal, minimalize_circuit, negation_normalize,
@@ -282,12 +290,7 @@ def _suite_m3(args):
 
 
 def _cmd_verify(args):
-    from . import oracle
-
-    if not 1 <= args.max_k <= oracle.MAX_RAW_K:
-        return _usage_error(f"--max-k must be in 1..{oracle.MAX_RAW_K}")
-    if args.cases < 1:
-        return _usage_error("--cases must be at least 1")
+    """Run one suite; each suite checks only the flags it reads."""
     suites = {
         "oracle-topologies": _suite_oracle_topologies,
         "rewrites": _suite_rewrites,

@@ -323,6 +323,17 @@ def test_circuit_format_is_stable(maj4_circuit):
     assert format_circuit(maj4_circuit) == MAJ4_TEXT
 
 
+def test_circuit_past_the_shared_gate_terms_formats_and_parses_back():
+    # g8 and g9 are past the shared terms, so their sets take the general path
+    assert MAX_GENERATE_K < 8
+    gates = [(fs(x(1)), fs(x(2)))] + [(fs(g(i - 1)), fs(x(1))) for i in range(2, 9)]
+    gates.append((fs(g(8), x(1), TOP, g(2)), fs(g(7))))
+    c = Circuit(2, tuple(gates), fs(g(9), g(8), x(2), TOP))
+    text = format_circuit(c)
+    assert text.splitlines()[-2:] == ["gate 9: L={x1,T,g2,g8} R={g7}", "out: {x2,T,g8,g9}"]
+    assert parse_circuit(text) == c
+
+
 def test_parse_circuit_errors():
     with pytest.raises(ParseError, match="circuit n="):
         parse_circuit("nonsense\n")

@@ -147,6 +147,12 @@ def test_table2_guards(capsys):
     assert code == 1 and "--allow-long" not in stderr and stdout.endswith("6 506935\n")
 
 
+def test_table2_max_k_below_one_is_usage_error(capsys):
+    code, stdout, stderr = run(capsys, "table2", "--max-k", "0")
+    assert code == 2 and stdout == ""
+    assert stderr == "usage error: --max-k must be at least 1\n"
+
+
 def test_table2_takes_no_allow_long(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table2", "--max-k", "3", "--allow-long"])
@@ -186,6 +192,22 @@ def test_prove_trivial_case(capsys):
     code, stdout, _ = run(capsys, "prove", "--n", "1", "--k", "0", "--classes", "1")
     assert code == 1
     assert "verdict: M(1) >= 1: false" in stdout
+
+
+def test_prove_n_and_k_out_of_range_are_usage_errors(capsys):
+    for argv, message in ((("--n", "0", "--k", "2"), "--n must be at least 1"),
+                          (("--n", "3", "--k", "-1"), "--k must be non-negative")):
+        code, stdout, stderr = run(capsys, "prove", *argv)
+        assert code == 2 and stdout == ""
+        assert stderr == f"usage error: {message}\n"
+
+
+def test_prove_from_an_empty_topology_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("topologyset k=3 count=0\n")
+    code, stdout, stderr = run(capsys, "prove", "--n", "3", "--k", "3", "--topologies", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr == "usage error: class count must be at least 1\n"
 
 
 def test_prove_from_topology_file(tmp_path, capsys):
@@ -325,6 +347,15 @@ def test_verify_max_k_out_of_range_is_usage_error(capsys):
         assert code == 2
         assert "usage error" in stderr and "--max-k" in stderr
         assert stdout == ""
+
+
+def test_verify_checks_only_the_flags_its_suite_reads(capsys):
+    # --max-k is read by oracle-topologies alone, --cases by rewrites alone
+    for argv in (("m3", "--max-k", "9", "--cases", "0"),
+                 ("rewrites", "--cases", "5", "--max-k", "0"),
+                 ("oracle-topologies", "--max-k", "1", "--cases", "-1")):
+        code, stdout, stderr = run(capsys, "verify", "--suite", *argv)
+        assert code == 0 and stderr == "" and stdout.startswith("ok: "), argv
 
 
 def test_verify_cases_below_one_is_usage_error(capsys):

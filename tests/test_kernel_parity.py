@@ -253,8 +253,8 @@ def test_one_gate_count_matches_the_settled_classes():
     no_group = one_flag_row = 0
     for enc in sorted(parents):
         parent = _gen_py._Parent(_gen_py.read_topology(enc))
-        codes, settled = parent.one_gate()
-        full, full_min = len(codes), len(settled) - settled.count(None)
+        full, keys, _ = _gen_py.extend(enc, len(enc) // 2 + 1)
+        full_min = len(keys)
         assert _gen_py.count_extend(enc, len(enc) // 2 + 1)[:2] == (full, full_min), enc
         no_group += not parent.groups and full_min == 0 < full
         flags = {_gen_py._rows(parent.sizes, index)[2]
@@ -359,10 +359,13 @@ def test_candidate_lists_are_cached_tuples_and_bounded():
     count_classes(5, backend="python")
     # one entry per (q, last layer) met, q <= 4 at k=5
     assert 0 < _gen_py._candidates.cache_info().currsize <= 30
-    cands, lefts, rights = _gen_py._candidates(3, 4)
-    assert type(cands) is type(lefts) is type(rights) is tuple
-    assert lefts == tuple(left for left, _ in cands)
-    assert rights == tuple(right for _, right in cands)
+    lefts, rights = _gen_py._candidates(3, 4)
+    assert type(lefts) is type(rights) is tuple
+    assert all(left & 4 for left in lefts)
+    # each unordered pair of sides that touches the last layer, neither nested, once
+    assert sorted(map(sorted, zip(lefts, rights))) == [
+        [a, b] for a in range(8) for b in range(a + 1, 8)
+        if (a | b) & 4 and gate_fault(a, b) in (None, "shared")]
 
 
 def test_candidate_rows_are_cached_images_of_their_tables():
@@ -371,7 +374,7 @@ def test_candidate_rows_are_cached_images_of_their_tables():
     assert _gen_py._ROWS
     for (sizes, index), (row, free, flags) in _gen_py._ROWS.items():
         q = sum(sizes)
-        _, lefts, rights = _gen_py._candidates(q, (1 << q) - (1 << (q - sizes[-1])))
+        lefts, rights = _gen_py._candidates(q, (1 << q) - (1 << (q - sizes[-1])))
         assert row.typecode == free.typecode == "H"
         assert list(row) == _gen_py._images(_gen_py._TABLES[sizes][index][1], lefts, rights)
         assert list(free) == [code if gate_fault(code >> 8, code & 0xFF) is None

@@ -465,6 +465,14 @@ def test_parse_topology_errors():
         parse_topology("gate 1: L={} R={}")
 
 
+def test_topology_set_equality_and_hash():
+    ts = generate(3)
+    same = TopologySet(3, ts.members)
+    assert ts is not same and ts == same and hash(ts) == hash(same)
+    assert ts != ts.members and ts != ts.rows and ts != 3
+    assert ts.__eq__(ts.members) is NotImplemented
+
+
 def test_topology_set_roundtrip(tmp_path):
     ts = generate(3)
     text = format_topology_set(ts)
