@@ -22,7 +22,7 @@ GENERATE_LONG_K = 6
 COUNT_LONG_K = 7
 LONG_RUN_NOTE = ("generate --k 6 takes about 2-3 s and 97 MB with the pure-Python kernel "
                  "and 1-1.8 s compiled; prove --k 7 counts 312,463,157 classes in about 20 s "
-                 "compiled, and in about 4 minutes with the pure-Python kernel")
+                 "with either kernel")
 
 
 def _integer(text):

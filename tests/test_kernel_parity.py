@@ -155,6 +155,26 @@ def test_count_extend_matches_extend_on_unpruned_parents(k):
         assert _gen_py.count_extend(enc, k) == (full, len(keys), partials), enc
 
 
+def test_count_cache_matches_cold_counts():
+    walks = {k: [enc for enc, _ in unpruned_walk_parents(_gen_py, k)] for k in range(2, 7)}
+    cold = {}
+    for k, parents in walks.items():
+        for enc in parents:
+            _gen_py._COUNTS.clear()
+            cold[k, enc] = _gen_py.count_extend(enc, k)
+    # one warm cache for every k, filled in ascending k and read again in
+    # descending k, as one process may run walks for several k in either order
+    _gen_py._COUNTS.clear()
+    for order in (sorted(walks), sorted(walks, reverse=True)):
+        for k in order:
+            for enc in walks[k]:
+                assert _gen_py.count_extend(enc, k) == cold[k, enc], (k, enc)
+    assert 0 < len(_gen_py._COUNTS) < sum(map(len, walks.values()))
+    _gen_py._COUNTS.clear()
+    assert count_classes(5, backend="python") == 3282
+    assert len(_gen_py._COUNTS) == 28  # shapes among the walk's 96 parents
+
+
 def test_compiled_count_extend_matches_extend_on_unpruned_parents_at_k6(gen_c):
     found = unpruned_walk_parents(gen_c, 6)
     assert len(found) == 5224

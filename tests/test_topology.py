@@ -401,9 +401,7 @@ def test_count_classes_matches_generate():
         count_classes(-1)
 
 
-@pytest.mark.skipif(kernel.BACKEND != "c",
-                    reason="k=7 needs the compiled kernel, so MCBOUND_LONG=1 alone does not "
-                           "run it: the pure-Python count takes about 4 minutes, 10 times as long")
+@long_tier
 def test_count_classes_k7():
     assert count_classes(7) == 312463157
 
