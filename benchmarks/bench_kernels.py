@@ -39,6 +39,13 @@ imports: the median seconds of STARTS fresh interpreters that each run
 inherit ``PYTHONDONTWRITEBYTECODE``, which decides whether they may reuse
 cached bytecode; the record notes it.
 
+With ``--counts-only`` it records, instead of all of the above, the class
+count alone per k up to ``--max-k``, which may then be 7, and per backend:
+the median seconds and peak RSS of PASSES fresh interpreters that run
+``count_classes`` with that kernel as the default, and the number of
+parents that the walk expands, its ``count_extend`` calls, counted through
+a wrapper in this process.
+
 ``--json PATH`` also appends the run, as one record, to the JSON list in
 PATH (a new file holds just that record): every figure printed, the
 backends, the ``git rev-parse HEAD`` of the checkout whose package is
@@ -49,6 +56,7 @@ machine speed.
 
     python benchmarks/bench_kernels.py --max-k 5
     python benchmarks/bench_kernels.py --max-k 6 --json BENCH_<date>.json
+    python benchmarks/bench_kernels.py --counts-only --max-k 7 --json BENCH_<date>.json
 """
 
 import argparse
@@ -218,6 +226,44 @@ def fresh_passes(*args):
             for name, figures in runs[0].items()}
 
 
+def expanded_parents(k, backend):
+    """``count_classes(k)`` with the kernel ``backend``, cold, and the
+    number of parents its walk expands: the calls of the kernel's
+    ``count_extend``, counted through a wrapper put in its place."""
+    kern = kernel.get_backend(backend)
+    step = kern.count_extend
+    calls = 0
+
+    def counted(enc, k):
+        nonlocal calls
+        calls += 1
+        return step(enc, k)
+    COUNTS.clear()
+    kern.count_extend = counted
+    try:
+        classes = count_classes(k, backend=backend, workers=1)
+    finally:
+        kern.count_extend = step
+    return classes, calls
+
+
+def count_rows(max_k, backends):
+    """Per k up to ``max_k`` and per backend, the class count, the parents
+    its walk expands (``expanded_parents``) and the figures of PASSES fresh
+    interpreters that count with that kernel (``startup.py count``)."""
+    rows = []
+    for k in range(1, max_k + 1):
+        for backend in backends:
+            classes, parents = expanded_parents(k, backend)
+            figures = fresh_passes("count", k, backend)["count_classes"]
+            rows.append({"k": k, "backend": backend, "classes": classes, "parents": parents,
+                         "fresh": figures})
+            print(f"{k:>2} {backend:>6} {classes:>11} {parents:>9} "
+                  f"{figures['seconds']:>8.3f}s ({figures['seconds_min']:.3f}-"
+                  f"{figures['seconds_max']:.3f}) {figures['peak_rss_mb']:>6.1f}MB", flush=True)
+    return rows
+
+
 def git(*args):
     """The output of ``git args`` in the checkout of the package measured,
     or None outside git."""
@@ -252,6 +298,17 @@ def append_record(path, record):
         f.write("\n")
 
 
+def record_head(args, backends, reference_before):
+    """The fields that every JSON record starts with; the reference loop is
+    timed again for its ``after``."""
+    commit, diff_sha256 = git_state()
+    return {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+            "commit": commit, "diff_sha256": diff_sha256,
+            "backends": backends, "python": platform.python_version(),
+            "cpus": os.cpu_count(), "max_k": args.max_k, "passes": PASSES,
+            "reference_s": {"before": reference_before, "after": reference_seconds()}}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -259,12 +316,25 @@ def main():
                         help="largest gate count to benchmark (default 5)")
     parser.add_argument("--json", metavar="PATH",
                         help="also append the run as a JSON record to PATH")
+    parser.add_argument("--counts-only", action="store_true",
+                        help="record only the class count per k and backend, in fresh "
+                             "interpreters, with the parents its walk expands")
     args = parser.parse_args()
+    if args.max_k > (7 if args.counts_only else 6):
+        parser.error("--max-k is at most 6, or 7 with --counts-only")
 
     reference_before = reference_seconds()
     backends = kernel.available_backends()
     if "c" not in backends:
         print("note: compiled kernel not built, timing the fallback only")
+    if args.counts_only:
+        print(f"{'k':>2} {'kernel':>6} {'classes':>11} {'parents':>9} "
+              f"fresh count_classes, median (min-max) of {PASSES}, peak RSS")
+        counts = count_rows(args.max_k, backends)
+        if args.json:
+            append_record(args.json, dict(record_head(args, backends, reference_before),
+                                          counts=counts))
+        return
     columns = [(b, phase) for b in backends for phase in ("walk", "generate")]
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
           + "".join(f" {b + ' ' + f:>16}" for f in ("extend", "count_extend") for b in backends)
@@ -337,16 +407,10 @@ def main():
     for name, figures in started.items():
         print(f"{name:>28} {figures['median_s'] * 1e3:>8.1f}ms {figures['peak_rss_mb']:>6.1f}MB")
     if args.json:
-        commit, diff_sha256 = git_state()
-        append_record(args.json, {
-            "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-            "commit": commit, "diff_sha256": diff_sha256,
-            "backends": backends, "python": platform.python_version(),
-            "cpus": os.cpu_count(), "max_k": args.max_k, "passes": PASSES,
-            "reference_s": {"before": reference_before, "after": reference_seconds()},
-            "rows": rows, "circuit_us": circuit_us,
-            "startup": dict(started, starts=STARTS,
-                            dont_write_bytecode=bool(os.environ.get("PYTHONDONTWRITEBYTECODE")))})
+        append_record(args.json, dict(
+            record_head(args, backends, reference_before), rows=rows, circuit_us=circuit_us,
+            startup=dict(started, starts=STARTS,
+                         dont_write_bytecode=bool(os.environ.get("PYTHONDONTWRITEBYTECODE")))))
 
 
 if __name__ == "__main__":

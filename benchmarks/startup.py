@@ -3,6 +3,7 @@
     python -I -S benchmarks/startup.py STARTS SRC
     python -I -S benchmarks/startup.py set K PATH RESPELT SRC
     python -I -S benchmarks/startup.py kernel K BACKEND SRC
+    python -I -S benchmarks/startup.py count K BACKEND SRC
 
 The first form runs STARTS fresh interpreters of each command in COMMANDS,
 alternated, and prints one JSON object: per command, the median seconds
@@ -13,8 +14,9 @@ from PATH, then loaded from RESPELT, the same set with one line spelt
 otherwise, and prints, per command, its seconds and its child's peak RSS.
 The third runs each command in KERNEL_COMMANDS once for K gates with the
 kernel BACKEND ("c" or "python") made the package's default in the child,
-and prints the same figures.
-The children run with SRC first on PYTHONPATH and otherwise the caller's
+and prints the same figures.  The fourth runs its ``count_classes``
+command alone, which also serves K=7, where ``generate`` refuses.  The
+children run with SRC first on PYTHONPATH and otherwise the caller's
 environment.  Linux counts in a child's peak RSS the memory of the process
 that spawned it, so the children must be spawned by a process smaller than
 they are: this one, started with ``-I -S`` and importing little, rather
@@ -76,12 +78,13 @@ def main():
     src = sys.argv[-1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if sys.argv[1] in ("set", "kernel"):
+    if sys.argv[1] in ("set", "kernel", "count"):
         if sys.argv[1] == "set":
             commands = SET_COMMANDS
             fields = {"k": int(sys.argv[2]), "path": sys.argv[3], "respelt": sys.argv[4]}
         else:
-            commands = {name: PIN_KERNEL + code for name, code in KERNEL_COMMANDS.items()}
+            names = ["count_classes"] if sys.argv[1] == "count" else KERNEL_COMMANDS
+            commands = {name: PIN_KERNEL + KERNEL_COMMANDS[name] for name in names}
             fields = {"k": int(sys.argv[2]), "backend": sys.argv[3]}
         figures = {}
         for name, code in commands.items():

@@ -6,33 +6,35 @@ bit masks (bit i-1 set means gate i is wired in) and a topology is encoded
 as the bytes ``L1 R1 L2 R2 ...`` in gate order.  ``gate_fault`` is the
 minimality predicate.  Every entry point takes an encoding, which
 ``read_topology`` checks and layers.  Masks are relabeled through tables
-built once per tuple of layer sizes and then cached, and ``_relabelings`` is
-the one pass that encodes a topology under each of them and tells which
-encodings are minimal: ``canonical_keys`` takes its two minima, and
-``extend`` and ``count_extend`` run it once on the parent (``_Parent``) for
-all of the parent's children.  Candidate new gates are listed once per
-parent shape, and each relabel table maps the list to a row of gate codes,
-built on the table's first use and cached (``_rows``).  The classes of
-children with a new layer of any width, one combination of candidates for
-each (``_Parent.representatives``), are keyed all at once by element-wise
+built once per tuple of layer sizes and then cached, and each gate's
+relabelings under them, a column of shifted codes and a mask of the tables
+that make it faulty, are cached beside them (``_column``).
+``_relabelings`` is the one pass that encodes a topology under each table,
+as the sum of its gates' columns, and tells which tables leave it
+fault-free: ``canonical_keys`` takes its two minima, and ``extend`` and
+``count_extend`` run it once on the parent (``_Parent``) for all of the
+parent's children.  Candidate new gates are listed once per parent shape,
+and each relabel table maps the list to a row of gate codes, built on the
+table's first use and cached (``_rows``).  The classes of children with a
+new layer of any width, one combination of candidates for each
+(``_Parent.representatives``), are keyed all at once by element-wise
 minima of the layers that those rows give (``_layers``), and one pass,
 ``_Parent.layers``, settles each class's key_min group by group.
 ``extend`` and ``count_extend`` key the partial children alike and differ
 only in the children that complete k gates: ``extend`` keeps their key_min
 encodings, ``count_extend`` counts them and settles no class, since the
 cached fault-free flags of the parent's rows tell which have a key_min.
-That count reads only the parent's shape (``_Parent.shape``): its layer
-sizes, its automorphisms and the set of its fault-free tables, so it is
-made once per shape and width and cached (``_COUNTS``).  The walks for
-k=5, 6 and 7 expand 96, 3,378 and 510,313 parents of 28, 126 and 749
-shapes.
+That count reads only the parent's shape (``parent_shape``): its layer
+sizes, its automorphisms and its fault-free tables, so it is made once per
+shape and width and cached (``_COUNTS``).  The walks for k=5, 6 and 7 meet
+28, 126 and 749 shapes.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import (chain, combinations_with_replacement, compress, count, islice, permutations,
                        product)
 from operator import and_, eq, or_
@@ -41,10 +43,17 @@ BACKEND = "python"
 
 MAX_GATES = 7
 
-# Relabel tables per layer-size tuple, built on first use.  Keys are the
-# layer sizes of some q <= MAX_GATES gates, compositions of q, so the cache
-# holds at most 128 entries whatever the input.
-_TABLES: dict[tuple[int, ...], tuple] = {}
+class _Tables(tuple):
+    """The relabel tables of one tuple of layer sizes, and in ``columns``
+    the gate columns that ``_column`` builds from them."""
+
+
+# Relabel tables per layer-size tuple, built on first use, each with the
+# gate columns built from them.  Keys are the layer sizes of some q <=
+# MAX_GATES gates, compositions of q, so the cache holds at most 128 entries
+# whatever the input, and each entry at most one column per gate position
+# and pair of sides.
+_TABLES: dict[tuple[int, ...], _Tables] = {}
 
 
 def _relabel_tables(sizes):
@@ -67,7 +76,8 @@ def _relabel_tables(sizes):
             low = m & -m
             tab[m] = tab[m ^ low] | (1 << pi[low.bit_length() - 1])
         tables.append((tuple(2 * p for p in pi), tuple(tab)))
-    tables = _TABLES[sizes] = tuple(tables)
+    tables = _TABLES[sizes] = _Tables(tables)
+    tables.columns = {}
     return tables
 
 
@@ -82,29 +92,56 @@ def _fault_table(q):
     return bytes(table)
 
 
+def _column(tables, q, gate):
+    """The column of gate ``(i, left, right)``, gate i of q with those
+    sides, over ``tables``, the relabel tables of its layer sizes, built on
+    first use and cached in ``tables.columns``: per table, the code ``a << 8
+    | b`` of the relabeled gate, sides smaller first, shifted to the gate's
+    relabeled place in a big-endian encoding of q gates; and the int mask
+    of the tables under which the relabeled gate is faulty."""
+    i, left, right = gate
+    faults = _fault_table(q)
+    codes = []
+    faulty = 0
+    for index, (positions, tab) in enumerate(tables):
+        a = tab[left]
+        b = tab[right]
+        if b < a:
+            a, b = b, a
+        codes.append((a << 8 | b) << 8 * (2 * q - 2 - positions[i]))
+        if faults[a << 8 | b]:
+            faulty |= 1 << index
+    column = tables.columns[gate] = codes, faulty
+    return column
+
+
 def _relabelings(lefts, rights, layers):
-    """For each cached relabeling of gates ``(lefts[i], rights[i])`` within
-    their layers, the masks ``layers``, ``(encoding, minimal, index)``: the
-    gates relabeled by the table at ``index`` in the cached tuple for their
-    layer sizes and encoded with each gate's sides smaller first, and
-    whether every relabeled gate is fault-free."""
-    faults = _fault_table(len(lefts))
+    """``(encodings, free)`` over the cached relabelings of gates
+    ``(lefts[i], rights[i])`` within their layers, the masks ``layers``:
+    per relabel table of their layer sizes, in order, the relabeled gates
+    encoded with each gate's sides smaller first, as a big-endian int; and
+    the int mask of the tables that leave every gate fault-free.
+
+    Each gate's column (``_column``) holds its relabeled code at its
+    relabeled place, so an encoding is the sum of the gates' entries: the
+    codes never overlap, and at a fixed length int order is byte order."""
+    q = len(lefts)
     sizes = tuple(m.bit_count() for m in layers)
-    out = []
-    for index, (positions, tab) in enumerate(_TABLES.get(sizes) or _relabel_tables(sizes)):
-        enc = bytearray(2 * len(lefts))
-        minimal = True
-        for p2, left, right in zip(positions, lefts, rights):
-            a = tab[left]
-            b = tab[right]
-            if b < a:
-                a, b = b, a
-            enc[p2] = a
-            enc[p2 + 1] = b
-            if faults[a << 8 | b]:
-                minimal = False
-        out.append((bytes(enc), minimal, index))
-    return out
+    tables = _TABLES.get(sizes) or _relabel_tables(sizes)
+    columns = tables.columns
+    codes = []
+    faulty = 0
+    for gate in zip(range(q), lefts, rights):
+        column = columns.get(gate) or _column(tables, q, gate)
+        codes.append(column[0])
+        faulty |= column[1]
+    encodings = list(map(sum, zip(*codes))) if codes else [0] * len(tables)
+    return encodings, ((1 << len(tables)) - 1) & ~faulty
+
+
+def _selected(values, mask):
+    """The values at the set bits of the int ``mask``, bit 0 first."""
+    return compress(values, map("1".__eq__, bin(mask)[:1:-1]))
 
 
 # Above every gate code ``a << 8 | b``, at most 63 << 8 | 63: stands for a
@@ -212,9 +249,11 @@ def canonical_keys(enc):
     """
     if len(enc) // 2 > MAX_GATES:
         raise ValueError(f"kernel supports at most {MAX_GATES} gates, got {len(enc) // 2}")
-    relabeled = _relabelings(*read_topology(enc))
-    return (min(key for key, _, _ in relabeled),
-            min((key for key, minimal, _ in relabeled if minimal), default=None))
+    encodings, free = _relabelings(*read_topology(enc))
+    key_min = min(_selected(encodings, free), default=None)
+    size = len(enc) // 2 * 2
+    return (min(encodings).to_bytes(size, "big"),
+            None if key_min is None else key_min.to_bytes(size, "big"))
 
 
 def _images(tab, lefts, rights):
@@ -266,28 +305,38 @@ def _layer_format(width):
 
 class _Parent:
     """A parent of q gates with its relabelings searched once for all of its
-    children (canonical augmentation): ``key`` is its least encoding,
-    ``autos`` the indices of the relabel tables that give it, the first of
-    them first, and ``groups`` the indices of the tables that leave every
-    gate fault-free, grouped by the encoding they give, ascending.  Its
-    layer sizes ``sizes`` fix its candidate new gates and each table's rows
-    of their codes (``_rows``).  ``layers`` settles the key_min of every
-    class of children, whatever the width of its new layer, group by group;
+    children (canonical augmentation): ``encodings`` holds each relabel
+    table's encoding of it as an int (``_relabelings``), ``autos`` the
+    indices of the tables that give the least, its key, and ``free`` the
+    int mask of the tables that leave every gate fault-free.  Its layer
+    sizes ``sizes`` fix its candidate new gates and each table's rows of
+    their codes (``_rows``).  ``layers`` settles the key_min of every class
+    of children, whatever the width of its new layer, group by group, from
+    ``key`` and ``groups``, which are built as bytes only then;
     ``count_full`` reads the flags alone."""
 
     def __init__(self, gates):
         self.sizes = tuple(m.bit_count() for m in gates[2])
-        relabeled = _relabelings(*gates)
-        self.key = min(key for key, _, _ in relabeled)
-        self.autos = [index for key, _, index in relabeled if key == self.key]
+        self.encodings, self.free = _relabelings(*gates)
+        self.length = 2 * len(gates[0])
+        least = min(self.encodings)
+        self.autos = list(compress(count(), map(least.__eq__, self.encodings)))
+        self.shape = self.sizes, tuple(self.autos), self.free
+
+    @cached_property
+    def key(self):
+        """The least encoding, as bytes."""
+        return self.encodings[self.autos[0]].to_bytes(self.length, "big")
+
+    @cached_property
+    def groups(self):
+        """The indices of the tables that leave every gate fault-free,
+        grouped by the encoding they give, as bytes, ascending."""
         groups = {}
-        fault_free = []
-        for key, minimal, index in relabeled:
-            if minimal:
-                groups.setdefault(key, []).append(index)
-                fault_free.append(index)
-        self.groups = sorted(groups.items())
-        self.shape = self.sizes, tuple(self.autos), frozenset(fault_free)
+        for index, encoding in _selected(enumerate(self.encodings), self.free):
+            groups.setdefault(encoding, []).append(index)
+        return [(encoding.to_bytes(self.length, "big"), indices)
+                for encoding, indices in sorted(groups.items())]
 
     @property
     def auto_rows(self):
@@ -367,15 +416,16 @@ class _Parent:
 
         So the count reads only the layer sizes, which fix the candidates
         and every row; the automorphisms, which fix the classes
-        (``representatives``); and the union of the groups' tables, which
-        fixes the flags.  The groups' keys and order decide which key_min a
-        class gets, not whether it gets one, so ``shape`` holds no more.
+        (``representatives``); and the tables that leave the parent
+        fault-free, ``free``, the union of the groups, which fix the flags.
+        The groups' keys and order decide which key_min a class gets, not
+        whether it gets one, so ``shape`` holds no more.
         The walks for k=5, 6 and 7 count 28, 126 and 749 shapes."""
         shape = self.shape, width
         counted = _COUNTS.get(shape)
         if counted is not None:
             return counted
-        flags = {_rows(self.sizes, index)[2] for _, indices in self.groups for index in indices}
+        flags = {_rows(self.sizes, index)[2] for index in _selected(count(), self.free)}
         size = len(self.auto_rows[0])
         if width == 1:
             reps = list(self.representatives(1))
@@ -398,6 +448,13 @@ class _Parent:
         no key_any built."""
         reps, settled = self.layers(width)
         return len(reps), sorted(filter(None, settled))
+
+
+def parent_shape(enc):
+    """The shape of the parent ``enc`` (``_Parent.shape``): its layer
+    sizes, the indices of its automorphisms, and the int mask of the
+    relabel tables that leave it fault-free."""
+    return _Parent(read_topology(enc)).shape
 
 
 def _children(enc, k, last):

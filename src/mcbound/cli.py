@@ -21,8 +21,8 @@ EXPECTED_CLASS_COUNTS = {1: 1, 2: 2, 3: 8, 4: 88, 5: 3564, 6: 555709}
 GENERATE_LONG_K = 6
 COUNT_LONG_K = 7
 LONG_RUN_NOTE = ("generate --k 6 takes about 2-3 s and 97 MB with the pure-Python kernel "
-                 "and 1-1.8 s compiled; prove --k 7 counts 312,463,157 classes in about 20 s "
-                 "with either kernel")
+                 "and 1-1.8 s compiled; prove --k 7 counts 312,463,157 classes in about 2-3 s "
+                 "compiled and 9-14 s with the pure-Python kernel")
 
 
 def _integer(text):

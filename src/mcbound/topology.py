@@ -9,10 +9,10 @@ import struct
 from collections import namedtuple
 from functools import cache, partial
 from itertools import chain, islice, product
-from operator import countOf
+from operator import add, countOf, sub
 
 from . import kernel
-from ._gen_py import gate_fault, layer_masks
+from ._gen_py import gate_fault, layer_masks, parent_shape
 from .errors import (SPACE, CapacityError, CircuitError, ContractError, ParseError, ascii_line,
                      ascii_lines)
 
@@ -247,45 +247,95 @@ def canonical_form(t):
 _GATHERED = {"count_extend": int, "extend": list}
 
 
-def _walk(roots, depth, k, backend, entry, split=False):
+def _expand(step, enc, layers, k, tally):
+    """``(found, children)`` of the parent ``enc`` of ``layers`` layers:
+    what ``step(enc, k)`` finds among its full children, and its partial
+    children that have a key_min, by key_any; its children are added to
+    ``tally`` (``_walk``)."""
+    full, found, partials = step(enc, k)
+    children = [key_any for key_any, key_min in partials if key_min is not None]
+    at = 3 * layers + 3
+    tally[at] += full
+    tally[at + 1] += len(children)
+    tally[at + 2] += len(partials) - len(children)
+    return found, children
+
+
+def _descend(step, enc, layers, k, tally, found, memo):
+    """``found`` with what the walk finds at and below the parent ``enc``
+    added, and its children at every depth added to ``tally``; recursive,
+    at most k deep.  With a ``memo``, a parent of at most k - 2 gates, which
+    has partial children, is looked up by its shape
+    (``_gen_py.parent_shape``): a shape already walked adds its stored
+    found and tally and walks nothing, and a new one is walked and stored."""
+    if memo is not None and len(enc) // 2 <= k - 2:
+        shape = parent_shape(enc)
+        seen = memo.get(shape)
+        if seen is not None:
+            tally[:] = map(add, tally, seen[1])
+            return found + seen[0]
+        start, before = found, tally[:]
+    else:
+        shape = None
+    kept, children = _expand(step, enc, layers, k, tally)
+    found += kept
+    for child in children:
+        found = _descend(step, child, layers + 1, k, tally, found, memo)
+    if shape is not None:
+        memo[shape] = found - start, list(map(sub, tally, before))
+    return found
+
+
+def _walk(roots, depth, k, backend, entry, split=False, memo=None):
     """Depth-first class walk below the partial topologies ``roots``, which
     all have ``depth`` layers.
 
     Each parent is extended by one layer and every child is walked at once.
-    No state is shared between parents: removing a child's last layer gives
-    back its parent, so different parent classes never yield equivalent
-    children.  A child without a minimal relabeling is dropped, full or
-    partial, because any minimal relabeling of a descendant restricts to one
-    of its prefix.  With ``split`` the roots' partial children are returned
-    instead of walked.
+    No key seen is kept for later parents: removing a child's last layer
+    gives back its parent, so different parent classes never yield
+    equivalent children.  A child without a minimal relabeling is dropped,
+    full or partial, because any minimal relabeling of a descendant
+    restricts to one of its prefix.  With ``split`` the roots' partial
+    children are returned instead of walked.
 
     ``entry`` names the kernel function that extends a parent,
     ``"count_extend"`` or ``"extend"``: it returns ``(full, found,
     partials)``, where found counts or lists the key_min encodings of the
     full children, and partials are ``(key_any, key_min)`` pairs.  Returns
     ``(found, tally, frontier)``: the parents' found added up
-    (``_GATHERED``); per layer count d, ``tally[d]`` holds the full keys,
-    the kept partials and the pruned partials among the children with d
-    layers; and the partial children not walked.
+    (``_GATHERED``); per layer count d, ``tally[3 * d:3 * d + 3]`` holds the
+    full keys, the kept partials and the pruned partials among the children
+    with d layers; and the partial children not walked.
+
+    A count walk can take ``memo``, a dict from parent shapes to what was
+    found and tallied at and below a parent of that shape, and then walks
+    each shape once (``_descend``).  That is exact.  Take a parent P with
+    layer sizes ``sizes``, automorphisms A and fault-free tables F, all
+    indices into its relabel tables.  Its child with the multiset C of
+    candidate new gates, w of them, has the layer sizes ``sizes + (w,)``,
+    and its tables are the pairs (t, s) of a table t of P and a permutation
+    s of the new layer, indexed ``t * w! + s`` in ``_relabel_tables``'
+    product order.  (t, s) is an automorphism of the child exactly when t
+    is in A and s sorts ``row_t[C]`` into the child's key layer, and it
+    leaves every gate fault-free exactly when t is in F and ``flags_t`` is
+    1 on all of C (``_gen_py._rows``).  The classes of children are fixed
+    by ``sizes`` and A (``representatives``).  So each child's shape, and
+    whether it is kept, follow from P's shape and C, and by induction on k
+    minus P's gate count so does every count and tally below P.  The memo
+    serves one k, which fixes every width.  ``extend`` takes none: its
+    keys differ from class to class.
     """
     step = getattr(kernel.get_backend(backend), entry)
-    tally = [[0, 0, 0] for _ in range(k + 1)]
+    tally = [0] * (3 * k + 3)
     found = _GATHERED[entry]()
     frontier = []
-    stack = [(enc, depth) for enc in reversed(roots)]
-    while stack:
-        enc, layers = stack.pop()
-        full, kept, partials = step(enc, k)
-        found += kept
-        children = [key_any for key_any, key_min in partials if key_min is not None]
-        row = tally[layers + 1]
-        row[0] += full
-        row[1] += len(children)
-        row[2] += len(partials) - len(children)
+    for enc in roots:
         if split:
+            kept, children = _expand(step, enc, depth, k, tally)
+            found += kept
             frontier += children
         else:
-            stack += [(child, layers + 1) for child in reversed(children)]
+            found = _descend(step, enc, depth, k, tally, found, memo)
     return found, tally, frontier
 
 
@@ -295,7 +345,9 @@ def _classes(k, workers, backend, progress, entry):
     The caller adds the full seed of k empty gates, its own minimal form.
     The seeds are expanded here; the subtrees below their partial children
     are walked one by one, or shared out among spawned processes with
-    several workers, and ``progress`` hears of each finished subtree."""
+    several workers, and ``progress`` hears of each finished subtree.  A
+    count shares one memo of parent shapes among the subtrees walked here,
+    and each spawned job gets its own copy of it, empty."""
     if k < 0:
         raise ValueError("gate count must be non-negative")
     if k > MAX_GENERATE_K:
@@ -310,12 +362,12 @@ def _classes(k, workers, backend, progress, entry):
         nonlocal found
         for done, (sub_found, sub_tally, _) in enumerate(results, 1):
             found += sub_found
-            for row, sub_row in zip(tally, sub_tally):
-                row[:] = [a + b for a, b in zip(row, sub_row)]
+            tally[:] = map(add, tally, sub_tally)
             if progress:
                 progress({"phase": "subtree", "k": k, "done": done, "total": len(frontier)})
 
-    subtree = partial(_walk, depth=2, k=k, backend=kern.BACKEND, entry=entry)
+    subtree = partial(_walk, depth=2, k=k, backend=kern.BACKEND, entry=entry,
+                      memo={} if entry == "count_extend" else None)
     jobs = ([enc] for enc in frontier)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -325,12 +377,10 @@ def _classes(k, workers, backend, progress, entry):
             merge(pool.map(subtree, jobs))
     else:
         merge(map(subtree, jobs))
-    if k:
-        tally[1][0] += 1  # the full seed
-    if progress:
-        complete = tally[1][0]
+    if progress and k:  # no gates, no rounds
+        complete = tally[3] + 1  # and the full seed
         for depth in range(2, k + 1):
-            full, partials, pruned = tally[depth]
+            full, partials, pruned = tally[3 * depth:3 * depth + 3]
             complete += full
             progress({"phase": "round", "k": k, "round": depth, "complete": complete,
                       "partial": partials, "pruned": pruned})
@@ -341,7 +391,7 @@ def count_classes(k, *, workers=1, backend=None, progress=None):
     """Number of classes of minimal well-layered topologies on exactly k
     gates: ``generate(k).count``, with the last layer of each parent
     counted inside the kernel (``count_extend``), so no full class is
-    keyed."""
+    keyed, and the subtree below each parent shape walked once (``_walk``)."""
     # The k empty gates form a full single-layer seed, its own minimal form.
     return _classes(k, workers, backend, progress, "count_extend") + (k > 0)
 

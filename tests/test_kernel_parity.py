@@ -294,6 +294,39 @@ def test_compiled_extend_matches_reference_at_k6(gen_c, monkeypatch):
     assert count_classes(6, backend="c") == 506935
 
 
+K7_ROUNDS = [(2, 4700, 458, 22), (3, 1970651, 16735, 9563), (4, 38364056, 112434, 79628),
+             (5, 208824425, 233800, 181278), (6, 498627041, 146880, 118800),
+             (7, 659901281, 0, 0)]
+
+
+def rounds(events):
+    """``(round, complete, partial, pruned)`` of each round event."""
+    return [(e["round"], e["complete"], e["partial"], e["pruned"])
+            for e in events if e["phase"] == "round"]
+
+
+def test_compiled_count_classes_k7(gen_c, monkeypatch):
+    monkeypatch.setattr(kernel, "_gen_c", gen_c)
+    events = []
+    assert count_classes(7, backend="c", progress=events.append) == 312463157
+    assert rounds(events) == K7_ROUNDS
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_count_walk_memo_keeps_the_rounds_of_generate(monkeypatch, k):
+    # generate walks every parent with extend and no memo of shapes
+    walked = []
+    count_extend = _gen_py.count_extend
+    monkeypatch.setattr(_gen_py, "count_extend",
+                        lambda enc, k: walked.append(enc) or count_extend(enc, k))
+    counted, generated = [], []
+    assert count_classes(k, backend="python", progress=counted.append) \
+        == generate(k, backend="python", progress=generated.append).count
+    assert rounds(counted) == rounds(generated)
+    # parents expanded by the count walk, against 96 and 3,378 with no memo
+    assert len(walked) == {1: 0, 2: 1, 3: 3, 4: 11, 5: 66, 6: 897}[k]
+
+
 def test_backend_selection():
     assert kernel.BACKEND in ("c", "python")
     assert kernel.get_backend("python").BACKEND == "python"
@@ -301,16 +334,18 @@ def test_backend_selection():
         kernel.get_backend("weird")
 
 
-def reference_keys(pairs, sizes):
-    """``canonical_keys`` by brute force: every within-layer gate order, each
-    mask relabeled bit by bit, sides put smaller first (that orientation
-    gives the least bytes, and ``gate_fault`` is the same either way)."""
+def reference_relabelings(pairs, sizes):
+    """By brute force, per within-layer gate order, in the product order of
+    the layers' permutations: the encoding of the gates with each mask
+    relabeled bit by bit and sides put smaller first (that orientation gives
+    the least bytes, and ``gate_fault`` is the same either way), and whether
+    every relabeled gate is fault-free."""
     layer_orders = []
     start = 0
     for size in sizes:
         layer_orders.append(permutations(range(start, start + size)))
         start += size
-    keys = []
+    relabeled = []
     for combo in product(*layer_orders):
         pi = [target for order in combo for target in order]
         out = [None] * len(pairs)
@@ -318,8 +353,31 @@ def reference_keys(pairs, sizes):
             out[pi[i]] = sorted(sum(1 << pi[j] for j in range(len(pairs)) if m >> j & 1)
                                 for m in sides)
         minimal = all(gate_fault(a, b) is None for a, b in out)
-        keys.append((bytes(v for pair in out for v in pair), minimal))
+        relabeled.append((bytes(v for pair in out for v in pair), minimal))
+    return relabeled
+
+
+def reference_keys(pairs, sizes):
+    """``canonical_keys`` by brute force (``reference_relabelings``)."""
+    keys = reference_relabelings(pairs, sizes)
     return min(key for key, _ in keys), min((key for key, ok in keys if ok), default=None)
+
+
+def test_parent_shapes_match_reference():
+    for enc, _ in unpruned_walk_parents(_gen_py, 5):
+        t = Topology.from_encoding(enc)
+        relabeled = reference_relabelings(t.gates, layering(t).sizes)
+        key = min(encoding for encoding, _ in relabeled)
+        autos = [index for index, (encoding, _) in enumerate(relabeled) if encoding == key]
+        groups = {}
+        for index, (encoding, minimal) in enumerate(relabeled):
+            if minimal:
+                groups.setdefault(encoding, []).append(index)
+        free = sum(minimal << index for index, (_, minimal) in enumerate(relabeled))
+        parent = _gen_py._Parent(_gen_py.read_topology(enc))
+        assert (parent.sizes, parent.autos, parent.key, parent.groups, parent.free) \
+            == (layering(t).sizes, autos, key, sorted(groups.items()), free), enc
+        assert _gen_py.parent_shape(enc) == parent.shape == (parent.sizes, tuple(autos), free)
 
 
 def well_layered_k5_sample(count, seed=5):

@@ -406,6 +406,13 @@ def test_count_classes_k7():
     assert count_classes(7) == 312463157
 
 
+def test_walks_of_no_gates_report_no_rounds():
+    events = []
+    assert count_classes(0, progress=events.append) == 0
+    assert generate(0, progress=events.append).count == 0
+    assert events == []
+
+
 def test_count_classes_leaves_no_cyclic_garbage():
     count_classes(5)  # the kernel's tables are built once, on first use
     gc.collect()
