@@ -20,7 +20,11 @@ children run with SRC first on PYTHONPATH and otherwise the caller's
 environment.  Linux counts in a child's peak RSS the memory of the process
 that spawned it, so the children must be spawned by a process smaller than
 they are: this one, started with ``-I -S`` and importing little, rather
-than the benchmark itself.
+than the benchmark itself.  The commands are spelt for the CLI of this
+tree, whose ``generate --k 6`` takes no confirming flag, which older trees
+asked for and this CLI refuses: fresh records of a tree older than that
+must be taken with that tree's own copy of this script and
+``bench_kernels.py``.
 """
 
 import json
@@ -41,7 +45,7 @@ COMMANDS = {
 SET_COMMANDS = {
     "generate": "from mcbound.topology import generate; generate({k})",
     "cli_generate": "import sys; from mcbound.cli import main; "
-                    "sys.exit(main(['generate', '--k', '{k}', '--out', {path!r}, '--allow-long']))",
+                    "sys.exit(main(['generate', '--k', '{k}', '--out', {path!r}]))",
     "load": "from mcbound.topology import load_topology_set; load_topology_set({path!r})",
     "load_respelt": "from mcbound.topology import load_topology_set; "
                     "load_topology_set({respelt!r})",

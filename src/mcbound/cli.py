@@ -17,12 +17,6 @@ from .topology import (_ascii_number, count_classes, generate, is_minimal, is_we
                        load_topology_set, save_topology_set)
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 2, 3: 8, 4: 88, 5: 3564, 6: 555709}
-# The long runs: generate at its cap, and the class count at its cap.
-GENERATE_LONG_K = 6
-COUNT_LONG_K = 7
-LONG_RUN_NOTE = ("generate --k 6 takes about 2-3 s and 97 MB with the pure-Python kernel "
-                 "and 1-1.8 s compiled; prove --k 7 counts 312,463,157 classes in about 2-3 s "
-                 "compiled and 9-14 s with the pure-Python kernel")
 
 
 def _integer(text):
@@ -52,7 +46,6 @@ def build_parser():
     p = sub.add_parser("generate", help="enumerate topology classes and write them to a file")
     p.add_argument("--k", type=_integer, required=True, help="gate count (1..6)")
     p.add_argument("--out", required=True, help="output topology-set file")
-    _allow_long_flag(p)
     _common_flags(p)
 
     p = sub.add_parser("table2", help="recompute the class-count table and compare "
@@ -63,9 +56,9 @@ def build_parser():
     p = sub.add_parser("prove", help="print the bound report and check the pigeonhole verdict")
     p.add_argument("--n", type=_integer, required=True, help="input arity")
     p.add_argument("--k", type=_integer, required=True, help="gate count")
-    p.add_argument("--classes", type=_integer, help="topology class count to use")
-    p.add_argument("--topologies", help="topology-set file to take the class count from")
-    _allow_long_flag(p)
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--classes", type=_integer, help="topology class count to use")
+    given.add_argument("--topologies", help="topology-set file to take the class count from")
     _common_flags(p)
 
     p = sub.add_parser("verify", help="run a brute-force cross-validation suite")
@@ -75,22 +68,21 @@ def build_parser():
                    help="cap for oracle-topologies (at most the oracle's raw enumeration cap)")
     p.add_argument("--cases", type=_integer, default=1000, help="random cases for rewrites")
     p.add_argument("--seed", type=_integer, default=42, help="seed for random cases")
-    _common_flags(p)
+    _workers_flag(p)
 
     p = sub.add_parser("eval", help="print the truth table of a circuit file")
     p.add_argument("circuit", help="circuit file in the circuit text format")
     return parser
 
 
-def _allow_long_flag(p):
-    """The flag of the two commands with a long run, ``generate`` and ``prove``."""
-    p.add_argument("--allow-long", action="store_true",
-                   help=f"permit the long runs ({LONG_RUN_NOTE})")
+def _workers_flag(p):
+    p.add_argument("--workers", type=_integer, default=1,
+                   help="parallel worker processes (default 1); never changes output")
 
 
 def _common_flags(p):
-    p.add_argument("--workers", type=_integer, default=1,
-                   help="parallel worker processes (default 1); never changes output")
+    """The flags of the commands that walk classes and report progress."""
+    _workers_flag(p)
     p.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
 
 
@@ -114,19 +106,9 @@ def _progress(args):
     return emit
 
 
-def _guard_long(args, k, long_k):
-    if k == long_k and not args.allow_long:
-        print(f"error: k={k} is a long run ({LONG_RUN_NOTE}); pass --allow-long "
-              f"to confirm", file=sys.stderr)
-        return False
-    return True
-
-
 def _cmd_generate(args):
     if args.k < 1:
         return _usage_error("--k must be at least 1")
-    if not _guard_long(args, args.k, GENERATE_LONG_K):
-        return 1
     ts = generate(args.k, workers=args.workers, progress=_progress(args))
     save_topology_set(ts, args.out)
     print(ts.count)
@@ -169,8 +151,6 @@ def _cmd_prove(args):
             return _usage_error(f"{args.topologies} holds k={ts.k} topologies, not k={args.k}")
         classes = ts.count
     else:
-        if not _guard_long(args, args.k, COUNT_LONG_K):
-            return 1
         classes = count_classes(args.k, workers=args.workers, progress=_progress(args))
     if classes < 1:
         return _usage_error("class count must be at least 1")

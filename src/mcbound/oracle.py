@@ -116,8 +116,7 @@ def _xor_at(values, mask):
     return acc
 
 
-def exhaustive_function_set(n, k, topologies, negation_normal_only=False,
-                            budget=DEFAULT_BUDGET):
+def exhaustive_function_set(n, k, topologies, negation_normal_only=False):
     """Every function computable by some circuit over the given topologies.
 
     Enumerates each gate's side sets literally (any input subset per side,
@@ -140,9 +139,9 @@ def exhaustive_function_set(n, k, topologies, negation_normal_only=False,
     per_gate = len(placements) * (1 << (2 * n))
     per_topology = per_gate ** k * (1 << (n + k + 1))
     total = per_topology * max(len(topos), 1)
-    if total > budget:
+    if total > DEFAULT_BUDGET:
         raise CapacityError(
-            f"search requires {total} circuits, budget is {budget}")
+            f"search requires {total} circuits, budget is {DEFAULT_BUDGET}")
 
     size = 1 << n
     full = (1 << size) - 1
@@ -192,14 +191,12 @@ def exhaustive_function_set(n, k, topologies, negation_normal_only=False,
     return FunctionSet(n, result)
 
 
-def verify_completeness_small(n, k, budget=DEFAULT_BUDGET):
+def verify_completeness_small(n, k):
     """True iff unrestricted circuits over all raw topologies and
     negation-normal circuits over the generated representatives compute the
     same function set."""
     raw = list(enumerate_raw_topologies(k))
-    unrestricted = exhaustive_function_set(n, k, raw, negation_normal_only=False,
-                                           budget=budget)
+    unrestricted = exhaustive_function_set(n, k, raw, negation_normal_only=False)
     reps = generate(k)
-    restricted = exhaustive_function_set(n, k, reps.members, negation_normal_only=True,
-                                         budget=budget)
+    restricted = exhaustive_function_set(n, k, reps.members, negation_normal_only=True)
     return unrestricted == restricted

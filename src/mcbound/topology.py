@@ -138,6 +138,8 @@ class TopologySet:
     def __init__(self, k, members):
         if type(k) is not int:
             raise CircuitError(f"topology set k must be an int, not {k!r}")
+        if k < 0:
+            raise CircuitError(f"topology set k must be non-negative, not {k}")
         self.k = k
         self._members = tuple(members)
         for t in self._members:

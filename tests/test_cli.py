@@ -1,12 +1,14 @@
+import argparse
 import gc
 
 import pytest
 
 from mcbound import kernel
 from mcbound.circuits import parse_circuit, parse_truth_table
-from mcbound.cli import main
+from mcbound.cli import build_parser, main
 from mcbound.errors import ParseError
-from mcbound.topology import generate, load_topology_set, parse_topology, parse_topology_set
+from mcbound.topology import (TopologySet, generate, load_topology_set, parse_topology,
+                              parse_topology_set)
 
 from conftest import MAJ4_TEXT, long_tier
 
@@ -15,6 +17,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    walk = {"--workers", "-v", "--verbose"}
+    assert flags == {
+        "generate": {"--k", "--out"} | walk,
+        "table2": {"--max-k"} | walk,
+        "prove": {"--n", "--k", "--classes", "--topologies"} | walk,
+        "verify": {"--suite", "--max-k", "--cases", "--seed", "--workers"},
+        "eval": set(),
+    }
 
 
 # --- generate ---------------------------------------------------------------
@@ -34,10 +50,16 @@ def test_generate_k0_is_usage_error(tmp_path, capsys):
     assert "usage error" in stderr
 
 
-def test_generate_k6_needs_allow_long(tmp_path, capsys):
-    code, _, stderr = run(capsys, "generate", "--k", "6", "--out", str(tmp_path / "x"))
-    assert code == 1
-    assert "--allow-long" in stderr
+def test_generate_k6_runs_with_no_flag(tmp_path, capsys, monkeypatch):
+    # stubbed, so that the test neither walks k=6 nor writes its 67 MiB file
+    calls = []
+    monkeypatch.setattr("mcbound.cli.generate",
+                        lambda k, **kw: calls.append((k, kw)) or TopologySet(k, ()))
+    monkeypatch.setattr("mcbound.cli.save_topology_set",
+                        lambda ts, path: calls.append((ts.k, path)))
+    out = str(tmp_path / "x")
+    assert run(capsys, "generate", "--k", "6", "--out", out) == (0, "0\n", "")
+    assert calls == [(6, {"workers": 1, "progress": None}), (6, out)]
 
 
 def test_generate_k7_is_refused_before_it_walks(tmp_path, capsys, monkeypatch):
@@ -46,9 +68,8 @@ def test_generate_k7_is_refused_before_it_walks(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(kernel, "get_backend", no_walk)
     out = tmp_path / "x"
-    for flags in ((), ("--allow-long",)):
-        code, _, stderr = run(capsys, "generate", "--k", "7", "--out", str(out), *flags)
-        assert code == 1 and "capped at k <= 6" in stderr and not out.exists()
+    code, _, stderr = run(capsys, "generate", "--k", "7", "--out", str(out))
+    assert code == 1 and "capped at k <= 6" in stderr and not out.exists()
 
 
 def test_generate_workers_do_not_change_output(tmp_path, capsys):
@@ -143,8 +164,8 @@ def test_table2_verbose_prints_walk_depths(capsys):
 
 def test_table2_guards(capsys):
     assert run(capsys, "table2", "--max-k", "7")[0] == 2
-    code, stdout, stderr = run(capsys, "table2", "--max-k", "6")
-    assert code == 1 and "--allow-long" not in stderr and stdout.endswith("6 506935\n")
+    code, stdout, _ = run(capsys, "table2", "--max-k", "6")
+    assert code == 1 and stdout.endswith("6 506935\n")
 
 
 def test_table2_max_k_below_one_is_usage_error(capsys):
@@ -260,19 +281,16 @@ def test_prove_refuses_long_reports_before_walking_or_loading(tmp_path, capsys, 
         (2, "", "usage error: class count must be at least 1\n")
 
 
-def test_prove_asks_for_allow_long_only_at_k7(capsys, monkeypatch):
+def test_prove_k7_counts_with_no_flag(capsys, monkeypatch):
     counted = []
     monkeypatch.setattr("mcbound.cli.count_classes",
-                        lambda k, **kw: counted.append(k) or 506935)
-    code, _, stderr = run(capsys, "prove", "--n", "7", "--k", "7")
-    assert code == 1 and "--allow-long" in stderr and counted == []
-    code, _, stderr = run(capsys, "prove", "--n", "7", "--k", "6")
-    assert "--allow-long" not in stderr and counted == [6]
-    run(capsys, "prove", "--n", "7", "--k", "7", "--allow-long")
-    assert counted == [6, 7]
+                        lambda k, **kw: counted.append(k) or 312463157)
+    code, stdout, stderr = run(capsys, "prove", "--n", "7", "--k", "7")
+    assert "topology_classes = 312463157" in stdout and stderr == ""
+    assert counted == [7]
 
 
-def test_allow_long_prints_no_progress(capsys, monkeypatch):
+def test_prove_without_verbose_prints_no_progress(capsys, monkeypatch):
     progress = []
 
     def count_classes(k, **kw):
@@ -280,9 +298,20 @@ def test_allow_long_prints_no_progress(capsys, monkeypatch):
         return 312463157
 
     monkeypatch.setattr("mcbound.cli.count_classes", count_classes)
-    _, stdout, stderr = run(capsys, "prove", "--n", "7", "--k", "7", "--allow-long")
+    _, stdout, stderr = run(capsys, "prove", "--n", "7", "--k", "7")
     assert "topology_classes = 312463157" in stdout
     assert progress == [None] and "[walk" not in stderr
+
+
+def test_prove_takes_classes_or_topologies_not_both(capsys):
+    # the file is never opened: argparse refuses the pair first
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", "--n", "7", "--k", "6", "--classes", "555709",
+              "--topologies", "/nonexistent/file"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --topologies: not allowed with argument --classes" in captured.err
 
 
 def test_prove_falls_back_to_generate(capsys):
@@ -356,6 +385,21 @@ def test_verify_checks_only_the_flags_its_suite_reads(capsys):
                  ("oracle-topologies", "--max-k", "1", "--cases", "-1")):
         code, stdout, stderr = run(capsys, "verify", "--suite", *argv)
         assert code == 0 and stderr == "" and stdout.startswith("ok: "), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--k", "3", "--out", "t.txt", "--allow-long"),
+    ("prove", "--n", "7", "--k", "3", "--allow-long"),
+    ("verify", "--suite", "m3", "--allow-long"),
+    ("verify", "--suite", "m3", "-v"),
+], ids=["generate", "prove", "verify", "verify-v"])
+def test_removed_flags_are_unrecognized(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+    assert not (tmp_path / "t.txt").exists()
 
 
 def test_verify_cases_below_one_is_usage_error(capsys):

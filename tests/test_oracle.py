@@ -102,8 +102,10 @@ def test_b3_gap_with_one_gate():
 
 
 def test_function_set_budget_error():
-    with pytest.raises(CapacityError, match="requires"):
-        exhaustive_function_set(3, 2, generate(2), budget=1000)
+    # 8 k=3 classes, each with (4 * 2^8)^3 gate wirings and 2^8 outputs
+    with pytest.raises(CapacityError,
+                       match="requires 2199023255552 circuits, budget is 268435456"):
+        exhaustive_function_set(4, 3, generate(3))
 
 
 def test_function_set_rejects_mismatched_gate_count():

@@ -68,6 +68,14 @@ def test_topology_rejects_k_that_is_not_an_int(k, gates):
         TopologySet(k, (Topology(len(gates), gates),))
 
 
+def test_topology_set_rejects_negative_k():
+    # its header would read "k=-1", which the set reader refuses
+    with pytest.raises(CircuitError, match="k must be non-negative, not -1"):
+        TopologySet(-1, ())
+    empty = TopologySet(0, ())
+    assert parse_topology_set(format_topology_set(empty)) == empty
+
+
 def test_topology_normalizes_gates():
     t = Topology(2, [[0, 0], [True, 0]])
     assert t == Topology(2, ((0, 0), (1, 0)))
