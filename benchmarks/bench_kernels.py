@@ -6,10 +6,13 @@ the sorted member rows (``generate``), and ``extend`` and ``count_extend``
 in microseconds per parent over every parent that the walk for k expands,
 each the median of PASSES passes, and reports the speedup of the compiled
 kernel on the first two.  Each pass starts with the pure-Python kernel's
-counts per parent shape (``_gen_py._COUNTS``) emptied, so that a count
-read back from an earlier pass is not taken for a faster kernel and the
-figures compare with those of packages from before that cache; its relabel
-tables and candidate rows stay warm after the first pass, as before.  Per k,
+counts per parent shape (``_gen_py._COUNTS``) and settled classes per
+settle input (``_gen_py._SETTLED``) emptied, so that a count or a settle
+read back from an earlier pass is not taken for a faster kernel, and
+``generate_s`` times a walk that settles, not one that looks its settles
+up; the figures then compare with those of packages from before those
+caches.  Its relabel tables and candidate rows stay warm after the first
+pass, as before.  Per k,
 also times ``save_topology_set`` and ``load_topology_set`` of the generated
 set, which use no kernel, the first read of ``members`` on the loaded set,
 which builds its ``Topology`` views, ``Topology.from_encoding`` in
@@ -94,17 +97,20 @@ def timed(fn, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-# the pure-Python kernel's counts per parent shape; a package from before
-# they were cached has none
+# the pure-Python kernel's counts per parent shape and settled classes per
+# settle input; a package from before they were cached has none
 COUNTS = getattr(_gen_py, "_COUNTS", {})
+SETTLED = getattr(_gen_py, "_SETTLED", {})
 
 
 def median_timed(fn, *args, **kwargs):
     """The result of the first of PASSES calls ``fn(*args, **kwargs)`` and
     the median seconds of the calls; no other result is kept.  ``COUNTS``
-    is emptied before each call, so that every pass counts cold."""
+    and ``SETTLED`` are emptied before each call, so that every pass counts
+    and settles cold."""
     def cold():
         COUNTS.clear()
+        SETTLED.clear()
         return timed(fn, *args, **kwargs)
     result, first = cold()
     return result, statistics.median([first] + [cold()[1] for _ in range(PASSES - 1)])
@@ -239,6 +245,7 @@ def expanded_parents(k, backend):
         calls += 1
         return step(enc, k)
     COUNTS.clear()
+    SETTLED.clear()
     kern.count_extend = counted
     try:
         classes = count_classes(k, backend=backend, workers=1)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mcbound import _gen_py, kernel
+from mcbound import _gen_py, kernel, topology
 from mcbound.oracle import enumerate_raw_topologies
 from mcbound.topology import (Topology, canonical_form, count_classes, gate_fault, generate,
                               is_well_layered, layering)
@@ -144,6 +144,8 @@ def unpruned_walk_parents(kern, k):
         extended = kern.extend(enc, k)
         found.append((enc, extended))
         stack += [key for key, _ in extended[2]]
+        # a child no longer than its parent would never end the walk
+        assert all(len(enc) < len(key) < 2 * k for key, _ in extended[2]), enc
     return found
 
 
@@ -173,6 +175,74 @@ def test_count_cache_matches_cold_counts():
     _gen_py._COUNTS.clear()
     assert count_classes(5, backend="python") == 3282
     assert len(_gen_py._COUNTS) == 28  # shapes among the walk's 96 parents
+
+
+def test_settle_cache_matches_cold_settles(monkeypatch):
+    def cold(run, enc, k):
+        warm = _gen_py._SETTLED, _gen_py._COUNTS
+        _gen_py._SETTLED, _gen_py._COUNTS = {}, {}
+        try:
+            return run(enc, k)
+        finally:
+            _gen_py._SETTLED, _gen_py._COUNTS = warm
+    walks = {k: [enc for enc, _ in unpruned_walk_parents(_gen_py, k)] for k in range(2, 7)}
+    # one warm cache for every k, filled in ascending k and read again in
+    # descending k, as one process may run walks for several k in either order
+    _gen_py._SETTLED.clear()
+    _gen_py._COUNTS.clear()
+    for order in (sorted(walks), sorted(walks, reverse=True)):
+        for k in order:
+            for enc in walks[k]:
+                for run in (_gen_py.extend, _gen_py.count_extend):
+                    # compared first, so that a failure prints no diff of the results
+                    same = run(enc, k) == cold(run, enc, k)
+                    assert same, (run.__name__, k, enc)
+    settles = []
+    layers = _gen_py._Parent.layers
+    monkeypatch.setattr(_gen_py._Parent, "layers",
+                        lambda parent, width: settles.append(width) or layers(parent, width))
+    _gen_py._SETTLED.clear()
+    assert len(generate(5, backend="python").members) == 3282
+    # the settle inputs among the walk's settles
+    assert len(_gen_py._SETTLED) == 40 < len(settles)
+
+
+def test_shape_lookup_and_count_build_each_parent_once(monkeypatch):
+    builds = []
+    init = _gen_py._Parent.__init__
+    monkeypatch.setattr(_gen_py._Parent, "__init__",
+                        lambda parent, gates: builds.append(gates) or init(parent, gates))
+    steps = []
+    count_extend = _gen_py.count_extend
+    monkeypatch.setattr(_gen_py, "count_extend", lambda enc, k: steps.append(enc)
+                        or count_extend(enc, k))
+    shapes = []
+    parent_shape = topology.parent_shape
+    monkeypatch.setattr(topology, "parent_shape", lambda enc: shapes.append(enc)
+                        or parent_shape(enc))
+    assert count_classes(5, backend="python") == 3282
+    built, stepped, looked = len(builds), len(steps), list(shapes)
+    # a shape already walked is looked up and not extended
+    looked_up = len(looked) - len(set(map(_gen_py.parent_shape, looked)))
+    assert (stepped, len(looked), looked_up) == (66, 8, 3)
+    assert built == stepped + looked_up
+
+
+def test_a_shaped_parent_serves_only_its_own_next_step():
+    first, second = bytes(6), bytes.fromhex("000000010002")
+    expected = {enc: (_gen_py.extend(enc, 5), _gen_py.count_extend(enc, 5))
+                for enc in (first, second)}
+    _gen_py.parent_shape(first)
+    assert _gen_py.extend(second, 5) == expected[second][0]
+    assert _gen_py._SHAPED == [b"", None]
+    _gen_py.parent_shape(first)
+    _gen_py.parent_shape(second)
+    assert _gen_py.count_extend(first, 5) == expected[first][1]
+    _gen_py.parent_shape(second)
+    assert _gen_py.count_extend(second, 5) == expected[second][1]
+    with pytest.raises(ValueError):
+        _gen_py.extend(second, 8)
+    assert _gen_py._SHAPED == [b"", None]
 
 
 def test_compiled_count_extend_matches_extend_on_unpruned_parents_at_k6(gen_c):
@@ -433,7 +503,9 @@ def test_relabel_tables_are_bounded_by_compositions():
 
 def test_candidate_lists_are_cached_tuples_and_bounded():
     _gen_py._candidates.cache_clear()
-    _gen_py._ROWS.clear()  # cached rows would spare the walk its candidate lists
+    # cached rows or settles would spare the walk its candidate lists
+    _gen_py._ROWS.clear()
+    _gen_py._SETTLED.clear()
     count_classes(5, backend="python")
     # one entry per (q, last layer) met, q <= 4 at k=5
     assert 0 < _gen_py._candidates.cache_info().currsize <= 30
@@ -448,6 +520,7 @@ def test_candidate_lists_are_cached_tuples_and_bounded():
 
 def test_candidate_rows_are_cached_images_of_their_tables():
     _gen_py._ROWS.clear()
+    _gen_py._SETTLED.clear()  # cached settles would spare the walk its rows
     generate(5, backend="python")
     assert _gen_py._ROWS
     for (sizes, index), (row, free, flags) in _gen_py._ROWS.items():
@@ -463,6 +536,7 @@ def test_candidate_rows_are_cached_images_of_their_tables():
 
 def test_candidate_rows_are_bounded_by_tables():
     _gen_py._ROWS.clear()
+    _gen_py._SETTLED.clear()  # cached settles would spare the walk its rows
     count_classes(5, backend="python")
     assert _gen_py._ROWS
     for sizes, index in _gen_py._ROWS:
