@@ -6,9 +6,10 @@ the sorted member rows (``generate``), and ``extend`` and ``count_extend``
 in microseconds per parent over every parent that the walk for k expands,
 each the median of PASSES passes, and reports the speedup of the compiled
 kernel on the first two.  Each pass starts with the pure-Python kernel's
-counts per parent shape (``_gen_py._COUNTS``) and settled classes per
-settle input (``_gen_py._SETTLED``) emptied, so that a count or a settle
-read back from an earlier pass is not taken for a faster kernel, and
+counts per parent shape (``_gen_py._COUNTS``), settled classes per settle
+input (``_gen_py._SETTLED``) and child shapes per parent shape
+(``_gen_py._CHILDREN``) emptied, so that a count, a settle or a child
+shape read back from an earlier pass is not taken for a faster kernel, and
 ``generate_s`` times a walk that settles, not one that looks its settles
 up; the figures then compare with those of packages from before those
 caches.  Its relabel tables and candidate rows stay warm after the first
@@ -46,8 +47,8 @@ With ``--counts-only`` it records, instead of all of the above, the class
 count alone per k up to ``--max-k``, which may then be 7, and per backend:
 the median seconds and peak RSS of PASSES fresh interpreters that run
 ``count_classes`` with that kernel as the default, and the number of
-parents that the walk expands, its ``count_extend`` calls, counted through
-a wrapper in this process.
+kernel count steps of its walk, one ``count_extend`` call per distinct
+parent shape, counted through a wrapper in this process (``steps``).
 
 ``--json PATH`` also appends the run, as one record, to the JSON list in
 PATH (a new file holds just that record): every figure printed, the
@@ -97,20 +98,23 @@ def timed(fn, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-# the pure-Python kernel's counts per parent shape and settled classes per
-# settle input; a package from before they were cached has none
+# the pure-Python kernel's counts per parent shape, settled classes per
+# settle input and child shapes per parent shape; a package from before they
+# were cached has none
 COUNTS = getattr(_gen_py, "_COUNTS", {})
 SETTLED = getattr(_gen_py, "_SETTLED", {})
+CHILDREN = getattr(_gen_py, "_CHILDREN", {})
 
 
 def median_timed(fn, *args, **kwargs):
     """The result of the first of PASSES calls ``fn(*args, **kwargs)`` and
-    the median seconds of the calls; no other result is kept.  ``COUNTS``
-    and ``SETTLED`` are emptied before each call, so that every pass counts
-    and settles cold."""
+    the median seconds of the calls; no other result is kept.  ``COUNTS``,
+    ``SETTLED`` and ``CHILDREN`` are emptied before each call, so that every
+    pass counts, settles and derives child shapes cold."""
     def cold():
         COUNTS.clear()
         SETTLED.clear()
+        CHILDREN.clear()
         return timed(fn, *args, **kwargs)
     result, first = cold()
     return result, statistics.median([first] + [cold()[1] for _ in range(PASSES - 1)])
@@ -232,10 +236,11 @@ def fresh_passes(*args):
             for name, figures in runs[0].items()}
 
 
-def expanded_parents(k, backend):
+def count_steps(k, backend):
     """``count_classes(k)`` with the kernel ``backend``, cold, and the
-    number of parents its walk expands: the calls of the kernel's
-    ``count_extend``, counted through a wrapper put in its place."""
+    number of its kernel count steps, one per distinct parent shape: the
+    calls of the kernel's ``count_extend``, counted through a wrapper put in
+    its place."""
     kern = kernel.get_backend(backend)
     step = kern.count_extend
     calls = 0
@@ -246,6 +251,7 @@ def expanded_parents(k, backend):
         return step(enc, k)
     COUNTS.clear()
     SETTLED.clear()
+    CHILDREN.clear()
     kern.count_extend = counted
     try:
         classes = count_classes(k, backend=backend, workers=1)
@@ -255,17 +261,17 @@ def expanded_parents(k, backend):
 
 
 def count_rows(max_k, backends):
-    """Per k up to ``max_k`` and per backend, the class count, the parents
-    its walk expands (``expanded_parents``) and the figures of PASSES fresh
+    """Per k up to ``max_k`` and per backend, the class count, its kernel
+    count steps (``count_steps``) and the figures of PASSES fresh
     interpreters that count with that kernel (``startup.py count``)."""
     rows = []
     for k in range(1, max_k + 1):
         for backend in backends:
-            classes, parents = expanded_parents(k, backend)
+            classes, steps = count_steps(k, backend)
             figures = fresh_passes("count", k, backend)["count_classes"]
-            rows.append({"k": k, "backend": backend, "classes": classes, "parents": parents,
+            rows.append({"k": k, "backend": backend, "classes": classes, "steps": steps,
                          "fresh": figures})
-            print(f"{k:>2} {backend:>6} {classes:>11} {parents:>9} "
+            print(f"{k:>2} {backend:>6} {classes:>11} {steps:>9} "
                   f"{figures['seconds']:>8.3f}s ({figures['seconds_min']:.3f}-"
                   f"{figures['seconds_max']:.3f}) {figures['peak_rss_mb']:>6.1f}MB", flush=True)
     return rows
@@ -325,7 +331,7 @@ def main():
                         help="also append the run as a JSON record to PATH")
     parser.add_argument("--counts-only", action="store_true",
                         help="record only the class count per k and backend, in fresh "
-                             "interpreters, with the parents its walk expands")
+                             "interpreters, with the kernel count steps of its walk")
     args = parser.parse_args()
     if args.max_k > (7 if args.counts_only else 6):
         parser.error("--max-k is at most 6, or 7 with --counts-only")
@@ -335,7 +341,7 @@ def main():
     if "c" not in backends:
         print("note: compiled kernel not built, timing the fallback only")
     if args.counts_only:
-        print(f"{'k':>2} {'kernel':>6} {'classes':>11} {'parents':>9} "
+        print(f"{'k':>2} {'kernel':>6} {'classes':>11} {'steps':>9} "
               f"fresh count_classes, median (min-max) of {PASSES}, peak RSS")
         counts = count_rows(args.max_k, backends)
         if args.json:

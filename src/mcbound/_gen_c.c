@@ -293,8 +293,9 @@ least_under_first(const unsigned short *codes, int ncand, relabeling *const *aut
    followed by sorting the new layer.  Appends each partial child's
    (key_any, key_min) to the list out.  Of the full children (those of k
    gates), counts[0] counts all, and no key_any is built: their key_min
-   goes to the list keys, or when keys is NULL, counts[1] counts those that
-   have one and no key is built. */
+   goes to the list keys.  When keys is NULL, as _gen_py.count_extend, only
+   the full children are walked, counts[1] counts those that have a key_min
+   and no key is built. */
 static int
 add_children(PyObject *out, PyObject *keys, Py_ssize_t *counts, const topo *parent, int k,
              const int *cand_left, const int *cand_right, int ncand)
@@ -351,7 +352,7 @@ add_children(PyObject *out, PyObject *keys, Py_ssize_t *counts, const topo *pare
         }
     }
 
-    for (width = 1; width <= k - parent->q; width++) {
+    for (width = keys == NULL ? k - parent->q : 1; width <= k - parent->q; width++) {
         int full = width == k - parent->q;
         memset(idx, 0, sizeof idx);
         for (;;) {
@@ -362,7 +363,7 @@ add_children(PyObject *out, PyObject *keys, Py_ssize_t *counts, const topo *pare
             if (!least_under_first(codes, ncand, autos, nautos, idx, width, best))
                 goto next;
             counts[0] += full;
-            if (full && keys == NULL) {
+            if (keys == NULL) {
                 /* a key_min exists exactly when some minimal relabeling
                    leaves every new gate minimal too */
                 for (g = 0; g < nmins; g++) {
@@ -432,8 +433,8 @@ done:
 
 /* extend(enc, k) when keep is 1, else count_extend(enc, k): the shared
    checks, the parent read by read_topology, its candidate gates, then
-   add_children.  Returns (full, keys, partials), or (full, full_min,
-   partials) when keep is 0, with keys and partials sorted. */
+   add_children.  Returns (full, keys, partials), with keys and partials
+   sorted, or (full, full_min) when keep is 0. */
 static PyObject *
 children(PyObject *args, const char *format, int keep)
 {
@@ -460,9 +461,7 @@ children(PyObject *args, const char *format, int keep)
     last = read_topology(&enc, &parent);
     if (last < 0)
         goto done;
-    partials = PyList_New(0);
-    keys = keep ? PyList_New(0) : NULL;
-    if (partials == NULL || (keep && keys == NULL))
+    if (keep && ((partials = PyList_New(0)) == NULL || (keys = PyList_New(0)) == NULL))
         goto done;
     q = parent.q;
 
@@ -486,10 +485,10 @@ children(PyObject *args, const char *format, int keep)
 
     if ((ncand && add_children(partials, keys, counts, &parent, k, cand_left, cand_right,
                                ncand) < 0)
-        || PyList_Sort(partials) < 0 || (keep && PyList_Sort(keys) < 0))
+        || (keep && (PyList_Sort(partials) < 0 || PyList_Sort(keys) < 0)))
         goto done;
     result = keep ? Py_BuildValue("(nOO)", counts[0], keys, partials)
-                  : Py_BuildValue("(nnO)", counts[0], counts[1], partials);
+                  : Py_BuildValue("(nn)", counts[0], counts[1]);
 done:
     Py_XDECREF(partials);
     Py_XDECREF(keys);
@@ -515,8 +514,8 @@ extend(PyObject *self, PyObject *args)
 
 PyDoc_STRVAR(count_extend_doc,
 "count_extend(enc, k)\n--\n\n"
-"(full, full_min, partials): extend(enc, k) with full_min, the number of\n"
-"its keys, in place of the keys.  No full child's key is built.");
+"(full, full_min): of extend(enc, k), the number of full children and the\n"
+"number of their keys.  No key is built.");
 
 static PyObject *
 count_extend(PyObject *self, PyObject *args)

@@ -17,25 +17,25 @@ parent's children.  Candidate new gates are listed once per parent shape,
 and each relabel table maps the list to a row of gate codes, built on the
 table's first use and cached (``_rows``).  The classes of children with a
 new layer of any width, one combination of candidates for each
-(``_Parent.representatives``), are keyed all at once by element-wise
-minima of the layers that those rows give (``_layers``), and one pass,
-``_Parent.layers``, settles each class's key_min group by group.
-``extend`` and ``count_extend`` key the partial children alike and differ
-only in the children that complete k gates: ``extend`` keeps their key_min
-encodings, ``count_extend`` counts them and settles no class, since the
-cached fault-free flags of the parent's rows tell which have a key_min.
-That count reads only the parent's shape (``parent_shape``): its layer
-sizes, its automorphisms and its fault-free tables, so it is made once per
-shape and width and cached (``_COUNTS``).  The walks for k=5, 6 and 7 meet
-28, 126 and 749 shapes.  A settle reads only the layer sizes, the
-automorphism indices, the groups' table indices in key order and the width;
-the group keys are only prefixes of the key_mins.  So ``_Parent.layers``
-settles each such input once and caches each class's group position and
-packed layers (``_SETTLED``), from which ``children`` and ``full_keys``
-build the keys by concatenation, already in key order.  The 3,489 settles
-of ``generate(6)`` have 191 inputs, which the cache then holds in 0.42 MB
-(tracemalloc).  The parent that ``parent_shape`` builds is kept in one slot
-for the ``extend`` or ``count_extend`` that may follow (``_SHAPED``).
+(``_representatives``), are keyed all at once by element-wise minima of the
+layers that those rows give (``_layers``), and one pass, ``_Parent.layers``,
+settles each class's key_min group by group.  ``extend`` keys every child;
+``count_extend`` only counts the children that complete k gates, and
+settles no class, since the cached fault-free flags of the parent's rows
+tell which have a key_min.  That count reads only the parent's shape
+(``parent_shape``): its layer sizes, its automorphisms and its fault-free
+tables, so it is made once per shape and width and cached (``_COUNTS``).
+The walks for k=5, 6 and 7 meet 28, 126 and 749 shapes.  A child's shape
+follows from its parent's shape and its new gates, so ``child_shapes``
+derives the shapes of a parent's partial children with no key built, and
+the class count walks shapes (``topology.count_classes``).  A settle reads
+only the layer sizes, the automorphism indices, the groups' table indices
+in key order and the width; the group keys are only prefixes of the
+key_mins.  So ``_Parent.layers`` settles each such input once and caches
+each class's group position and packed layers (``_SETTLED``), from which
+``children`` and ``full_keys`` build the keys by concatenation, already in
+key order.  The 3,489 settles of ``generate(6)`` have 191 inputs, which the
+cache then holds in 0.42 MB (tracemalloc).
 """
 
 from __future__ import annotations
@@ -178,10 +178,11 @@ _COUNTS: dict[tuple, tuple[int, int]] = {}
 # class, of at most 6 gates, so the cache is bounded whatever the input.
 _SETTLED: dict[tuple, tuple] = {}
 
-# The ``_Parent`` that ``parent_shape`` built last and its encoding, for the
-# ``extend`` or ``count_extend`` of that parent that may follow.  It is one
-# slot, which the next of those calls empties, so it holds one parent at most.
-_SHAPED = [b"", None]
+# ``child_shapes``' result per parent shape and width, filled on first use.
+# A key is fixed by its parent's class, of at most 6 gates, so the cache is
+# bounded whatever the input: the count walks for k=5, 6 and 7 fill 12, 40
+# and 166 entries.
+_CHILDREN: dict[tuple, tuple] = {}
 
 
 def _least(rows):
@@ -305,7 +306,7 @@ def _rows(sizes, index):
 
 def _layers(row, reps, width):
     """The new layer that ``row``, a row of candidate codes, gives each class
-    in ``reps`` (``_Parent.representatives``): one gate's code, or the
+    in ``reps`` (``_representatives``): one gate's code, or the
     sorted codes of more gates, or ``_FAULTY`` when one of them is
     ``_FAULT``, which is looked for before sorting."""
     if width == 1:
@@ -321,6 +322,27 @@ def _layer_format(width):
     function that gives a layer's bytes."""
     pack = struct.Struct(f">{width}H").pack
     return (_FAULT, pack) if width == 1 else (_FAULTY, lambda layer: pack(*layer))
+
+
+def _representatives(rows, width):
+    """The classes of the children with ``width`` new gates of a parent
+    whose automorphisms give ``rows``, their rows of candidate codes: one
+    combination of that many candidate indices, with repetition, for each,
+    the one that the first automorphism maps to the least new layer over
+    the class, a bare index for one gate.  A relabeling maps distinct
+    multisets of candidates to distinct multisets of codes, so each class
+    has exactly one, and no table of the keys seen is needed."""
+    first, *rest = rows
+    if width == 1:
+        return compress(count(), map(eq, first, _least(rows))) if rest else range(len(first))
+    combos = combinations_with_replacement(range(len(first)), width)
+    if not rest:
+        return combos
+
+    def least_under_first(combo):
+        layer = sorted(map(first.__getitem__, combo))
+        return all(layer <= sorted(map(row.__getitem__, combo)) for row in rest)
+    return filter(least_under_first, combos)
 
 
 class _Parent:
@@ -364,27 +386,6 @@ class _Parent:
         """Each automorphism's row of candidate codes."""
         return [_rows(self.sizes, index)[0] for index in self.autos]
 
-    def representatives(self, width):
-        """The classes of the children with ``width`` new gates, one
-        combination of that many candidate indices, with repetition, for
-        each: the one that the first automorphism maps to the least new
-        layer over the class, a bare index for one gate.  A relabeling maps
-        distinct multisets of candidates to distinct multisets of codes, so
-        each class has exactly one, and no table of the keys seen is
-        needed."""
-        rows = self.auto_rows
-        first, *rest = rows
-        if width == 1:
-            return compress(count(), map(eq, first, _least(rows))) if rest else range(len(first))
-        combos = combinations_with_replacement(range(len(first)), width)
-        if not rest:
-            return combos
-
-        def least_under_first(combo):
-            layer = sorted(map(first.__getitem__, combo))
-            return all(layer <= sorted(map(row.__getitem__, combo)) for row in rest)
-        return filter(least_under_first, combos)
-
     @cached_property
     def group_indices(self):
         """The table indices of each group, in key order, as a tuple of
@@ -395,7 +396,7 @@ class _Parent:
     def layers(self, width):
         """The children with ``width`` new gates, all at once, as ``(full,
         positions, mins, anys)``: the number of their classes
-        (``representatives``); for each class that has a key_min, in key_min
+        (``_representatives``); for each class that has a key_min, in key_min
         order, the position in ``groups`` of the group whose key begins it,
         and the new layer that ends it, packed into the bytes ``mins``; and
         each class's new layer under the first automorphism, which ends its
@@ -419,7 +420,7 @@ class _Parent:
         entry = _SETTLED.get(settle)
         if entry is not None:
             return entry
-        reps = list(self.representatives(width))
+        reps = list(_representatives(self.auto_rows, width))
         fault, pack = _layer_format(width)
         settled = [None] * len(reps)
         todo = range(len(reps))
@@ -475,7 +476,7 @@ class _Parent:
 
         So the count reads only the layer sizes, which fix the candidates
         and every row; the automorphisms, which fix the classes
-        (``representatives``); and the tables that leave the parent
+        (``_representatives``); and the tables that leave the parent
         fault-free, ``free``, the union of the groups, which fix the flags.
         The groups' keys and order decide which key_min a class gets, not
         whether it gets one, so ``shape`` holds no more.
@@ -485,16 +486,17 @@ class _Parent:
         if counted is not None:
             return counted
         flags = {_rows(self.sizes, index)[2] for index in _selected(count(), self.free)}
-        size = len(self.auto_rows[0])
+        rows = self.auto_rows
+        size = len(rows[0])
         if width == 1:
-            reps = list(self.representatives(1))
+            reps = list(_representatives(rows, 1))
             free = reduce(or_, (int.from_bytes(row, "big") for row in flags), 0)
             counted = len(reps), sum(map(free.to_bytes(size, "big").__getitem__, reps))
         else:
             masks = [int.from_bytes(bytes(column), "little")
                      for column in zip(*flags)] or [0] * size
             full = full_min = 0
-            for combo in self.representatives(width):
+            for combo in _representatives(rows, width):
                 full += 1
                 full_min += reduce(and_, map(masks.__getitem__, combo)) != 0
             counted = full, full_min
@@ -513,46 +515,75 @@ def parent_shape(enc):
     """The shape of the parent ``enc`` (``_Parent.shape``): its layer
     sizes, the indices of its automorphisms, and the int mask of the
     relabel tables that leave it fault-free."""
-    parent = _Parent(read_topology(enc))
-    _SHAPED[:] = bytes(enc), parent
-    return parent.shape
+    return _Parent(read_topology(enc)).shape
 
 
-def _children(enc, k, last):
-    """For a parent ``enc`` of q gates, ``(*last(parent, k - q), partials)``:
-    what ``_Parent.full_keys`` or ``_Parent.count_full`` gives for the full
-    children (those of k gates), then the partial children as sorted
-    ``(key_any, key_min)`` pairs; None when q >= k.
+def child_shapes(shape, width):
+    """The children with ``width`` new gates of a parent of ``shape`` that
+    is its own least encoding, as ``(kept, pruned)``: per distinct shape of
+    the children that have a key_min, ``(shape, times, layer)``, with the
+    number of their classes and the packed new layer that ends the first
+    one's key_any; and the number of classes without a key_min.  No key is
+    built, and each result is cached per shape and width (``_CHILDREN``).
 
-    The keys equal ``canonical_keys`` of each child, but the relabelings are
-    searched once per parent (``_Parent``): new gates reference only old
-    gates, so a child's relabeling is a relabeling of the parent followed by
-    a permutation of the new layer, which can only sort it, and a new gate's
-    fault does not depend on that permutation.
+    A parent P that is its own least encoding has the identity, table 0, as
+    its first automorphism, so the class C of candidates
+    (``_representatives``) has the key_any P + L, where L, the sorted
+    layer that the first row gives C, is C itself in gate order.  That
+    child, P with C appended in that order, has the layer sizes ``sizes +
+    (width,)``, and its tables are the pairs (t, s) of a table t of P and a
+    permutation s of the new layer, indexed ``t * width! + s`` in
+    ``_relabel_tables``' product order.  (t, s) gives the least encoding,
+    P + L, exactly when t is an automorphism of P and s puts ``row_t[C]``
+    in the order of L, since no encoding of P is below P and, t being one,
+    no new layer below L (C is its class's representative).  (t, s) leaves
+    every gate fault-free exactly when t is in ``free`` and the flags of t
+    (``_rows``) are 1 on all of C, whatever s.  So the child's shape, and
+    whether it has a key_min, follow from P's shape and C, and the child is
+    again its own least encoding."""
+    known = _CHILDREN.get((shape, width))
+    if known is not None:
+        return known
+    sizes, autos, free = shape
+    rows = [_rows(sizes, index)[0] for index in autos]
+    orders = list(permutations(range(width)))
+    block = len(orders)  # child tables per parent table
+    # per candidate, the child tables whose parent table leaves it fault-free
+    frees = [0] * len(rows[0])
+    for index in _selected(count(), free):
+        for candidate in compress(count(), _rows(sizes, index)[2]):
+            frees[candidate] |= ((1 << block) - 1) << index * block
+    kept = {}
+    pruned = 0
+    for combo in _representatives(rows, width):
+        gates = sorted(combo, key=rows[0].__getitem__) if width > 1 else [combo]
+        child_free = reduce(and_, map(frees.__getitem__, gates))
+        if not child_free:
+            pruned += 1
+            continue
+        layer = list(map(rows[0].__getitem__, gates))
+        child_autos = []
+        for index, row in zip(autos, rows):
+            image = list(map(row.__getitem__, gates))
+            if sorted(image) == layer:
+                child_autos += [index * block + at for at, order in enumerate(orders)
+                                if all(map(eq, map(layer.__getitem__, order), image))]
+        child = sizes + (width,), tuple(child_autos), child_free
+        kept.setdefault(child, [child, 0, struct.pack(f">{width}H", *layer)])[1] += 1
+    known = _CHILDREN[shape, width] = tuple(map(tuple, kept.values())), pruned
+    return known
 
-    The children of each width are keyed all at once by element-wise
-    minima over rows of relabeled candidate codes (``_Parent.layers``).  A
-    row depends only on the layer sizes and the table, so each is built
-    once, when a parent first uses its table, and kept as a 16-bit array.
-    A parent that ``parent_shape`` has just built (``_SHAPED``) is not
-    built again.
-    """
-    shaped, parent = _SHAPED
-    _SHAPED[:] = b"", None
+
+def _parent(enc, k):
+    """The ``_Parent`` of ``enc`` for an extension to k gates, None when it
+    has k gates or more, after the checks that ``extend`` and
+    ``count_extend`` share."""
     if len(enc) < 2:
         raise ValueError("cannot extend an empty topology")
     if k > MAX_GATES:
         raise ValueError(f"kernel supports at most {MAX_GATES} gates, got k={k}")
-    gates = None if shaped == enc else read_topology(enc)
-    q = len(enc) // 2
-    if q >= k:
-        return None
-    if gates is not None:
-        parent = _Parent(gates)
-    partials = []
-    for width in range(1, k - q):
-        partials += parent.children(width)
-    return (*last(parent, k - q), sorted(partials))
+    gates = read_topology(enc)
+    return None if len(enc) // 2 >= k else _Parent(gates)
 
 
 def extend(enc, k):
@@ -566,12 +597,28 @@ def extend(enc, k):
     key_min)`` pairs.  key_any identifies the class, and key_min is the
     least encoding whose gates all satisfy the minimality conditions (None
     when the class has none).  No full child's key_any is built.
+
+    The keys equal ``canonical_keys`` of each child, but the relabelings are
+    searched once per parent (``_Parent``): new gates reference only old
+    gates, so a child's relabeling is a relabeling of the parent followed by
+    a permutation of the new layer, which can only sort it, and a new gate's
+    fault does not depend on that permutation.  The children of each width
+    are keyed all at once by element-wise minima over rows of relabeled
+    candidate codes (``_Parent.layers``).  A row depends only on the layer
+    sizes and the table, so each is built once, when a parent first uses
+    its table, and kept as a 16-bit array.
     """
-    return _children(enc, k, _Parent.full_keys) or (0, [], [])
+    parent = _parent(enc, k)
+    if parent is None:
+        return 0, [], []
+    width = k - len(enc) // 2
+    return (*parent.full_keys(width),
+            sorted(chain.from_iterable(map(parent.children, range(1, width)))))
 
 
 def count_extend(enc, k):
-    """``(full, full_min, partials)``: ``extend(enc, k)`` with ``full_min``,
-    the number of its keys, in place of the keys.  It raises the same
-    ValueErrors, and builds no full child's key."""
-    return _children(enc, k, _Parent.count_full) or (0, 0, [])
+    """``(full, full_min)``: of ``extend(enc, k)``, the number of full
+    children and the number of their keys.  It raises the same ValueErrors,
+    and builds no key (``_Parent.count_full``)."""
+    parent = _parent(enc, k)
+    return (0, 0) if parent is None else parent.count_full(k - len(enc) // 2)

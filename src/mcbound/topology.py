@@ -9,10 +9,10 @@ import struct
 from collections import namedtuple
 from functools import cache, partial
 from itertools import chain, islice, product
-from operator import add, countOf, sub
+from operator import add, countOf
 
 from . import kernel
-from ._gen_py import gate_fault, layer_masks, parent_shape
+from ._gen_py import child_shapes, gate_fault, layer_masks, parent_shape
 from .errors import (SPACE, CapacityError, CircuitError, ContractError, ParseError, ascii_line,
                      ascii_lines)
 
@@ -242,123 +242,139 @@ def canonical_form(t):
     return Topology.from_encoding(key)
 
 
-# What a walk makes of each parent's full children, per kernel entry point,
-# as the type of its empty total: count_extend's counts of the children
-# with a key_min add up, and extend's lists of their key_min encodings join
-# into one list, so that no list per parent outlives the walk.
-_GATHERED = {"count_extend": int, "extend": list}
-
-
-def _expand(step, enc, layers, k, tally):
-    """``(found, children)`` of the parent ``enc`` of ``layers`` layers:
-    what ``step(enc, k)`` finds among its full children, and its partial
-    children that have a key_min, by key_any; its children are added to
-    ``tally`` (``_walk``)."""
-    full, found, partials = step(enc, k)
+def _descend(extend, enc, layers, k, tally, found, split=False):
+    """Add the key_min encodings of the full children at and below the
+    parent ``enc`` of ``layers`` layers (``extend(enc, k)``) to the list
+    ``found``, and its children at every depth to ``tally``; recursive, at
+    most k deep.  With ``split``, its partial children that have a key_min
+    are returned instead of walked."""
+    full, keys, partials = extend(enc, k)
+    found += keys
     children = [key_any for key_any, key_min in partials if key_min is not None]
     at = 3 * layers + 3
     tally[at] += full
     tally[at + 1] += len(children)
     tally[at + 2] += len(partials) - len(children)
-    return found, children
-
-
-def _descend(step, enc, layers, k, tally, found, memo):
-    """``found`` with what the walk finds at and below the parent ``enc``
-    added, and its children at every depth added to ``tally``; recursive,
-    at most k deep.  With a ``memo``, a parent of at most k - 2 gates, which
-    has partial children, is looked up by its shape
-    (``_gen_py.parent_shape``): a shape already walked adds its stored
-    found and tally and walks nothing, and a new one is walked and stored."""
-    if memo is not None and len(enc) // 2 <= k - 2:
-        shape = parent_shape(enc)
-        seen = memo.get(shape)
-        if seen is not None:
-            tally[:] = map(add, tally, seen[1])
-            return found + seen[0]
-        start, before = found, tally[:]
-    else:
-        shape = None
-    kept, children = _expand(step, enc, layers, k, tally)
-    found += kept
+    if split:
+        return children
     for child in children:
-        found = _descend(step, child, layers + 1, k, tally, found, memo)
-    if shape is not None:
-        memo[shape] = found - start, list(map(sub, tally, before))
-    return found
+        _descend(extend, child, layers + 1, k, tally, found)
 
 
-def _walk(roots, depth, k, backend, entry, split=False, memo=None):
-    """Depth-first class walk below the partial topologies ``roots``, which
-    all have ``depth`` layers.
+def _walk(roots, k, backend, split=False):
+    """``generate``'s depth-first class walk below the partial topologies
+    ``roots``: with ``split`` the single-layer seeds, whose partial children
+    are returned instead of walked, else such children, of two layers.
 
-    Each parent is extended by one layer and every child is walked at once.
-    No key seen is kept for later parents: removing a child's last layer
-    gives back its parent, so different parent classes never yield
-    equivalent children.  A child without a minimal relabeling is dropped,
-    full or partial, because any minimal relabeling of a descendant
-    restricts to one of its prefix.  With ``split`` the roots' partial
-    children are returned instead of walked.
-
-    ``entry`` names the kernel function that extends a parent,
-    ``"count_extend"`` or ``"extend"``: it returns ``(full, found,
-    partials)``, where found counts or lists the key_min encodings of the
-    full children, and partials are ``(key_any, key_min)`` pairs.  Returns
-    ``(found, tally, frontier)``: the parents' found added up
-    (``_GATHERED``); per layer count d, ``tally[3 * d:3 * d + 3]`` holds the
-    full keys, the kept partials and the pruned partials among the children
-    with d layers; and the partial children not walked.
-
-    A count walk can take ``memo``, a dict from parent shapes to what was
-    found and tallied at and below a parent of that shape, and then walks
-    each shape once (``_descend``).  That is exact.  Take a parent P with
-    layer sizes ``sizes``, automorphisms A and fault-free tables F, all
-    indices into its relabel tables.  Its child with the multiset C of
-    candidate new gates, w of them, has the layer sizes ``sizes + (w,)``,
-    and its tables are the pairs (t, s) of a table t of P and a permutation
-    s of the new layer, indexed ``t * w! + s`` in ``_relabel_tables``'
-    product order.  (t, s) is an automorphism of the child exactly when t
-    is in A and s sorts ``row_t[C]`` into the child's key layer, and it
-    leaves every gate fault-free exactly when t is in F and ``flags_t`` is
-    1 on all of C (``_gen_py._rows``).  The classes of children are fixed
-    by ``sizes`` and A (``representatives``).  So each child's shape, and
-    whether it is kept, follow from P's shape and C, and by induction on k
-    minus P's gate count so does every count and tally below P.  The memo
-    serves one k, which fixes every width.  ``extend`` takes none: its
-    keys differ from class to class.
+    Each parent is extended by one layer (the kernel's ``extend``) and every
+    child is walked at once.  No key seen is kept for later parents:
+    removing a child's last layer gives back its parent, so different parent
+    classes never yield equivalent children.  A child without a minimal
+    relabeling is dropped, full or partial, because any minimal relabeling
+    of a descendant restricts to one of its prefix.  Returns ``(found,
+    tally, frontier)``: the key_min encodings of the full children; per
+    layer count d, ``tally[3 * d:3 * d + 3]`` holds the full keys, the kept
+    partials and the pruned partials among the children with d layers; and
+    the partial children not walked.
     """
-    step = getattr(kernel.get_backend(backend), entry)
+    extend = kernel.get_backend(backend).extend
     tally = [0] * (3 * k + 3)
-    found = _GATHERED[entry]()
-    frontier = []
+    found, frontier = [], []
     for enc in roots:
         if split:
-            kept, children = _expand(step, enc, depth, k, tally)
-            found += kept
-            frontier += children
+            frontier += _descend(extend, enc, 1, k, tally, found, split)
         else:
-            found = _descend(step, enc, depth, k, tally, found, memo)
+            _descend(extend, enc, 2, k, tally, found)
     return found, tally, frontier
 
 
-def _classes(k, workers, backend, progress, entry):
-    """The found of ``_walk`` with the kernel function ``entry`` over every
-    class on k gates, from the single-layer seeds of 1..k-1 empty gates.
-    The caller adds the full seed of k empty gates, its own minimal form.
-    The seeds are expanded here; the subtrees below their partial children
-    are walked one by one, or shared out among spawned processes with
-    several workers, and ``progress`` hears of each finished subtree.  A
-    count shares one memo of parent shapes among the subtrees walked here,
-    and each spawned job gets its own copy of it, empty."""
+def _shape_step(count_extend, rep, shape, k):
+    """``(found, tally, children)`` of the parent ``rep`` of ``shape``: its
+    full children that have a key_min, counted by ``count_extend(rep, k)``;
+    its children tallied as ``_walk`` tallies them; and its partial children
+    that have a key_min, one ``(rep, shape, times)`` per distinct shape
+    (``_gen_py.child_shapes``)."""
+    full, found = count_extend(rep, k)
+    tally = [0] * (3 * k + 3)
+    at = 3 * len(shape[0]) + 3
+    tally[at] = full
+    children = []
+    for width in range(1, k - len(rep) // 2):
+        kept, pruned = child_shapes(shape, width)
+        tally[at + 2] += pruned
+        for child, times, layer in kept:
+            tally[at + 1] += times
+            children.append((rep + layer, child, times))
+    return found, tally, children
+
+
+def _shape_total(count_extend, rep, shape, k, memo):
+    """``(found, tally)`` at and below the parent ``rep`` of ``shape``,
+    each child shape's weighted by its number of classes; made once per
+    shape and kept in ``memo``."""
+    total = memo.get(shape)
+    if total is None:
+        found, tally, children = _shape_step(count_extend, rep, shape, k)
+        for child_rep, child, times in children:
+            child_found, child_tally = _shape_total(count_extend, child_rep, child, k, memo)
+            found += times * child_found
+            tally = [mine + times * theirs for mine, theirs in zip(tally, child_tally)]
+        total = memo[shape] = found, tally
+    return total
+
+
+def _count_walk(roots, k, backend, split=False, *, memo):
+    """``count_classes``' walk over parent shapes, with ``_walk``'s
+    ``(found, tally, frontier)``, found being a count.  With ``split`` the
+    roots are the seeds, and the frontier holds one ``(rep, shape)`` per
+    kept partial class of theirs; else the roots are such pairs, walked with
+    ``memo``, a dict from a shape to its ``_shape_total``.
+
+    The kernel is asked once per shape, for the full children
+    (``count_extend``): 0, 1, 3, 8, 28, 126 and 749 times for k = 1..7.  No
+    partial child is keyed: ``_gen_py.child_shapes`` derives the children's
+    shapes and class counts from the parent's shape, and the ``rep`` it
+    gives each is the child's key_any.  That is exact.  The seeds are their
+    own least encodings, and so, by ``child_shapes``, is every ``rep`` below
+    them, as ``child_shapes`` needs.  The kernel's count reads only the
+    parent's shape (``_gen_py._Parent.count_full``), and so does
+    ``child_shapes``, so by induction on k minus the parent's gate count
+    all that is found and tallied below a parent follows from its shape.
+    The memo serves one k, which fixes every width.
+    """
+    count_extend = kernel.get_backend(backend).count_extend
+    found, tally, frontier = 0, [0] * (3 * k + 3), []
+    for root in roots:
+        if split:
+            root_found, root_tally, children = _shape_step(count_extend, root,
+                                                           parent_shape(root), k)
+            frontier += [(rep, child) for rep, child, times in children for _ in range(times)]
+        else:
+            root_found, root_tally = _shape_total(count_extend, *root, k, memo)
+        found += root_found
+        tally[:] = map(add, tally, root_tally)
+    return found, tally, frontier
+
+
+def _classes(k, workers, backend, progress, walk):
+    """The found of ``walk``, ``_walk`` or ``_count_walk``, over every class
+    on k gates, from the single-layer seeds of 1..k-1 empty gates.  The
+    caller adds the full seed of k empty gates, its own minimal form.  The
+    seeds are expanded here; the subtrees below their partial children are
+    walked one by one, or shared out among spawned processes with several
+    workers, and ``progress`` hears of each finished subtree.  Keyword
+    arguments bound to ``walk``, such as a count's memo of shapes, are
+    shared among the subtrees walked here, and each spawned job gets its own
+    copy of them."""
     if k < 0:
         raise ValueError("gate count must be non-negative")
     if k > MAX_GENERATE_K:
         raise CapacityError(f"generation is capped at k <= {MAX_GENERATE_K}")
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
-    kern = kernel.get_backend(backend)
+    backend = kernel.get_backend(backend).BACKEND
     roots = [bytes(2 * length) for length in range(1, k)]
-    found, tally, frontier = _walk(roots, 1, k, kern.BACKEND, entry, split=True)
+    found, tally, frontier = walk(roots, k, backend, split=True)
 
     def merge(results):
         nonlocal found
@@ -368,9 +384,8 @@ def _classes(k, workers, backend, progress, entry):
             if progress:
                 progress({"phase": "subtree", "k": k, "done": done, "total": len(frontier)})
 
-    subtree = partial(_walk, depth=2, k=k, backend=kern.BACKEND, entry=entry,
-                      memo={} if entry == "count_extend" else None)
-    jobs = ([enc] for enc in frontier)
+    subtree = partial(walk, k=k, backend=backend)
+    jobs = ([entry] for entry in frontier)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
@@ -391,11 +406,11 @@ def _classes(k, workers, backend, progress, entry):
 
 def count_classes(k, *, workers=1, backend=None, progress=None):
     """Number of classes of minimal well-layered topologies on exactly k
-    gates: ``generate(k).count``, with the last layer of each parent
-    counted inside the kernel (``count_extend``), so no full class is
-    keyed, and the subtree below each parent shape walked once (``_walk``)."""
+    gates: ``generate(k).count``, with the last layer of each parent shape
+    counted inside the kernel (``count_extend``), so no full class is keyed,
+    and the subtree below each parent shape walked once (``_count_walk``)."""
     # The k empty gates form a full single-layer seed, its own minimal form.
-    return _classes(k, workers, backend, progress, "count_extend") + (k > 0)
+    return _classes(k, workers, backend, progress, partial(_count_walk, memo={})) + (k > 0)
 
 
 def generate(k, *, workers=1, backend=None, progress=None):
@@ -420,7 +435,7 @@ def generate(k, *, workers=1, backend=None, progress=None):
     if k > _MAX_KEPT_K:
         raise CapacityError(f"generate is capped at k <= {_MAX_KEPT_K}: the classes on more "
                             f"gates would not fit in memory; count_classes counts them")
-    kept = _classes(k, workers, backend, progress, "extend")
+    kept = _classes(k, workers, backend, progress, _walk)
     if k:
         kept.append(bytes(2 * k))  # the full seed, as in count_classes
     kept.sort()

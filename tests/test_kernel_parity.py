@@ -6,7 +6,9 @@ import random
 import shlex
 import subprocess
 import sysconfig
+from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
+from operator import countOf
 from pathlib import Path
 
 import pytest
@@ -62,8 +64,9 @@ def test_extend_parity(gen_c):
 def test_extend_parity_on_k7_seeds(gen_c, q):
     # q = 6 leaves room for one new gate only, under 720 automorphisms
     enc = bytes(2 * q)
-    assert _gen_py.extend(enc, 7) == gen_c.extend(enc, 7)
-    assert _gen_py.count_extend(enc, 7) == gen_c.count_extend(enc, 7)
+    full, keys, _ = extended = _gen_py.extend(enc, 7)
+    assert extended == gen_c.extend(enc, 7)
+    assert _gen_py.count_extend(enc, 7) == gen_c.count_extend(enc, 7) == (full, len(keys))
 
 
 def test_extend_parity_on_one_gate_parents_at_k6(gen_c):
@@ -118,9 +121,9 @@ def test_kernel_guards_match(gen_c):
     # a parent of k gates has no children, so no candidate gates are built
     # (seven gates would give more than 4,096 of them)
     assert gen_c.extend(bytes(14), 7) == _gen_py.extend(bytes(14), 7) == (0, [], [])
-    assert gen_c.count_extend(bytes(14), 7) == _gen_py.count_extend(bytes(14), 7) == (0, 0, [])
+    assert gen_c.count_extend(bytes(14), 7) == _gen_py.count_extend(bytes(14), 7) == (0, 0)
     assert gen_c.count_extend(b"\0\0", -2 ** 80) == _gen_py.count_extend(b"\0\0", -2 ** 80) \
-        == (0, 0, [])
+        == (0, 0)
 
 
 def test_odd_length_parent_ignores_its_last_byte(gen_c):
@@ -153,8 +156,8 @@ def unpruned_walk_parents(kern, k):
 def test_count_extend_matches_extend_on_unpruned_parents(k):
     found = unpruned_walk_parents(_gen_py, k)
     assert len(found) == {2: 1, 3: 3, 4: 11, 5: 106}[k]
-    for enc, (full, keys, partials) in found:
-        assert _gen_py.count_extend(enc, k) == (full, len(keys), partials), enc
+    for enc, (full, keys, _) in found:
+        assert _gen_py.count_extend(enc, k) == (full, len(keys)), enc
 
 
 def test_count_cache_matches_cold_counts():
@@ -207,59 +210,21 @@ def test_settle_cache_matches_cold_settles(monkeypatch):
     assert len(_gen_py._SETTLED) == 40 < len(settles)
 
 
-def test_shape_lookup_and_count_build_each_parent_once(monkeypatch):
-    builds = []
-    init = _gen_py._Parent.__init__
-    monkeypatch.setattr(_gen_py._Parent, "__init__",
-                        lambda parent, gates: builds.append(gates) or init(parent, gates))
-    steps = []
-    count_extend = _gen_py.count_extend
-    monkeypatch.setattr(_gen_py, "count_extend", lambda enc, k: steps.append(enc)
-                        or count_extend(enc, k))
-    shapes = []
-    parent_shape = topology.parent_shape
-    monkeypatch.setattr(topology, "parent_shape", lambda enc: shapes.append(enc)
-                        or parent_shape(enc))
-    assert count_classes(5, backend="python") == 3282
-    built, stepped, looked = len(builds), len(steps), list(shapes)
-    # a shape already walked is looked up and not extended
-    looked_up = len(looked) - len(set(map(_gen_py.parent_shape, looked)))
-    assert (stepped, len(looked), looked_up) == (66, 8, 3)
-    assert built == stepped + looked_up
-
-
-def test_a_shaped_parent_serves_only_its_own_next_step():
-    first, second = bytes(6), bytes.fromhex("000000010002")
-    expected = {enc: (_gen_py.extend(enc, 5), _gen_py.count_extend(enc, 5))
-                for enc in (first, second)}
-    _gen_py.parent_shape(first)
-    assert _gen_py.extend(second, 5) == expected[second][0]
-    assert _gen_py._SHAPED == [b"", None]
-    _gen_py.parent_shape(first)
-    _gen_py.parent_shape(second)
-    assert _gen_py.count_extend(first, 5) == expected[first][1]
-    _gen_py.parent_shape(second)
-    assert _gen_py.count_extend(second, 5) == expected[second][1]
-    with pytest.raises(ValueError):
-        _gen_py.extend(second, 8)
-    assert _gen_py._SHAPED == [b"", None]
-
-
 def test_compiled_count_extend_matches_extend_on_unpruned_parents_at_k6(gen_c):
     found = unpruned_walk_parents(gen_c, 6)
     assert len(found) == 5224
     # the unpruned class count, summed from the full children
     assert sum(extended[0] for _, extended in found) + 1 == 1353064
-    for enc, (full, keys, partials) in found:
-        assert gen_c.count_extend(enc, 6) == (full, len(keys), partials), enc
+    for enc, (full, keys, _) in found:
+        assert gen_c.count_extend(enc, 6) == (full, len(keys)), enc
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_extend_keys_are_the_sorted_full_key_mins(request, k):
     kern = request.getfixturevalue("gen_c") if k == 6 else _gen_py
-    for enc, (full, keys, partials) in unpruned_walk_parents(kern, k):
-        full_counted, full_min, partials_counted = kern.count_extend(enc, k)
-        assert (full, partials) == (full_counted, partials_counted), enc
+    for enc, (full, keys, _) in unpruned_walk_parents(kern, k):
+        full_counted, full_min = kern.count_extend(enc, k)
+        assert full == full_counted, enc
         assert len(keys) == full_min <= full, enc
         # distinct classes have distinct key_min encodings, each its own key_min
         assert keys == sorted(set(keys)), enc
@@ -292,12 +257,12 @@ def reference_extend(kern, enc, k):
 
 def reference_results(children, k):
     """``extend``'s ``(full, keys, partials)`` and ``count_extend``'s
-    ``(full, full_min, partials)`` from every child's ``(key_any,
-    key_min)``, as ``reference_extend`` lists them."""
+    ``(full, full_min)`` from every child's ``(key_any, key_min)``, as
+    ``reference_extend`` lists them."""
     full = [key_min for key_any, key_min in children if len(key_any) == 2 * k]
     keys = sorted(key for key in full if key is not None)
     partials = [child for child in children if len(child[0]) < 2 * k]
-    return (len(full), keys, partials), (len(full), len(keys), partials)
+    return (len(full), keys, partials), (len(full), len(keys))
 
 
 def walk_parents(kern, k):
@@ -345,7 +310,7 @@ def test_one_gate_count_matches_the_settled_classes():
         parent = _gen_py._Parent(_gen_py.read_topology(enc))
         full, keys, _ = _gen_py.extend(enc, len(enc) // 2 + 1)
         full_min = len(keys)
-        assert _gen_py.count_extend(enc, len(enc) // 2 + 1)[:2] == (full, full_min), enc
+        assert _gen_py.count_extend(enc, len(enc) // 2 + 1) == (full, full_min), enc
         no_group += not parent.groups and full_min == 0 < full
         flags = {_gen_py._rows(parent.sizes, index)[2]
                  for _, indices in parent.groups for index in indices}
@@ -377,9 +342,14 @@ def rounds(events):
 
 def test_compiled_count_classes_k7(gen_c, monkeypatch):
     monkeypatch.setattr(kernel, "_gen_c", gen_c)
+    steps = []
+    count_extend = gen_c.count_extend
+    monkeypatch.setattr(gen_c, "count_extend",
+                        lambda enc, k: steps.append(enc) or count_extend(enc, k))
     events = []
     assert count_classes(7, backend="c", progress=events.append) == 312463157
     assert rounds(events) == K7_ROUNDS
+    assert len(steps) == len(set(steps)) == 749  # one per shape, of 510,313 walk parents
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -393,8 +363,49 @@ def test_count_walk_memo_keeps_the_rounds_of_generate(monkeypatch, k):
     assert count_classes(k, backend="python", progress=counted.append) \
         == generate(k, backend="python", progress=generated.append).count
     assert rounds(counted) == rounds(generated)
-    # parents expanded by the count walk, against 96 and 3,378 with no memo
-    assert len(walked) == {1: 0, 2: 1, 3: 3, 4: 11, 5: 66, 6: 897}[k]
+    # the kernel counts once per parent shape, against 96 and 3,378 walk parents
+    assert len(walked) == {1: 0, 2: 1, 3: 3, 4: 8, 5: 28, 6: 126}[k]
+    assert len(set(map(_gen_py.parent_shape, walked))) == len(walked)
+
+
+def count_walk_parents(k):
+    """Each parent of the class walk for k with its ``extend(enc, k)``: the
+    seeds of 1..k-1 empty gates and every partial child with a key_min."""
+    found = []
+    stack = [bytes(2 * q) for q in range(1, k)]
+    while stack:
+        enc = stack.pop()
+        extended = _gen_py.extend(enc, k)
+        found.append((enc, extended))
+        stack += [key for key, key_min in extended[2] if key_min is not None]
+    return found
+
+
+def test_child_shapes_match_the_relabeled_children():
+    _gen_py._CHILDREN.clear()
+    parents = 0
+    for k in range(2, 7):
+        for enc, (_, _, partials) in count_walk_parents(k):
+            parents += 1
+            shape = _gen_py.parent_shape(enc)
+            assert shape[1][0] == 0, enc  # a walk parent is its own least encoding
+            for width in range(1, k - len(enc) // 2):
+                children = [(key, key_min) for key, key_min in partials
+                            if len(key) == len(enc) + 2 * width]
+                shapes = Counter(_gen_py.parent_shape(key) for key, key_min in children
+                                 if key_min is not None)
+                kept, pruned = _gen_py.child_shapes(shape, width)
+                assert {child: times for child, times, _ in kept} == shapes, (enc, width)
+                assert len(kept) == len(shapes), (enc, width)
+                assert pruned == countOf((key_min for _, key_min in children), None), enc
+                for child, _, layer in kept:
+                    # the child's representative is one of its classes' key_any
+                    assert enc + layer in dict(children), (enc, width)
+                    assert _gen_py.parent_shape(enc + layer) == child, (enc, width)
+    assert parents == 3489
+    _gen_py._CHILDREN.clear()
+    assert count_classes(5, backend="python") == 3282
+    assert len(_gen_py._CHILDREN) == 12  # parent shapes and widths of the count walk
 
 
 def test_backend_selection():
@@ -503,9 +514,9 @@ def test_relabel_tables_are_bounded_by_compositions():
 
 def test_candidate_lists_are_cached_tuples_and_bounded():
     _gen_py._candidates.cache_clear()
-    # cached rows or settles would spare the walk its candidate lists
-    _gen_py._ROWS.clear()
-    _gen_py._SETTLED.clear()
+    # cached rows, counts or child shapes would spare the walk its candidate lists
+    for cache in (_gen_py._ROWS, _gen_py._COUNTS, _gen_py._CHILDREN):
+        cache.clear()
     count_classes(5, backend="python")
     # one entry per (q, last layer) met, q <= 4 at k=5
     assert 0 < _gen_py._candidates.cache_info().currsize <= 30
@@ -535,8 +546,9 @@ def test_candidate_rows_are_cached_images_of_their_tables():
 
 
 def test_candidate_rows_are_bounded_by_tables():
-    _gen_py._ROWS.clear()
-    _gen_py._SETTLED.clear()  # cached settles would spare the walk its rows
+    # cached counts or child shapes would spare the walk its rows
+    for cache in (_gen_py._ROWS, _gen_py._COUNTS, _gen_py._CHILDREN):
+        cache.clear()
     count_classes(5, backend="python")
     assert _gen_py._ROWS
     for sizes, index in _gen_py._ROWS:

@@ -402,7 +402,12 @@ def test_generate_member_digests(k):
 def test_count_classes_matches_generate():
     for k in range(6):
         assert count_classes(k) == generate(k).count
-    assert count_classes(5, workers=2) == 3282
+    # the pool walks the same frontier of the seeds' kept child classes
+    alone, pooled = [], []
+    assert count_classes(5, progress=alone.append) == 3282
+    assert count_classes(5, workers=2, progress=pooled.append) == 3282
+    assert pooled == alone
+    assert [e["phase"] for e in alone] == ["subtree"] * 19 + ["round"] * 4
     with pytest.raises(CapacityError):
         count_classes(8)
     with pytest.raises(ValueError):
