@@ -5,15 +5,17 @@ Per backend, times the class walk alone (``count_classes``), the walk plus
 the sorted member rows (``generate``), and ``extend`` and ``count_extend``
 in microseconds per parent over every parent that the walk for k expands,
 each the median of PASSES passes, and reports the speedup of the compiled
-kernel on the first two.  Each pass starts with the pure-Python kernel's
-counts per parent shape (``_gen_py._COUNTS``), settled classes per settle
-input (``_gen_py._SETTLED``) and child shapes per parent shape
-(``_gen_py._CHILDREN``) emptied, so that a count, a settle or a child
-shape read back from an earlier pass is not taken for a faster kernel, and
-``generate_s`` times a walk that settles, not one that looks its settles
-up; the figures then compare with those of packages from before those
-caches.  Its relabel tables and candidate rows stay warm after the first
-pass, as before.  Per k,
+kernel on the first two.  Each pass starts with the class count's
+full-children counts per kernel, parent shape and width
+(``topology._FULL_COUNTS``, or the pure-Python kernel's ``_COUNTS`` in a
+package from before the count walk kept them), and the pure-Python
+kernel's settled classes per settle input (``_gen_py._SETTLED``) and child
+shapes per parent shape (``_gen_py._CHILDREN``) emptied, so that a count, a
+settle or a child shape read back from an earlier pass is not taken for a
+faster kernel, and ``generate_s`` times a walk that settles, not one that
+looks its settles up; the figures then compare with those of packages from
+before those caches.  Its relabel tables and candidate rows stay warm after
+the first pass, as before.  Per k,
 also times ``save_topology_set`` and ``load_topology_set`` of the generated
 set, which use no kernel, the first read of ``members`` on the loaded set,
 which builds its ``Topology`` views, ``Topology.from_encoding`` in
@@ -48,7 +50,12 @@ count alone per k up to ``--max-k``, which may then be 7, and per backend:
 the median seconds and peak RSS of PASSES fresh interpreters that run
 ``count_classes`` with that kernel as the default, and the number of
 kernel count steps of its walk, one ``count_extend`` call per distinct
-parent shape, counted through a wrapper in this process (``steps``).
+parent shape, counted cold through a wrapper in this process (``steps``).
+
+Either way it also records, per backend, the median microseconds of
+WARM_COUNTS repeated in-process ``count_classes(5)`` calls after a first
+one, the class count that ``prove --n 7 --k 5`` runs again and again in
+one process (``warm_count_k5_us``).
 
 ``--json PATH`` also appends the run, as one record, to the JSON list in
 PATH (a new file holds just that record): every figure printed, the
@@ -77,7 +84,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from mcbound import _gen_py, circuits, kernel
+from mcbound import _gen_py, circuits, kernel, topology
 from mcbound.randgen import random_circuit
 from mcbound.topology import (Topology, count_classes, generate, load_topology_set,
                               save_topology_set)
@@ -90,6 +97,7 @@ from calibrate import reference_seconds  # noqa: E402
 CIRCUITS = 2000
 STARTS = 21
 PASSES = 5
+WARM_COUNTS = 201
 
 
 def timed(fn, *args, **kwargs):
@@ -98,10 +106,12 @@ def timed(fn, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-# the pure-Python kernel's counts per parent shape, settled classes per
-# settle input and child shapes per parent shape; a package from before they
-# were cached has none
-COUNTS = getattr(_gen_py, "_COUNTS", {})
+# the count walk's full-children counts per kernel, parent shape and width,
+# kept by the pure-Python kernel per parent shape and width in a package from
+# before the walk kept them, and its settled classes per settle input and
+# child shapes per parent shape; a package from before they were cached has
+# none
+COUNTS = getattr(topology, "_FULL_COUNTS", getattr(_gen_py, "_COUNTS", {}))
 SETTLED = getattr(_gen_py, "_SETTLED", {})
 CHILDREN = getattr(_gen_py, "_CHILDREN", {})
 
@@ -260,6 +270,20 @@ def count_steps(k, backend):
     return classes, calls
 
 
+def warm_count_us(backends):
+    """Per backend, the median microseconds of WARM_COUNTS in-process
+    ``count_classes(5)`` calls, each timed alone, after one that fills the
+    caches; printed as well."""
+    figures = {}
+    for backend in backends:
+        count_classes(5, backend=backend)
+        figures[backend] = statistics.median(
+            timed(count_classes, 5, backend=backend)[1] for _ in range(WARM_COUNTS)) * 1e6
+    print(f"\nwarm in-process count_classes(5), median of {WARM_COUNTS}: "
+          + "  ".join(f"{b} {us:.1f}us" for b, us in figures.items()))
+    return figures
+
+
 def count_rows(max_k, backends):
     """Per k up to ``max_k`` and per backend, the class count, its kernel
     count steps (``count_steps``) and the figures of PASSES fresh
@@ -344,9 +368,10 @@ def main():
         print(f"{'k':>2} {'kernel':>6} {'classes':>11} {'steps':>9} "
               f"fresh count_classes, median (min-max) of {PASSES}, peak RSS")
         counts = count_rows(args.max_k, backends)
+        warm_counts = warm_count_us(backends)
         if args.json:
             append_record(args.json, dict(record_head(args, backends, reference_before),
-                                          counts=counts))
+                                          counts=counts, warm_count_k5_us=warm_counts))
         return
     columns = [(b, phase) for b in backends for phase in ("walk", "generate")]
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
@@ -419,9 +444,11 @@ def main():
     started = fresh(STARTS)
     for name, figures in started.items():
         print(f"{name:>28} {figures['median_s'] * 1e3:>8.1f}ms {figures['peak_rss_mb']:>6.1f}MB")
+    warm_counts = warm_count_us(backends)
     if args.json:
         append_record(args.json, dict(
             record_head(args, backends, reference_before), rows=rows, circuit_us=circuit_us,
+            warm_count_k5_us=warm_counts,
             startup=dict(started, starts=STARTS,
                          dont_write_bytecode=bool(os.environ.get("PYTHONDONTWRITEBYTECODE")))))
 

@@ -22,13 +22,16 @@ layers that those rows give (``_layers``), and one pass, ``_Parent.layers``,
 settles each class's key_min group by group.  ``extend`` keys every child;
 ``count_extend`` only counts the children that complete k gates, and
 settles no class, since the cached fault-free flags of the parent's rows
-tell which have a key_min.  That count reads only the parent's shape
+tell which have a key_min.  Past one new gate it lists no class either: it
+counts the orbits of the new layers under the parent's automorphisms by
+Burnside's lemma, from the cycles of each automorphism on the candidates
+(``_orbit_counts``).  That count reads only the parent's shape
 (``parent_shape``): its layer sizes, its automorphisms and its fault-free
-tables, so it is made once per shape and width and cached (``_COUNTS``).
-The walks for k=5, 6 and 7 meet 28, 126 and 749 shapes.  A child's shape
-follows from its parent's shape and its new gates, so ``child_shapes``
-derives the shapes of a parent's partial children with no key built, and
-the class count walks shapes (``topology.count_classes``).  A settle reads
+tables, so the class count asks for it once per shape, width and kernel
+and keeps it (``topology._count_walk``).  A child's shape follows from its
+parent's shape and its new gates, so ``child_shapes`` derives the shapes of
+a parent's partial children with no key built, and the class count walks
+shapes (``topology.count_classes``).  A settle reads
 only the layer sizes, the automorphism indices, the groups' table indices
 in key order and the width; the group keys are only prefixes of the
 key_mins.  So ``_Parent.layers`` settles each such input once and caches
@@ -45,6 +48,7 @@ from array import array
 from functools import cache, cached_property, reduce
 from itertools import (chain, combinations_with_replacement, compress, count, islice, permutations,
                        product, repeat)
+from math import comb
 from operator import and_, eq, or_
 
 BACKEND = "python"
@@ -163,13 +167,6 @@ _FAULTY = [_FAULT]
 # _TABLES is, and each holds two unsigned 16-bit arrays and one bytes.
 _ROWS: dict[tuple, tuple] = {}
 
-
-# ``_Parent.count_full``'s ``(full, full_min)`` per parent shape and width,
-# filled on first use.  The width is part of the key because the cache
-# outlives a walk: one shape has another width at another k.  A key is fixed
-# by its parent's class, of at most 6 gates, so the cache is bounded
-# whatever the input.
-_COUNTS: dict[tuple, tuple[int, int]] = {}
 
 # ``_Parent.layers``' classes per settle input, ``(layer sizes, automorphism
 # indices, group indices, width)``, filled on first use.  An entry holds the
@@ -345,6 +342,56 @@ def _representatives(rows, width):
     return filter(least_under_first, combos)
 
 
+def _orbit_counts(rows, masks, width):
+    """``(full, full_min)`` over the multisets of ``width`` candidates whose
+    relabelings under automorphisms give ``rows``: the number of their
+    orbits, ``_representatives``' classes, and of the orbits whose
+    candidates' ``masks`` have a common bit, counted by Burnside's lemma.
+
+    Row t maps candidate i to the candidate whose code in the first row is
+    ``row_t[i]``, so each row is a permutation of the candidates, and the
+    orbits number the mean, over the rows, of the multisets that a row
+    fixes.  Those are the multisets of its cycles, a cycle c used j times
+    giving j * |c| candidates, so they number ``[x^width]`` of the product
+    over the cycles of ``1 / (1 - x^|c|)``.  The sum runs over the degree
+    and the AND of the used cycles' masks at once, cycles of one length and
+    one mask as a group: m of them used j times in all give ``C(m + j - 1,
+    j)`` multisets.  Whether the candidates share a bit is the same across
+    an orbit, so the orbits that do are counted the same way."""
+    index = {code: at for at, code in enumerate(rows[0])}
+    full = full_min = 0
+    for row in rows:
+        images = list(map(index.__getitem__, row))
+        seen = bytearray(len(images))
+        groups = {}
+        for start in range(len(images)):
+            if seen[start]:
+                continue
+            length, mask, at = 0, -1, start
+            while not seen[at]:
+                seen[at] = 1
+                length += 1
+                mask &= masks[at]
+                at = images[at]
+            if length <= width:
+                groups[length, mask] = groups.get((length, mask), 0) + 1
+        # per degree, the fixed multisets so far by the AND of their masks
+        fixed = [{-1: 1}] + [{} for _ in range(width)]
+        for (length, mask), cycles in groups.items():
+            # higher degrees first, so that no group is used twice
+            for degree in range(width - length, -1, -1):
+                states = fixed[degree]
+                for used in range(1, (width - degree) // length + 1):
+                    ways = comb(cycles + used - 1, used)
+                    target = fixed[degree + used * length]
+                    for state, times in states.items():
+                        state &= mask
+                        target[state] = target.get(state, 0) + times * ways
+        full += sum(fixed[width].values())
+        full_min += sum(times for state, times in fixed[width].items() if state)
+    return full // len(rows), full_min // len(rows)
+
+
 class _Parent:
     """A parent of q gates with its relabelings searched once for all of its
     children (canonical augmentation): ``encodings`` holds each relabel
@@ -465,43 +512,30 @@ class _Parent:
 
     def count_full(self, width):
         """``(full, full_min)`` over the children with ``width`` new gates,
-        with no key built and no class settled, counted once per ``shape``
-        and width (``_COUNTS``).  A child has a key_min exactly when some
-        table that leaves the parent fault-free leaves each new gate
-        fault-free too, as the tables' cached flags tell.  One new gate's
-        class has a key_min when the OR of the flags is 1 at its candidate.
-        Wider, byte r of a candidate's integer is 1 when the r-th distinct
-        flags are, so a combination has one when the AND of its integers is
-        not 0.
+        with no key built and no class settled.  A child has a key_min
+        exactly when some table that leaves the parent fault-free leaves
+        each new gate fault-free too, as the tables' cached flags tell.  One
+        new gate's class has a key_min when the OR of the flags is 1 at its
+        candidate.  Wider, byte r of a candidate's integer is 1 when the
+        r-th distinct flags are, so a combination has one when the AND of
+        its integers is not 0, and the classes are counted by Burnside's
+        lemma, not listed (``_orbit_counts``).
 
         So the count reads only the layer sizes, which fix the candidates
         and every row; the automorphisms, which fix the classes
         (``_representatives``); and the tables that leave the parent
         fault-free, ``free``, the union of the groups, which fix the flags.
         The groups' keys and order decide which key_min a class gets, not
-        whether it gets one, so ``shape`` holds no more.
-        The walks for k=5, 6 and 7 count 28, 126 and 749 shapes."""
-        shape = self.shape, width
-        counted = _COUNTS.get(shape)
-        if counted is not None:
-            return counted
+        whether it gets one, so ``shape`` holds no more."""
         flags = {_rows(self.sizes, index)[2] for index in _selected(count(), self.free)}
         rows = self.auto_rows
         size = len(rows[0])
         if width == 1:
             reps = list(_representatives(rows, 1))
             free = reduce(or_, (int.from_bytes(row, "big") for row in flags), 0)
-            counted = len(reps), sum(map(free.to_bytes(size, "big").__getitem__, reps))
-        else:
-            masks = [int.from_bytes(bytes(column), "little")
-                     for column in zip(*flags)] or [0] * size
-            full = full_min = 0
-            for combo in _representatives(rows, width):
-                full += 1
-                full_min += reduce(and_, map(masks.__getitem__, combo)) != 0
-            counted = full, full_min
-        _COUNTS[shape] = counted
-        return counted
+            return len(reps), sum(map(free.to_bytes(size, "big").__getitem__, reps))
+        masks = [int.from_bytes(bytes(column), "little") for column in zip(*flags)] or [0] * size
+        return _orbit_counts(rows, masks, width)
 
     def full_keys(self, width):
         """``(full, keys)`` over the children with ``width`` new gates: their

@@ -288,13 +288,35 @@ def _walk(roots, k, backend, split=False):
     return found, tally, frontier
 
 
-def _shape_step(count_extend, rep, shape, k):
+# The kernel's ``count_extend`` per ``(kernel name, parent shape, width)``,
+# filled on first use.  The width is part of the key because the cache
+# outlives a count: one shape has another width at another k.  The kernel's
+# name is too, so that one kernel's count never answers for the other's.  A
+# key is fixed by its parent's class, of at most 6 gates, so the cache is
+# bounded whatever the input: a cold count for k=5, 6 or 7 fills 28, 126 or
+# 749 entries per kernel, and the counts for k = 1..7 together 915.
+_FULL_COUNTS: dict[tuple, tuple[int, int]] = {}
+
+
+@cache
+def _seed_shape(length):
+    """The shape of the seed of ``length`` empty gates, made once per
+    length, which ``_classes`` bounds by MAX_GENERATE_K."""
+    return parent_shape(bytes(2 * length))
+
+
+def _shape_step(kern, rep, shape, k):
     """``(found, tally, children)`` of the parent ``rep`` of ``shape``: its
-    full children that have a key_min, counted by ``count_extend(rep, k)``;
-    its children tallied as ``_walk`` tallies them; and its partial children
+    full children that have a key_min, counted by the kernel ``kern``'s
+    ``count_extend(rep, k)`` once per process (``_FULL_COUNTS``); its
+    children tallied as ``_walk`` tallies them; and its partial children
     that have a key_min, one ``(rep, shape, times)`` per distinct shape
     (``_gen_py.child_shapes``)."""
-    full, found = count_extend(rep, k)
+    key = kern.BACKEND, shape, k - len(rep) // 2
+    counted = _FULL_COUNTS.get(key)
+    if counted is None:
+        counted = _FULL_COUNTS[key] = kern.count_extend(rep, k)
+    full, found = counted
     tally = [0] * (3 * k + 3)
     at = 3 * len(shape[0]) + 3
     tally[at] = full
@@ -308,15 +330,15 @@ def _shape_step(count_extend, rep, shape, k):
     return found, tally, children
 
 
-def _shape_total(count_extend, rep, shape, k, memo):
+def _shape_total(kern, rep, shape, k, memo):
     """``(found, tally)`` at and below the parent ``rep`` of ``shape``,
     each child shape's weighted by its number of classes; made once per
     shape and kept in ``memo``."""
     total = memo.get(shape)
     if total is None:
-        found, tally, children = _shape_step(count_extend, rep, shape, k)
+        found, tally, children = _shape_step(kern, rep, shape, k)
         for child_rep, child, times in children:
-            child_found, child_tally = _shape_total(count_extend, child_rep, child, k, memo)
+            child_found, child_tally = _shape_total(kern, child_rep, child, k, memo)
             found += times * child_found
             tally = [mine + times * theirs for mine, theirs in zip(tally, child_tally)]
         total = memo[shape] = found, tally
@@ -330,27 +352,29 @@ def _count_walk(roots, k, backend, split=False, *, memo):
     kept partial class of theirs; else the roots are such pairs, walked with
     ``memo``, a dict from a shape to its ``_shape_total``.
 
-    The kernel is asked once per shape, for the full children
-    (``count_extend``): 0, 1, 3, 8, 28, 126 and 749 times for k = 1..7.  No
-    partial child is keyed: ``_gen_py.child_shapes`` derives the children's
-    shapes and class counts from the parent's shape, and the ``rep`` it
-    gives each is the child's key_any.  That is exact.  The seeds are their
-    own least encodings, and so, by ``child_shapes``, is every ``rep`` below
-    them, as ``child_shapes`` needs.  The kernel's count reads only the
-    parent's shape (``_gen_py._Parent.count_full``), and so does
+    The kernel is asked for the full children (``count_extend``) once per
+    shape, width and kernel in a process (``_shape_step``): in a cold
+    process 0, 1, 3, 8, 28, 126 and 749 times for k = 1..7, and not at all
+    when the same count runs again.  No partial child is keyed:
+    ``_gen_py.child_shapes`` derives the children's shapes and class counts
+    from the parent's shape, and the ``rep`` it gives each is the child's
+    key_any.  That is exact.  The seeds are their own least encodings, and
+    so, by ``child_shapes``, is every ``rep`` below them, as
+    ``child_shapes`` needs.  The kernel's count reads only the parent's
+    shape and the width (``_gen_py._Parent.count_full``), and so does
     ``child_shapes``, so by induction on k minus the parent's gate count
     all that is found and tallied below a parent follows from its shape.
     The memo serves one k, which fixes every width.
     """
-    count_extend = kernel.get_backend(backend).count_extend
+    kern = kernel.get_backend(backend)
     found, tally, frontier = 0, [0] * (3 * k + 3), []
     for root in roots:
         if split:
-            root_found, root_tally, children = _shape_step(count_extend, root,
-                                                           parent_shape(root), k)
+            root_found, root_tally, children = _shape_step(kern, root,
+                                                           _seed_shape(len(root) // 2), k)
             frontier += [(rep, child) for rep, child, times in children for _ in range(times)]
         else:
-            root_found, root_tally = _shape_total(count_extend, *root, k, memo)
+            root_found, root_tally = _shape_total(kern, *root, k, memo)
         found += root_found
         tally[:] = map(add, tally, root_tally)
     return found, tally, frontier

@@ -7,12 +7,13 @@ import shlex
 import subprocess
 import sysconfig
 from collections import Counter
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, count, permutations, product
 from operator import countOf
 from pathlib import Path
 
 import pytest
 
+from conftest import long_tier
 from mcbound import _gen_py, kernel, topology
 from mcbound.oracle import enumerate_raw_topologies
 from mcbound.topology import (Topology, canonical_form, count_classes, gate_fault, generate,
@@ -160,46 +161,52 @@ def test_count_extend_matches_extend_on_unpruned_parents(k):
         assert _gen_py.count_extend(enc, k) == (full, len(keys)), enc
 
 
-def test_count_cache_matches_cold_counts():
-    walks = {k: [enc for enc, _ in unpruned_walk_parents(_gen_py, k)] for k in range(2, 7)}
+def test_count_cache_matches_cold_counts(gen_c, monkeypatch):
+    def counted(k, backend="python"):
+        events = []
+        return count_classes(k, backend=backend, progress=events.append), rounds(events)
     cold = {}
-    for k, parents in walks.items():
-        for enc in parents:
-            _gen_py._COUNTS.clear()
-            cold[k, enc] = _gen_py.count_extend(enc, k)
+    for k in range(1, 7):
+        topology._FULL_COUNTS.clear()
+        cold[k] = counted(k)
     # one warm cache for every k, filled in ascending k and read again in
-    # descending k, as one process may run walks for several k in either order
-    _gen_py._COUNTS.clear()
-    for order in (sorted(walks), sorted(walks, reverse=True)):
-        for k in order:
-            for enc in walks[k]:
-                assert _gen_py.count_extend(enc, k) == cold[k, enc], (k, enc)
-    assert 0 < len(_gen_py._COUNTS) < sum(map(len, walks.values()))
-    _gen_py._COUNTS.clear()
-    assert count_classes(5, backend="python") == 3282
-    assert len(_gen_py._COUNTS) == 28  # shapes among the walk's 96 parents
+    # descending k, as one process may count for several k in either order
+    topology._FULL_COUNTS.clear()
+    for k in [*range(1, 7), *range(6, 0, -1)]:
+        assert counted(k) == cold[k], k
+    steps = []
+    for kern in (gen_c, _gen_py):
+        step = kern.count_extend
+        monkeypatch.setattr(kern, "count_extend", lambda enc, k, name=kern.BACKEND, step=step:
+                            steps.append(name) or step(enc, k))
+    monkeypatch.setattr(kernel, "_gen_c", gen_c)
+    assert counted(5) == cold[5] and steps == []  # a warm count asks no kernel
+    # one kernel's counts never answer for the other's
+    assert counted(5, "c") == cold[5] and steps == ["c"] * 28
+    topology._FULL_COUNTS.clear()
+    assert counted(5) == cold[5] and steps[28:] == ["python"] * 28
+    # one entry per shape among the walk's 96 parents
+    assert [backend for backend, _, _ in topology._FULL_COUNTS] == ["python"] * 28
 
 
 def test_settle_cache_matches_cold_settles(monkeypatch):
-    def cold(run, enc, k):
-        warm = _gen_py._SETTLED, _gen_py._COUNTS
-        _gen_py._SETTLED, _gen_py._COUNTS = {}, {}
+    def cold(enc, k):
+        warm = _gen_py._SETTLED
+        _gen_py._SETTLED = {}
         try:
-            return run(enc, k)
+            return _gen_py.extend(enc, k)
         finally:
-            _gen_py._SETTLED, _gen_py._COUNTS = warm
+            _gen_py._SETTLED = warm
     walks = {k: [enc for enc, _ in unpruned_walk_parents(_gen_py, k)] for k in range(2, 7)}
     # one warm cache for every k, filled in ascending k and read again in
     # descending k, as one process may run walks for several k in either order
     _gen_py._SETTLED.clear()
-    _gen_py._COUNTS.clear()
     for order in (sorted(walks), sorted(walks, reverse=True)):
         for k in order:
             for enc in walks[k]:
-                for run in (_gen_py.extend, _gen_py.count_extend):
-                    # compared first, so that a failure prints no diff of the results
-                    same = run(enc, k) == cold(run, enc, k)
-                    assert same, (run.__name__, k, enc)
+                # compared first, so that a failure prints no diff of the results
+                same = _gen_py.extend(enc, k) == cold(enc, k)
+                assert same, (k, enc)
     settles = []
     layers = _gen_py._Parent.layers
     monkeypatch.setattr(_gen_py._Parent, "layers",
@@ -318,6 +325,51 @@ def test_one_gate_count_matches_the_settled_classes():
     assert no_group and one_flag_row
 
 
+def listed_full_counts(parent, width):
+    """``count_full``'s ``(full, full_min)`` by listing the classes, one
+    combination of candidates each (``_representatives``): a class has a
+    key_min when some table that leaves the parent fault-free leaves each of
+    its candidates fault-free."""
+    flags = [_gen_py._rows(parent.sizes, index)[2]
+             for index in _gen_py._selected(count(), parent.free)]
+    full = full_min = 0
+    for combo in _gen_py._representatives(parent.auto_rows, width):
+        combo = (combo,) if width == 1 else combo
+        full += 1
+        full_min += any(all(map(row.__getitem__, combo)) for row in flags)
+    return full, full_min
+
+
+def count_walk_shapes(k):
+    """A representative per shape whose full children the count walk for k
+    counts: the seeds of 1..k-1 empty gates and every partial child that
+    ``child_shapes`` derives below them."""
+    found = {}
+    stack = [bytes(2 * q) for q in range(1, k)]
+    while stack:
+        enc = stack.pop()
+        shape = _gen_py.parent_shape(enc)
+        if shape not in found:
+            found[shape] = enc
+            stack += [enc + layer for width in range(1, k - len(enc) // 2)
+                      for _, _, layer in _gen_py.child_shapes(shape, width)[0]]
+    return found
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, pytest.param(7, marks=long_tier)])
+def test_orbit_counts_match_the_listed_classes(k):
+    found = count_walk_shapes(k)
+    assert len(found) == {2: 1, 3: 3, 4: 8, 5: 28, 6: 126, 7: 749}[k]
+    wide = 0
+    for shape, enc in found.items():
+        parent = _gen_py._Parent(_gen_py.read_topology(enc))
+        width = k - len(enc) // 2
+        assert parent.shape == shape, enc
+        assert parent.count_full(width) == listed_full_counts(parent, width), (enc, width)
+        wide += width > 1 and len(parent.autos) > 1
+    assert wide or k < 4  # some count is one of Burnside's over a group
+
+
 def test_compiled_extend_matches_reference_at_k6(gen_c, monkeypatch):
     found = walk_parents(gen_c, 6)
     assert len(found) == 3378
@@ -342,6 +394,7 @@ def rounds(events):
 
 def test_compiled_count_classes_k7(gen_c, monkeypatch):
     monkeypatch.setattr(kernel, "_gen_c", gen_c)
+    topology._FULL_COUNTS.clear()  # so that the kernel counts each shape here
     steps = []
     count_extend = gen_c.count_extend
     monkeypatch.setattr(gen_c, "count_extend",
@@ -355,6 +408,7 @@ def test_compiled_count_classes_k7(gen_c, monkeypatch):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_count_walk_memo_keeps_the_rounds_of_generate(monkeypatch, k):
     # generate walks every parent with extend and no memo of shapes
+    topology._FULL_COUNTS.clear()  # so that the kernel counts each shape here
     walked = []
     count_extend = _gen_py.count_extend
     monkeypatch.setattr(_gen_py, "count_extend",
@@ -515,7 +569,7 @@ def test_relabel_tables_are_bounded_by_compositions():
 def test_candidate_lists_are_cached_tuples_and_bounded():
     _gen_py._candidates.cache_clear()
     # cached rows, counts or child shapes would spare the walk its candidate lists
-    for cache in (_gen_py._ROWS, _gen_py._COUNTS, _gen_py._CHILDREN):
+    for cache in (_gen_py._ROWS, topology._FULL_COUNTS, _gen_py._CHILDREN):
         cache.clear()
     count_classes(5, backend="python")
     # one entry per (q, last layer) met, q <= 4 at k=5
@@ -547,7 +601,7 @@ def test_candidate_rows_are_cached_images_of_their_tables():
 
 def test_candidate_rows_are_bounded_by_tables():
     # cached counts or child shapes would spare the walk its rows
-    for cache in (_gen_py._ROWS, _gen_py._COUNTS, _gen_py._CHILDREN):
+    for cache in (_gen_py._ROWS, topology._FULL_COUNTS, _gen_py._CHILDREN):
         cache.clear()
     count_classes(5, backend="python")
     assert _gen_py._ROWS
