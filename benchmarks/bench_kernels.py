@@ -5,18 +5,15 @@ Per backend, times the class walk alone (``count_classes``), the walk plus
 the sorted member rows (``generate``), and ``extend`` and ``count_extend``
 in microseconds per parent over every parent that the walk for k expands,
 each the median of PASSES passes, and reports the speedup of the compiled
-kernel on the first two.  Each pass starts with the class count's
-full-children counts per kernel, parent shape and width
-(``topology._FULL_COUNTS``, or the pure-Python kernel's ``_COUNTS`` in a
-package from before the count walk kept them), and the pure-Python
-kernel's settled classes per settle input (``_gen_py._SETTLED``) and child
-shapes per parent shape (``_gen_py._CHILDREN``) emptied, so that a count, a
-settle or a child shape read back from an earlier pass is not taken for a
-faster kernel, and ``generate_s`` times a walk that settles, not one that
-looks its settles up; the figures then compare with those of packages from
-before those caches.  Its relabel tables and candidate rows stay warm after
-the first pass, as before.  Per k,
-also times ``save_topology_set`` and ``load_topology_set`` of the generated
+kernel on the first two.  Each pass starts with the class count's cache
+(``count_cache``) and the pure-Python kernel's settled classes per settle
+input (``_gen_py._SETTLED``) and child shapes per parent shape
+(``_gen_py._CHILDREN``) emptied, so that a count, a settle or a child
+shape read back from an earlier pass is not taken for a faster kernel,
+and ``generate_s`` times a walk that settles, not one that looks its
+settles up; the figures then compare with those of packages from before
+those caches.  Its relabel tables and candidate rows stay warm after the
+first pass, as before.  Per k, also times ``save_topology_set`` and ``load_topology_set`` of the generated
 set, which use no kernel, the first read of ``members`` on the loaded set,
 which builds its ``Topology`` views, ``Topology.from_encoding`` in
 microseconds per member, and ``canonical_keys`` in microseconds per call
@@ -106,12 +103,24 @@ def timed(fn, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-# the count walk's full-children counts per kernel, parent shape and width,
-# kept by the pure-Python kernel per parent shape and width in a package from
-# before the walk kept them, and its settled classes per settle input and
-# child shapes per parent shape; a package from before they were cached has
-# none
-COUNTS = getattr(topology, "_FULL_COUNTS", getattr(_gen_py, "_COUNTS", {}))
+def count_cache():
+    """The class count's cache in the package measured: its subtree totals
+    per kernel, parent shape and k, or in a package from before them, its
+    full-children counts per kernel, parent shape and width, or those the
+    pure-Python kernel kept per parent shape and width.  Raises SystemExit
+    when the package has none of them, since a count's figures could then
+    read a warm cache as a fast kernel."""
+    for owner, name in ((topology, "_TOTALS"), (topology, "_FULL_COUNTS"), (_gen_py, "_COUNTS")):
+        cache = getattr(owner, name, None)
+        if cache is not None:
+            return cache
+    raise SystemExit("no class count cache found to empty: topology._TOTALS, "
+                     "topology._FULL_COUNTS and _gen_py._COUNTS are all missing")
+
+
+COUNTS = count_cache()
+# the pure-Python kernel's settled classes per settle input and child shapes
+# per parent shape; a package from before they were cached has none
 SETTLED = getattr(_gen_py, "_SETTLED", {})
 CHILDREN = getattr(_gen_py, "_CHILDREN", {})
 
@@ -264,7 +273,7 @@ def count_steps(k, backend):
     CHILDREN.clear()
     kern.count_extend = counted
     try:
-        classes = count_classes(k, backend=backend, workers=1)
+        classes = count_classes(k, backend=backend)
     finally:
         kern.count_extend = step
     return classes, calls
@@ -386,8 +395,7 @@ def main():
         for k in range(1, args.max_k + 1):
             times = {}
             for backend in backends:
-                count, times[backend, "walk"] = median_timed(count_classes, k,
-                                                             backend=backend, workers=1)
+                count, times[backend, "walk"] = median_timed(count_classes, k, backend=backend)
                 ts, times[backend, "generate"] = median_timed(generate, k, backend=backend,
                                                               workers=1)
                 if ts.count != count:

@@ -28,7 +28,7 @@ Burnside's lemma, from the cycles of each automorphism on the candidates
 (``_orbit_counts``).  That count reads only the parent's shape
 (``parent_shape``): its layer sizes, its automorphisms and its fault-free
 tables, so the class count asks for it once per shape, width and kernel
-and keeps it (``topology._count_walk``).  A child's shape follows from its
+in a process (``topology._shape_total``).  A child's shape follows from its
 parent's shape and its new gates, so ``child_shapes`` derives the shapes of
 a parent's partial children with no key built, and the class count walks
 shapes (``topology.count_classes``).  A settle reads

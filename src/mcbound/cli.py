@@ -46,12 +46,13 @@ def build_parser():
     p = sub.add_parser("generate", help="enumerate topology classes and write them to a file")
     p.add_argument("--k", type=_integer, required=True, help="gate count (1..6)")
     p.add_argument("--out", required=True, help="output topology-set file")
-    _common_flags(p)
+    _workers_flag(p)
+    _verbose_flag(p)
 
     p = sub.add_parser("table2", help="recompute the class-count table and compare "
                                       "against the known values")
     p.add_argument("--max-k", type=_integer, default=5, help="largest gate count to check (<= 6)")
-    _common_flags(p)
+    _verbose_flag(p)
 
     p = sub.add_parser("prove", help="print the bound report and check the pigeonhole verdict")
     p.add_argument("--n", type=_integer, required=True, help="input arity")
@@ -59,7 +60,7 @@ def build_parser():
     given = p.add_mutually_exclusive_group()
     given.add_argument("--classes", type=_integer, help="topology class count to use")
     given.add_argument("--topologies", help="topology-set file to take the class count from")
-    _common_flags(p)
+    _verbose_flag(p)
 
     p = sub.add_parser("verify", help="run a brute-force cross-validation suite")
     p.add_argument("--suite", required=True,
@@ -80,9 +81,8 @@ def _workers_flag(p):
                    help="parallel worker processes (default 1); never changes output")
 
 
-def _common_flags(p):
-    """The flags of the commands that walk classes and report progress."""
-    _workers_flag(p)
+def _verbose_flag(p):
+    """The flag of the commands that walk classes and report progress."""
     p.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
 
 
@@ -123,7 +123,7 @@ def _cmd_table2(args):
     progress = _progress(args)
     failures = []
     for k in range(1, args.max_k + 1):
-        count = count_classes(k, workers=args.workers, progress=progress)
+        count = count_classes(k, progress=progress)
         print(f"{k} {count}")
         if count != EXPECTED_CLASS_COUNTS[k]:
             failures.append((k, count))
@@ -151,7 +151,7 @@ def _cmd_prove(args):
             return _usage_error(f"{args.topologies} holds k={ts.k} topologies, not k={args.k}")
         classes = ts.count
     else:
-        classes = count_classes(args.k, workers=args.workers, progress=_progress(args))
+        classes = count_classes(args.k, progress=_progress(args))
     if classes < 1:
         return _usage_error("class count must be at least 1")
     bounds.check_report_size(args.n, args.k, classes)

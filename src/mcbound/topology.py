@@ -288,127 +288,106 @@ def _walk(roots, k, backend, split=False):
     return found, tally, frontier
 
 
-# The kernel's ``count_extend`` per ``(kernel name, parent shape, width)``,
-# filled on first use.  The width is part of the key because the cache
-# outlives a count: one shape has another width at another k.  The kernel's
-# name is too, so that one kernel's count never answers for the other's.  A
-# key is fixed by its parent's class, of at most 6 gates, so the cache is
-# bounded whatever the input: a cold count for k=5, 6 or 7 fills 28, 126 or
-# 749 entries per kernel, and the counts for k = 1..7 together 915.
-_FULL_COUNTS: dict[tuple, tuple[int, int]] = {}
+# Each parent shape's subtree total, ``_shape_total``'s ``(found, tally)``,
+# per ``(kernel name, parent shape, k)``, filled on first use and kept for
+# the process, so that a count that runs again only adds its seeds' totals.
+# k is part of the key because it fixes the width of the shape's last layer
+# and the tally's length; the kernel's name is too, so that one kernel's
+# count never answers for the other's.  A key is fixed by its parent's
+# class, of at most 6 gates, and an entry is made by the one kernel call
+# for its key, so the cache is bounded whatever the input: a cold count for
+# k=5, 6 or 7 fills 28, 126 or 749 entries per kernel, and the counts for
+# k = 1..7 together 915.
+_TOTALS: dict[tuple, tuple[int, tuple[int, ...]]] = {}
 
 
 @cache
 def _seed_shape(length):
     """The shape of the seed of ``length`` empty gates, made once per
-    length, which ``_classes`` bounds by MAX_GENERATE_K."""
+    length, which ``_check_gate_count`` bounds by MAX_GENERATE_K."""
     return parent_shape(bytes(2 * length))
 
 
-def _shape_step(kern, rep, shape, k):
-    """``(found, tally, children)`` of the parent ``rep`` of ``shape``: its
-    full children that have a key_min, counted by the kernel ``kern``'s
-    ``count_extend(rep, k)`` once per process (``_FULL_COUNTS``); its
-    children tallied as ``_walk`` tallies them; and its partial children
-    that have a key_min, one ``(rep, shape, times)`` per distinct shape
-    (``_gen_py.child_shapes``)."""
-    key = kern.BACKEND, shape, k - len(rep) // 2
-    counted = _FULL_COUNTS.get(key)
-    if counted is None:
-        counted = _FULL_COUNTS[key] = kern.count_extend(rep, k)
-    full, found = counted
-    tally = [0] * (3 * k + 3)
-    at = 3 * len(shape[0]) + 3
-    tally[at] = full
-    children = []
-    for width in range(1, k - len(rep) // 2):
-        kept, pruned = child_shapes(shape, width)
-        tally[at + 2] += pruned
-        for child, times, layer in kept:
-            tally[at + 1] += times
-            children.append((rep + layer, child, times))
-    return found, tally, children
+def _shape_total(kern, rep, shape, k):
+    """``(found, tally)`` at and below the parent ``rep`` of ``shape``, as
+    ``_walk`` finds and tallies them, found being a count: its full
+    children that have a key_min, counted by the kernel ``kern``'s
+    ``count_extend(rep, k)``, and below its partial children that have a
+    key_min, one ``(shape, times, layer)`` per distinct shape
+    (``_gen_py.child_shapes``), each child shape's total weighted by its
+    number of classes.  Made once per kernel, shape and k in a process
+    (``_TOTALS``): 0, 1, 3, 8, 28, 126 and 749 kernel calls for k = 1..7
+    in a cold process, and none when the same count runs again.
 
-
-def _shape_total(kern, rep, shape, k, memo):
-    """``(found, tally)`` at and below the parent ``rep`` of ``shape``,
-    each child shape's weighted by its number of classes; made once per
-    shape and kept in ``memo``."""
-    total = memo.get(shape)
+    No partial child is keyed: the ``rep`` of a child is ``rep`` followed
+    by the ``layer`` that ``child_shapes`` gives, the child's key_any.  That
+    is exact.  The seeds are their own least encodings, and so, by
+    ``child_shapes``, is every ``rep`` below them, as ``child_shapes``
+    needs.  The kernel's count reads only the parent's shape and the width
+    (``_gen_py._Parent.count_full``), and so does ``child_shapes``, so by
+    induction on k minus the parent's gate count all that is found and
+    tallied below a parent follows from its shape and k, which fixes every
+    width."""
+    key = kern.BACKEND, shape, k
+    total = _TOTALS.get(key)
     if total is None:
-        found, tally, children = _shape_step(kern, rep, shape, k)
-        for child_rep, child, times in children:
-            child_found, child_tally = _shape_total(kern, child_rep, child, k, memo)
-            found += times * child_found
-            tally = [mine + times * theirs for mine, theirs in zip(tally, child_tally)]
-        total = memo[shape] = found, tally
+        full, found = kern.count_extend(rep, k)
+        tally = [0] * (3 * k + 3)
+        at = 3 * len(shape[0]) + 3
+        tally[at] = full
+        for width in range(1, k - len(rep) // 2):
+            kept, pruned = child_shapes(shape, width)
+            tally[at + 2] += pruned
+            for child, times, layer in kept:
+                tally[at + 1] += times
+                child_found, child_tally = _shape_total(kern, rep + layer, child, k)
+                found += times * child_found
+                tally = [mine + times * theirs for mine, theirs in zip(tally, child_tally)]
+        total = _TOTALS[key] = found, tuple(tally)
     return total
 
 
-def _count_walk(roots, k, backend, split=False, *, memo):
-    """``count_classes``' walk over parent shapes, with ``_walk``'s
-    ``(found, tally, frontier)``, found being a count.  With ``split`` the
-    roots are the seeds, and the frontier holds one ``(rep, shape)`` per
-    kept partial class of theirs; else the roots are such pairs, walked with
-    ``memo``, a dict from a shape to its ``_shape_total``.
-
-    The kernel is asked for the full children (``count_extend``) once per
-    shape, width and kernel in a process (``_shape_step``): in a cold
-    process 0, 1, 3, 8, 28, 126 and 749 times for k = 1..7, and not at all
-    when the same count runs again.  No partial child is keyed:
-    ``_gen_py.child_shapes`` derives the children's shapes and class counts
-    from the parent's shape, and the ``rep`` it gives each is the child's
-    key_any.  That is exact.  The seeds are their own least encodings, and
-    so, by ``child_shapes``, is every ``rep`` below them, as
-    ``child_shapes`` needs.  The kernel's count reads only the parent's
-    shape and the width (``_gen_py._Parent.count_full``), and so does
-    ``child_shapes``, so by induction on k minus the parent's gate count
-    all that is found and tallied below a parent follows from its shape.
-    The memo serves one k, which fixes every width.
-    """
-    kern = kernel.get_backend(backend)
-    found, tally, frontier = 0, [0] * (3 * k + 3), []
-    for root in roots:
-        if split:
-            root_found, root_tally, children = _shape_step(kern, root,
-                                                           _seed_shape(len(root) // 2), k)
-            frontier += [(rep, child) for rep, child, times in children for _ in range(times)]
-        else:
-            root_found, root_tally = _shape_total(kern, *root, k, memo)
-        found += root_found
-        tally[:] = map(add, tally, root_tally)
-    return found, tally, frontier
-
-
-def _classes(k, workers, backend, progress, walk):
-    """The found of ``walk``, ``_walk`` or ``_count_walk``, over every class
-    on k gates, from the single-layer seeds of 1..k-1 empty gates.  The
-    caller adds the full seed of k empty gates, its own minimal form.  The
-    seeds are expanded here; the subtrees below their partial children are
-    walked one by one, or shared out among spawned processes with several
-    workers, and ``progress`` hears of each finished subtree.  Keyword
-    arguments bound to ``walk``, such as a count's memo of shapes, are
-    shared among the subtrees walked here, and each spawned job gets its own
-    copy of them."""
+def _check_gate_count(k):
+    """Raise before any work on a gate count that no walk takes."""
     if k < 0:
         raise ValueError("gate count must be non-negative")
     if k > MAX_GENERATE_K:
         raise CapacityError(f"generation is capped at k <= {MAX_GENERATE_K}")
+
+
+def _report_rounds(progress, k, tally):
+    """Send ``progress`` one ``"round"`` event per layer count of 2..k, from
+    a walk's ``tally``."""
+    complete = tally[3] + 1  # and the full seed
+    for depth in range(2, k + 1):
+        full, partials, pruned = tally[3 * depth:3 * depth + 3]
+        complete += full
+        progress({"phase": "round", "k": k, "round": depth, "complete": complete,
+                  "partial": partials, "pruned": pruned})
+
+
+def _classes(k, workers, backend, progress):
+    """``generate``'s key_min encodings of every class on k gates, from the
+    single-layer seeds of 1..k-1 empty gates (``_walk``).  The caller adds
+    the full seed of k empty gates, its own minimal form.  The seeds are
+    expanded here; the subtrees below their partial children are walked one
+    by one, or shared out among spawned processes with several workers, and
+    ``progress`` hears of each finished subtree."""
+    _check_gate_count(k)
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     backend = kernel.get_backend(backend).BACKEND
     roots = [bytes(2 * length) for length in range(1, k)]
-    found, tally, frontier = walk(roots, k, backend, split=True)
+    found, tally, frontier = _walk(roots, k, backend, split=True)
 
     def merge(results):
-        nonlocal found
         for done, (sub_found, sub_tally, _) in enumerate(results, 1):
-            found += sub_found
+            found.extend(sub_found)
             tally[:] = map(add, tally, sub_tally)
             if progress:
                 progress({"phase": "subtree", "k": k, "done": done, "total": len(frontier)})
 
-    subtree = partial(walk, k=k, backend=backend)
+    subtree = partial(_walk, k=k, backend=backend)
     jobs = ([entry] for entry in frontier)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -419,22 +398,34 @@ def _classes(k, workers, backend, progress, walk):
     else:
         merge(map(subtree, jobs))
     if progress and k:  # no gates, no rounds
-        complete = tally[3] + 1  # and the full seed
-        for depth in range(2, k + 1):
-            full, partials, pruned = tally[3 * depth:3 * depth + 3]
-            complete += full
-            progress({"phase": "round", "k": k, "round": depth, "complete": complete,
-                      "partial": partials, "pruned": pruned})
+        _report_rounds(progress, k, tally)
     return found
 
 
-def count_classes(k, *, workers=1, backend=None, progress=None):
+def count_classes(k, *, backend=None, progress=None):
     """Number of classes of minimal well-layered topologies on exactly k
-    gates: ``generate(k).count``, with the last layer of each parent shape
-    counted inside the kernel (``count_extend``), so no full class is keyed,
-    and the subtree below each parent shape walked once (``_count_walk``)."""
+    gates: ``generate(k).count``, as the sum of the seeds' subtree totals
+    over parent shapes (``_shape_total``), so no class is keyed and a count
+    that runs again in a process is k - 1 lookups.  ``progress`` receives
+    ``generate``'s events: a ``"subtree"`` event per kept partial class of
+    the seeds, then a ``"round"`` event per layer count, once every total
+    is known."""
+    _check_gate_count(k)
+    kern = kernel.get_backend(backend)
+    found, tally = 0, [0] * (3 * k + 3)
+    for length in range(1, k):
+        seed_found, seed_tally = _shape_total(kern, bytes(2 * length), _seed_shape(length), k)
+        found += seed_found
+        tally[:] = map(add, tally, seed_tally)
+    if progress and k > 1:  # one gate, no subtrees and no rounds
+        # the seeds' kept partial children, each the root of one of
+        # generate's subtrees, are the kept partials of two layers
+        subtrees = tally[7]
+        for done in range(1, subtrees + 1):
+            progress({"phase": "subtree", "k": k, "done": done, "total": subtrees})
+        _report_rounds(progress, k, tally)
     # The k empty gates form a full single-layer seed, its own minimal form.
-    return _classes(k, workers, backend, progress, partial(_count_walk, memo={})) + (k > 0)
+    return found + (k > 0)
 
 
 def generate(k, *, workers=1, backend=None, progress=None):
@@ -453,13 +444,15 @@ def generate(k, *, workers=1, backend=None, progress=None):
     below the seeds' partial children is walked, and one ``"round"`` event
     per layer count when the walk ends, before the rows are built.  Workers
     are spawned processes, so a script that asks for more than one must call
-    this under ``if __name__ == "__main__":``.  Past k = 6 it raises
+    this under ``if __name__ == "__main__":``; ``count_classes``, which
+    keys no class and keeps what it counts for the process, takes none.
+    Past k = 6 it raises
     CapacityError before it walks, as the keys would not fit in memory.
     """
     if k > _MAX_KEPT_K:
         raise CapacityError(f"generate is capped at k <= {_MAX_KEPT_K}: the classes on more "
                             f"gates would not fit in memory; count_classes counts them")
-    kept = _classes(k, workers, backend, progress, _walk)
+    kept = _classes(k, workers, backend, progress)
     if k:
         kept.append(bytes(2 * k))  # the full seed, as in count_classes
     kept.sort()

@@ -23,11 +23,11 @@ def test_each_command_takes_only_the_flags_it_reads():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
              for name, p in sub.choices.items()}
-    walk = {"--workers", "-v", "--verbose"}
+    verbose = {"-v", "--verbose"}
     assert flags == {
-        "generate": {"--k", "--out"} | walk,
-        "table2": {"--max-k"} | walk,
-        "prove": {"--n", "--k", "--classes", "--topologies"} | walk,
+        "generate": {"--k", "--out", "--workers"} | verbose,
+        "table2": {"--max-k"} | verbose,
+        "prove": {"--n", "--k", "--classes", "--topologies"} | verbose,
         "verify": {"--suite", "--max-k", "--cases", "--seed", "--workers"},
         "eval": set(),
     }

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import long_tier
 from mcbound import _gen_py, kernel, topology
+from mcbound.cli import main
 from mcbound.oracle import enumerate_raw_topologies
 from mcbound.topology import (Topology, canonical_form, count_classes, gate_fault, generate,
                               is_well_layered, layering)
@@ -167,12 +168,15 @@ def test_count_cache_matches_cold_counts(gen_c, monkeypatch):
         return count_classes(k, backend=backend, progress=events.append), rounds(events)
     cold = {}
     for k in range(1, 7):
-        topology._FULL_COUNTS.clear()
+        topology._TOTALS.clear()
         cold[k] = counted(k)
     # one warm cache for every k, filled in ascending k and read again in
     # descending k, as one process may count for several k in either order
-    topology._FULL_COUNTS.clear()
+    topology._TOTALS.clear()
     for k in [*range(1, 7), *range(6, 0, -1)]:
+        assert counted(k) == cold[k], k
+    topology._TOTALS.clear()
+    for k in [*range(6, 0, -1), *range(1, 7)]:
         assert counted(k) == cold[k], k
     steps = []
     for kern in (gen_c, _gen_py):
@@ -183,10 +187,16 @@ def test_count_cache_matches_cold_counts(gen_c, monkeypatch):
     assert counted(5) == cold[5] and steps == []  # a warm count asks no kernel
     # one kernel's counts never answer for the other's
     assert counted(5, "c") == cold[5] and steps == ["c"] * 28
-    topology._FULL_COUNTS.clear()
+    topology._TOTALS.clear()
     assert counted(5) == cold[5] and steps[28:] == ["python"] * 28
-    # one entry per shape among the walk's 96 parents
-    assert [backend for backend, _, _ in topology._FULL_COUNTS] == ["python"] * 28
+    # one entry per kernel call: per shape among the walk's 96 parents, at k=5
+    assert [(backend, k) for backend, _, k in topology._TOTALS] == [("python", 5)] * 28
+    # 0, 1, 3, 8, 28 and 126 per kernel for k = 1..6
+    topology._TOTALS.clear()
+    for k in range(1, 7):
+        for backend in ("python", "c"):
+            counted(k, backend)
+    assert len(steps) - 56 == len(topology._TOTALS) == 2 * 166
 
 
 def test_settle_cache_matches_cold_settles(monkeypatch):
@@ -394,7 +404,7 @@ def rounds(events):
 
 def test_compiled_count_classes_k7(gen_c, monkeypatch):
     monkeypatch.setattr(kernel, "_gen_c", gen_c)
-    topology._FULL_COUNTS.clear()  # so that the kernel counts each shape here
+    topology._TOTALS.clear()  # so that the kernel counts each shape here
     steps = []
     count_extend = gen_c.count_extend
     monkeypatch.setattr(gen_c, "count_extend",
@@ -403,12 +413,13 @@ def test_compiled_count_classes_k7(gen_c, monkeypatch):
     assert count_classes(7, backend="c", progress=events.append) == 312463157
     assert rounds(events) == K7_ROUNDS
     assert len(steps) == len(set(steps)) == 749  # one per shape, of 510,313 walk parents
+    assert len(topology._TOTALS) == 749  # one entry per kernel call
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_count_walk_memo_keeps_the_rounds_of_generate(monkeypatch, k):
-    # generate walks every parent with extend and no memo of shapes
-    topology._FULL_COUNTS.clear()  # so that the kernel counts each shape here
+    # generate walks every parent with extend and keeps no subtree totals
+    topology._TOTALS.clear()  # so that the kernel counts each shape here
     walked = []
     count_extend = _gen_py.count_extend
     monkeypatch.setattr(_gen_py, "count_extend",
@@ -420,6 +431,40 @@ def test_count_walk_memo_keeps_the_rounds_of_generate(monkeypatch, k):
     # the kernel counts once per parent shape, against 96 and 3,378 walk parents
     assert len(walked) == {1: 0, 2: 1, 3: 3, 4: 8, 5: 28, 6: 126}[k]
     assert len(set(map(_gen_py.parent_shape, walked))) == len(walked)
+
+
+# ``prove --n 7 --k 5 -v``'s stderr
+K5_VERBOSE = [f"[walk k=5] subtree {i}/19" for i in range(1, 20)] + [
+    "[walk k=5] depth 2: 62 complete, 19 partial, 0 pruned",
+    "[walk k=5] depth 3: 827 complete, 43 partial, 4 pruned",
+    "[walk k=5] depth 4: 2998 complete, 30 partial, 6 pruned",
+    "[walk k=5] depth 5: 4618 complete, 0 partial, 0 pruned",
+]
+
+
+def test_prove_verbose_is_the_same_cold_and_warm_and_takes_no_workers(gen_c, capsys,
+                                                                        monkeypatch):
+    for kern in (_gen_py, gen_c):
+        monkeypatch.setattr(kernel, "_active", kern)  # the kernel that prove counts with
+        steps = []
+        monkeypatch.setattr(kern, "count_extend", lambda enc, k, step=kern.count_extend:
+                            steps.append(enc) or step(enc, k))
+        topology._TOTALS.clear()
+        for asked in (28, 0):  # cold, then warm: one kernel call per shape, then none
+            assert main(["prove", "--n", "7", "--k", "5", "-v"]) == 0
+            out, err = capsys.readouterr()
+            assert "topology_classes = 3282" in out.splitlines()
+            assert err.splitlines() == K5_VERBOSE, kern.BACKEND
+            assert len(steps) == asked, kern.BACKEND
+            steps.clear()
+    # the count hands out no subtrees, so it takes no workers
+    with pytest.raises(TypeError):
+        count_classes(5, workers=1)
+    for argv in (["prove", "--n", "7", "--k", "5"], ["table2", "--max-k", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
 
 
 def count_walk_parents(k):
@@ -458,6 +503,7 @@ def test_child_shapes_match_the_relabeled_children():
                     assert _gen_py.parent_shape(enc + layer) == child, (enc, width)
     assert parents == 3489
     _gen_py._CHILDREN.clear()
+    topology._TOTALS.clear()  # cached totals would spare the count its child shapes
     assert count_classes(5, backend="python") == 3282
     assert len(_gen_py._CHILDREN) == 12  # parent shapes and widths of the count walk
 
@@ -569,7 +615,7 @@ def test_relabel_tables_are_bounded_by_compositions():
 def test_candidate_lists_are_cached_tuples_and_bounded():
     _gen_py._candidates.cache_clear()
     # cached rows, counts or child shapes would spare the walk its candidate lists
-    for cache in (_gen_py._ROWS, topology._FULL_COUNTS, _gen_py._CHILDREN):
+    for cache in (_gen_py._ROWS, topology._TOTALS, _gen_py._CHILDREN):
         cache.clear()
     count_classes(5, backend="python")
     # one entry per (q, last layer) met, q <= 4 at k=5
@@ -601,7 +647,7 @@ def test_candidate_rows_are_cached_images_of_their_tables():
 
 def test_candidate_rows_are_bounded_by_tables():
     # cached counts or child shapes would spare the walk its rows
-    for cache in (_gen_py._ROWS, topology._FULL_COUNTS, _gen_py._CHILDREN):
+    for cache in (_gen_py._ROWS, topology._TOTALS, _gen_py._CHILDREN):
         cache.clear()
     count_classes(5, backend="python")
     assert _gen_py._ROWS

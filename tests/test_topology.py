@@ -402,21 +402,22 @@ def test_generate_member_digests(k):
 def test_count_classes_matches_generate():
     for k in range(6):
         assert count_classes(k) == generate(k).count
-    # the pool walks the same frontier of the seeds' kept child classes
-    alone, pooled = [], []
-    assert count_classes(5, progress=alone.append) == 3282
-    assert count_classes(5, workers=2, progress=pooled.append) == 3282
-    assert pooled == alone
-    assert [e["phase"] for e in alone] == ["subtree"] * 19 + ["round"] * 4
+    # one subtree event per kept child class of the seeds, as generate walks them
+    counted, generated = [], []
+    assert count_classes(5, progress=counted.append) == 3282
+    assert generate(5, progress=generated.append).count == 3282
+    assert counted == generated
+    assert [e["phase"] for e in counted] == ["subtree"] * 19 + ["round"] * 4
     with pytest.raises(CapacityError):
         count_classes(8)
     with pytest.raises(ValueError):
         count_classes(-1)
 
 
-@long_tier
 def test_count_classes_k7():
+    topology._TOTALS.clear()  # so that this count fills the cache
     assert count_classes(7) == 312463157
+    assert len(topology._TOTALS) == 749  # one entry per kernel call
 
 
 def test_walks_of_no_gates_report_no_rounds():
