@@ -13,9 +13,10 @@ shape read back from an earlier pass is not taken for a faster kernel,
 and ``generate_s`` times a walk that settles, not one that looks its
 settles up; the figures then compare with those of packages from before
 those caches.  Its relabel tables and candidate rows stay warm after the
-first pass, as before.  Per k, also times ``save_topology_set`` and ``load_topology_set`` of the generated
-set, which use no kernel, the first read of ``members`` on the loaded set,
-which builds its ``Topology`` views, ``Topology.from_encoding`` in
+first pass, as before.  Per k, also times ``save_topology_set`` and
+``load_topology_set`` of the generated set, which use no kernel, and the
+first read of ``members`` on the loaded set, which builds its ``Topology``
+views, each the median of PASSES calls; ``Topology.from_encoding`` in
 microseconds per member, and ``canonical_keys`` in microseconds per call
 over every member's encoding: the pure-Python kernel cold, with its relabel
 tables and candidate rows emptied so that the calls build them, then warm,
@@ -125,18 +126,30 @@ SETTLED = getattr(_gen_py, "_SETTLED", {})
 CHILDREN = getattr(_gen_py, "_CHILDREN", {})
 
 
-def median_timed(fn, *args, **kwargs):
+def median_of(fn, *args, **kwargs):
     """The result of the first of PASSES calls ``fn(*args, **kwargs)`` and
-    the median seconds of the calls; no other result is kept.  ``COUNTS``,
-    ``SETTLED`` and ``CHILDREN`` are emptied before each call, so that every
-    pass counts, settles and derives child shapes cold."""
+    the median seconds of the calls; no other result is kept."""
+    result, first = timed(fn, *args, **kwargs)
+    return result, statistics.median(
+        [first] + [timed(fn, *args, **kwargs)[1] for _ in range(PASSES - 1)])
+
+
+def median_timed(fn, *args, **kwargs):
+    """``median_of(fn, *args, **kwargs)`` with ``COUNTS``, ``SETTLED`` and
+    ``CHILDREN`` emptied before each call, so that every pass counts,
+    settles and derives child shapes cold."""
     def cold():
         COUNTS.clear()
         SETTLED.clear()
         CHILDREN.clear()
-        return timed(fn, *args, **kwargs)
-    result, first = cold()
-    return result, statistics.median([first] + [cold()[1] for _ in range(PASSES - 1)])
+        return fn(*args, **kwargs)
+    return median_of(cold)
+
+
+def first_members(ts):
+    """The ``members`` of a copy of ``ts`` whose ``Topology`` views are not
+    built yet, so that each call builds them."""
+    return topology.TopologySet._from_rows(ts.k, ts.rows).members
 
 
 def walk_parents(kern, k):
@@ -401,11 +414,11 @@ def main():
                 if ts.count != count:
                     raise SystemExit(f"k={k} {backend}: the walk counted {count} classes, "
                                      f"generate built {ts.count}")
-            _, save_s = timed(save_topology_set, ts, path)
-            back, load_s = timed(load_topology_set, path)
+            _, save_s = median_of(save_topology_set, ts, path)
+            back, load_s = median_of(load_topology_set, path)
             if back != ts:
                 raise SystemExit(f"k={k}: the loaded set differs from the saved one")
-            members, members_s = timed(lambda: back.members)
+            members, members_s = median_of(first_members, back)
             parents = walk_parents(kernel.get_backend(backends[0]), k)
             extend = {b: per_parent_us(kernel.get_backend(b).extend, k, parents)
                       for b in backends}

@@ -8,7 +8,7 @@ import re
 import struct
 from collections import namedtuple
 from functools import cache, partial
-from itertools import chain, islice, product
+from itertools import chain, islice, product, repeat
 from operator import add, countOf
 
 from . import kernel
@@ -63,7 +63,7 @@ class Topology(namedtuple("Topology", "k gates")):
     ``(k, gates)``.  Every construction, including ``_make``, ``_replace``,
     a copy and an unpickling, goes through ``__new__`` and its checks, with
     two exceptions that build the tuple from gates already checked:
-    ``from_encoding``, whose table lookups (``_decoder``) check a ``bytes``
+    ``from_encoding``, whose table lookups (``_DECODERS``) check a ``bytes``
     encoding of at most MAX_GENERATE_K gates, and ``TopologySet.members``,
     whose rows were checked when the set was built."""
 
@@ -101,18 +101,20 @@ class Topology(namedtuple("Topology", "k gates")):
     @classmethod
     def from_encoding(cls, data):
         """The topology whose encoding is ``data``: a left then a right
-        side byte per gate.  ``bytes`` of at most MAX_GENERATE_K gates are
-        decoded with one table lookup per gate; anything else, and an
-        encoding with a gate that misses its table, goes through
-        ``__new__``, which names the first bad gate."""
+        side byte per gate.  ``bytes`` of at most MAX_GENERATE_K gates reach
+        their decoder by one lookup of their length in ``_DECODERS`` and
+        are decoded with one table lookup per gate; anything else, and an
+        encoding with a gate that misses its table, goes through the checks
+        of ``__new__``, which name an odd length or the first bad gate."""
+        if type(data) is bytes:
+            try:
+                k, decode = _DECODERS[len(data)]
+                return tuple.__new__(cls, (k, decode(data)))
+            except KeyError:
+                pass
         k, odd = divmod(len(data), 2)
         if odd:
             raise CircuitError(f"a topology encoding has an even length, not {len(data)}")
-        if type(data) is bytes and k <= MAX_GENERATE_K:
-            try:
-                return tuple.__new__(cls, (k, _decoder(k)(data)))
-            except KeyError:
-                pass
         return cls(k, tuple(zip(data[::2], data[1::2])))
 
 
@@ -490,6 +492,24 @@ def _decoder(k):
     return lambda data: tuple(map(dict.__getitem__, codes, unpack(data)))
 
 
+class _DecoderTable(dict):
+    """The length of a ``bytes`` encoding of k <= MAX_GENERATE_K gates
+    mapped to ``(k, _decoder(k))``, each entry added on its first lookup;
+    any other length raises KeyError."""
+
+    __slots__ = ()
+
+    def __missing__(self, length):
+        k, odd = divmod(length, 2)
+        if odd or k > MAX_GENERATE_K:
+            raise KeyError(length)
+        self[length] = entry = (k, _decoder(k))
+        return entry
+
+
+_DECODERS = _DecoderTable()
+
+
 # --- text formats -----------------------------------------------------------
 
 # Numbers have at most 18 digits, so each fits in 63 bits and int() never
@@ -596,30 +616,40 @@ def parse_topology(text):
     return Topology(len(gates), gates)
 
 
-def _set_blocks(ts):
-    """The text of ``ts`` as ``format_topology_set`` writes it, a block at a
-    time: its header line, then one block of lines per member, each without
-    the newlines that separate them."""
-    k = ts.k
-    yield f"topologyset k={k} count={ts.count}"
-    if k <= MAX_GENERATE_K:
-        # Rows are valid gates, so every gate's line is in the table.
-        head = f"topology k={k}"
-        texts = _gate_texts()[:k]
-        for gates in ts.rows:
-            yield "\n".join([head, *map(dict.__getitem__, texts, gates)])
-    else:
-        for gates in ts.rows:
-            yield _topology_text(k, gates)
-
-
-def format_topology_set(ts):
-    return "\n\n".join(_set_blocks(ts)) + "\n"
-
-
 # Bytes read from a file at a time, and blocks read or written at a time.
 _CHUNK_BYTES = 1 << 16
 _CHUNK_BLOCKS = 256
+
+
+def _set_chunks(ts):
+    """The text of ``ts`` as ``format_topology_set`` writes it, in pieces
+    that a newline joins: its header line, then the blocks of each run of
+    _CHUNK_BLOCKS members, each block after a blank line.
+
+    Up to MAX_GENERATE_K gates, a chunk's rows are read a column at a time:
+    each gate's column is looked up in its ``_gate_texts()`` table, and the
+    chunk's lines are joined once."""
+    k, rows = ts.k, ts.rows
+    yield f"topologyset k={k} count={len(rows)}"
+    if k <= MAX_GENERATE_K:
+        # Rows are valid gates, so every gate's line is in the table.
+        head = f"topology k={k}"
+        lookups = [texts.__getitem__ for texts in _gate_texts()[:k]]
+    for start in range(0, len(rows), _CHUNK_BLOCKS):
+        chunk = rows[start:start + _CHUNK_BLOCKS]
+        n = len(chunk)  # bounds the zip below, which has no gate column at k=0
+        if k <= MAX_GENERATE_K:
+            lines = (repeat(head, n), *map(map, lookups, zip(*chunk)))
+        else:
+            lines = (map(_topology_text, repeat(k, n), chunk),)
+        yield "\n".join(chain.from_iterable(zip(repeat("", n), *lines)))
+
+
+def format_topology_set(ts):
+    """The text of ``ts``: its header line, then one block per member as
+    ``format_topology`` writes it, a blank line before each, and a newline
+    at the end; built a chunk of _CHUNK_BLOCKS members at a time."""
+    return "\n".join(_set_chunks(ts)) + "\n"
 
 
 @cache
@@ -701,9 +731,9 @@ def _set_rows(lines, k, count, header_line, eol):
                 chunk.append(eol)  # the text ends with the last gate line of a block
             blocks = len(chunk) // size
             if len(chunk) % size == 0 \
-                    and countOf(islice(chunk, 0, None, size), head) == blocks \
-                    and countOf(islice(chunk, size - 1, None, size), eol) == blocks:
-                columns = [map(table.__getitem__, islice(chunk, i, None, size))
+                    and countOf(chunk[::size], head) == blocks \
+                    and countOf(chunk[size - 1::size], eol) == blocks:
+                columns = [map(table.__getitem__, chunk[i::size])
                            for i, table in enumerate(tables, 1)]
                 try:
                     rows = tuple(zip(*columns))
@@ -763,14 +793,13 @@ def parse_topology_set(text):
 
 
 def save_topology_set(ts, path):
-    """Write ``format_topology_set(ts)`` to ``path``, _CHUNK_BLOCKS blocks
-    at a time."""
-    blocks = _set_blocks(ts)
+    """Write ``format_topology_set(ts)`` to ``path`` from the same chunks,
+    one chunk of _CHUNK_BLOCKS members at a time: the whole text is never
+    held."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(next(blocks))
-        while chunk := list(islice(blocks, _CHUNK_BLOCKS)):
-            fh.write("\n\n".join(["", *chunk]))
-        fh.write("\n")
+        for piece in _set_chunks(ts):
+            fh.write(piece)
+            fh.write("\n")
 
 
 def load_topology_set(path):

@@ -1,7 +1,10 @@
 import gc
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
 
@@ -20,7 +23,9 @@ from mcbound.topology import (Topology, TopologySet, canonical_form, count_class
                               mask_indices, parse_topology, parse_topology_set,
                               save_topology_set, well_layer_move)
 
-from conftest import long_tier, mutated
+from conftest import mutated
+
+SRC = os.path.dirname(os.path.dirname(topology.__file__))  # the package under test
 
 MAJ4_TOPOLOGY = Topology(4, ((0, 0), (0, 0), (0, 2), (1, 2)))
 # the same wiring listed in a different gate order; not well-layered
@@ -140,10 +145,12 @@ def test_encoding_roundtrip():
     (b"\x00", "even length, not 1"),
     (b"\x01\x00", "gate 1 may only reference"),
     (b"\x00\x00\x40\x00", "gate 2 may only reference"),
+    (bytes(15), "even length, not 15"),
 ])
 def test_from_encoding_rejects_bad_encodings(data, message):
-    with pytest.raises(CircuitError, match=message):
-        Topology.from_encoding(data)
+    for form in (data, bytearray(data), memoryview(data)):
+        with pytest.raises(CircuitError, match=message):
+            Topology.from_encoding(form)
 
 
 def decode_outcome(data):
@@ -176,14 +183,26 @@ def test_from_encoding_table_path_agrees_exhaustively():
 
 
 @given(st.integers(0, 9).flatmap(lambda k: st.binary(min_size=2 * k, max_size=2 * k)))
+@example(b"")
 @example(bytes(14))
 @example(bytes(16))
 @example(bytes(12) + b"\x3f\x40")
 @settings(max_examples=300)
 def test_from_encoding_table_path_agrees_with_checked_path(data):
     expected = checked_outcome(data)
-    for form in (data, bytearray(data), list(data)):
+    for form in (data, bytearray(data), memoryview(data), list(data)):
         assert decode_outcome(form) == expected
+
+
+def test_decoders_are_built_on_first_use():
+    code = ("from mcbound import topology as t; "
+            "print(t._decoder.cache_info().currsize, t._gate_codes.cache_info().currsize, "
+            "len(t._DECODERS)); "
+            "t.Topology.from_encoding(bytes(4)); "
+            "print(t._decoder.cache_info().currsize, sorted(t._DECODERS))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.stdout.split("\n")[:2] == ["0 0 0", "1 [4]"]
 
 
 def test_from_encoding_gives_shared_int_pairs():
@@ -393,9 +412,15 @@ MEMBER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("k", [4, 5, pytest.param(6, marks=long_tier)])
-def test_generate_member_digests(k):
-    members = generate(k).members
+@pytest.fixture(scope="module")
+def set_k6():
+    """``generate(6)``, the 506,935-member k=6 set, built once for this module."""
+    return generate(6)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_generate_member_digests(k, request):
+    members = (request.getfixturevalue("set_k6") if k == 6 else generate(k)).members
     assert hashlib.sha256(b"".join(m.encode() for m in members)).hexdigest() == MEMBER_DIGESTS[k]
 
 
@@ -522,9 +547,8 @@ def test_topology_set_format_digest():
 FORMAT_DIGEST_K6 = "1885cdf531ece842c04e1308969d4079d5b4e85b8c4609bae3dac1dab3322753"
 
 
-@long_tier
-def test_topology_set_format_digest_k6():
-    text = format_topology_set(generate(6))
+def test_topology_set_format_digest_k6(set_k6):
+    text = format_topology_set(set_k6)
     assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_DIGEST_K6
 
 
@@ -654,6 +678,35 @@ def test_save_writes_the_formatted_text(ts, tmp_path):
     save_topology_set(ts, path)
     assert path.read_bytes() == format_topology_set(ts).encode()
     assert load_topology_set(path) == ts
+
+
+def reference_set_text(ts):
+    """The text of ``ts`` written a block at a time, each block alone."""
+    header = f"topologyset k={ts.k} count={ts.count}"
+    return "\n\n".join([header, *map(format_topology, ts.members)]) + "\n"
+
+
+def test_chunked_writer_matches_a_block_at_a_time(set_k6, tmp_path):
+    chunk = topology._CHUNK_BLOCKS
+    rows = set_k6.rows
+    sets = [TopologySet(0, (Topology(0, ()),) * 3)]
+    # k=6 sets that end just before, at and just past a chunk's end, taken
+    # from the middle of the real set
+    sets += [TopologySet._from_rows(6, rows[1000:1000 + n])
+             for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)]
+    rng = random.Random(7)
+    for k in (7, 8, 10):
+        members = [Topology(k, tuple((rng.randrange(1 << i), rng.randrange(1 << i))
+                                     for i in range(k)))
+                   for _ in range(chunk + 3)]
+        sets.append(TopologySet(k, members))
+    path = tmp_path / "set.txt"
+    for ts in sets:
+        text = reference_set_text(ts)
+        assert format_topology_set(ts) == text
+        save_topology_set(ts, path)
+        assert path.read_bytes() == text.encode()
+        assert load_topology_set(path) == ts
 
 
 @pytest.mark.parametrize("variant, message, line", [
