@@ -5,7 +5,10 @@ Per backend, times the class walk alone (``count_classes``), the walk plus
 the sorted member rows (``generate``), and ``extend`` and ``count_extend``
 in microseconds per parent over every parent that the walk for k expands,
 each the median of PASSES passes, and reports the speedup of the compiled
-kernel on the first two.  Each pass starts with the class count's cache
+kernel on the first two.  ``extend_us`` covers only a parent's full
+children, those that complete k gates: ``_gen_py.child_shapes`` derives the
+partial ones, which an older package's ``extend`` also keyed.  Each pass
+starts with the class count's cache
 (``count_cache``) and the pure-Python kernel's settled classes per settle
 input (``_gen_py._SETTLED``) and child shapes per parent shape
 (``_gen_py._CHILDREN``) emptied, so that a count, a settle or a child
@@ -24,9 +27,10 @@ and the compiled kernel when it is built.  And, through ``startup.py``, the
 seconds and peak RSS of four fresh interpreters per k: ``generate`` alone,
 the CLI's ``generate``, which also saves the set, a load of the file it
 saved, and a load of the file with one gate line in its middle respelt, as
-``respell`` writes it; then, per k and backend, of four more with that
-kernel as the default: ``count_classes``, ``generate``, ``mcbound prove
---n 7 --k K`` without ``--classes``, and ``mcbound table2 --max-k K``.
+``respell`` writes it; then, per k and backend, of five more with that
+kernel as the default: ``count_classes``, ``generate``, ``mcbound generate
+--k K`` writing to the null device, ``mcbound prove --n 7 --k K`` without
+``--classes``, and ``mcbound table2 --max-k K``.
 Each of these fresh figures is the median of PASSES runs, with their min
 and max beside it (``seconds_min``, ``seconds_max`` and the like).
 
@@ -152,15 +156,26 @@ def first_members(ts):
     return topology.TopologySet._from_rows(ts.k, ts.rows).members
 
 
-def walk_parents(kern, k):
+def walk_parents(k):
     """Every parent that the class walk for k expands: the seeds of 1..k-1
-    empty gates and every partial child with a key_min."""
+    empty gates and every partial child with a key_min, the parent followed
+    by one of the layers that ``_gen_py.child_shapes`` gives for its shape,
+    or, from a package whose ``extend`` still keys partial children, one of
+    their key_any."""
     parents = []
     stack = [bytes(2 * q) for q in range(1, k)]
     while stack:
         enc = stack.pop()
         parents.append(enc)
-        stack += [key for key, key_min in kern.extend(enc, k)[2] if key_min is not None]
+        extended = _gen_py.extend(enc, k)
+        if len(extended) == 3:
+            stack += [key for key, key_min in extended[2] if key_min is not None]
+            continue
+        shape = _gen_py.parent_shape(enc)
+        for width in range(1, k - len(enc) // 2):
+            size = 2 * width
+            stack += [enc + layers[at:at + size] for _, layers in
+                      _gen_py.child_shapes(shape, width)[0] for at in range(0, len(layers), size)]
     return parents
 
 
@@ -419,7 +434,7 @@ def main():
             if back != ts:
                 raise SystemExit(f"k={k}: the loaded set differs from the saved one")
             members, members_s = median_of(first_members, back)
-            parents = walk_parents(kernel.get_backend(backends[0]), k)
+            parents = walk_parents(k)
             extend = {b: per_parent_us(kernel.get_backend(b).extend, k, parents)
                       for b in backends}
             count_extend = {b: per_parent_us(kernel.get_backend(b).count_extend, k, parents)

@@ -50,13 +50,16 @@ SET_COMMANDS = {
     "load_respelt": "from mcbound.topology import load_topology_set; "
                     "load_topology_set({respelt!r})",
 }
-# the class walk alone, the walk and the sorted member rows, and the two CLI
-# commands that count classes: prove without --classes, and table2, whose
+# the class walk alone, the walk and the sorted member rows, the CLI's
+# generate, which also writes the set, here to the null device, and the two
+# CLI commands that count classes: prove without --classes, and table2, whose
 # status 1, where the published counts differ from the walk's (from k=4 on),
 # is a finished run too
 KERNEL_COMMANDS = {
     "count_classes": "from mcbound.topology import count_classes; count_classes({k})",
     "generate": "from mcbound.topology import generate; generate({k})",
+    "cli_generate": "import os, sys; from mcbound.cli import main; "
+                    "sys.exit(main(['generate', '--k', '{k}', '--out', os.devnull]))",
     "prove": "import sys; from mcbound.cli import main; "
              "sys.exit(main(['prove', '--n', '7', '--k', '{k}']))",
     "table2": "import sys; from mcbound.cli import main; "

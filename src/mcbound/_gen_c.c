@@ -3,7 +3,10 @@
    Same interface, results and ValueErrors as mcbound._gen_py, the
    reference that the parity tests compare it against.  Gate sides are bit
    masks (bit i-1 set means gate i is wired in) and a topology is encoded as
-   the bytes L1 R1 L2 R2 ... in gate order.  Build it with
+   the bytes L1 R1 L2 R2 ... in gate order.  extend and count_extend cover
+   only a parent's full children, those that complete k gates: the partial
+   children of a class walk's parents are derived, for either kernel, from
+   the parent's shape by mcbound._gen_py.child_shapes.  Build it with
    `python setup.py build_ext --inplace`. */
 
 #define PY_SSIZE_T_CLEAN
@@ -287,17 +290,15 @@ least_under_first(const unsigned short *codes, int ncand, relabeling *const *aut
     return 1;
 }
 
-/* Walks the children of parent with one new layer of 1..k-q of the ncand
-   candidate gates (with repetition), as _gen_py.extend: the parent's
-   relabelings are walked once, and a child's are a parent relabeling
-   followed by sorting the new layer.  Appends each partial child's
-   (key_any, key_min) to the list out.  Of the full children (those of k
-   gates), counts[0] counts all, and no key_any is built: their key_min
-   goes to the list keys.  When keys is NULL, as _gen_py.count_extend, only
-   the full children are walked, counts[1] counts those that have a key_min
-   and no key is built. */
+/* Walks the full children of parent, those with one new layer of k-q of
+   the ncand candidate gates (with repetition), as _gen_py.extend: the
+   parent's relabelings are walked once, and a child's are a parent
+   relabeling followed by sorting the new layer.  counts[0] counts them all,
+   and each key_min goes to the list keys; no key_any is built.  When keys
+   is NULL, as _gen_py.count_extend, counts[1] counts those that have a
+   key_min and no key is built. */
 static int
-add_children(PyObject *out, PyObject *keys, Py_ssize_t *counts, const topo *parent, int k,
+add_children(PyObject *keys, Py_ssize_t *counts, const topo *parent, int k,
              const int *cand_left, const int *cand_right, int ncand)
 {
     /* a parent has at most MAX_GATES - 1 gates, so at most 6! relabelings */
@@ -306,8 +307,8 @@ add_children(PyObject *out, PyObject *keys, Py_ssize_t *counts, const topo *pare
     unsigned char layer[2 * MAX_GATES], best[2 * MAX_GATES];
     unsigned short *codes = NULL;
     unsigned char *ok = NULL;
-    int n = 2 * parent->q, nrel = 0, nautos = 0, nmins = 0, nrows = 0;
-    int least = 0, width, i, j, c, rc = -1;
+    int n = 2 * parent->q, width = k - parent->q, nrel = 0, nautos = 0, nmins = 0, nrows = 0;
+    int least = 0, i, j, c, rc = -1;
 
     first_relabeling(pi, parent, start);
     do {
@@ -352,77 +353,59 @@ add_children(PyObject *out, PyObject *keys, Py_ssize_t *counts, const topo *pare
         }
     }
 
-    for (width = keys == NULL ? k - parent->q : 1; width <= k - parent->q; width++) {
-        int full = width == k - parent->q;
-        memset(idx, 0, sizeof idx);
-        for (;;) {
-            PyObject *key_any = NULL, *key_min = Py_None, *child;
-            const relabeling *found = NULL;
-            int g, end;
+    memset(idx, 0, sizeof idx);
+    for (;;) {
+        const relabeling *found = NULL;
+        int g, end;
 
-            if (!least_under_first(codes, ncand, autos, nautos, idx, width, best))
-                goto next;
-            counts[0] += full;
-            if (keys == NULL) {
-                /* a key_min exists exactly when some minimal relabeling
-                   leaves every new gate minimal too */
-                for (g = 0; g < nmins; g++) {
-                    const unsigned char *row_ok = ok + mins[g]->row * ncand;
-                    for (j = 0; j < width && row_ok[idx[j]]; j++)
-                        ;
-                    if (j == width)
-                        break;
+        if (!least_under_first(codes, ncand, autos, nautos, idx, width, best))
+            goto next;
+        counts[0]++;
+        if (keys == NULL) {
+            /* a key_min exists exactly when some minimal relabeling leaves
+               every new gate minimal too */
+            for (g = 0; g < nmins; g++) {
+                const unsigned char *row_ok = ok + mins[g]->row * ncand;
+                for (j = 0; j < width && row_ok[idx[j]]; j++)
+                    ;
+                if (j == width)
+                    break;
+            }
+            counts[1] += g < nmins;
+            goto next;
+        }
+        /* key_min: the least parent encoding among the groups of minimal
+           relabelings that leave every new gate minimal too, then the least
+           new layer in that group */
+        for (g = 0; g < nmins && found == NULL; g = end)
+            for (end = g; end < nmins && !memcmp(mins[end]->enc, mins[g]->enc, n); end++) {
+                const unsigned char *row_ok = ok + mins[end]->row * ncand;
+                for (j = 0; j < width && row_ok[idx[j]]; j++)
+                    ;
+                if (j < width)
+                    continue;
+                sorted_layer(codes + mins[end]->row * ncand, idx, width, layer);
+                if (found == NULL || memcmp(layer, best, 2 * width) < 0) {
+                    memcpy(best, layer, 2 * width);
+                    found = mins[end];
                 }
-                counts[1] += g < nmins;
-                goto next;
             }
-            if (!full && (key_any = child_key(rel[least].enc, n, best, 2 * width)) == NULL)
-                goto done;
-            /* key_min: the least parent encoding among the groups of minimal
-               relabelings that leave every new gate minimal too, then the
-               least new layer in that group */
-            for (g = 0; g < nmins && found == NULL; g = end)
-                for (end = g; end < nmins && !memcmp(mins[end]->enc, mins[g]->enc, n); end++) {
-                    const unsigned char *row_ok = ok + mins[end]->row * ncand;
-                    for (j = 0; j < width && row_ok[idx[j]]; j++)
-                        ;
-                    if (j < width)
-                        continue;
-                    sorted_layer(codes + mins[end]->row * ncand, idx, width, layer);
-                    if (found == NULL || memcmp(layer, best, 2 * width) < 0) {
-                        memcpy(best, layer, 2 * width);
-                        found = mins[end];
-                    }
-                }
-            if (found != NULL)
-                key_min = child_key(found->enc, n, best, 2 * width);
-            else
-                Py_INCREF(Py_None);
-            if (key_min == NULL) {
-                Py_XDECREF(key_any);
-                goto done;
-            }
-            if (full) {
-                c = found == NULL ? 0 : PyList_Append(keys, key_min);
-            } else {
-                child = PyTuple_Pack(2, key_any, key_min);
-                Py_DECREF(key_any);
-                c = child == NULL ? -1 : PyList_Append(out, child);
-                Py_XDECREF(child);
-            }
-            Py_DECREF(key_min);
+        if (found != NULL) {
+            PyObject *key_min = child_key(found->enc, n, best, 2 * width);
+            c = key_min == NULL ? -1 : PyList_Append(keys, key_min);
+            Py_XDECREF(key_min);
             if (c < 0)
                 goto done;
-        next:
-            /* next non-decreasing index tuple */
-            for (j = width - 1; j >= 0 && idx[j] == ncand - 1; j--)
-                ;
-            if (j < 0)
-                break;
-            idx[j]++;
-            for (int s = j + 1; s < width; s++)
-                idx[s] = idx[j];
         }
+    next:
+        /* next non-decreasing index tuple */
+        for (j = width - 1; j >= 0 && idx[j] == ncand - 1; j--)
+            ;
+        if (j < 0)
+            break;
+        idx[j]++;
+        for (int s = j + 1; s < width; s++)
+            idx[s] = idx[j];
     }
     rc = 0;
 done:
@@ -433,13 +416,13 @@ done:
 
 /* extend(enc, k) when keep is 1, else count_extend(enc, k): the shared
    checks, the parent read by read_topology, its candidate gates, then
-   add_children.  Returns (full, keys, partials), with keys and partials
-   sorted, or (full, full_min) when keep is 0. */
+   add_children.  Returns (full, keys), with keys sorted, or (full,
+   full_min) when keep is 0. */
 static PyObject *
 children(PyObject *args, const char *format, int keep)
 {
     Py_buffer enc;
-    PyObject *k_arg, *partials = NULL, *keys = NULL, *result = NULL;
+    PyObject *k_arg, *keys = NULL, *result = NULL;
     Py_ssize_t counts[2] = {0, 0};
     int cand_left[MAX_CANDS], cand_right[MAX_CANDS];
     int k, over, q, last, full, left, right, ncand = 0;
@@ -461,7 +444,7 @@ children(PyObject *args, const char *format, int keep)
     last = read_topology(&enc, &parent);
     if (last < 0)
         goto done;
-    if (keep && ((partials = PyList_New(0)) == NULL || (keys = PyList_New(0)) == NULL))
+    if (keep && (keys = PyList_New(0)) == NULL)
         goto done;
     q = parent.q;
 
@@ -483,14 +466,12 @@ children(PyObject *args, const char *format, int keep)
         }
     }
 
-    if ((ncand && add_children(partials, keys, counts, &parent, k, cand_left, cand_right,
-                               ncand) < 0)
-        || (keep && (PyList_Sort(partials) < 0 || PyList_Sort(keys) < 0)))
+    if ((ncand && add_children(keys, counts, &parent, k, cand_left, cand_right, ncand) < 0)
+        || (keep && PyList_Sort(keys) < 0))
         goto done;
-    result = keep ? Py_BuildValue("(nOO)", counts[0], keys, partials)
+    result = keep ? Py_BuildValue("(nO)", counts[0], keys)
                   : Py_BuildValue("(nn)", counts[0], counts[1]);
 done:
-    Py_XDECREF(partials);
     Py_XDECREF(keys);
     PyBuffer_Release(&enc);
     return result;
@@ -498,13 +479,12 @@ done:
 
 PyDoc_STRVAR(extend_doc,
 "extend(enc, k)\n--\n\n"
-"All one-new-layer extensions of a partial topology, by canonical key.\n\n"
-"Appends a layer of 1..k-q new gates; every new gate must touch the\n"
-"current last layer and neither side may nest inside the other.  Returns\n"
-"(full, keys, partials): the number of full children (those of k gates),\n"
-"the sorted key_min encodings of those that have one, and the partial\n"
-"children as sorted (key_any, key_min) pairs.  No full child's key_any\n"
-"is built.");
+"The full children of a partial topology of q gates, by canonical key.\n\n"
+"A full child appends a layer of k-q new gates; every new gate must touch\n"
+"the current last layer and neither side may nest inside the other.\n"
+"Returns (full, keys): the number of full children and the sorted key_min\n"
+"encodings of those that have one.  No key_any is built; the partial\n"
+"children are mcbound._gen_py.child_shapes' alone.");
 
 static PyObject *
 extend(PyObject *self, PyObject *args)

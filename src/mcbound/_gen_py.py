@@ -13,32 +13,34 @@ that make it faulty, are cached beside them (``_column``).
 as the sum of its gates' columns, and tells which tables leave it
 fault-free: ``canonical_keys`` takes its two minima, and ``extend`` and
 ``count_extend`` run it once on the parent (``_Parent``) for all of the
-parent's children.  Candidate new gates are listed once per parent shape,
-and each relabel table maps the list to a row of gate codes, built on the
-table's first use and cached (``_rows``).  The classes of children with a
-new layer of any width, one combination of candidates for each
+parent's full children, those that complete k gates.  Candidate new gates
+are listed once per parent shape, and each relabel table maps the list to a
+row of gate codes, built on the table's first use and cached (``_rows``).
+The classes of the full children, one combination of candidates for each
 (``_representatives``), are keyed all at once by element-wise minima of the
 layers that those rows give (``_layers``), and one pass, ``_Parent.layers``,
-settles each class's key_min group by group.  ``extend`` keys every child;
-``count_extend`` only counts the children that complete k gates, and
-settles no class, since the cached fault-free flags of the parent's rows
-tell which have a key_min.  Past one new gate it lists no class either: it
-counts the orbits of the new layers under the parent's automorphisms by
-Burnside's lemma, from the cycles of each automorphism on the candidates
-(``_orbit_counts``).  That count reads only the parent's shape
-(``parent_shape``): its layer sizes, its automorphisms and its fault-free
-tables, so the class count asks for it once per shape, width and kernel
-in a process (``topology._shape_total``).  A child's shape follows from its
-parent's shape and its new gates, so ``child_shapes`` derives the shapes of
-a parent's partial children with no key built, and the class count walks
-shapes (``topology.count_classes``).  A settle reads
-only the layer sizes, the automorphism indices, the groups' table indices
-in key order and the width; the group keys are only prefixes of the
-key_mins.  So ``_Parent.layers`` settles each such input once and caches
-each class's group position and packed layers (``_SETTLED``), from which
-``children`` and ``full_keys`` build the keys by concatenation, already in
-key order.  The 3,489 settles of ``generate(6)`` have 191 inputs, which the
-cache then holds in 0.42 MB (tracemalloc).
+settles each class's key_min group by group.  ``extend`` keys every full
+child; ``count_extend`` only counts them, and settles no class, since the
+cached fault-free flags of the parent's rows tell which have a key_min.
+Past one new gate it lists no class either: it counts the orbits of the new
+layers under the parent's automorphisms by Burnside's lemma, from the
+cycles of each automorphism on the candidates (``_orbit_counts``).  That
+count reads only the parent's shape (``parent_shape``): its layer sizes,
+its automorphisms and its fault-free tables, so the class count asks for it
+once per shape, width and kernel in a process (``topology._shape_total``).
+A child's shape follows from its parent's shape and its new gates, so
+``child_shapes`` derives a walk parent's partial children, their shapes and
+the layers that end their key_any, with no key built.  It is the one place
+where partial children are derived, and both class walks,
+``topology.count_classes`` and ``topology.generate``, walk shapes through
+it.  A settle reads only the layer sizes, the automorphism indices, the
+groups' table indices in key order and the width; the group keys are only
+prefixes of the key_mins.  So ``_Parent.layers`` settles each such input
+once and caches each class's group position and packed layer
+(``_SETTLED``), from which ``full_keys`` builds the keys by concatenation,
+already in key order.  The 3,378 settles of ``generate(6)``, one per walk
+parent, have 151 inputs, which the cache then holds in 0.24 MB
+(tracemalloc).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import struct
 from array import array
 from functools import cache, cached_property, reduce
 from itertools import (chain, combinations_with_replacement, compress, count, islice, permutations,
-                       product, repeat)
+                       product)
 from math import comb
 from operator import and_, eq, or_
 
@@ -170,15 +172,18 @@ _ROWS: dict[tuple, tuple] = {}
 
 # ``_Parent.layers``' classes per settle input, ``(layer sizes, automorphism
 # indices, group indices, width)``, filled on first use.  An entry holds the
-# group positions and packed layers of the classes, not their keys, so that
-# it serves every parent with that input.  A key is fixed by its parent's
-# class, of at most 6 gates, so the cache is bounded whatever the input.
+# number of the classes and the group positions and packed layers of those
+# that have a key_min, not their keys, so that it serves every parent with
+# that input.  A key is fixed by its parent's class, of at most 6 gates, so
+# the cache is bounded whatever the input.
 _SETTLED: dict[tuple, tuple] = {}
 
-# ``child_shapes``' result per parent shape and width, filled on first use.
-# A key is fixed by its parent's class, of at most 6 gates, so the cache is
-# bounded whatever the input: the count walks for k=5, 6 and 7 fill 12, 40
-# and 166 entries.
+# ``child_shapes``' result per parent shape and width, ``(kept, pruned)``
+# with a ``(shape, layers)`` per kept child shape, filled on first use and
+# shared by both class walks.  A key is fixed by its parent's class, of at
+# most 6 gates, so the cache is bounded whatever the input: the walks for
+# k=5, 6 and 7 fill 12, 40 and 166 entries, the last with 79,100 bytes of
+# layers.
 _CHILDREN: dict[tuple, tuple] = {}
 
 
@@ -394,16 +399,15 @@ def _orbit_counts(rows, masks, width):
 
 class _Parent:
     """A parent of q gates with its relabelings searched once for all of its
-    children (canonical augmentation): ``encodings`` holds each relabel
+    full children (canonical augmentation): ``encodings`` holds each relabel
     table's encoding of it as an int (``_relabelings``), ``autos`` the
     indices of the tables that give the least, its key, and ``free`` the
     int mask of the tables that leave every gate fault-free.  Its layer
     sizes ``sizes`` fix its candidate new gates and each table's rows of
     their codes (``_rows``).  ``layers`` settles the key_min of every class
-    of children, whatever the width of its new layer, group by group, from
-    ``group_indices``, once per settle input; ``children`` and ``full_keys``
-    put ``key`` and the keys of ``groups``, built as bytes only then, in
-    front of its layers; ``count_full`` reads the flags alone."""
+    of full children group by group, from ``group_indices``, once per settle
+    input; ``full_keys`` puts the keys of ``groups``, built as bytes only
+    then, in front of its layers; ``count_full`` reads the flags alone."""
 
     def __init__(self, gates):
         self.sizes = tuple(m.bit_count() for m in gates[2])
@@ -412,11 +416,6 @@ class _Parent:
         least = min(self.encodings)
         self.autos = list(compress(count(), map(least.__eq__, self.encodings)))
         self.shape = self.sizes, tuple(self.autos), self.free
-
-    @cached_property
-    def key(self):
-        """The least encoding, as bytes."""
-        return self.encodings[self.autos[0]].to_bytes(self.length, "big")
 
     @cached_property
     def groups(self):
@@ -441,13 +440,12 @@ class _Parent:
         return tuple(tuple(indices) for _, indices in self.groups)
 
     def layers(self, width):
-        """The children with ``width`` new gates, all at once, as ``(full,
-        positions, mins, anys)``: the number of their classes
-        (``_representatives``); for each class that has a key_min, in key_min
-        order, the position in ``groups`` of the group whose key begins it,
-        and the new layer that ends it, packed into the bytes ``mins``; and
-        each class's new layer under the first automorphism, which ends its
-        key_any, packed into ``anys``, those classes first, in that order.
+        """The full children with ``width`` new gates, all at once, as
+        ``(full, positions, mins)``: the number of their classes
+        (``_representatives``); and for each class that has a key_min, in
+        key_min order, the position in ``groups`` of the group whose key
+        begins it, and the new layer that ends it, packed into the bytes
+        ``mins``.
 
         A key_min is the key of the first group, in key order, one of whose
         tables leaves every new gate fault-free, followed by the least new
@@ -456,13 +454,10 @@ class _Parent:
         before it settled.
 
         So the settle reads only the layer sizes, which fix the candidates
-        and every row; the automorphisms, which fix the classes and the
-        first automorphism's row; the groups' table indices in key order,
-        ``group_indices``; and the width.  The group keys are only prefixes,
-        which ``key_mins`` puts in front.  So each such input is settled
-        once and cached (``_SETTLED``).  After a pure-Python ``generate(6)``
-        the cache holds 191 entries in 0.42 MB (tracemalloc), from 3,489
-        settles."""
+        and every row; the automorphisms, which fix the classes; the groups'
+        table indices in key order, ``group_indices``; and the width.  The
+        group keys are only prefixes, which ``full_keys`` puts in front.  So
+        each such input is settled once and cached (``_SETTLED``)."""
         settle = self.shape[:2], self.group_indices, width
         entry = _SETTLED.get(settle)
         if entry is not None:
@@ -485,30 +480,10 @@ class _Parent:
             if not todo:
                 break
             open_reps = list(map(reps.__getitem__, todo))
-        done = sorted(filter(settled.__getitem__, range(len(reps))), key=settled.__getitem__)
-        anys = list(map(pack, _layers(self.auto_rows[0], reps, width)))
-        entry = _SETTLED[settle] = (
-            len(reps), array("H", [settled[i][0] for i in done]),
-            b"".join(settled[i][1] for i in done), b"".join(map(anys.__getitem__, [*done, *todo])))
+        done = sorted(filter(None, settled))
+        entry = _SETTLED[settle] = (len(reps), array("H", [position for position, _ in done]),
+                                    b"".join(layer for _, layer in done))
         return entry
-
-    def key_mins(self, positions, mins, width):
-        """The key_min encodings that ``layers`` packs as ``positions`` and
-        ``mins``, in the same order: each group's key followed by a layer."""
-        groups = self.groups
-        size = 2 * width
-        return [groups[position][0] + mins[at:at + size]
-                for position, at in zip(positions, count(0, size))]
-
-    def children(self, width):
-        """The ``(key_any, key_min)`` of each child with ``width`` new gates:
-        key_any ends in the new layer that the first automorphism gives its
-        class."""
-        full, positions, mins, anys = self.layers(width)
-        size = 2 * width
-        key = self.key
-        return zip([key + anys[at:at + size] for at in range(0, full * size, size)],
-                   chain(self.key_mins(positions, mins, width), repeat(None)))
 
     def count_full(self, width):
         """``(full, full_min)`` over the children with ``width`` new gates,
@@ -539,10 +514,13 @@ class _Parent:
 
     def full_keys(self, width):
         """``(full, keys)`` over the children with ``width`` new gates: their
-        number and the sorted key_min encodings of those that have one, with
-        no key_any built; ``layers`` gives them in key order."""
-        full, positions, mins, _ = self.layers(width)
-        return full, self.key_mins(positions, mins, width)
+        number and the key_min encodings of those that have one, in key
+        order, each a group's key followed by a layer (``layers``)."""
+        full, positions, mins = self.layers(width)
+        groups = self.groups
+        size = 2 * width
+        return full, [groups[position][0] + mins[at:at + size]
+                      for position, at in zip(positions, count(0, size))]
 
 
 def parent_shape(enc):
@@ -555,10 +533,14 @@ def parent_shape(enc):
 def child_shapes(shape, width):
     """The children with ``width`` new gates of a parent of ``shape`` that
     is its own least encoding, as ``(kept, pruned)``: per distinct shape of
-    the children that have a key_min, ``(shape, times, layer)``, with the
-    number of their classes and the packed new layer that ends the first
-    one's key_any; and the number of classes without a key_min.  No key is
-    built, and each result is cached per shape and width (``_CHILDREN``).
+    the children that have a key_min, ``(shape, layers)``, with the packed
+    new layers that end their classes' key_any, joined; and the number of
+    classes without a key_min.  It is the one place where a walk parent's
+    partial children are derived: the parent followed by one of its
+    ``layers`` is a child's key_any, and both walks
+    (``topology._shape_total`` and ``topology._descend``) take the children
+    from here.  No key is built, and each result is cached per shape and
+    width (``_CHILDREN``).
 
     A parent P that is its own least encoding has the identity, table 0, as
     its first automorphism, so the class C of candidates
@@ -587,6 +569,7 @@ def child_shapes(shape, width):
     for index in _selected(count(), free):
         for candidate in compress(count(), _rows(sizes, index)[2]):
             frees[candidate] |= ((1 << block) - 1) << index * block
+    pack = struct.Struct(f">{width}H").pack
     kept = {}
     pruned = 0
     for combo in _representatives(rows, width):
@@ -603,8 +586,9 @@ def child_shapes(shape, width):
                 child_autos += [index * block + at for at, order in enumerate(orders)
                                 if all(map(eq, map(layer.__getitem__, order), image))]
         child = sizes + (width,), tuple(child_autos), child_free
-        kept.setdefault(child, [child, 0, struct.pack(f">{width}H", *layer)])[1] += 1
-    known = _CHILDREN[shape, width] = tuple(map(tuple, kept.values())), pruned
+        kept.setdefault(child, []).append(pack(*layer))
+    known = _CHILDREN[shape, width] = (
+        tuple((child, b"".join(layers)) for child, layers in kept.items()), pruned)
     return known
 
 
@@ -621,33 +605,28 @@ def _parent(enc, k):
 
 
 def extend(enc, k):
-    """All one-new-layer extensions of a partial topology, by canonical key.
+    """The full children of a partial topology of q gates, by canonical key.
 
-    Appends a layer of 1..k-q new gates; every new gate must touch the
-    current last layer and neither side may nest inside the other.  Returns
-    ``(full, keys, partials)`` over the deduplicated extensions: the number
-    of full children (those of k gates), the sorted key_min encodings of
-    those that have one, and the partial children as sorted ``(key_any,
-    key_min)`` pairs.  key_any identifies the class, and key_min is the
-    least encoding whose gates all satisfy the minimality conditions (None
-    when the class has none).  No full child's key_any is built.
+    A full child appends a layer of k-q new gates; every new gate must touch
+    the current last layer and neither side may nest inside the other.
+    Returns ``(full, keys)`` over the deduplicated full children: their
+    number, and the sorted key_min encodings of those that have one, the
+    least encodings whose gates all satisfy the minimality conditions.  No
+    key_any is built.  The partial children, of fewer new gates, are
+    ``child_shapes``' alone.
 
     The keys equal ``canonical_keys`` of each child, but the relabelings are
     searched once per parent (``_Parent``): new gates reference only old
     gates, so a child's relabeling is a relabeling of the parent followed by
     a permutation of the new layer, which can only sort it, and a new gate's
-    fault does not depend on that permutation.  The children of each width
-    are keyed all at once by element-wise minima over rows of relabeled
-    candidate codes (``_Parent.layers``).  A row depends only on the layer
-    sizes and the table, so each is built once, when a parent first uses
-    its table, and kept as a 16-bit array.
+    fault does not depend on that permutation.  The children are keyed all
+    at once by element-wise minima over rows of relabeled candidate codes
+    (``_Parent.layers``).  A row depends only on the layer sizes and the
+    table, so each is built once, when a parent first uses its table, and
+    kept as a 16-bit array.
     """
     parent = _parent(enc, k)
-    if parent is None:
-        return 0, [], []
-    width = k - len(enc) // 2
-    return (*parent.full_keys(width),
-            sorted(chain.from_iterable(map(parent.children, range(1, width)))))
+    return (0, []) if parent is None else parent.full_keys(k - len(enc) // 2)
 
 
 def count_extend(enc, k):

@@ -244,49 +244,58 @@ def canonical_form(t):
     return Topology.from_encoding(key)
 
 
-def _descend(extend, enc, layers, k, tally, found, split=False):
+def _descend(extend, rep, shape, k, tally, found, split=False):
     """Add the key_min encodings of the full children at and below the
-    parent ``enc`` of ``layers`` layers (``extend(enc, k)``) to the list
-    ``found``, and its children at every depth to ``tally``; recursive, at
-    most k deep.  With ``split``, its partial children that have a key_min
-    are returned instead of walked."""
-    full, keys, partials = extend(enc, k)
+    parent ``rep`` of ``shape`` (``extend(rep, k)``) to the list ``found``,
+    and its children at every depth to ``tally``; recursive, at most k deep.
+    Its partial children that have a key_min are ``rep`` followed by each of
+    the layers that ``child_shapes`` gives, with their shapes; with
+    ``split`` they are returned as ``(rep, shape)`` pairs instead of
+    walked."""
+    full, keys = extend(rep, k)
     found += keys
-    children = [key_any for key_any, key_min in partials if key_min is not None]
-    at = 3 * layers + 3
+    at = 3 * len(shape[0]) + 3
     tally[at] += full
+    children = []
+    for width in range(1, k - len(rep) // 2):
+        kept, pruned = child_shapes(shape, width)
+        tally[at + 2] += pruned
+        size = 2 * width
+        for child, layers in kept:
+            children += [(rep + layers[i:i + size], child) for i in range(0, len(layers), size)]
     tally[at + 1] += len(children)
-    tally[at + 2] += len(partials) - len(children)
     if split:
         return children
     for child in children:
-        _descend(extend, child, layers + 1, k, tally, found)
+        _descend(extend, *child, k, tally, found)
 
 
 def _walk(roots, k, backend, split=False):
     """``generate``'s depth-first class walk below the partial topologies
-    ``roots``: with ``split`` the single-layer seeds, whose partial children
-    are returned instead of walked, else such children, of two layers.
+    ``roots``, as ``(rep, shape)`` pairs: with ``split`` the single-layer
+    seeds, whose partial children are returned instead of walked, else such
+    children, of two layers.
 
-    Each parent is extended by one layer (the kernel's ``extend``) and every
-    child is walked at once.  No key seen is kept for later parents:
-    removing a child's last layer gives back its parent, so different parent
-    classes never yield equivalent children.  A child without a minimal
-    relabeling is dropped, full or partial, because any minimal relabeling
-    of a descendant restricts to one of its prefix.  Returns ``(found,
-    tally, frontier)``: the key_min encodings of the full children; per
-    layer count d, ``tally[3 * d:3 * d + 3]`` holds the full keys, the kept
-    partials and the pruned partials among the children with d layers; and
-    the partial children not walked.
+    Each parent's full children come from the kernel's ``extend``, and its
+    partial children from ``child_shapes``, which derives them from its
+    shape; every child is walked at once.  No key seen is kept for later
+    parents: removing a child's last layer gives back its parent, so
+    different parent classes never yield equivalent children.  A child
+    without a minimal relabeling is dropped, full or partial, because any
+    minimal relabeling of a descendant restricts to one of its prefix.
+    Returns ``(found, tally, frontier)``: the key_min encodings of the full
+    children; per layer count d, ``tally[3 * d:3 * d + 3]`` holds the full
+    keys, the kept partials and the pruned partials among the children with
+    d layers; and the partial children not walked.
     """
     extend = kernel.get_backend(backend).extend
     tally = [0] * (3 * k + 3)
     found, frontier = [], []
-    for enc in roots:
+    for rep, shape in roots:
         if split:
-            frontier += _descend(extend, enc, 1, k, tally, found, split)
+            frontier += _descend(extend, rep, shape, k, tally, found, split)
         else:
-            _descend(extend, enc, 2, k, tally, found)
+            _descend(extend, rep, shape, k, tally, found)
     return found, tally, frontier
 
 
@@ -315,15 +324,15 @@ def _shape_total(kern, rep, shape, k):
     ``_walk`` finds and tallies them, found being a count: its full
     children that have a key_min, counted by the kernel ``kern``'s
     ``count_extend(rep, k)``, and below its partial children that have a
-    key_min, one ``(shape, times, layer)`` per distinct shape
+    key_min, one ``(shape, layers)`` per distinct shape
     (``_gen_py.child_shapes``), each child shape's total weighted by its
-    number of classes.  Made once per kernel, shape and k in a process
-    (``_TOTALS``): 0, 1, 3, 8, 28, 126 and 749 kernel calls for k = 1..7
-    in a cold process, and none when the same count runs again.
+    number of classes, one per layer.  Made once per kernel, shape and k in
+    a process (``_TOTALS``): 0, 1, 3, 8, 28, 126 and 749 kernel calls for
+    k = 1..7 in a cold process, and none when the same count runs again.
 
     No partial child is keyed: the ``rep`` of a child is ``rep`` followed
-    by the ``layer`` that ``child_shapes`` gives, the child's key_any.  That
-    is exact.  The seeds are their own least encodings, and so, by
+    by the first of the ``layers`` that ``child_shapes`` gives, the child's
+    key_any.  That is exact.  The seeds are their own least encodings, and so, by
     ``child_shapes``, is every ``rep`` below them, as ``child_shapes``
     needs.  The kernel's count reads only the parent's shape and the width
     (``_gen_py._Parent.count_full``), and so does ``child_shapes``, so by
@@ -340,9 +349,10 @@ def _shape_total(kern, rep, shape, k):
         for width in range(1, k - len(rep) // 2):
             kept, pruned = child_shapes(shape, width)
             tally[at + 2] += pruned
-            for child, times, layer in kept:
+            for child, layers in kept:
+                times = len(layers) // (2 * width)
                 tally[at + 1] += times
-                child_found, child_tally = _shape_total(kern, rep + layer, child, k)
+                child_found, child_tally = _shape_total(kern, rep + layers[:2 * width], child, k)
                 found += times * child_found
                 tally = [mine + times * theirs for mine, theirs in zip(tally, child_tally)]
         total = _TOTALS[key] = found, tuple(tally)
@@ -379,7 +389,7 @@ def _classes(k, workers, backend, progress):
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     backend = kernel.get_backend(backend).BACKEND
-    roots = [bytes(2 * length) for length in range(1, k)]
+    roots = [(bytes(2 * length), _seed_shape(length)) for length in range(1, k)]
     found, tally, frontier = _walk(roots, k, backend, split=True)
 
     def merge(results):
@@ -436,11 +446,13 @@ def generate(k, *, workers=1, backend=None, progress=None):
 
     A depth-first walk (``_walk``) grows the single-layer seeds one layer at
     a time: every new gate must use the current last layer and may not have
-    one side nested in the other, each parent's children are deduplicated
-    by canonical key, and a class is kept exactly when some relabeling
-    satisfies the minimality conditions.  The least minimal relabeling is
-    the stored representative, which the kernel's ``extend`` hands over for
-    each parent's full children, and members are sorted by encoding, so the
+    one side nested in the other, and a class is kept exactly when some
+    relabeling satisfies the minimality conditions.  Each parent is walked
+    at its least encoding with its shape, as ``count_classes`` walks shapes:
+    the kernel's ``extend`` hands over the least minimal relabeling, the
+    stored representative, of each of its full children, and
+    ``_gen_py.child_shapes`` gives the least encodings and shapes of its
+    partial children, one per class.  Members are sorted by encoding, so the
     result is a function of k alone, independent of worker count and
     backend.  ``progress`` receives a ``"subtree"`` event as each subtree
     below the seeds' partial children is walked, and one ``"round"`` event

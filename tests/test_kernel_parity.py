@@ -6,7 +6,6 @@ import random
 import shlex
 import subprocess
 import sysconfig
-from collections import Counter
 from itertools import combinations_with_replacement, count, permutations, product
 from operator import countOf
 from pathlib import Path
@@ -66,20 +65,13 @@ def test_extend_parity(gen_c):
 def test_extend_parity_on_k7_seeds(gen_c, q):
     # q = 6 leaves room for one new gate only, under 720 automorphisms
     enc = bytes(2 * q)
-    full, keys, _ = extended = _gen_py.extend(enc, 7)
+    full, keys = extended = _gen_py.extend(enc, 7)
     assert extended == gen_c.extend(enc, 7)
     assert _gen_py.count_extend(enc, 7) == gen_c.count_extend(enc, 7) == (full, len(keys))
 
 
 def test_extend_parity_on_one_gate_parents_at_k6(gen_c):
-    parents = []
-    stack = [bytes(2 * q) for q in range(1, 6)]
-    while stack:
-        enc = stack.pop()
-        if len(enc) == 10:
-            parents.append(enc)
-        else:
-            stack += [key for key, key_min in gen_c.extend(enc, 6)[2] if key_min is not None]
+    parents = [enc for enc, _ in walk_parents(gen_c, 6, full=False) if len(enc) == 10]
     assert len(parents) == 3282
     for enc in random.Random(6).sample(parents, 300):
         assert _gen_py.extend(enc, 6) == gen_c.extend(enc, 6), enc
@@ -122,7 +114,7 @@ def test_kernel_guards_match(gen_c):
     assert gen_c.canonical_keys(b"") == _gen_py.canonical_keys(b"") == (b"", b"")
     # a parent of k gates has no children, so no candidate gates are built
     # (seven gates would give more than 4,096 of them)
-    assert gen_c.extend(bytes(14), 7) == _gen_py.extend(bytes(14), 7) == (0, [], [])
+    assert gen_c.extend(bytes(14), 7) == _gen_py.extend(bytes(14), 7) == (0, [])
     assert gen_c.count_extend(bytes(14), 7) == _gen_py.count_extend(bytes(14), 7) == (0, 0)
     assert gen_c.count_extend(b"\0\0", -2 ** 80) == _gen_py.count_extend(b"\0\0", -2 ** 80) \
         == (0, 0)
@@ -141,16 +133,14 @@ def test_odd_length_parent_ignores_its_last_byte(gen_c):
 def unpruned_walk_parents(kern, k):
     """Each parent that a walk for k which prunes nothing expands: the seeds
     of 1..k-1 empty gates and every partial child, with or without a
-    key_min, with the parent's ``kern.extend``."""
+    key_min, as ``reference_extend`` finds them, with the parent's
+    ``kern.extend``."""
     found = []
     stack = [bytes(2 * q) for q in range(1, k)]
     while stack:
         enc = stack.pop()
-        extended = kern.extend(enc, k)
-        found.append((enc, extended))
-        stack += [key for key, _ in extended[2]]
-        # a child no longer than its parent would never end the walk
-        assert all(len(enc) < len(key) < 2 * k for key, _ in extended[2]), enc
+        found.append((enc, kern.extend(enc, k)))
+        stack += [key for key, _ in reference_extend(kern, enc, k, full=False)]
     return found
 
 
@@ -158,7 +148,7 @@ def unpruned_walk_parents(kern, k):
 def test_count_extend_matches_extend_on_unpruned_parents(k):
     found = unpruned_walk_parents(_gen_py, k)
     assert len(found) == {2: 1, 3: 3, 4: 11, 5: 106}[k]
-    for enc, (full, keys, _) in found:
+    for enc, (full, keys) in found:
         assert _gen_py.count_extend(enc, k) == (full, len(keys)), enc
 
 
@@ -223,8 +213,9 @@ def test_settle_cache_matches_cold_settles(monkeypatch):
                         lambda parent, width: settles.append(width) or layers(parent, width))
     _gen_py._SETTLED.clear()
     assert len(generate(5, backend="python").members) == 3282
-    # the settle inputs among the walk's settles
-    assert len(_gen_py._SETTLED) == 40 < len(settles)
+    # one settle per walk parent, of its full children, and the settle
+    # inputs among them
+    assert len(settles) == 96 and len(_gen_py._SETTLED) == 28
 
 
 def test_compiled_count_extend_matches_extend_on_unpruned_parents_at_k6(gen_c):
@@ -232,14 +223,14 @@ def test_compiled_count_extend_matches_extend_on_unpruned_parents_at_k6(gen_c):
     assert len(found) == 5224
     # the unpruned class count, summed from the full children
     assert sum(extended[0] for _, extended in found) + 1 == 1353064
-    for enc, (full, keys, _) in found:
+    for enc, (full, keys) in found:
         assert gen_c.count_extend(enc, 6) == (full, len(keys)), enc
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_extend_keys_are_the_sorted_full_key_mins(request, k):
     kern = request.getfixturevalue("gen_c") if k == 6 else _gen_py
-    for enc, (full, keys, _) in unpruned_walk_parents(kern, k):
+    for enc, (full, keys) in unpruned_walk_parents(kern, k):
         full_counted, full_min = kern.count_extend(enc, k)
         assert full == full_counted, enc
         assert len(keys) == full_min <= full, enc
@@ -256,16 +247,18 @@ def test_count_classes_equals_generate_count(gen_c, monkeypatch, k):
         assert count_classes(k, backend=backend) == generate(k, backend=backend).count
 
 
-def reference_extend(kern, enc, k):
-    """``extend`` by one full ``kern.canonical_keys`` search per child."""
+def reference_extend(kern, enc, k, full=True):
+    """Every child's ``(key_any, key_min)``, sorted, by one full
+    ``kern.canonical_keys`` search per child: of every width of new layer up
+    to k gates, or of fewer when not ``full``, the partial children alone."""
     q = len(enc) // 2
     last = _gen_py.layer_masks(zip(enc[::2], enc[1::2]))[-1]
-    full = (1 << q) - 1
-    cands = [bytes((left, right)) for left in range(1, full + 1) if left & last
-             for right in range(full + 1) if not (right & last and right < left)
+    sides = (1 << q) - 1
+    cands = [bytes((left, right)) for left in range(1, sides + 1) if left & last
+             for right in range(sides + 1) if not (right & last and right < left)
              and left & ~right and not (right and (right & ~left) == 0)]
     out = {}
-    for width in range(1, k - q + 1):
+    for width in range(1, k - q + full):
         for combo in combinations_with_replacement(cands, width):
             key_any, key_min = kern.canonical_keys(enc + b"".join(combo))
             out[key_any] = key_min
@@ -273,23 +266,23 @@ def reference_extend(kern, enc, k):
 
 
 def reference_results(children, k):
-    """``extend``'s ``(full, keys, partials)`` and ``count_extend``'s
-    ``(full, full_min)`` from every child's ``(key_any, key_min)``, as
+    """``extend``'s ``(full, keys)`` and ``count_extend``'s ``(full,
+    full_min)`` from every child's ``(key_any, key_min)``, as
     ``reference_extend`` lists them."""
     full = [key_min for key_any, key_min in children if len(key_any) == 2 * k]
     keys = sorted(key for key in full if key is not None)
-    partials = [child for child in children if len(child[0]) < 2 * k]
-    return (len(full), keys, partials), (len(full), len(keys))
+    return (len(full), keys), (len(full), len(keys))
 
 
-def walk_parents(kern, k):
-    """Each parent the class walk for k expands, with its reference children:
-    the seeds of 1..k-1 empty gates and every partial child with a key_min."""
+def walk_parents(kern, k, full=True):
+    """Each parent the class walk for k expands, with its reference children
+    (``reference_extend``, the partial ones alone when not ``full``): the
+    seeds of 1..k-1 empty gates and every partial child with a key_min."""
     found = []
     stack = [bytes(2 * q) for q in range(1, k)]
     while stack:
         enc = stack.pop()
-        children = reference_extend(kern, enc, k)
+        children = reference_extend(kern, enc, k, full)
         found.append((enc, children))
         stack += [key for key, key_min in children if key_min is not None and len(key) < 2 * k]
     return found
@@ -325,7 +318,7 @@ def test_one_gate_count_matches_the_settled_classes():
     no_group = one_flag_row = 0
     for enc in sorted(parents):
         parent = _gen_py._Parent(_gen_py.read_topology(enc))
-        full, keys, _ = _gen_py.extend(enc, len(enc) // 2 + 1)
+        full, keys = _gen_py.extend(enc, len(enc) // 2 + 1)
         full_min = len(keys)
         assert _gen_py.count_extend(enc, len(enc) // 2 + 1) == (full, full_min), enc
         no_group += not parent.groups and full_min == 0 < full
@@ -361,8 +354,8 @@ def count_walk_shapes(k):
         shape = _gen_py.parent_shape(enc)
         if shape not in found:
             found[shape] = enc
-            stack += [enc + layer for width in range(1, k - len(enc) // 2)
-                      for _, _, layer in _gen_py.child_shapes(shape, width)[0]]
+            stack += [enc + layers[:2 * width] for width in range(1, k - len(enc) // 2)
+                      for _, layers in _gen_py.child_shapes(shape, width)[0]]
     return found
 
 
@@ -467,45 +460,62 @@ def test_prove_verbose_is_the_same_cold_and_warm_and_takes_no_workers(gen_c, cap
         assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
 
 
-def count_walk_parents(k):
-    """Each parent of the class walk for k with its ``extend(enc, k)``: the
-    seeds of 1..k-1 empty gates and every partial child with a key_min."""
-    found = []
-    stack = [bytes(2 * q) for q in range(1, k)]
-    while stack:
-        enc = stack.pop()
-        extended = _gen_py.extend(enc, k)
-        found.append((enc, extended))
-        stack += [key for key, key_min in extended[2] if key_min is not None]
-    return found
+def check_child_shapes(kern, k):
+    """``child_shapes`` against every walk parent's partial children for k,
+    as ``reference_extend`` finds them with ``kern.canonical_keys``: for
+    each width, the parent followed by each layer of each kept shape is the
+    key_any of exactly one class that has a key_min, of that shape, and
+    ``pruned`` counts the classes that have none.  Returns the number of
+    walk parents."""
+    found = walk_parents(kern, k, full=False)
+    for enc, partials in found:
+        shape = _gen_py.parent_shape(enc)
+        assert shape[1][0] == 0, enc  # a walk parent is its own least encoding
+        for width in range(1, k - len(enc) // 2):
+            size = 2 * width
+            children = [(key, key_min) for key, key_min in partials
+                        if len(key) == len(enc) + size]
+            kept, pruned = _gen_py.child_shapes(shape, width)
+            listed = []
+            for child, layers in kept:
+                assert layers and len(layers) % size == 0, (enc, width)
+                reps = [enc + layers[at:at + size] for at in range(0, len(layers), size)]
+                assert {_gen_py.parent_shape(rep) for rep in reps} == {child}, (enc, width)
+                listed += reps
+            assert len(kept) == len({child for child, _ in kept}), (enc, width)
+            assert sorted(listed) == [key for key, key_min in children if key_min is not None], \
+                (enc, width)
+            assert pruned == countOf((key_min for _, key_min in children), None), (enc, width)
+    return len(found)
 
 
 def test_child_shapes_match_the_relabeled_children():
     _gen_py._CHILDREN.clear()
-    parents = 0
-    for k in range(2, 7):
-        for enc, (_, _, partials) in count_walk_parents(k):
-            parents += 1
-            shape = _gen_py.parent_shape(enc)
-            assert shape[1][0] == 0, enc  # a walk parent is its own least encoding
-            for width in range(1, k - len(enc) // 2):
-                children = [(key, key_min) for key, key_min in partials
-                            if len(key) == len(enc) + 2 * width]
-                shapes = Counter(_gen_py.parent_shape(key) for key, key_min in children
-                                 if key_min is not None)
-                kept, pruned = _gen_py.child_shapes(shape, width)
-                assert {child: times for child, times, _ in kept} == shapes, (enc, width)
-                assert len(kept) == len(shapes), (enc, width)
-                assert pruned == countOf((key_min for _, key_min in children), None), enc
-                for child, _, layer in kept:
-                    # the child's representative is one of its classes' key_any
-                    assert enc + layer in dict(children), (enc, width)
-                    assert _gen_py.parent_shape(enc + layer) == child, (enc, width)
-    assert parents == 3489
+    assert [check_child_shapes(_gen_py, k) for k in range(2, 6)] == [1, 3, 11, 96]
     _gen_py._CHILDREN.clear()
     topology._TOTALS.clear()  # cached totals would spare the count its child shapes
     assert count_classes(5, backend="python") == 3282
     assert len(_gen_py._CHILDREN) == 12  # parent shapes and widths of the count walk
+
+
+def test_compiled_child_shapes_match_the_relabeled_children_at_k6(gen_c):
+    assert check_child_shapes(gen_c, 6) == 3378
+
+
+def test_generate_extends_each_walk_parent_once_at_its_least_encoding(gen_c, monkeypatch):
+    monkeypatch.setattr(kernel, "_gen_c", gen_c)
+    counted = []
+    assert count_classes(5, backend="python", progress=counted.append) == 3282
+    for kern in (_gen_py, gen_c):
+        reps = []
+        monkeypatch.setattr(kern, "extend", lambda rep, k, step=kern.extend:
+                            reps.append(rep) or step(rep, k))
+        events = []
+        assert generate(5, backend=kern.BACKEND, progress=events.append).count == 3282
+        # one call per walk parent, each at its key_any, as child_shapes needs
+        assert len(reps) == len(set(reps)) == 96, kern.BACKEND
+        assert all(kern.canonical_keys(rep)[0] == rep for rep in reps), kern.BACKEND
+        assert events == counted, kern.BACKEND
 
 
 def test_backend_selection():
@@ -556,8 +566,10 @@ def test_parent_shapes_match_reference():
                 groups.setdefault(encoding, []).append(index)
         free = sum(minimal << index for index, (_, minimal) in enumerate(relabeled))
         parent = _gen_py._Parent(_gen_py.read_topology(enc))
-        assert (parent.sizes, parent.autos, parent.key, parent.groups, parent.free) \
-            == (layering(t).sizes, autos, key, sorted(groups.items()), free), enc
+        encodings = [encoding.to_bytes(len(enc), "big") for encoding in parent.encodings]
+        assert (parent.sizes, encodings, parent.autos, parent.groups, parent.free) \
+            == (layering(t).sizes, [encoding for encoding, _ in relabeled], autos,
+                sorted(groups.items()), free), enc
         assert _gen_py.parent_shape(enc) == parent.shape == (parent.sizes, tuple(autos), free)
 
 
