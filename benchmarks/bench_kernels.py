@@ -162,14 +162,14 @@ def walk_parents(k):
     by one of the layers that ``_gen_py.child_shapes`` gives for its shape,
     or, from a package whose ``extend`` still keys partial children, one of
     their key_any."""
+    keyed = len(_gen_py.extend(b"\0\0", 2)) == 3
     parents = []
     stack = [bytes(2 * q) for q in range(1, k)]
     while stack:
         enc = stack.pop()
         parents.append(enc)
-        extended = _gen_py.extend(enc, k)
-        if len(extended) == 3:
-            stack += [key for key, key_min in extended[2] if key_min is not None]
+        if keyed:
+            stack += [key for key, key_min in _gen_py.extend(enc, k)[2] if key_min is not None]
             continue
         shape = _gen_py.parent_shape(enc)
         for width in range(1, k - len(enc) // 2):

@@ -272,19 +272,19 @@ child_key(const unsigned char *prefix, int n, const unsigned char *layer, int m)
 
 /* Whether the new layer of candidates idx[0..width) stands for its class:
    the first automorphism maps it to the least sorted layer over all of
-   them, which it writes to best.  A relabeling maps distinct multisets of
-   candidates to distinct multisets of codes, so each class has exactly one
-   such layer, and no table of the keys seen is needed. */
+   them.  A relabeling maps distinct multisets of candidates to distinct
+   multisets of codes, so each class has exactly one such layer, and no
+   table of the keys seen is needed. */
 static int
 least_under_first(const unsigned short *codes, int ncand, relabeling *const *autos,
-                  int nautos, const int *idx, int width, unsigned char *best)
+                  int nautos, const int *idx, int width)
 {
-    unsigned char layer[2 * MAX_GATES];
+    unsigned char first[2 * MAX_GATES], layer[2 * MAX_GATES];
     int i;
-    sorted_layer(codes + autos[0]->row * ncand, idx, width, best);
+    sorted_layer(codes + autos[0]->row * ncand, idx, width, first);
     for (i = 1; i < nautos; i++) {
         sorted_layer(codes + autos[i]->row * ncand, idx, width, layer);
-        if (memcmp(layer, best, 2 * width) < 0)
+        if (memcmp(layer, first, 2 * width) < 0)
             return 0;
     }
     return 1;
@@ -358,7 +358,7 @@ add_children(PyObject *keys, Py_ssize_t *counts, const topo *parent, int k,
         const relabeling *found = NULL;
         int g, end;
 
-        if (!least_under_first(codes, ncand, autos, nautos, idx, width, best))
+        if (!least_under_first(codes, ncand, autos, nautos, idx, width))
             goto next;
         counts[0]++;
         if (keys == NULL) {
