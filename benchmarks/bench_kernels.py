@@ -5,7 +5,11 @@ Per backend, times the class walk alone (``count_classes``), the walk plus
 the sorted member rows (``generate``), and ``extend`` and ``count_extend``
 in microseconds per parent over every parent that the walk for k expands,
 each the median of PASSES passes, and reports the speedup of the compiled
-kernel on the first two.  ``extend_us`` covers only a parent's full
+kernel on the first two.  These four figures are printed, and recorded as
+``walk_s_scaled`` and the like, scaled to the reference speed by
+``perfbench/calibrate.py``'s ``scaled`` with the reference loop run just
+before and just after each one; the record keeps the raw figures beside
+them under the old names.  ``extend_us`` covers only a parent's full
 children, those that complete k gates: ``_gen_py.child_shapes`` derives the
 partial ones, which an older package's ``extend`` also keyed.  Each pass
 starts with the class count's cache
@@ -93,7 +97,7 @@ from mcbound.topology import (Topology, count_classes, generate, load_topology_s
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-from calibrate import reference_seconds  # noqa: E402
+from calibrate import reference_seconds, scaled  # noqa: E402
 
 
 CIRCUITS = 2000
@@ -150,6 +154,16 @@ def median_timed(fn, *args, **kwargs):
     return median_of(cold)
 
 
+def scaled_timed(fn, *args, **kwargs):
+    """``median_timed(fn, *args, **kwargs)`` as ``(result, seconds,
+    scaled_seconds)``: the seconds also scaled to the reference speed
+    (``calibrate.scaled``) by the reference loop run just before and just
+    after the passes."""
+    before = reference_seconds()
+    result, seconds = median_timed(fn, *args, **kwargs)
+    return result, seconds, scaled(seconds, before, reference_seconds())
+
+
 def first_members(ts):
     """The ``members`` of a copy of ``ts`` whose ``Topology`` views are not
     built yet, so that each call builds them."""
@@ -181,14 +195,16 @@ def walk_parents(k):
 
 def per_parent_us(fn, k, parents):
     """``fn(enc, k)`` microseconds per parent over the parents, the median
-    of PASSES passes, or None when there are none."""
+    of PASSES passes, raw and scaled (``scaled_timed``), or None twice when
+    there are none."""
     if not parents:
-        return None
+        return None, None
 
     def one_pass():
         for enc in parents:
             fn(enc, k)
-    return median_timed(one_pass)[1] / len(parents) * 1e6
+    _, seconds, scaled_s = scaled_timed(one_pass)
+    return seconds / len(parents) * 1e6, scaled_s / len(parents) * 1e6
 
 
 def respell(path, out):
@@ -421,11 +437,12 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "set.txt")
         for k in range(1, args.max_k + 1):
-            times = {}
+            times, raw = {}, {}
             for backend in backends:
-                count, times[backend, "walk"] = median_timed(count_classes, k, backend=backend)
-                ts, times[backend, "generate"] = median_timed(generate, k, backend=backend,
-                                                              workers=1)
+                count, raw[backend, "walk"], times[backend, "walk"] = scaled_timed(
+                    count_classes, k, backend=backend)
+                ts, raw[backend, "generate"], times[backend, "generate"] = scaled_timed(
+                    generate, k, backend=backend, workers=1)
                 if ts.count != count:
                     raise SystemExit(f"k={k} {backend}: the walk counted {count} classes, "
                                      f"generate built {ts.count}")
@@ -435,10 +452,13 @@ def main():
                 raise SystemExit(f"k={k}: the loaded set differs from the saved one")
             members, members_s = median_of(first_members, back)
             parents = walk_parents(k)
-            extend = {b: per_parent_us(kernel.get_backend(b).extend, k, parents)
-                      for b in backends}
-            count_extend = {b: per_parent_us(kernel.get_backend(b).count_extend, k, parents)
-                            for b in backends}
+            extend_raw, extend = {}, {}
+            count_extend_raw, count_extend = {}, {}
+            for b in backends:
+                kern = kernel.get_backend(b)
+                extend_raw[b], extend[b] = per_parent_us(kern.extend, k, parents)
+                count_extend_raw[b], count_extend[b] = per_parent_us(kern.count_extend, k,
+                                                                     parents)
             cold_us, warm_us, keys_c_us = canonical_keys_us(members, backends)
             from_enc_us = from_encoding_us(members)
             respelt = os.path.join(tmp, "respelt.txt")
@@ -447,9 +467,13 @@ def main():
             fresh_mb = "/".join(f"{run['peak_rss_mb']:.1f}" for run in fresh_runs.values())
             fresh_kernel = {b: fresh_passes("kernel", k, b) for b in backends}
             rows.append({"k": k, "classes": count, "parents": len(parents),
-                         "walk_s": {b: times[b, "walk"] for b in backends},
-                         "generate_s": {b: times[b, "generate"] for b in backends},
-                         "extend_us": extend, "count_extend_us": count_extend,
+                         "walk_s": {b: raw[b, "walk"] for b in backends},
+                         "walk_s_scaled": {b: times[b, "walk"] for b in backends},
+                         "generate_s": {b: raw[b, "generate"] for b in backends},
+                         "generate_s_scaled": {b: times[b, "generate"] for b in backends},
+                         "extend_us": extend_raw, "extend_us_scaled": extend,
+                         "count_extend_us": count_extend_raw,
+                         "count_extend_us_scaled": count_extend,
                          "save_s": save_s, "load_s": load_s,
                          "members_s": members_s, "from_encoding_us": from_enc_us,
                          "canonical_keys_cold_us": cold_us, "canonical_keys_warm_us": warm_us,

@@ -1,6 +1,6 @@
 """Fresh-interpreter figures of the mcbound package, for ``bench_kernels.py``.
 
-    python -I -S benchmarks/startup.py STARTS SRC
+    python -I -S benchmarks/startup.py STARTS SRC [SRC2]
     python -I -S benchmarks/startup.py set K PATH RESPELT SRC
     python -I -S benchmarks/startup.py kernel K BACKEND SRC
     python -I -S benchmarks/startup.py count K BACKEND SRC
@@ -8,7 +8,11 @@
 The first form runs STARTS fresh interpreters of each command in COMMANDS,
 alternated, and prints one JSON object: per command, the median seconds
 from spawning the child until it exits and the largest peak RSS in MB that
-``wait4`` reports for the children.  The second runs each command in
+``wait4`` reports for the children.  Given a second tree SRC2, it starts
+each command in both trees one after the other, SRC first on even starts
+and SRC2 first on odd ones, so that both see the same drift of the
+machine's speed, and prints a JSON list of the two objects, SRC's first.
+The second runs each command in
 SET_COMMANDS once for the topology set on K gates, saved to and loaded
 from PATH, then loaded from RESPELT, the same set with one line spelt
 otherwise, and prints, per command, its seconds and its child's peak RSS.
@@ -35,10 +39,16 @@ import time
 
 PROVE_ARGV = ["prove", "--n", "7", "--k", "6", "--classes", "555709"]
 COMMANDS = {
+    # perfbench's set-up, its SETUP_CODE (perfbench/run.py) as it is spelt there
+    "setup": "import time, mcbound.cli, mcbound.kernel as k; k.BACKEND; "
+             "print(repr(time.perf_counter()))",
     "import_cli": "import mcbound.cli",
     # the paper's verdict from the published class count, run as the
     # installed ``mcbound`` script runs it
     "prove_classes": f"import sys; from mcbound.cli import main; sys.exit(main({PROVE_ARGV!r}))",
+    # a command that walks classes: the count for k=5, cold
+    "prove_k5": "import sys; from mcbound.cli import main; "
+                "sys.exit(main(['prove', '--n', '7', '--k', '5']))",
 }
 # generate alone, then the CLI's generate, which also saves the set to PATH,
 # then a load of that file and one of RESPELT
@@ -81,11 +91,16 @@ def child_run(code, env):
     return elapsed, usage.ru_maxrss / 1024
 
 
-def main():
-    src = sys.argv[-1]
+def tree_env(src):
+    """The caller's environment with ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def main():
     if sys.argv[1] in ("set", "kernel", "count"):
+        env = tree_env(sys.argv[-1])
         if sys.argv[1] == "set":
             commands = SET_COMMANDS
             fields = {"k": int(sys.argv[2]), "path": sys.argv[3], "respelt": sys.argv[4]}
@@ -100,13 +115,17 @@ def main():
         print(json.dumps(figures))
         return
     starts = int(sys.argv[1])
-    runs = {name: [] for name in COMMANDS}
-    for _ in range(starts):
+    envs = [tree_env(src) for src in sys.argv[2:]]
+    runs = [{name: [] for name in COMMANDS} for _ in envs]
+    for start in range(starts):
+        order = list(enumerate(envs))[::-1 if start % 2 else 1]
         for name, code in COMMANDS.items():
-            runs[name].append(child_run(code, env))
-    print(json.dumps({name: {"median_s": sorted(s for s, _ in samples)[starts // 2],
-                             "peak_rss_mb": max(mb for _, mb in samples)}
-                      for name, samples in runs.items()}))
+            for tree, env in order:
+                runs[tree][name].append(child_run(code, env))
+    figures = [{name: {"median_s": sorted(s for s, _ in samples)[starts // 2],
+                       "peak_rss_mb": max(mb for _, mb in samples)}
+                for name, samples in tree_runs.items()} for tree_runs in runs]
+    print(json.dumps(figures if len(envs) > 1 else figures[0]))
 
 
 if __name__ == "__main__":

@@ -4,7 +4,13 @@ Results go to stdout, diagnostics and progress to stderr.  Exit status is 0
 exactly when the command's success condition holds.
 
 Only ``verify`` and ``eval`` load the circuit layer and the oracle, so the
-other commands start without them.
+other commands start without them.  ``generate``, ``table2``, ``verify``
+and ``prove`` without ``--classes`` load ``topology`` and the kernel: the
+first of them to run binds the names of _TOPOLOGY_NAMES from ``topology``,
+and so does a read of one of those names from outside before that (PEP
+562).  ``eval`` loads them through the circuit layer.  So ``prove
+--classes``, ``--help`` and a usage error start with ``bounds`` and
+``errors`` alone.
 """
 
 import argparse
@@ -12,11 +18,35 @@ import sys
 from functools import cache
 
 from . import bounds
-from .errors import CapacityError, CircuitError, ContractError, ParseError, read_ascii
-from .topology import (_ascii_number, count_classes, generate, is_minimal, is_well_layered,
-                       load_topology_set, save_topology_set)
+from .errors import (CapacityError, CircuitError, ContractError, ParseError, _ascii_number,
+                     read_ascii)
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 2, 3: 8, 4: 88, 5: 3564, 6: 555709}
+
+# The names this module takes from ``topology``, bound on first use.
+_TOPOLOGY_NAMES = ("count_classes", "generate", "is_minimal", "is_well_layered",
+                   "load_topology_set", "save_topology_set")
+_topology_bound = False
+
+
+def _bind_topology():
+    """Bind _TOPOLOGY_NAMES into this module, once per process; a name that
+    is already set, as by a patch made before the first command, is kept."""
+    global _topology_bound
+    from . import topology
+
+    names = globals()
+    for name in _TOPOLOGY_NAMES:
+        names.setdefault(name, getattr(topology, name))
+    _topology_bound = True
+
+
+def __getattr__(name):
+    """A name of _TOPOLOGY_NAMES read from outside before it is bound (PEP 562)."""
+    if name not in _TOPOLOGY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_topology()
+    return globals()[name]
 
 
 def _integer(text):
@@ -109,6 +139,8 @@ def _progress(args):
 def _cmd_generate(args):
     if args.k < 1:
         return _usage_error("--k must be at least 1")
+    if not _topology_bound:
+        _bind_topology()
     ts = generate(args.k, workers=args.workers, progress=_progress(args))
     save_topology_set(ts, args.out)
     print(ts.count)
@@ -120,6 +152,8 @@ def _cmd_table2(args):
         return _usage_error("--max-k must be at least 1")
     if args.max_k > max(EXPECTED_CLASS_COUNTS):
         return _usage_error(f"no expected value beyond k={max(EXPECTED_CLASS_COUNTS)}")
+    if not _topology_bound:
+        _bind_topology()
     progress = _progress(args)
     failures = []
     for k in range(1, args.max_k + 1):
@@ -143,6 +177,8 @@ def _cmd_prove(args):
     # More classes only lengthen the report, so a report that is too long
     # with one class is refused before any file is read or walk run.
     bounds.check_report_size(args.n, args.k, 1)
+    if args.classes is None and not _topology_bound:
+        _bind_topology()
     if args.classes is not None:
         classes = args.classes
     elif args.topologies:
@@ -271,6 +307,8 @@ def _suite_m3(args):
 
 def _cmd_verify(args):
     """Run one suite; each suite checks only the flags it reads."""
+    if not _topology_bound:
+        _bind_topology()
     suites = {
         "oracle-topologies": _suite_oracle_topologies,
         "rewrites": _suite_rewrites,

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the check of every text
+"""Exception types shared across the package, the check of every text
 format that reports a non-ASCII byte as a ParseError at its line and
-column."""
+column, and ``_ascii_number``, the reader of every number in a text format
+and of every integer flag of the CLI."""
 
 # The white space of every text format, as ``bytes.strip`` strips it but for
 # ``\n``, which ends a line and is the only character that does.
@@ -30,6 +31,13 @@ class ParseError(ValueError):
         elif line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _ascii_number(text):
+    """The value of ``text`` when it is 1 to 18 ASCII digits, else None."""
+    if text.isascii() and text.isdecimal() and len(text) <= 18:
+        return int(text)
+    return None
 
 
 def ascii_line(line, lineno):

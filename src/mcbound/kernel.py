@@ -1,18 +1,20 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-Callers that need a particular kernel pass its name to ``get_backend``.
+``BACKEND`` names the default kernel, known from whether the compiled one
+imports, so reading it loads no pure-Python kernel: ``_gen_py`` is imported
+the first time ``get_backend`` returns it.  Callers that need a particular
+kernel pass its name to ``get_backend``.
 """
-
-from . import _gen_py
 
 try:
     from . import _gen_c
 except ImportError:
     _gen_c = None
 
-_active = _gen_py if _gen_c is None else _gen_c
+# The default kernel; None until get_backend first needs the pure-Python one.
+_active = _gen_c
 
-BACKEND = _active.BACKEND
+BACKEND = "python" if _gen_c is None else _gen_c.BACKEND
 
 
 def available_backends():
@@ -23,12 +25,20 @@ def available_backends():
     return names
 
 
+def _python():
+    from . import _gen_py
+    return _gen_py
+
+
 def get_backend(name=None):
     """Resolve a kernel module by name ("c", "python", or None for default)."""
+    global _active
     if name is None:
+        if _active is None:
+            _active = _python()
         return _active
     if name == "python":
-        return _gen_py
+        return _python()
     if name == "c":
         if _gen_c is None:
             raise ValueError("compiled kernel is not available")

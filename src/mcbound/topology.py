@@ -13,8 +13,8 @@ from operator import add, countOf
 
 from . import kernel
 from ._gen_py import child_shapes, gate_fault, layer_masks, parent_shape
-from .errors import (SPACE, CapacityError, CircuitError, ContractError, ParseError, ascii_line,
-                     ascii_lines)
+from .errors import (SPACE, CapacityError, CircuitError, ContractError, ParseError,
+                     _ascii_number, ascii_line, ascii_lines)
 
 MAX_GENERATE_K = 7
 # generate keeps every class key, about 56 bytes each: some 28 MB for the
@@ -531,13 +531,6 @@ _GATE_LINE = re.compile(r"^gate\s+(\d{1,18}):\s*L=\{([^}]*)\}\s*R=\{([^}]*)\}\s*
 _SET_HEADER = re.compile(r"^topologyset\s+k=(\d{1,18})\s+count=(\d{1,18})\s*$", re.ASCII)
 
 
-def _ascii_number(text):
-    """The value of ``text`` when it is 1 to 18 ASCII digits, else None."""
-    if text.isascii() and text.isdecimal() and len(text) <= 18:
-        return int(text)
-    return None
-
-
 @cache
 def _mask_texts():
     """Canonical text of every side mask below 256 (every side of a
@@ -660,8 +653,10 @@ def _set_chunks(ts):
 def format_topology_set(ts):
     """The text of ``ts``: its header line, then one block per member as
     ``format_topology`` writes it, a blank line before each, and a newline
-    at the end; built a chunk of _CHUNK_BLOCKS members at a time."""
-    return "\n".join(_set_chunks(ts)) + "\n"
+    at the end; built a chunk of _CHUNK_BLOCKS members at a time.  The join
+    writes the last newline, before an empty last piece, so the text is
+    copied once."""
+    return "\n".join(chain(_set_chunks(ts), ("",)))
 
 
 @cache

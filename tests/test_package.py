@@ -31,14 +31,71 @@ PUBLIC_NAMES = {
 }
 
 
-def test_cli_imports_neither_circuits_nor_oracle():
-    script = ("import sys, mcbound.cli, mcbound.kernel\n"
-              "print(sorted({'mcbound.circuits', 'mcbound.oracle', 'mcbound.randgen',\n"
-              "              'dataclasses'} & set(sys.modules)))\n")
+def fresh(script):
+    """The standard output of ``script`` run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(mcbound.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+# the modules that hold the class walk and the pure-Python kernel
+WALK = "loaded = lambda: sorted({'mcbound.topology', 'mcbound._gen_py'} & set(sys.modules))\n"
+
+
+def test_cli_imports_neither_circuits_nor_oracle():
+    script = ("import sys, mcbound.cli, mcbound.kernel as k\n"
+              "k.BACKEND\n"
+              "print(sorted({'mcbound.circuits', 'mcbound.oracle', 'mcbound.randgen',\n"
+              "              'dataclasses', 'mcbound.topology', 'mcbound._gen_py'}\n"
+              "             & set(sys.modules)))\n")
+    assert fresh(script) == "[]\n"
+
+
+PROVE_K6_REPORT = """\
+n = 7
+k = 6
+topology_classes = 555709
+all_circuits_bound = 1393796574908163946345982392040522594123776
+raw_topology_count = 1073741824
+circuits_per_topology = 1298074214633706907132624082305024
+negnormal_circuits_per_topology = 231029321891594808422774159179776
+negnormal_circuit_bound = 248065845485364139864800088817759026151424
+refined_bound = 128385073439056259393811405223634141184
+|B_n| = 340282366920938463463374607431768211456
+verdict: M(7) >= 7: true
+"""
+
+
+def test_prove_with_classes_loads_no_walk_and_a_count_loads_it():
+    script = ("import sys\n"
+              "from mcbound.cli import main\n" + WALK +
+              "print(main(['prove', '--n', '7', '--k', '6', '--classes', '555709']), loaded())\n"
+              "print(main(['prove', '--n', '7', '--k', '5']), loaded())\n")
+    out = fresh(script)
+    assert out.startswith(PROVE_K6_REPORT + "0 []\n")
+    lines = out.removeprefix(PROVE_K6_REPORT).splitlines()
+    assert "topology_classes = 3282" in lines and "verdict: M(7) >= 6: true" in lines
+    assert lines[-1] == "0 ['mcbound._gen_py', 'mcbound.topology']"
+
+
+def test_backend_is_the_default_kernels_and_is_known_before_it_loads():
+    script = ("import sys, mcbound.kernel as k\n" + WALK +
+              "print(k.BACKEND, loaded())\n"
+              "print(k.get_backend().BACKEND)\n")
+    lines = fresh(script).splitlines()
+    assert lines == [f"{lines[-1]} []", lines[-1]]
+
+
+def test_a_cli_name_patched_before_the_first_command_holds():
+    script = ("import sys, mcbound.cli as cli\n"
+              "cli.count_classes = lambda k, **kw: print('patched', k) or 3282\n"
+              "code = cli.main(['prove', '--n', '7', '--k', '5'])\n"
+              "import mcbound.topology as t\n"
+              "print(code, cli.generate is t.generate, cli.count_classes is t.count_classes)\n")
+    lines = fresh(script).splitlines()
+    assert lines[0] == "patched 5" and "topology_classes = 3282" in lines
+    assert lines[-1] == "0 True False"
 
 
 def test_namespace_resolves_each_public_name():
