@@ -10,9 +10,8 @@ immutable; every operation returns a new circuit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
-from itertools import chain
 from typing import NamedTuple
 
 from . import topology as _topo
@@ -62,14 +61,14 @@ _G_TERMS = _TERMS[MAX_ARITY + 1:]
 _TERM_BY_TEXT = {str(t): t for t in _TERMS}
 _TERM_RANK = {t: rank for rank, t in enumerate(_TERMS)}
 _RANK_TEXT = tuple(map(str, _TERMS))
-_SHARED_IDS = frozenset(map(id, _TERMS))  # _TERMS keeps these ids theirs
 
 
 @cache
-def _allowed(n):
-    """Item i: the shared terms gate i + 1 of an n-input circuit may use,
-    which are also those the output of an i-gate circuit may use."""
-    return tuple(frozenset(_TERMS[:n] + (TOP,) + _G_TERMS[:i])
+def _allowed_ids(n):
+    """Item i: the ids of the shared terms gate i + 1 of an n-input circuit
+    may use, which are also those the output of an i-gate circuit may use.
+    _TERMS keeps these ids theirs."""
+    return tuple(frozenset(map(id, _TERMS[:n] + (TOP,) + _G_TERMS[:i]))
                  for i in range(_topo.MAX_GENERATE_K + 1))
 
 
@@ -85,6 +84,8 @@ def _check_types(terms, where):
 
 
 def _check_arity(n):
+    if type(n) is not int:
+        raise CircuitError(f"arity must be an int, not {n!r}")
     if n < 1:
         raise CircuitError("arity must be at least 1")
     if n > MAX_ARITY:
@@ -102,18 +103,26 @@ def _check_header_arity(n, lineno):
             raise ParseError(str(exc), line=lineno) from exc
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(namedtuple("TruthTable", "n bits")):
     """Output bits of an n-ary Boolean function: bit v is the value at the
-    assignment encoded by v, with x1 as the least-significant bit."""
+    assignment encoded by v, with x1 as the least-significant bit.  A named
+    tuple, equal to the plain tuple ``(n, bits)``; every construction, a
+    ``_replace``, a copy and an unpickling too, goes through the checks."""
 
-    n: int
-    bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_arity(self.n)
-        if not 0 <= self.bits < (1 << self.size):
-            raise CircuitError(f"truth table needs exactly {self.size} bits")
+    def __new__(cls, n, bits):
+        _check_arity(n)
+        if not 0 <= bits < (1 << (1 << n)):
+            raise CircuitError(f"truth table needs exactly {1 << n} bits")
+        return tuple.__new__(cls, (n, bits))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def size(self):
@@ -137,29 +146,35 @@ class TruthTable:
         return cls(n, value)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(namedtuple("Circuit", "n gates output")):
     """n inputs, ordered AND gates of XOR-set side pairs, and an output XOR
-    set.  Gate references must point at strictly earlier gates."""
+    set.  Gate references must point at strictly earlier gates.  A named
+    tuple, equal to the plain tuple ``(n, gates, output)`` of frozenset
+    sides and output; every construction, a ``_replace``, a copy and an
+    unpickling too, goes through the checks."""
 
-    n: int
-    gates: tuple
-    output: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_arity(self.n)
-        gates = tuple((frozenset(left), frozenset(right)) for left, right in self.gates)
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "output", frozenset(self.output))
-        if _terms_allowed(self.n, gates, self.output):
-            return
-        for i, (left, right) in enumerate(gates, 1):
-            _check_types(left, f"gate {i}")
-            _check_types(right, f"gate {i}")
-        _check_types(self.output, "output")
-        fault = _first_fault(self.n, gates, self.output)
-        if fault:
-            raise CircuitError(fault[1])
+    def __new__(cls, n, gates, output):
+        _check_arity(n)
+        gates = tuple((frozenset(left), frozenset(right)) for left, right in gates)
+        output = frozenset(output)
+        if not _terms_allowed(n, gates, output):
+            for i, (left, right) in enumerate(gates, 1):
+                _check_types(left, f"gate {i}")
+                _check_types(right, f"gate {i}")
+            _check_types(output, "output")
+            fault = _first_fault(n, gates, output)
+            if fault:
+                raise CircuitError(fault[1])
+        return tuple.__new__(cls, (n, gates, output))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def k(self):
@@ -183,22 +198,18 @@ def _first_fault(n, gates, output):
 
 
 def _terms_allowed(n, gates, output):
-    """True when every term is a Term with an int index allowed where it
-    stands: one subset test per side, then one pass that finds every term
-    to be a shared one, by id, or else checks the types.  A plain tuple or
-    ``Term("x", 1.0)`` equals the Term it spells, so only that pass tells
-    them apart.  False leaves the circuit to the full checks, which also
-    give the error."""
-    if type(n) is not int or len(gates) > _topo.MAX_GENERATE_K:
+    """True when every term of an n-input circuit, n checked, is a shared
+    one allowed where it stands: one subset test of the terms' ids per
+    side.  A plain tuple or ``Term("x", 1.0)`` equals the Term it spells,
+    so only the ids tell them apart.  False leaves the circuit to the full
+    checks, which accept the terms built by hand and give the error."""
+    if len(gates) > _topo.MAX_GENERATE_K:
         return False
-    allowed = _allowed(n)
+    ids = _allowed_ids(n)
     for i, (left, right) in enumerate(gates):
-        if not left <= allowed[i] or not right <= allowed[i]:
+        if not (ids[i].issuperset(map(id, left)) and ids[i].issuperset(map(id, right))):
             return False
-    return output <= allowed[len(gates)] and (
-        _SHARED_IDS.issuperset(map(id, chain(output, *chain.from_iterable(gates))))
-        or all(type(t) is Term and type(t.idx) is int
-               for t in chain(output, *chain.from_iterable(gates))))
+    return ids[len(gates)].issuperset(map(id, output))
 
 
 def _coerce_assignment(n, assignment):
@@ -240,12 +251,13 @@ def evaluate(c, assignment):
     return _fold_bit(c.output, a, values)
 
 
-def _input_table(j, n):
-    # Bit v of the result is bit j-1 of v: a periodic 0-run/1-run pattern.
-    p = 1 << (j - 1)
-    unit = ((1 << p) - 1) << p
-    reps = ((1 << (1 << n)) - 1) // ((1 << (2 * p)) - 1)
-    return unit * reps
+@cache
+def _input_columns(n):
+    """The tables of x1..xn over all 2^n assignments, bit v of x<j>'s being
+    bit j-1 of v (a periodic 0-run/1-run pattern), and the table of T."""
+    full = (1 << (1 << n)) - 1
+    return tuple((((1 << p) - 1) << p) * (full // ((1 << 2 * p) - 1))
+                 for p in (1 << j for j in range(n))), full
 
 
 def _fold_table(terms, xtabs, full, values):
@@ -264,8 +276,7 @@ def truth_table(c):
     """Tables for all 2^n assignments at once, one bit-parallel sweep over
     the gates."""
     _check_arity(c.n)
-    full = (1 << (1 << c.n)) - 1
-    xtabs = [_input_table(j, c.n) for j in range(1, c.n + 1)]
+    xtabs, full = _input_columns(c.n)
     values = []
     for left, right in c.gates:
         values.append(_fold_table(left, xtabs, full, values)
@@ -330,14 +341,6 @@ def negation_normalize(c):
     return Circuit(c.n, tuple(gates), output)
 
 
-def _linear_part(terms):
-    return frozenset(t for t in terms if t.kind != "g")
-
-
-def _gate_terms(mask):
-    return frozenset(map(_g_term, _topo.mask_indices(mask)))
-
-
 def minimalize_circuit(c):
     """Rewrite gates whose topology sides are nested or whose shared part is
     not order-minimal, until the topology is minimal.
@@ -356,33 +359,23 @@ def minimalize_circuit(c):
     for _ in range(3 * len(gates) + 1):
         # A rewrite changes its own gate only, so the gates before gate i
         # stay without a fault.
-        hit = next(((z, kind) for z, (lg, rg) in enumerate(masks[i - 1:], i)
-                    if (kind := _topo.gate_fault(lg, rg))), None)
-        if hit is None:
+        i = next((z for z, (lg, rg) in enumerate(masks[i - 1:], i)
+                  if _topo.gate_fault(lg, rg)), None)
+        if i is None:
             break
         changed = True
-        i, kind = hit
         left, right = gates[i - 1]
         lg, rg = masks[i - 1]
-        corr = _linear_part(left) ^ _linear_part(right) ^ _TOP_SET
-        if kind == "left-nested":
-            # left side repeated inside right: strip it from the right
-            gates[i - 1] = (left, _gate_terms(rg & ~lg) | corr)
-            masks[i - 1] = (lg, rg & ~lg)
-        elif kind == "right-nested":
-            gates[i - 1] = (_gate_terms(lg & ~rg) | corr, right)
-            masks[i - 1] = (lg & ~rg, rg)
+        # a & b == a & (a ^ b ^ T), so either side may become the XOR of both
+        # sides and T.  Keep the side that leaves the shared part
+        # order-minimal, which is the inner side of a nested gate.
+        merged = left ^ right ^ _TOP_SET
+        if min(lg & rg, lg & ~rg, rg & ~lg) == lg & ~rg:
+            gates[i - 1] = (left, merged)
+            masks[i - 1] = (lg, lg ^ rg)
         else:
-            lonly = lg & ~rg
-            ronly = rg & ~lg
-            merged = _gate_terms(lonly | ronly) | corr
-            # keep whichever side makes the remaining shared part order-minimal
-            if min(lg & rg, lonly, ronly) == lonly:
-                gates[i - 1] = (left, merged)
-                masks[i - 1] = (lg, lonly | ronly)
-            else:
-                gates[i - 1] = (merged, right)
-                masks[i - 1] = (lonly | ronly, rg)
+            gates[i - 1] = (merged, right)
+            masks[i - 1] = (lg ^ rg, rg)
     else:
         raise AssertionError("minimalization did not converge")
     if not changed:

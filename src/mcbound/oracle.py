@@ -13,7 +13,7 @@ from itertools import permutations, product
 
 from .errors import CapacityError
 from .topology import Topology, generate
-from .circuits import _input_table
+from .circuits import _input_columns
 
 MAX_RAW_K = 5
 DEFAULT_BUDGET = 1 << 28
@@ -143,9 +143,7 @@ def exhaustive_function_set(n, k, topologies, negation_normal_only=False):
         raise CapacityError(
             f"search requires {total} circuits, budget is {DEFAULT_BUDGET}")
 
-    size = 1 << n
-    full = (1 << size) - 1
-    xtabs = [_input_table(j, n) for j in range(1, n + 1)]
+    xtabs, full = _input_columns(n)
     lin_tables = [_xor_at(xtabs, sub) for sub in range(1 << n)]
 
     spans = 0  # dense bitset over XOR-combinations of gate outputs

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,17 @@ def test_truth_table_type_validation():
 def test_arity_cap_on_circuits():
     with pytest.raises(CapacityError):
         Circuit(17, (), fs())
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "2"])
+def test_arity_must_be_an_int(n):
+    # Each equals, or spells, a valid arity.
+    with pytest.raises(CircuitError, match="arity must be an int"):
+        Circuit(n, (), fs())
+    with pytest.raises(CircuitError, match="arity must be an int"):
+        TruthTable(n, 1)
+    with pytest.raises(CircuitError, match="arity must be an int"):
+        TruthTable.from_string(n, "0110")
 
 
 # --- construction invariants --------------------------------------------------
@@ -472,6 +484,42 @@ def test_rewrite_pipeline_digest():
         rewritten = minimalize_circuit(normalize_circuit_layering(negation_normalize(c)))
         h.update(format_circuit(rewritten).encode())
     assert h.hexdigest() == "df8b30c8ef1b56786d2ba54b463e0dea34a1315ddd17e43d679795a8d788cbef"
+
+
+def test_rewrite_pipeline_digest_past_the_tables():
+    # Up to 16 inputs and 10 gates: past MAX_GENERATE_K gates the terms miss
+    # the constructor's id tables, and g8..g10 are not shared terms.
+    rng = random.Random(10)
+    h = hashlib.sha256()
+    for _ in range(1000):
+        c = random_circuit(rng, max_n=16, max_k=10)
+        rewritten = minimalize_circuit(normalize_circuit_layering(negation_normalize(c)))
+        h.update(format_circuit(rewritten).encode())
+    assert h.hexdigest() == "3a36fa513f0388d447d41e11c24ab1d1614792397bc7fc129e02a4ae4899b240"
+
+
+def _by_hand(c):
+    """The circuit c spelt with new, equal Terms, none of them shared."""
+    def new(terms):
+        return fs(*(Term(t.kind, t.idx) for t in terms))
+
+    return Circuit(c.n, tuple((new(left), new(right)) for left, right in c.gates), new(c.output))
+
+
+def test_rewrites_of_terms_built_by_hand_give_the_same_circuits():
+    rng = random.Random(12)
+    for _ in range(300):
+        shared = random_circuit(rng, max_n=9, max_k=9)
+        by_hand = _by_hand(shared)
+        assert by_hand == shared
+        assert not any(t is s for t in chain(by_hand.output, *chain(*by_hand.gates))
+                       for s in _TERMS)
+        assert truth_table(by_hand) == truth_table(shared)
+        for rewrite in (negation_normalize, normalize_circuit_layering, minimalize_circuit):
+            got, want = rewrite(by_hand), rewrite(shared)
+            assert got == want and format_circuit(got) == format_circuit(want)
+            assert (got is by_hand) == (want is shared)
+            by_hand, shared = got, want
 
 
 @given(circuits(), st.data())

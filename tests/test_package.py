@@ -12,6 +12,7 @@ import pytest
 
 import mcbound
 from mcbound.bounds import pigeonhole_report
+from mcbound.circuits import TOP, Circuit, Term, TruthTable, g, x
 from mcbound.errors import CircuitError
 from mcbound.topology import Layering, Topology, layering
 
@@ -49,6 +50,14 @@ def test_cli_imports_neither_circuits_nor_oracle():
               "print(sorted({'mcbound.circuits', 'mcbound.oracle', 'mcbound.randgen',\n"
               "              'dataclasses', 'mcbound.topology', 'mcbound._gen_py'}\n"
               "             & set(sys.modules)))\n")
+    assert fresh(script) == "[]\n"
+
+
+def test_circuits_load_no_dataclasses():
+    # Circuit and TruthTable are named tuples, so eval does without the
+    # dataclasses module and the inspect module it imports.
+    script = ("import sys, mcbound.circuits\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
     assert fresh(script) == "[]\n"
 
 
@@ -118,6 +127,10 @@ VALUES = [
      "BoundReport(n=2, k=1, topology_classes=1, all_circuits=1024, raw_topologies=1, "
      "per_topology=1024, negnormal_per_topology=768, negnormal_circuits=768, refined=768, "
      "b_n=16, verdict=False)"),
+    (Circuit(2, ((frozenset({x(1)}), frozenset({TOP})),), frozenset({g(1)})),
+     "Circuit(n=2, gates=((frozenset({Term(kind='x', idx=1)}), frozenset({Term(kind='T', "
+     "idx=0)})),), output=frozenset({Term(kind='g', idx=1)}))"),
+    (TruthTable(2, 6), "TruthTable(n=2, bits=6)"),
 ]
 
 
@@ -126,7 +139,7 @@ def test_value_types(value, text):
     cls = type(value)
     assert repr(value) == text
     # The repr spells each field as a keyword argument.
-    built = eval(text, {cls.__name__: cls})
+    built = eval(text, {cls.__name__: cls, "Term": Term})
     assert type(built) is cls and built == value and hash(built) == hash(value)
     with pytest.raises(AttributeError):
         setattr(value, text[len(cls.__name__) + 1:].split("=")[0], 0)
@@ -147,6 +160,31 @@ def test_named_tuple_helpers_check_topologies():
         TOPOLOGY._replace(gates=((0, 0), (2, 0), (1, 2)))
     with pytest.raises(CircuitError, match="topology k must be an int"):
         Topology._make((3.0, TOPOLOGY.gates))
+
+
+def test_named_tuple_helpers_check_circuits():
+    c = VALUES[3][0]
+    assert c == (c.n, c.gates, c.output) and hash(c) == hash((c.n, c.gates, c.output))
+    assert c._replace(output=[x(2)]).output == frozenset({x(2)})
+    with pytest.raises(CircuitError, match="gate g1 referenced before it is defined"):
+        c._replace(gates=((frozenset({g(1)}), frozenset()),))
+    with pytest.raises(CircuitError, match="arity must be an int"):
+        Circuit._make((2.0, c.gates, c.output))
+    with pytest.raises(CircuitError, match="truth table needs exactly 4 bits"):
+        VALUES[4][0]._replace(bits=16)
+
+
+def test_unpickling_checks_circuits():
+    # tuple.__new__ skips the checks, so this gate 1 references itself.
+    bad = tuple.__new__(Circuit, (2, ((frozenset({g(1)}), frozenset()),), frozenset()))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(bad, protocol)
+        with pytest.raises(CircuitError, match="gate g1 referenced before it is defined"):
+            pickle.loads(data)
+    with pytest.raises(CircuitError):
+        copy.copy(bad)
+    with pytest.raises(CircuitError, match="truth table needs exactly 4 bits"):
+        copy.copy(tuple.__new__(TruthTable, (2, 16)))
 
 
 def test_unpickling_checks_the_gates():
