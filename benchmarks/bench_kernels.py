@@ -2,10 +2,11 @@
 topology-set file format and the circuit layer.
 
 Per backend, times the class walk alone (``count_classes``), the walk plus
-the sorted member rows (``generate``), and ``extend`` and ``count_extend``
-in microseconds per parent over every parent that the walk for k expands,
-each the median of PASSES passes, and reports the speedup of the compiled
-kernel on the first two.  These four figures are printed, and recorded as
+the sorted member rows (``generate``), ``extend`` in microseconds per parent
+over every parent that the walk for k expands, and the kernel's row builder
+``images`` in microseconds per row over the candidate rows that the class
+count for k reads, each the median of PASSES passes, and reports the
+speedup of the compiled kernel on the first two.  These four figures are printed, and recorded as
 ``walk_s_scaled`` and the like, scaled to the reference speed by
 ``perfbench/calibrate.py``'s ``scaled`` with the reference loop run just
 before and just after each one; the record keeps the raw figures beside
@@ -54,9 +55,10 @@ cached bytecode; the record notes it.
 With ``--counts-only`` it records, instead of all of the above, the class
 count alone per k up to ``--max-k``, which may then be 7, and per backend:
 the median seconds and peak RSS of PASSES fresh interpreters that run
-``count_classes`` with that kernel as the default, and the number of
-kernel count steps of its walk, one ``count_extend`` call per distinct
-parent shape, counted cold through a wrapper in this process (``steps``).
+``count_classes`` with that kernel as the default, and the number of count
+steps of its walk, one ``topology.count_full`` call per distinct parent
+shape (one kernel ``count_extend`` call in a package from before it),
+counted cold through a wrapper in this process (``steps``).
 
 Either way it also records, per backend, the median microseconds of
 WARM_COUNTS repeated in-process ``count_classes(5)`` calls after a first
@@ -114,7 +116,8 @@ def timed(fn, *args, **kwargs):
 
 def count_cache():
     """The class count's cache in the package measured: its subtree totals
-    per kernel, parent shape and k, or in a package from before them, its
+    per parent shape and k (and kernel, in older packages), or in a package
+    from before them, its
     full-children counts per kernel, parent shape and width, or those the
     pure-Python kernel kept per parent shape and width.  Raises SystemExit
     when the package has none of them, since a count's figures could then
@@ -205,6 +208,31 @@ def per_parent_us(fn, k, parents):
             fn(enc, k)
     _, seconds, scaled_s = scaled_timed(one_pass)
     return seconds / len(parents) * 1e6, scaled_s / len(parents) * 1e6
+
+
+def row_us(k, backend):
+    """The kernel ``backend``'s ``images`` in microseconds per row over the
+    candidate rows that a cold ``count_classes(k)`` reads, the median of
+    PASSES passes, raw and scaled (``scaled_timed``), or None twice when it
+    reads none."""
+    _gen_py._ROWS.clear()
+    COUNTS.clear()
+    CHILDREN.clear()
+    count_classes(k, backend="python")
+    calls = []
+    for sizes, index in _gen_py._ROWS:
+        q = sum(sizes)
+        calls.append((_gen_py._TABLES[sizes][index][1],
+                      *_gen_py._candidates(q, (1 << q) - (1 << (q - sizes[-1])))))
+    if not calls:
+        return None, None
+    images = kernel.get_backend(backend).images
+
+    def one_pass():
+        for args in calls:
+            images(*args)
+    _, seconds, scaled_s = scaled_timed(one_pass)
+    return seconds / len(calls) * 1e6, scaled_s / len(calls) * 1e6
 
 
 def respell(path, out):
@@ -301,25 +329,26 @@ def fresh_passes(*args):
 
 def count_steps(k, backend):
     """``count_classes(k)`` with the kernel ``backend``, cold, and the
-    number of its kernel count steps, one per distinct parent shape: the
-    calls of the kernel's ``count_extend``, counted through a wrapper put in
-    its place."""
-    kern = kernel.get_backend(backend)
-    step = kern.count_extend
+    number of its count steps, one per distinct parent shape: the calls of
+    ``topology.count_full``, or in a package from before it, of the
+    kernel's ``count_extend``, counted through a wrapper put in its place."""
+    owner, name = ((topology, "count_full") if hasattr(topology, "count_full")
+                   else (kernel.get_backend(backend), "count_extend"))
+    step = getattr(owner, name)
     calls = 0
 
-    def counted(enc, k):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return step(enc, k)
+        return step(*args)
     COUNTS.clear()
     SETTLED.clear()
     CHILDREN.clear()
-    kern.count_extend = counted
+    setattr(owner, name, counted)
     try:
         classes = count_classes(k, backend=backend)
     finally:
-        kern.count_extend = step
+        setattr(owner, name, step)
     return classes, calls
 
 
@@ -408,7 +437,7 @@ def main():
                         help="also append the run as a JSON record to PATH")
     parser.add_argument("--counts-only", action="store_true",
                         help="record only the class count per k and backend, in fresh "
-                             "interpreters, with the kernel count steps of its walk")
+                             "interpreters, with the count steps of its walk")
     args = parser.parse_args()
     if args.max_k > (7 if args.counts_only else 6):
         parser.error("--max-k is at most 6, or 7 with --counts-only")
@@ -428,7 +457,7 @@ def main():
         return
     columns = [(b, phase) for b in backends for phase in ("walk", "generate")]
     print(f"{'k':>2} {'classes':>9} " + " ".join(f"{b + ' ' + p:>16}" for b, p in columns)
-          + "".join(f" {b + ' ' + f:>16}" for f in ("extend", "count_extend") for b in backends)
+          + "".join(f" {b + ' ' + f:>16}" for f in ("extend", "row") for b in backends)
           + f" {'save':>9} {'load':>9} {'members':>9} {'from_enc':>9}"
           + f" {'keys cold':>10} {'keys warm':>10} {'keys c':>10}"
           + f" {'fresh generate/cli/load/respelt MB':>36}"
@@ -453,12 +482,10 @@ def main():
             members, members_s = median_of(first_members, back)
             parents = walk_parents(k)
             extend_raw, extend = {}, {}
-            count_extend_raw, count_extend = {}, {}
+            rows_raw, rows_us = {}, {}
             for b in backends:
-                kern = kernel.get_backend(b)
-                extend_raw[b], extend[b] = per_parent_us(kern.extend, k, parents)
-                count_extend_raw[b], count_extend[b] = per_parent_us(kern.count_extend, k,
-                                                                     parents)
+                extend_raw[b], extend[b] = per_parent_us(kernel.get_backend(b).extend, k, parents)
+                rows_raw[b], rows_us[b] = row_us(k, b)
             cold_us, warm_us, keys_c_us = canonical_keys_us(members, backends)
             from_enc_us = from_encoding_us(members)
             respelt = os.path.join(tmp, "respelt.txt")
@@ -472,15 +499,14 @@ def main():
                          "generate_s": {b: raw[b, "generate"] for b in backends},
                          "generate_s_scaled": {b: times[b, "generate"] for b in backends},
                          "extend_us": extend_raw, "extend_us_scaled": extend,
-                         "count_extend_us": count_extend_raw,
-                         "count_extend_us_scaled": count_extend,
+                         "row_us": rows_raw, "row_us_scaled": rows_us,
                          "save_s": save_s, "load_s": load_s,
                          "members_s": members_s, "from_encoding_us": from_enc_us,
                          "canonical_keys_cold_us": cold_us, "canonical_keys_warm_us": warm_us,
                          "canonical_keys_c_us": keys_c_us,
                          "fresh": fresh_runs, "fresh_kernel": fresh_kernel})
             line = f"{k:>2} {count:>9} " + " ".join(f"{times[c]:>15.3f}s" for c in columns)
-            for us in [*extend.values(), *count_extend.values()]:
+            for us in [*extend.values(), *rows_us.values()]:
                 line += f" {'-' if us is None else f'{us:.1f}us':>16}"
             line += (f" {save_s:>8.3f}s {load_s:>8.3f}s {members_s:>8.3f}s"
                      f" {from_enc_us:>7.2f}us {cold_us:>8.1f}us {warm_us:>8.1f}us"

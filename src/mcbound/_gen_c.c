@@ -3,17 +3,19 @@
    Same interface, results and ValueErrors as mcbound._gen_py, the
    reference that the parity tests compare it against.  Gate sides are bit
    masks (bit i-1 set means gate i is wired in) and a topology is encoded as
-   the bytes L1 R1 L2 R2 ... in gate order.  extend and count_extend cover
-   only a parent's full children, those that complete k gates: the partial
-   children of a class walk's parents are derived, for either kernel, from
-   the parent's shape by mcbound._gen_py.child_shapes.  Build it with
-   `python setup.py build_ext --inplace`. */
+   the bytes L1 R1 L2 R2 ... in gate order.  extend keys only a parent's
+   full children, those that complete k gates; mcbound._gen_py derives the
+   partial ones and counts the full ones from the parent's shape for either
+   kernel, on the candidate rows that the chosen kernel's images builds.
+   Build it with `python setup.py build_ext --inplace`. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <string.h>
 
 #define MAX_GATES 7
+
+static PyObject *array_type; /* array.array, for images' rows; set at import */
 
 /* extend builds candidate gates only for parents of fewer than MAX_GATES
    gates: at most 2^6 - 1 left sides times 2^6 right sides. */
@@ -293,12 +295,10 @@ least_under_first(const unsigned short *codes, int ncand, relabeling *const *aut
 /* Walks the full children of parent, those with one new layer of k-q of
    the ncand candidate gates (with repetition), as _gen_py.extend: the
    parent's relabelings are walked once, and a child's are a parent
-   relabeling followed by sorting the new layer.  counts[0] counts them all,
-   and each key_min goes to the list keys; no key_any is built.  When keys
-   is NULL, as _gen_py.count_extend, counts[1] counts those that have a
-   key_min and no key is built. */
+   relabeling followed by sorting the new layer.  *full counts them all,
+   and each key_min goes to the list keys; no key_any is built. */
 static int
-add_children(PyObject *keys, Py_ssize_t *counts, const topo *parent, int k,
+add_children(PyObject *keys, Py_ssize_t *full, const topo *parent, int k,
              const int *cand_left, const int *cand_right, int ncand)
 {
     /* a parent has at most MAX_GATES - 1 gates, so at most 6! relabelings */
@@ -360,20 +360,7 @@ add_children(PyObject *keys, Py_ssize_t *counts, const topo *parent, int k,
 
         if (!least_under_first(codes, ncand, autos, nautos, idx, width))
             goto next;
-        counts[0]++;
-        if (keys == NULL) {
-            /* a key_min exists exactly when some minimal relabeling leaves
-               every new gate minimal too */
-            for (g = 0; g < nmins; g++) {
-                const unsigned char *row_ok = ok + mins[g]->row * ncand;
-                for (j = 0; j < width && row_ok[idx[j]]; j++)
-                    ;
-                if (j == width)
-                    break;
-            }
-            counts[1] += g < nmins;
-            goto next;
-        }
+        ++*full;
         /* key_min: the least parent encoding among the groups of minimal
            relabelings that leave every new gate minimal too, then the least
            new layer in that group */
@@ -414,21 +401,26 @@ done:
     return rc;
 }
 
-/* extend(enc, k) when keep is 1, else count_extend(enc, k): the shared
-   checks, the parent read by read_topology, its candidate gates, then
-   add_children.  Returns (full, keys), with keys sorted, or (full,
-   full_min) when keep is 0. */
+PyDoc_STRVAR(extend_doc,
+"extend(enc, k)\n--\n\n"
+"The full children of a partial topology of q gates, by canonical key.\n\n"
+"A full child appends a layer of k-q new gates; every new gate must touch\n"
+"the current last layer and neither side may nest inside the other.\n"
+"Returns (full, keys): the number of full children and the sorted key_min\n"
+"encodings of those that have one.  No key_any is built; the partial\n"
+"children are mcbound._gen_py.child_shapes' alone.");
+
 static PyObject *
-children(PyObject *args, const char *format, int keep)
+extend(PyObject *self, PyObject *args)
 {
     Py_buffer enc;
     PyObject *k_arg, *keys = NULL, *result = NULL;
-    Py_ssize_t counts[2] = {0, 0};
+    Py_ssize_t count = 0;
     int cand_left[MAX_CANDS], cand_right[MAX_CANDS];
-    int k, over, q, last, full, left, right, ncand = 0;
+    int k, over, last, full, left, right, ncand = 0;
     topo parent;
 
-    if (!PyArg_ParseTuple(args, format, &enc, &k_arg))
+    if (!PyArg_ParseTuple(args, "y*O:extend", &enc, &k_arg))
         return NULL;
     if (enc.len < 2) {
         PyErr_SetString(PyExc_ValueError, "cannot extend an empty topology");
@@ -442,16 +434,13 @@ children(PyObject *args, const char *format, int keep)
         goto done;
     }
     last = read_topology(&enc, &parent);
-    if (last < 0)
+    if (last < 0 || (keys = PyList_New(0)) == NULL)
         goto done;
-    if (keep && (keys = PyList_New(0)) == NULL)
-        goto done;
-    q = parent.q;
 
     /* candidate gates, ascending, none when the parent has k gates or more;
        (right, left) is skipped when (left, right) is listed, because keys
        ignore side order */
-    full = over < 0 || enc.len / 2 >= k ? 0 : (1 << q) - 1;
+    full = over < 0 || enc.len / 2 >= k ? 0 : (1 << parent.q) - 1;
     for (left = 1; left <= full; left++) {
         if (!(left & last))
             continue;
@@ -466,47 +455,89 @@ children(PyObject *args, const char *format, int keep)
         }
     }
 
-    if ((ncand && add_children(keys, counts, &parent, k, cand_left, cand_right, ncand) < 0)
-        || (keep && PyList_Sort(keys) < 0))
+    if ((ncand && add_children(keys, &count, &parent, k, cand_left, cand_right, ncand) < 0)
+        || PyList_Sort(keys) < 0)
         goto done;
-    result = keep ? Py_BuildValue("(nO)", counts[0], keys)
-                  : Py_BuildValue("(nn)", counts[0], counts[1]);
+    result = Py_BuildValue("(nO)", count, keys);
 done:
     Py_XDECREF(keys);
     PyBuffer_Release(&enc);
     return result;
 }
 
-PyDoc_STRVAR(extend_doc,
-"extend(enc, k)\n--\n\n"
-"The full children of a partial topology of q gates, by canonical key.\n\n"
-"A full child appends a layer of k-q new gates; every new gate must touch\n"
-"the current last layer and neither side may nest inside the other.\n"
-"Returns (full, keys): the number of full children and the sorted key_min\n"
-"encodings of those that have one.  No key_any is built; the partial\n"
-"children are mcbound._gen_py.child_shapes' alone.");
-
-static PyObject *
-extend(PyObject *self, PyObject *args)
+/* The int item in *out when it is in range(bound); else -1 with an
+   exception set, a ValueError naming what for an int out of that range. */
+static int
+int_below(PyObject *item, Py_ssize_t bound, const char *what, int *out)
 {
-    return children(args, "y*O:extend", 1);
+    int over;
+    if (int_value(item, out, &over) < 0)
+        return -1;
+    if (over || *out < 0 || *out >= bound) {
+        PyErr_Format(PyExc_ValueError, "%s %S is not in range(%zd)", what, item, bound);
+        return -1;
+    }
+    return 0;
 }
 
-PyDoc_STRVAR(count_extend_doc,
-"count_extend(enc, k)\n--\n\n"
-"(full, full_min): of extend(enc, k), the number of full children and the\n"
-"number of their keys.  No key is built.");
+PyDoc_STRVAR(images_doc,
+"images(tab, lefts, rights)\n--\n\n"
+"As mcbound._gen_py.images, on three tuples of ints.  Raises ValueError\n"
+"when lefts and rights differ in length, a side is not an index of tab, or\n"
+"tab maps one to an int that is not a byte.");
 
 static PyObject *
-count_extend(PyObject *self, PyObject *args)
+images(PyObject *self, PyObject *args)
 {
-    return children(args, "y*O:count_extend", 0);
+    PyObject *tab, *lefts, *rights, *row = NULL, *twin = NULL, *flags = NULL, *result = NULL;
+    unsigned short *codes;
+    Py_ssize_t n, c;
+    int side;
+
+    if (!PyArg_ParseTuple(args, "O!O!O!:images", &PyTuple_Type, &tab, &PyTuple_Type, &lefts,
+                          &PyTuple_Type, &rights))
+        return NULL;
+    n = PyTuple_GET_SIZE(lefts);
+    if (PyTuple_GET_SIZE(rights) != n)
+        return PyErr_Format(PyExc_ValueError, "%zd left sides but %zd right sides",
+                            n, PyTuple_GET_SIZE(rights));
+    if ((codes = PyMem_Malloc(2 * (size_t)n * sizeof *codes)) == NULL)
+        return PyErr_NoMemory();
+    /* the lefts, then the rights, relabeled, each side checked before tab
+       is read at it */
+    for (c = 0; c < 2 * n; c++) {
+        if (int_below(PyTuple_GET_ITEM(c < n ? lefts : rights, c % n), PyTuple_GET_SIZE(tab),
+                      "side", &side) < 0
+            || int_below(PyTuple_GET_ITEM(tab, side), 256, "relabeled side", &side) < 0)
+            goto done;
+        codes[c] = (unsigned short)side;
+    }
+    if ((flags = PyBytes_FromStringAndSize(NULL, n)) == NULL)
+        goto done;
+    for (c = 0; c < n; c++) {
+        int a = codes[c] < codes[n + c] ? codes[c] : codes[n + c];
+        int b = codes[c] + codes[n + c] - a, ok = gate_ok(a, b);
+        codes[c] = (unsigned short)(a << 8 | b);
+        codes[n + c] = ok ? codes[c] : 0xFFFF; /* above every code: _gen_py._FAULT */
+        PyBytes_AS_STRING(flags)[c] = (char)ok;
+    }
+    row = PyObject_CallFunction(array_type, "sy#", "H", (char *)codes, 2 * n);
+    twin = row == NULL ? NULL
+        : PyObject_CallFunction(array_type, "sy#", "H", (char *)(codes + n), 2 * n);
+    if (twin != NULL)
+        result = PyTuple_Pack(3, row, twin, flags);
+done:
+    Py_XDECREF(row);
+    Py_XDECREF(twin);
+    Py_XDECREF(flags);
+    PyMem_Free(codes);
+    return result;
 }
 
 static PyMethodDef methods[] = {
     {"canonical_keys", canonical_keys, METH_VARARGS, canonical_keys_doc},
     {"extend", extend, METH_VARARGS, extend_doc},
-    {"count_extend", count_extend, METH_VARARGS, count_extend_doc},
+    {"images", images, METH_VARARGS, images_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -519,8 +550,12 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__gen_c(void)
 {
-    PyObject *m = PyModule_Create(&module);
-    if (m == NULL)
+    PyObject *m, *array = PyImport_ImportModule("array");
+    if (array == NULL)
+        return NULL;
+    array_type = PyObject_GetAttrString(array, "array");
+    Py_DECREF(array);
+    if (array_type == NULL || (m = PyModule_Create(&module)) == NULL)
         return NULL;
     if (PyModule_AddStringConstant(m, "BACKEND", "c") < 0
         || PyModule_AddIntConstant(m, "MAX_GATES", MAX_GATES) < 0) {

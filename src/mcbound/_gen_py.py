@@ -11,36 +11,17 @@ relabelings under them, a column of shifted codes and a mask of the tables
 that make it faulty, are cached beside them (``_column``).
 ``_relabelings`` is the one pass that encodes a topology under each table,
 as the sum of its gates' columns, and tells which tables leave it
-fault-free: ``canonical_keys`` takes its two minima, and ``extend`` and
-``count_extend`` run it once on the parent (``_Parent``) for all of the
-parent's full children, those that complete k gates.  Candidate new gates
-are listed once per parent shape, and each relabel table maps the list to a
-row of gate codes, built on the table's first use and cached (``_rows``).
-The classes of the full children, one combination of candidates for each
-(``_representatives``), are keyed all at once by element-wise minima of the
-layers that those rows give (``_layers``), and one pass, ``_Parent.layers``,
-settles each class's key_min group by group.  ``extend`` keys every full
-child; ``count_extend`` only counts them, and settles no class, since the
-cached fault-free flags of the parent's rows tell which have a key_min.
-Past one new gate it lists no class either: it counts the orbits of the new
-layers under the parent's automorphisms by Burnside's lemma, from the
-cycles of each automorphism on the candidates (``_orbit_counts``).  That
-count reads only the parent's shape (``parent_shape``): its layer sizes,
-its automorphisms and its fault-free tables, so the class count asks for it
-once per shape, width and kernel in a process (``topology._shape_total``).
-A child's shape follows from its parent's shape and its new gates, so
-``child_shapes`` derives a walk parent's partial children, their shapes and
-the layers that end their key_any, with no key built.  It is the one place
-where partial children are derived, and both class walks,
-``topology.count_classes`` and ``topology.generate``, walk shapes through
-it.  A settle reads only the layer sizes, the automorphism indices, the
-groups' table indices in key order and the width; the group keys are only
-prefixes of the key_mins.  So ``_Parent.layers`` settles each such input
-once and caches each class's group position and packed layer
-(``_SETTLED``), from which ``full_keys`` builds the keys by concatenation,
-already in key order.  The 3,378 settles of ``generate(6)``, one per walk
-parent, have 151 inputs, which the cache then holds in 0.24 MB
-(tracemalloc).
+fault-free: ``canonical_keys`` takes its two minima, and ``extend`` runs it
+once on the parent (``_Parent``) for all of its full children, those that
+complete k gates.  Each table maps a parent shape's candidate new gates to
+rows of codes and fault-free flags (``images``, or the compiled kernel's
+equal one), cached (``_rows``).  ``extend`` keys the classes of the full
+children (``_representatives``) all at once by element-wise minima of the
+layers that those rows give (``_Parent.layers``).  The class walks key no
+partial child: from a parent's shape alone (``parent_shape``),
+``child_shapes`` derives the partial children and ``count_full`` counts
+the full ones, so ``topology.count_classes`` runs each once per shape and
+k in a process, whichever kernel is chosen.
 """
 
 from __future__ import annotations
@@ -279,30 +260,28 @@ def canonical_keys(enc):
             None if key_min is None else key_min.to_bytes(size, "big"))
 
 
-def _images(tab, lefts, rights):
+def images(tab, lefts, rights):
     """Each candidate ``(lefts[i], rights[i])`` relabeled by tab, sides
-    smaller first, as the integer ``a << 8 | b`` (integer order is byte
-    order)."""
-    return [a << 8 | b if a <= b else b << 8 | a
-            for a, b in zip(map(tab.__getitem__, lefts), map(tab.__getitem__, rights))]
+    smaller first, as ``(codes, twin, flags)``: the codes ``a << 8 | b``
+    (integer order is byte order) as an unsigned 16-bit array; their
+    fault-free twin, with ``_FAULT`` in place of each faulty gate's code;
+    and the bytes whose entry is 1 where the twin has a code."""
+    faults = _fault_table(len(tab).bit_length() - 1)
+    codes = array("H", [a << 8 | b if a <= b else b << 8 | a for a, b in
+                        zip(map(tab.__getitem__, lefts), map(tab.__getitem__, rights))])
+    flags = bytes(1 - faults[code] for code in codes)
+    return codes, array("H", [code if ok else _FAULT for code, ok in zip(codes, flags)]), flags
 
 
-def _rows(sizes, index):
-    """The row of candidate codes that table ``index`` of the layer sizes
-    gives (``_images`` over ``_candidates``, whose last layer is the top
-    ``sizes[-1]`` gates), its fault-free twin, with ``_FAULT`` in place of
-    each faulty gate's code, and the twin's flags, the bytes whose entry is
-    1 where the twin has a code; built once per table and cached."""
+def _rows(sizes, index, images=images):
+    """The rows that table ``index`` of the layer sizes gives the candidates
+    (``_candidates``, whose last layer is the top ``sizes[-1]`` gates), as
+    the row builder ``images`` gives them, the first time; then cached."""
     rows = _ROWS.get((sizes, index))
     if rows is None:
         q = sum(sizes)
-        lefts, rights = _candidates(q, (1 << q) - (1 << (q - sizes[-1])))
-        faults = _fault_table(q)
-        row = array("H", _images((_TABLES.get(sizes) or _relabel_tables(sizes))[index][1],
-                                 lefts, rights))
-        flags = bytes(1 - faults[code] for code in row)
-        rows = _ROWS[sizes, index] = row, array("H", [code if ok else _FAULT
-                                                       for code, ok in zip(row, flags)]), flags
+        tab = (_TABLES.get(sizes) or _relabel_tables(sizes))[index][1]
+        rows = _ROWS[sizes, index] = images(tab, *_candidates(q, (1 << q) - (1 << (q - sizes[-1]))))
     return rows
 
 
@@ -407,7 +386,7 @@ class _Parent:
     their codes (``_rows``).  ``layers`` settles the key_min of every class
     of full children group by group, from ``group_indices``, once per settle
     input; ``full_keys`` puts the keys of ``groups``, built as bytes only
-    then, in front of its layers; ``count_full`` reads the flags alone."""
+    then, in front of its layers."""
 
     def __init__(self, gates):
         self.sizes = tuple(m.bit_count() for m in gates[2])
@@ -426,11 +405,6 @@ class _Parent:
             groups.setdefault(encoding, []).append(index)
         return [(encoding.to_bytes(self.length, "big"), indices)
                 for encoding, indices in sorted(groups.items())]
-
-    @property
-    def auto_rows(self):
-        """Each automorphism's row of candidate codes."""
-        return [_rows(self.sizes, index)[0] for index in self.autos]
 
     @cached_property
     def group_indices(self):
@@ -462,7 +436,8 @@ class _Parent:
         entry = _SETTLED.get(settle)
         if entry is not None:
             return entry
-        reps = list(_representatives(self.auto_rows, width))
+        reps = list(_representatives([_rows(self.sizes, index)[0] for index in self.autos],
+                                     width))
         fault, pack = _layer_format(width)
         settled = [None] * len(reps)
         todo = range(len(reps))
@@ -485,33 +460,6 @@ class _Parent:
                                     b"".join(layer for _, layer in done))
         return entry
 
-    def count_full(self, width):
-        """``(full, full_min)`` over the children with ``width`` new gates,
-        with no key built and no class settled.  A child has a key_min
-        exactly when some table that leaves the parent fault-free leaves
-        each new gate fault-free too, as the tables' cached flags tell.  One
-        new gate's class has a key_min when the OR of the flags is 1 at its
-        candidate.  Wider, byte r of a candidate's integer is 1 when the
-        r-th distinct flags are, so a combination has one when the AND of
-        its integers is not 0, and the classes are counted by Burnside's
-        lemma, not listed (``_orbit_counts``).
-
-        So the count reads only the layer sizes, which fix the candidates
-        and every row; the automorphisms, which fix the classes
-        (``_representatives``); and the tables that leave the parent
-        fault-free, ``free``, the union of the groups, which fix the flags.
-        The groups' keys and order decide which key_min a class gets, not
-        whether it gets one, so ``shape`` holds no more."""
-        flags = {_rows(self.sizes, index)[2] for index in _selected(count(), self.free)}
-        rows = self.auto_rows
-        size = len(rows[0])
-        if width == 1:
-            reps = list(_representatives(rows, 1))
-            free = reduce(or_, (int.from_bytes(row, "big") for row in flags), 0)
-            return len(reps), sum(map(free.to_bytes(size, "big").__getitem__, reps))
-        masks = [int.from_bytes(bytes(column), "little") for column in zip(*flags)] or [0] * size
-        return _orbit_counts(rows, masks, width)
-
     def full_keys(self, width):
         """``(full, keys)`` over the children with ``width`` new gates: their
         number and the key_min encodings of those that have one, in key
@@ -530,7 +478,35 @@ def parent_shape(enc):
     return _Parent(read_topology(enc)).shape
 
 
-def child_shapes(shape, width):
+def count_full(shape, width, images=images):
+    """``(full, full_min)`` over the children with ``width`` new gates of a
+    parent of ``shape`` (``parent_shape``): the number of their classes and
+    of those with a key_min, none keyed, by Burnside's lemma over the
+    automorphisms' rows that ``images`` builds (``_rows``, ``_orbit_counts``).
+    A class has a key_min exactly when some table in ``free`` leaves each
+    new gate fault-free, as the tables' flags tell.  For one new gate, a row
+    fixes the candidates to which it gives the first row's codes: the 16-bit
+    lanes where the two XOR to 0."""
+    sizes, autos, free = shape
+    flags = {_rows(sizes, index, images)[2] for index in _selected(count(), free)}
+    rows = [_rows(sizes, index, images)[0] for index in autos]
+    size = len(rows[0])
+    if width == 1:
+        kept = reduce(or_, (int.from_bytes(row, "little") for row in flags), 0)
+        unkept = kept ^ int.from_bytes(b"\1" * size, "little")  # byte 1 where no table keeps it
+        first = int.from_bytes(rows[0], "little")
+        full = full_min = 0
+        for row in rows:
+            moved = first ^ int.from_bytes(row, "little")  # 0 in the lanes fixed
+            moved = int.from_bytes((moved | moved >> 8).to_bytes(2 * size, "little")[::2], "little")
+            full += moved.to_bytes(size, "little").count(0)
+            full_min += (moved | unkept).to_bytes(size, "little").count(0)
+        return full // len(rows), full_min // len(rows)
+    masks = [int.from_bytes(bytes(column), "little") for column in zip(*flags)] or [0] * size
+    return _orbit_counts(rows, masks, width)
+
+
+def child_shapes(shape, width, images=images):
     """The children with ``width`` new gates of a parent of ``shape`` that
     is its own least encoding, as ``(kept, pruned)``: per distinct shape of
     the children that have a key_min, ``(shape, layers)``, with the packed
@@ -539,8 +515,8 @@ def child_shapes(shape, width):
     partial children are derived: the parent followed by one of its
     ``layers`` is a child's key_any, and both walks
     (``topology._shape_total`` and ``topology._descend``) take the children
-    from here.  No key is built, and each result is cached per shape and
-    width (``_CHILDREN``).
+    from here, on the rows that ``images`` builds.  No key is built, and
+    each result is cached per shape and width (``_CHILDREN``).
 
     A parent P that is its own least encoding has the identity, table 0, as
     its first automorphism, so the class C of candidates
@@ -561,13 +537,13 @@ def child_shapes(shape, width):
     if known is not None:
         return known
     sizes, autos, free = shape
-    rows = [_rows(sizes, index)[0] for index in autos]
+    rows = [_rows(sizes, index, images)[0] for index in autos]
     orders = list(permutations(range(width)))
     block = len(orders)  # child tables per parent table
     # per candidate, the child tables whose parent table leaves it fault-free
     frees = [0] * len(rows[0])
     for index in _selected(count(), free):
-        for candidate in compress(count(), _rows(sizes, index)[2]):
+        for candidate in compress(count(), _rows(sizes, index, images)[2]):
             frees[candidate] |= ((1 << block) - 1) << index * block
     pack = struct.Struct(f">{width}H").pack
     kept = {}
@@ -592,18 +568,6 @@ def child_shapes(shape, width):
     return known
 
 
-def _parent(enc, k):
-    """The ``_Parent`` of ``enc`` for an extension to k gates, None when it
-    has k gates or more, after the checks that ``extend`` and
-    ``count_extend`` share."""
-    if len(enc) < 2:
-        raise ValueError("cannot extend an empty topology")
-    if k > MAX_GATES:
-        raise ValueError(f"kernel supports at most {MAX_GATES} gates, got k={k}")
-    gates = read_topology(enc)
-    return None if len(enc) // 2 >= k else _Parent(gates)
-
-
 def extend(enc, k):
     """The full children of a partial topology of q gates, by canonical key.
 
@@ -620,18 +584,13 @@ def extend(enc, k):
     gates, so a child's relabeling is a relabeling of the parent followed by
     a permutation of the new layer, which can only sort it, and a new gate's
     fault does not depend on that permutation.  The children are keyed all
-    at once by element-wise minima over rows of relabeled candidate codes
-    (``_Parent.layers``).  A row depends only on the layer sizes and the
-    table, so each is built once, when a parent first uses its table, and
-    kept as a 16-bit array.
+    at once by element-wise minima over the cached rows of relabeled
+    candidate codes (``_Parent.layers``, ``_rows``).
     """
-    parent = _parent(enc, k)
-    return (0, []) if parent is None else parent.full_keys(k - len(enc) // 2)
+    if len(enc) < 2:
+        raise ValueError("cannot extend an empty topology")
+    if k > MAX_GATES:
+        raise ValueError(f"kernel supports at most {MAX_GATES} gates, got k={k}")
+    gates = read_topology(enc)
+    return (0, []) if len(enc) // 2 >= k else _Parent(gates).full_keys(k - len(enc) // 2)
 
-
-def count_extend(enc, k):
-    """``(full, full_min)``: of ``extend(enc, k)``, the number of full
-    children and the number of their keys.  It raises the same ValueErrors,
-    and builds no key (``_Parent.count_full``)."""
-    parent = _parent(enc, k)
-    return (0, 0) if parent is None else parent.count_full(k - len(enc) // 2)

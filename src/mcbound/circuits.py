@@ -29,8 +29,19 @@ class Term(NamedTuple):
     def __str__(self):
         return "T" if self.kind == "T" else f"{self.kind}{self.idx}"
 
+    def __reduce__(self):
+        return _term, tuple(self)
+
 
 TOP = Term("T", 0)
+
+
+def _term(kind, idx):
+    """``Term(kind, idx)``, shared when the table holds it, as a copy or an
+    unpickling of a term gives it: a copied circuit keeps the fast path."""
+    term = Term(kind, idx)
+    shared = _TERM_BY_TEXT.get(str(term))
+    return shared if type(idx) is int and shared == term else term
 
 
 def x(j):

@@ -12,7 +12,7 @@ from itertools import chain, islice, product, repeat
 from operator import add, countOf
 
 from . import kernel
-from ._gen_py import child_shapes, gate_fault, layer_masks, parent_shape
+from ._gen_py import child_shapes, count_full, gate_fault, layer_masks, parent_shape
 from .errors import (SPACE, CapacityError, CircuitError, ContractError, ParseError,
                      _ascii_number, ascii_line, ascii_lines)
 
@@ -300,15 +300,12 @@ def _walk(roots, k, backend, split=False):
 
 
 # Each parent shape's subtree total, ``_shape_total``'s ``(found, tally)``,
-# per ``(kernel name, parent shape, k)``, filled on first use and kept for
-# the process, so that a count that runs again only adds its seeds' totals.
-# k is part of the key because it fixes the width of the shape's last layer
-# and the tally's length; the kernel's name is too, so that one kernel's
-# count never answers for the other's.  A key is fixed by its parent's
-# class, of at most 6 gates, and an entry is made by the one kernel call
-# for its key, so the cache is bounded whatever the input: a cold count for
-# k=5, 6 or 7 fills 28, 126 or 749 entries per kernel, and the counts for
-# k = 1..7 together 915.
+# per ``(parent shape, k)``, kept for the process, so that a count that runs
+# again only adds its seeds' totals; k fixes the last layer's width and the
+# tally's length.  Both kernels' rows are equal, so an entry serves either.
+# A key is fixed by its parent's class, of at most 6 gates, so the cache is
+# bounded: a cold count for k=5, 6 or 7 fills 28, 126 or 749 entries, and
+# the counts for k = 1..7 together 915.
 _TOTALS: dict[tuple, tuple[int, tuple[int, ...]]] = {}
 
 
@@ -319,40 +316,34 @@ def _seed_shape(length):
     return parent_shape(bytes(2 * length))
 
 
-def _shape_total(kern, rep, shape, k):
-    """``(found, tally)`` at and below the parent ``rep`` of ``shape``, as
-    ``_walk`` finds and tallies them, found being a count: its full
-    children that have a key_min, counted by the kernel ``kern``'s
-    ``count_extend(rep, k)``, and below its partial children that have a
-    key_min, one ``(shape, layers)`` per distinct shape
-    (``_gen_py.child_shapes``), each child shape's total weighted by its
-    number of classes, one per layer.  Made once per kernel, shape and k in
-    a process (``_TOTALS``): 0, 1, 3, 8, 28, 126 and 749 kernel calls for
-    k = 1..7 in a cold process, and none when the same count runs again.
-
-    No partial child is keyed: the ``rep`` of a child is ``rep`` followed
-    by the first of the ``layers`` that ``child_shapes`` gives, the child's
-    key_any.  That is exact.  The seeds are their own least encodings, and so, by
-    ``child_shapes``, is every ``rep`` below them, as ``child_shapes``
-    needs.  The kernel's count reads only the parent's shape and the width
-    (``_gen_py._Parent.count_full``), and so does ``child_shapes``, so by
-    induction on k minus the parent's gate count all that is found and
-    tallied below a parent follows from its shape and k, which fixes every
-    width."""
-    key = kern.BACKEND, shape, k
+def _shape_total(shape, k, images):
+    """``(found, tally)`` at and below a parent of ``shape`` that is its own
+    least encoding, as ``_walk`` finds and tallies them, found being a
+    count: its full children that have a key_min (``_gen_py.count_full``),
+    and below its partial children that have a key_min, one ``(shape,
+    layers)`` per distinct shape (``_gen_py.child_shapes``), each shape's
+    total weighted by its number of classes, one per layer; both on the
+    rows that the kernel's ``images`` builds.  Made once per shape and k in
+    a process (``_TOTALS``): 0, 1, 3, 8, 28, 126 and 749 counts for k =
+    1..7 when cold.  No child is keyed: the seeds are their own least
+    encodings, and so, by ``child_shapes``, is every child below them, and
+    both functions read only the parent's shape and the width, so all that
+    is found and tallied below a parent follows from its shape and k."""
+    key = shape, k
     total = _TOTALS.get(key)
     if total is None:
-        full, found = kern.count_extend(rep, k)
+        q = sum(shape[0])
+        full, found = count_full(shape, k - q, images)
         tally = [0] * (3 * k + 3)
         at = 3 * len(shape[0]) + 3
         tally[at] = full
-        for width in range(1, k - len(rep) // 2):
-            kept, pruned = child_shapes(shape, width)
+        for width in range(1, k - q):
+            kept, pruned = child_shapes(shape, width, images)
             tally[at + 2] += pruned
             for child, layers in kept:
                 times = len(layers) // (2 * width)
                 tally[at + 1] += times
-                child_found, child_tally = _shape_total(kern, rep + layers[:2 * width], child, k)
+                child_found, child_tally = _shape_total(child, k, images)
                 found += times * child_found
                 tally = [mine + times * theirs for mine, theirs in zip(tally, child_tally)]
         total = _TOTALS[key] = found, tuple(tally)
@@ -417,16 +408,17 @@ def _classes(k, workers, backend, progress):
 def count_classes(k, *, backend=None, progress=None):
     """Number of classes of minimal well-layered topologies on exactly k
     gates: ``generate(k).count``, as the sum of the seeds' subtree totals
-    over parent shapes (``_shape_total``), so no class is keyed and a count
-    that runs again in a process is k - 1 lookups.  ``progress`` receives
+    over parent shapes (``_shape_total``), with the candidate rows that the
+    kernel ``backend`` builds, so no class is keyed and a count that runs
+    again in a process is k - 1 lookups.  ``progress`` receives
     ``generate``'s events: a ``"subtree"`` event per kept partial class of
     the seeds, then a ``"round"`` event per layer count, once every total
     is known."""
     _check_gate_count(k)
-    kern = kernel.get_backend(backend)
+    images = kernel.get_backend(backend).images
     found, tally = 0, [0] * (3 * k + 3)
     for length in range(1, k):
-        seed_found, seed_tally = _shape_total(kern, bytes(2 * length), _seed_shape(length), k)
+        seed_found, seed_tally = _shape_total(_seed_shape(length), k, images)
         found += seed_found
         tally[:] = map(add, tally, seed_tally)
     if progress and k > 1:  # one gate, no subtrees and no rounds

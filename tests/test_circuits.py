@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -196,6 +198,25 @@ def test_terms_built_by_hand_give_the_same_circuit():
     shared = Circuit(2, ((fs(x(1)), fs(TOP)),), fs(g(1), x(2)))
     assert by_hand == shared and hash(by_hand) == hash(shared)
     assert x(1) is x(1) and g(7) is g(7) and x(17) == Term("x", 17) and g(8) == Term("g", 8)
+
+
+def test_shared_terms_copy_and_unpickle_to_themselves(maj4_circuit):
+    def copies(term):
+        return (copy.copy(term), copy.deepcopy(term),
+                *(pickle.loads(pickle.dumps(term, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)))
+    for term in _TERMS:
+        assert all(back is term for back in copies(term)), term
+    # terms outside the table come back as equal new terms, index type and all
+    for term in (Term("x", 17), Term("g", 8), Term("x", 1.0), Term("g", True), Term("T", 5),
+                 Term("T", 0.0), Term("y", 1)):
+        for back in copies(term):
+            assert type(back) is Term and back == term and type(back.idx) is type(term.idx)
+    # so a copied circuit holds the shared terms, which the fast path knows by id
+    for back in (copy.deepcopy(maj4_circuit), pickle.loads(pickle.dumps(maj4_circuit))):
+        assert back == maj4_circuit
+        terms = chain(back.output, *chain.from_iterable(back.gates))
+        assert set(map(id, terms)) <= set(map(id, _TERMS))
 
 
 def test_constructor_stores_frozensets():

@@ -3,9 +3,12 @@ kernel against the pure-Python one, byte for byte."""
 
 import importlib.util
 import random
+import re
 import shlex
 import subprocess
 import sysconfig
+from array import array
+from functools import cache
 from itertools import combinations_with_replacement, count, permutations, product
 from operator import countOf
 from pathlib import Path
@@ -67,7 +70,7 @@ def test_extend_parity_on_k7_seeds(gen_c, q):
     enc = bytes(2 * q)
     full, keys = extended = _gen_py.extend(enc, 7)
     assert extended == gen_c.extend(enc, 7)
-    assert _gen_py.count_extend(enc, 7) == gen_c.count_extend(enc, 7) == (full, len(keys))
+    assert count_from_shape(enc, 7) == count_from_shape(enc, 7, gen_c.images) == (full, len(keys))
 
 
 def test_extend_parity_on_one_gate_parents_at_k6(gen_c):
@@ -98,8 +101,7 @@ KEYS_GUARD_ARGS = [
     (b"\0\0\4\0\0\0",),  # gate 2 references gate 3
 ]
 
-GUARD_CASES = [(name, args) for name in ("extend", "count_extend")
-               for args in EXTEND_GUARD_ARGS] + [
+GUARD_CASES = [("extend", args) for args in EXTEND_GUARD_ARGS] + [
     ("canonical_keys", args) for args in KEYS_GUARD_ARGS]
 
 
@@ -115,19 +117,33 @@ def test_kernel_guards_match(gen_c):
     # a parent of k gates has no children, so no candidate gates are built
     # (seven gates would give more than 4,096 of them)
     assert gen_c.extend(bytes(14), 7) == _gen_py.extend(bytes(14), 7) == (0, [])
-    assert gen_c.count_extend(bytes(14), 7) == _gen_py.count_extend(bytes(14), 7) == (0, 0)
-    assert gen_c.count_extend(b"\0\0", -2 ** 80) == _gen_py.count_extend(b"\0\0", -2 ** 80) \
-        == (0, 0)
+    assert gen_c.extend(b"\0\0", -2 ** 80) == _gen_py.extend(b"\0\0", -2 ** 80) == (0, [])
 
 
 def test_odd_length_parent_ignores_its_last_byte(gen_c):
     for enc, k in ((b"\0\0\0", 3), (b"\0\0\1", 3), (b"\0\0\0\1\3", 4)):
         for kern in (gen_c, _gen_py):
             assert kern.extend(enc, k) == kern.extend(enc[:-1], k), (kern.BACKEND, enc)
-            assert kern.count_extend(enc, k) == kern.count_extend(enc[:-1], k), \
-                (kern.BACKEND, enc)
             assert kern.canonical_keys(enc) == kern.canonical_keys(enc[:-1]), (kern.BACKEND, enc)
+        # so does the count, which reads only the parent's shape
+        assert _gen_py.parent_shape(enc) == _gen_py.parent_shape(enc[:-1]), enc
     assert gen_c.canonical_keys(b"\7") == _gen_py.canonical_keys(b"\7") == (b"", b"")
+
+
+@cache
+def shape_count(shape, width, images=_gen_py.images):
+    """``count_full(shape, width, images)``, once per argument in this
+    module, since many parents share a shape."""
+    return _gen_py.count_full(shape, width, images)
+
+
+def count_from_shape(enc, k, images=_gen_py.images):
+    """``(full, full_min)`` over the full children of ``enc`` for k, as the
+    class count counts them from its shape (``count_full``), with the rows
+    of the builder ``images``; ``(0, 0)`` when it has k gates or more, as
+    ``extend`` then finds none."""
+    width = k - len(enc) // 2
+    return shape_count(_gen_py.parent_shape(enc), width, images) if width > 0 else (0, 0)
 
 
 def unpruned_walk_parents(kern, k):
@@ -149,7 +165,7 @@ def test_count_extend_matches_extend_on_unpruned_parents(k):
     found = unpruned_walk_parents(_gen_py, k)
     assert len(found) == {2: 1, 3: 3, 4: 11, 5: 106}[k]
     for enc, (full, keys) in found:
-        assert _gen_py.count_extend(enc, k) == (full, len(keys)), enc
+        assert count_from_shape(enc, k) == (full, len(keys)), enc
 
 
 def test_count_cache_matches_cold_counts(gen_c, monkeypatch):
@@ -169,24 +185,23 @@ def test_count_cache_matches_cold_counts(gen_c, monkeypatch):
     for k in [*range(6, 0, -1), *range(1, 7)]:
         assert counted(k) == cold[k], k
     steps = []
-    for kern in (gen_c, _gen_py):
-        step = kern.count_extend
-        monkeypatch.setattr(kern, "count_extend", lambda enc, k, name=kern.BACKEND, step=step:
-                            steps.append(name) or step(enc, k))
+    monkeypatch.setattr(topology, "count_full", lambda shape, width, images, step=topology.count_full:
+                        steps.append(shape) or step(shape, width, images))
     monkeypatch.setattr(kernel, "_gen_c", gen_c)
-    assert counted(5) == cold[5] and steps == []  # a warm count asks no kernel
-    # one kernel's counts never answer for the other's
-    assert counted(5, "c") == cold[5] and steps == ["c"] * 28
+    assert counted(5) == cold[5] and steps == []  # a warm count asks for no count
+    # both kernels count through count_full on equal rows, so one kernel's
+    # counts answer for the other's
+    assert counted(5, "c") == cold[5] and steps == []
     topology._TOTALS.clear()
-    assert counted(5) == cold[5] and steps[28:] == ["python"] * 28
-    # one entry per kernel call: per shape among the walk's 96 parents, at k=5
-    assert [(backend, k) for backend, _, k in topology._TOTALS] == [("python", 5)] * 28
-    # 0, 1, 3, 8, 28 and 126 per kernel for k = 1..6
+    assert counted(5, "c") == cold[5] and len(steps) == 28
+    # one entry per count: per shape among the walk's 96 parents, at k=5
+    assert sorted(topology._TOTALS) == sorted((shape, 5) for shape in steps)
+    # 0, 1, 3, 8, 28 and 126 for k = 1..6
     topology._TOTALS.clear()
     for k in range(1, 7):
         for backend in ("python", "c"):
             counted(k, backend)
-    assert len(steps) - 56 == len(topology._TOTALS) == 2 * 166
+    assert len(steps) - 28 == len(topology._TOTALS) == 166
 
 
 def test_settle_cache_matches_cold_settles(monkeypatch):
@@ -224,14 +239,14 @@ def test_compiled_count_extend_matches_extend_on_unpruned_parents_at_k6(gen_c):
     # the unpruned class count, summed from the full children
     assert sum(extended[0] for _, extended in found) + 1 == 1353064
     for enc, (full, keys) in found:
-        assert gen_c.count_extend(enc, 6) == (full, len(keys)), enc
+        assert count_from_shape(enc, 6, gen_c.images) == (full, len(keys)), enc
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_extend_keys_are_the_sorted_full_key_mins(request, k):
     kern = request.getfixturevalue("gen_c") if k == 6 else _gen_py
     for enc, (full, keys) in unpruned_walk_parents(kern, k):
-        full_counted, full_min = kern.count_extend(enc, k)
+        full_counted, full_min = count_from_shape(enc, k, kern.images)
         assert full == full_counted, enc
         assert len(keys) == full_min <= full, enc
         # distinct classes have distinct key_min encodings, each its own key_min
@@ -266,7 +281,7 @@ def reference_extend(kern, enc, k, full=True):
 
 
 def reference_results(children, k):
-    """``extend``'s ``(full, keys)`` and ``count_extend``'s ``(full,
+    """``extend``'s ``(full, keys)`` and ``count_from_shape``'s ``(full,
     full_min)`` from every child's ``(key_any, key_min)``, as
     ``reference_extend`` lists them."""
     full = [key_min for key_any, key_min in children if len(key_any) == 2 * k]
@@ -293,9 +308,9 @@ def test_extend_matches_reference_on_walk_parents(k):
     found = walk_parents(_gen_py, k)
     assert len(found) == {2: 1, 3: 3, 4: 11, 5: 96}[k]
     for enc, children in found:
-        extended, counted = reference_results(children, k)
+        extended, full_counts = reference_results(children, k)
         assert _gen_py.extend(enc, k) == extended, enc
-        assert _gen_py.count_extend(enc, k) == counted, enc
+        assert count_from_shape(enc, k) == full_counts, enc
 
 
 def test_extend_matches_reference_on_raw_and_member_parents():
@@ -305,9 +320,9 @@ def test_extend_matches_reference_on_raw_and_member_parents():
     parents += [m.encode() for q in (1, 2, 3, 4) for m in generate(q).members]
     for enc in parents:
         for k in range(len(enc) // 2, 6):
-            extended, counted = reference_results(reference_extend(_gen_py, enc, k), k)
+            extended, full_counts = reference_results(reference_extend(_gen_py, enc, k), k)
             assert _gen_py.extend(enc, k) == extended, (enc, k)
-            assert _gen_py.count_extend(enc, k) == counted, (enc, k)
+            assert count_from_shape(enc, k) == full_counts, (enc, k)
 
 
 def test_one_gate_count_matches_the_settled_classes():
@@ -320,7 +335,7 @@ def test_one_gate_count_matches_the_settled_classes():
         parent = _gen_py._Parent(_gen_py.read_topology(enc))
         full, keys = _gen_py.extend(enc, len(enc) // 2 + 1)
         full_min = len(keys)
-        assert _gen_py.count_extend(enc, len(enc) // 2 + 1) == (full, full_min), enc
+        assert count_from_shape(enc, len(enc) // 2 + 1) == (full, full_min), enc
         no_group += not parent.groups and full_min == 0 < full
         flags = {_gen_py._rows(parent.sizes, index)[2]
                  for _, indices in parent.groups for index in indices}
@@ -328,15 +343,16 @@ def test_one_gate_count_matches_the_settled_classes():
     assert no_group and one_flag_row
 
 
-def listed_full_counts(parent, width):
+def listed_full_counts(shape, width):
     """``count_full``'s ``(full, full_min)`` by listing the classes, one
     combination of candidates each (``_representatives``): a class has a
     key_min when some table that leaves the parent fault-free leaves each of
     its candidates fault-free."""
-    flags = [_gen_py._rows(parent.sizes, index)[2]
-             for index in _gen_py._selected(count(), parent.free)]
+    sizes, autos, free = shape
+    flags = [_gen_py._rows(sizes, index)[2] for index in _gen_py._selected(count(), free)]
     full = full_min = 0
-    for combo in _gen_py._representatives(parent.auto_rows, width):
+    for combo in _gen_py._representatives([_gen_py._rows(sizes, index)[0] for index in autos],
+                                          width):
         combo = (combo,) if width == 1 else combo
         full += 1
         full_min += any(all(map(row.__getitem__, combo)) for row in flags)
@@ -365,11 +381,9 @@ def test_orbit_counts_match_the_listed_classes(k):
     assert len(found) == {2: 1, 3: 3, 4: 8, 5: 28, 6: 126, 7: 749}[k]
     wide = 0
     for shape, enc in found.items():
-        parent = _gen_py._Parent(_gen_py.read_topology(enc))
         width = k - len(enc) // 2
-        assert parent.shape == shape, enc
-        assert parent.count_full(width) == listed_full_counts(parent, width), (enc, width)
-        wide += width > 1 and len(parent.autos) > 1
+        assert _gen_py.count_full(shape, width) == listed_full_counts(shape, width), (enc, width)
+        wide += width > 1 and len(shape[1]) > 1
     assert wide or k < 4  # some count is one of Burnside's over a group
 
 
@@ -377,9 +391,9 @@ def test_compiled_extend_matches_reference_at_k6(gen_c, monkeypatch):
     found = walk_parents(gen_c, 6)
     assert len(found) == 3378
     for enc, children in found:
-        extended, counted = reference_results(children, 6)
+        extended, full_counts = reference_results(children, 6)
         assert gen_c.extend(enc, 6) == extended, enc
-        assert gen_c.count_extend(enc, 6) == counted, enc
+        assert count_from_shape(enc, 6, gen_c.images) == full_counts, enc
     monkeypatch.setattr(kernel, "_gen_c", gen_c)
     assert count_classes(6, backend="c") == 506935
 
@@ -397,33 +411,31 @@ def rounds(events):
 
 def test_compiled_count_classes_k7(gen_c, monkeypatch):
     monkeypatch.setattr(kernel, "_gen_c", gen_c)
-    topology._TOTALS.clear()  # so that the kernel counts each shape here
+    topology._TOTALS.clear()  # so that each shape is counted here
     steps = []
-    count_extend = gen_c.count_extend
-    monkeypatch.setattr(gen_c, "count_extend",
-                        lambda enc, k: steps.append(enc) or count_extend(enc, k))
+    monkeypatch.setattr(topology, "count_full", lambda shape, width, images, step=topology.count_full:
+                        steps.append(shape) or step(shape, width, images))
     events = []
     assert count_classes(7, backend="c", progress=events.append) == 312463157
     assert rounds(events) == K7_ROUNDS
     assert len(steps) == len(set(steps)) == 749  # one per shape, of 510,313 walk parents
-    assert len(topology._TOTALS) == 749  # one entry per kernel call
+    assert len(topology._TOTALS) == 749  # one entry per count
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_count_walk_memo_keeps_the_rounds_of_generate(monkeypatch, k):
     # generate walks every parent with extend and keeps no subtree totals
-    topology._TOTALS.clear()  # so that the kernel counts each shape here
+    topology._TOTALS.clear()  # so that each shape is counted here
     walked = []
-    count_extend = _gen_py.count_extend
-    monkeypatch.setattr(_gen_py, "count_extend",
-                        lambda enc, k: walked.append(enc) or count_extend(enc, k))
+    monkeypatch.setattr(topology, "count_full", lambda shape, width, images, step=topology.count_full:
+                        walked.append(shape) or step(shape, width, images))
     counted, generated = [], []
     assert count_classes(k, backend="python", progress=counted.append) \
         == generate(k, backend="python", progress=generated.append).count
     assert rounds(counted) == rounds(generated)
-    # the kernel counts once per parent shape, against 96 and 3,378 walk parents
+    # one count per parent shape, against 96 and 3,378 walk parents
     assert len(walked) == {1: 0, 2: 1, 3: 3, 4: 8, 5: 28, 6: 126}[k]
-    assert len(set(map(_gen_py.parent_shape, walked))) == len(walked)
+    assert len(set(walked)) == len(walked)
 
 
 # ``prove --n 7 --k 5 -v``'s stderr
@@ -437,13 +449,13 @@ K5_VERBOSE = [f"[walk k=5] subtree {i}/19" for i in range(1, 20)] + [
 
 def test_prove_verbose_is_the_same_cold_and_warm_and_takes_no_workers(gen_c, capsys,
                                                                         monkeypatch):
+    steps = []
+    monkeypatch.setattr(topology, "count_full", lambda shape, width, images, step=topology.count_full:
+                        steps.append(shape) or step(shape, width, images))
     for kern in (_gen_py, gen_c):
         monkeypatch.setattr(kernel, "_active", kern)  # the kernel that prove counts with
-        steps = []
-        monkeypatch.setattr(kern, "count_extend", lambda enc, k, step=kern.count_extend:
-                            steps.append(enc) or step(enc, k))
         topology._TOTALS.clear()
-        for asked in (28, 0):  # cold, then warm: one kernel call per shape, then none
+        for asked in (28, 0):  # cold, then warm: one count per shape, then none
             assert main(["prove", "--n", "7", "--k", "5", "-v"]) == 0
             out, err = capsys.readouterr()
             assert "topology_classes = 3282" in out.splitlines()
@@ -650,11 +662,84 @@ def test_candidate_rows_are_cached_images_of_their_tables():
         q = sum(sizes)
         lefts, rights = _gen_py._candidates(q, (1 << q) - (1 << (q - sizes[-1])))
         assert row.typecode == free.typecode == "H"
-        assert list(row) == _gen_py._images(_gen_py._TABLES[sizes][index][1], lefts, rights)
+        tab = _gen_py._TABLES[sizes][index][1]
+        assert list(row) == [min(a, b) << 8 | max(a, b)
+                             for a, b in zip(map(tab.__getitem__, lefts), map(tab.__getitem__, rights))]
         assert list(free) == [code if gate_fault(code >> 8, code & 0xFF) is None
                               else _gen_py._FAULT for code in row]
         assert type(flags) is bytes
         assert list(flags) == [code != _gen_py._FAULT for code in free]
+
+
+def every_table():
+    """Each ``(sizes, index)`` of the relabel tables of at most 6 gates, the
+    ones whose rows a walk for k <= 7 builds: per composition of q <= 6, one
+    per table."""
+    def compositions(q):
+        if not q:
+            yield ()
+        for first in range(1, q + 1):
+            for rest in compositions(q - first):
+                yield (first,) + rest
+    return [(sizes, index) for q in range(1, 7) for sizes in compositions(q)
+            for index in range(len(_gen_py._TABLES.get(sizes) or _gen_py._relabel_tables(sizes)))]
+
+
+def test_compiled_images_match_the_pure_python_rows(gen_c):
+    tables = every_table()
+    assert len(tables) == 1596
+    for sizes, index in tables:
+        q = sum(sizes)
+        args = (_gen_py._TABLES[sizes][index][1],
+                *_gen_py._candidates(q, (1 << q) - (1 << (q - sizes[-1]))))
+        rows = gen_c.images(*args)
+        assert rows == _gen_py.images(*args), (sizes, index)
+        assert [type(row) for row in rows] == [array, array, bytes], (sizes, index)
+        assert rows[0].typecode == rows[1].typecode == "H", (sizes, index)
+    assert gen_c.images((), (), ()) == _gen_py.images((0,), (), ()) \
+        == (array("H"), array("H"), b"")
+    # checked before the table is read at any side
+    tab = tuple(range(4))
+    for args, message in (((tab, (1, 2), (3,)), "2 left sides but 1 right sides"),
+                          ((tab, (1,), (3, 0)), "1 left sides but 2 right sides"),
+                          ((tab, (1, 4), (3, 0)), "side 4 is not in range(4)"),
+                          ((tab, (1,), (-1,)), "side -1 is not in range(4)"),
+                          ((tab, (2 ** 80,), (0,)), f"side {2 ** 80} is not in range(4)"),
+                          ((tab, (0,), (4,)), "side 4 is not in range(4)"),
+                          (((), (0,), (0,)), "side 0 is not in range(0)"),
+                          (((0, 256), (1,), (0,)), "relabeled side 256 is not in range(256)")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            gen_c.images(*args)
+    for args in (([0, 1], (1,), (0,)), (tab, (1.0,), (0,)), (tab, (1,))):
+        with pytest.raises(TypeError):
+            gen_c.images(*args)
+
+
+def count_with_rows(k, backend):
+    """``count_classes(k)`` with the kernel ``backend``, its events, and the
+    number of rows that each kernel's ``images`` built, from empty caches of
+    rows, subtree totals and child shapes."""
+    for cache in (_gen_py._ROWS, topology._TOTALS, _gen_py._CHILDREN):
+        cache.clear()
+    built = {}
+    events = []
+    with pytest.MonkeyPatch.context() as patch:
+        for kern in (kernel._gen_c, _gen_py):
+            patch.setattr(kern, "images", lambda *args, kern=kern, build=kern.images:
+                          built.update({kern.BACKEND: built.get(kern.BACKEND, 0) + 1})
+                          or build(*args))
+        found = count_classes(k, backend=backend, progress=events.append)
+    return found, events, built
+
+
+@pytest.mark.parametrize("k", [*range(7), pytest.param(7, marks=long_tier)])
+def test_count_classes_with_compiled_rows_matches_python_rows(gen_c, monkeypatch, k):
+    monkeypatch.setattr(kernel, "_gen_c", gen_c)
+    found, events, built = count_with_rows(k, "c")
+    assert (found, events) == count_with_rows(k, "python")[:2]
+    assert found == [0, 1, 2, 8, 85, 3282, 506935, 312463157][k]
+    # the count reads the rows of the kernel it was asked to count with
+    assert set(built) <= {"c"} and bool(built) == (k > 1)
 
 
 def test_candidate_rows_are_bounded_by_tables():
@@ -675,8 +760,9 @@ def test_candidate_rows_are_built_only_for_the_tables_a_parent_uses():
         parent = _gen_py._Parent(gates)
         used = {(parent.sizes, index)
                 for index in parent.autos + [i for _, group in parent.groups for i in group]}
-        for run in (_gen_py.count_extend, _gen_py.extend):
+        for run in (count_from_shape, _gen_py.extend):
             _gen_py._ROWS.clear()
+            shape_count.cache_clear()
             run(enc, 5)
             assert set(_gen_py._ROWS) <= used, enc
         fewer += len(used) < len(_gen_py._TABLES[parent.sizes])

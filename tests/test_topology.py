@@ -447,7 +447,7 @@ def test_count_classes_matches_generate():
 def test_count_classes_k7():
     topology._TOTALS.clear()  # so that this count fills the cache
     assert count_classes(7) == 312463157
-    assert len(topology._TOTALS) == 749  # one entry per kernel call
+    assert len(topology._TOTALS) == 749  # one entry per parent shape
 
 
 def test_walks_of_no_gates_report_no_rounds():
@@ -488,8 +488,6 @@ def test_generate_refuses_k7_before_it_walks(monkeypatch):
 
         def extend(self, enc, k):
             raise AssertionError("generate(7) started a walk")
-
-        count_extend = extend
 
     monkeypatch.setattr(kernel, "get_backend", lambda name=None: Refusing())
     with pytest.raises(CapacityError, match="k <= 6"):
